@@ -5,9 +5,12 @@ classical trajectory problem.  This module solves it:
 
   * solve_fundamental: the fundamental pair u, v with u(t_a)=1, u'(t_a)=0,
     v(t_a)=0, v'(t_a)=1, dense over the window, Wronskian u v' - u' v = 1.
-    Delta impulses in omega^2 are first-class events: integration stops at
-    each one and restarts with f' kicked by -strength * f(t0); they are never
-    smeared into the right-hand side.
+    One DOP853 solve (8th-order Dormand-Prince) at tol/10 gives both the
+    dense pair and the focal count: the zeros of v are read off the signs of
+    v at the solver's accepted steps.  Delta impulses in omega^2 are
+    first-class events: integration stops at each one and restarts with f'
+    kicked by -strength * f(t0); they are never smeared into the right-hand
+    side.
   * closed_form: the catalog of reference solutions for the five analytic
     families.  Two entries (delta_pulse, sech_squared) are quoted reference
     forms that do NOT satisfy the equation for generic parameters; they are
@@ -57,21 +60,29 @@ class ClosedFormSolution(SolutionCurve):
     note: str = ""
 
 
+_DEFAULT_NODES = 1001  # focal-count grid of a pair given only a state_fn
+
+
 class FundamentalPair:
     """Dense fundamental pair on [t_a, t_b].
 
     u and v carry the canonical initial data at t_a; derivatives are
-    right-continuous at impulse times.  Instances are immutable after
-    construction and safe to share between threads.
+    right-continuous at impulse times.  nodes = (t, v(t)) are non-decreasing
+    times from t_a to t_b with v there, at which focal_count reads the sign
+    of v; without them a uniform grid of _DEFAULT_NODES times is evaluated
+    through state_fn once, on first use.  Instances are immutable after
+    construction, apart from such caches, and safe to share between threads.
     """
 
     def __init__(self, t_a: float, t_b: float,
                  state_fn: Callable[[np.ndarray], np.ndarray],
-                 event_times: tuple[float, ...] = ()):
+                 event_times: tuple[float, ...] = (),
+                 nodes: tuple[np.ndarray, np.ndarray] | None = None):
         self.t_a = float(t_a)
         self.t_b = float(t_b)
         self._state = state_fn
         self.event_times = tuple(event_times)
+        self._nodes = nodes
         self._drift: float | None = None
 
     def state(self, t) -> np.ndarray:
@@ -106,6 +117,29 @@ class FundamentalPair:
         return SolutionCurve(f, fdot, label or f"{f_a}*u + {fdot_a}*v")
 
     @property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(t, v(t)) at the times where focal_count reads the sign of v."""
+        if self._nodes is None:
+            ts = np.linspace(self.t_a, self.t_b, _DEFAULT_NODES)
+            self._nodes = (ts, np.asarray(self._state(ts)[2], dtype=float))
+        return self._nodes
+
+    def focal_count(self, t_end: float, v_end: float) -> int:
+        """Number of zeros of v in the open interval (t_a, t_end).
+
+        v_end = v(t_end).  Counts sign changes of v along the nodes before
+        t_end, starting from v > 0 just after t_a (v' = 1 there) and ending
+        at v_end.  Exact whenever no node interval holds two zeros: zeros of
+        v between impulses lie at least pi / max(omega) apart, and
+        solve_fundamental's steps are far shorter than that.
+        """
+        ts, vs = self.nodes
+        inner = vs[1:np.searchsorted(ts, t_end, side="left")]
+        signs = np.sign(np.concatenate(([1.0], inner, [v_end])))
+        signs = signs[signs != 0.0]
+        return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+    @property
     def wronskian_drift(self) -> float:
         """max |u v' - u' v - 1| over 100 uniform sample times."""
         if self._drift is None:
@@ -117,10 +151,14 @@ class FundamentalPair:
 
 def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
                       tol: float = 1e-10) -> FundamentalPair:
-    """Integrate the fundamental pair with an adaptive Dormand-Prince 5(4) scheme.
+    """Integrate the fundamental pair with the adaptive DOP853 scheme.
 
-    Dense output everywhere in [t_a, t_b]; the integration is split at each
-    jump event and the impulse kick applied exactly between segments.
+    The solver runs at atol = tol/10, rtol = max(tol/10, 1e-13).  Dense
+    output everywhere in [t_a, t_b]; the integration is split at each jump
+    event, with the impulse kick applied exactly between segments, and at
+    each of the profile's breakpoints.  The accepted steps and v there
+    become the pair's focal-count nodes; v is continuous across kicks, so
+    the segments' nodes simply concatenate.
     """
     if not (t_b > t_a):
         raise DomainError(f"need t_b > t_a, got [{t_a}, {t_b}]")
@@ -130,7 +168,7 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     events = profile.jump_events(t_a, t_b)
     interior = sorted({e.time for e in events if e.time < t_b})
     strength = {e.time: e.strength for e in events}
-    boundaries = [t_a] + interior + [t_b]
+    boundaries = sorted({t_a, t_b, *interior, *profile.breakpoints(t_a, t_b)})
 
     def make_rhs(hi: float, step_at_hi: bool):
         # the theta-step attached to an event belongs to [t0, inf); stage
@@ -145,13 +183,16 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
 
     y = np.array([1.0, 0.0, 0.0, 1.0])
     segments = []  # (lo, hi, OdeSolution)
+    node_t, node_v = [], []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
         sol = solve_ivp(make_rhs(hi, hi in strength), (lo, hi), y,
-                        method="RK45", dense_output=True,
-                        rtol=max(tol, 1e-13), atol=tol)
+                        method="DOP853", dense_output=True,
+                        rtol=max(0.1 * tol, 1e-13), atol=0.1 * tol)
         if not sol.success:
             raise StepFailure(f"integration failed on [{lo}, {hi}]: {sol.message}")
         segments.append((lo, hi, sol.sol))
+        node_t.append(sol.t)
+        node_v.append(sol.y[2])
         y = sol.y[:, -1].copy()
         if hi in strength:  # impulse at the segment end: kick the derivatives
             s = strength[hi]
@@ -163,21 +204,26 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     seg_starts = [lo for lo, _, _ in segments]
 
     def state_fn(t_arr: np.ndarray) -> np.ndarray:
-        scalar = t_arr.ndim == 0
-        ts = np.atleast_1d(t_arr)
-        out = np.empty((4, ts.size))
-        idx = np.searchsorted(seg_starts, ts, side="right") - 1
+        if t_arr.ndim == 0:  # one time: same values, without the grouping below
+            t = float(t_arr)
+            if terminal is not None and t == t_b:
+                return terminal.copy()
+            return segments[max(bisect.bisect_right(seg_starts, t) - 1, 0)][2](t)
+        out = np.empty((4, t_arr.size))
+        idx = np.searchsorted(seg_starts, t_arr, side="right") - 1
         np.clip(idx, 0, len(segments) - 1, out=idx)
         for k in np.unique(idx):
             mask = idx == k
-            out[:, mask] = segments[k][2](ts[mask])
+            out[:, mask] = segments[k][2](t_arr[mask])
         if terminal is not None:
-            at_end = ts == t_b
+            at_end = t_arr == t_b
             if np.any(at_end):
                 out[:, at_end] = terminal[:, None]
-        return out[:, 0] if scalar else out
+        return out
 
-    return FundamentalPair(t_a, t_b, state_fn, tuple(interior + ([t_b] if terminal is not None else [])))
+    return FundamentalPair(t_a, t_b, state_fn,
+                           tuple(interior + ([t_b] if terminal is not None else [])),
+                           (np.concatenate(node_t), np.concatenate(node_v)))
 
 
 def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
@@ -426,4 +472,5 @@ def pair_from_solution(sol: SolutionCurve, profile: FrequencyProfile,
             return np.stack([np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float),
                              np.asarray(v, dtype=float), np.asarray(vd, dtype=float)])
 
-    return FundamentalPair(t_a, t_b, state_fn, num.event_times)
+    ts = num.nodes[0]
+    return FundamentalPair(t_a, t_b, state_fn, num.event_times, (ts, state_fn(ts)[2]))

@@ -44,7 +44,7 @@ from .kernel import kernel_robust
 
 __all__ = [
     "WavePacket", "GaussianState", "propagate_kernel", "crank_nicolson",
-    "time_sliced_oracle", "time_sliced", "compare", "uniform_grid",
+    "time_sliced_oracle", "time_sliced", "max_slices", "compare", "uniform_grid",
 ]
 
 _EDGE_BAND = 4       # grid points on each side treated as "edge"
@@ -277,6 +277,16 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     return WavePacket(q=packet.q, psi=psi, t=t_b)
 
 
+def max_slices(packet: WavePacket, t_b: float, mu: float = 1.0) -> int:
+    """Most slices time_sliced_oracle accepts from the packet's time to t_b.
+
+    The grid resolves the slice kernel while mu * span * dq / eps <= pi,
+    with span the grid's extent and eps the slice length.
+    """
+    span = packet.q[-1] - packet.q[0]
+    return int(math.pi * (t_b - packet.t) / (mu * span * packet.dq))
+
+
 def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float,
                        n_slices: int, mu: float = 1.0) -> WavePacket:
     """Short-time kernel composition (the path-integral definition).
@@ -309,7 +319,7 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     if rate > math.pi:
         raise DomainError(
             f"grid cannot resolve the slice kernel: mu*span*dq/eps = {rate:.2f} "
-            f"> pi; use at most n_slices = {int(math.pi * (t_b - packet.t) / (mu * span * h))} "
+            f"> pi; use at most n_slices = {max_slices(packet, t_b, mu)} "
             f"on this grid, or at least {int(mu * span ** 2 * n_slices / (math.pi * (t_b - packet.t)))} points")
 
     pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * eps))

@@ -2,7 +2,7 @@
 
 Seven variants: five analytic families (constant, exponential decay, power
 law, delta impulse with a step, sech^2 well), tabulated data, and parsed
-expressions.  A profile answers three questions:
+expressions.  A profile answers four questions:
 
   * omega_squared(t): the pointwise value.  Raises EvalAtImpulse exactly at a
     delta impulse, DomainError outside the profile's domain.
@@ -10,6 +10,8 @@ expressions.  A profile answers three questions:
     strength) pairs.  An impulse contributes strength*delta(t - time) to
     omega^2 and kicks any solution of f'' + omega^2 f = 0 by
     df'(time) = -strength * f(time).
+  * breakpoints(t_a, t_b): times inside the open window where omega^2 is
+    continuous but not smooth (a tabulated profile's knots).
   * to_json()/profile_from_json(): config round trip.
 
 Step discontinuities are right-continuous: theta(0) = 1.  Events land in the
@@ -59,6 +61,15 @@ class FrequencyProfile:
     def jump_events(self, t_a: float, t_b: float) -> list[JumpEvent]:
         if not t_a < t_b:
             raise DomainError(f"empty window [{t_a}, {t_b}]")
+        return []
+
+    def breakpoints(self, t_a: float, t_b: float) -> list[float]:
+        """Times in the open window (t_a, t_b) where omega^2 is continuous
+        but not smooth, such as the knots of a tabulated profile.
+
+        The classical solver restarts there: its high-order error estimate
+        assumes a smooth right-hand side within each step.
+        """
         return []
 
     def to_json(self) -> dict:
@@ -219,6 +230,9 @@ class Tabulated(FrequencyProfile):
         if self._spline is not None:
             return float(self._spline(t))
         return float(np.interp(t, self.t, self.omega2))
+
+    def breakpoints(self, t_a: float, t_b: float) -> list[float]:
+        return [float(k) for k in self.t if t_a < k < t_b]
 
     def to_json(self) -> dict:
         return {"type": "tabulated", "t": self.t.tolist(),

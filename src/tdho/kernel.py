@@ -18,10 +18,11 @@ Two equivalent routes to K(q_b, t_b; q_a, t_a):
     to a delta function and we refuse to evaluate (CausticAtEndpoint).
 
 Branch convention: the principal square root.  For v_b > 0 the prefactor
-carries e^{-i pi/4}; after v_b changes sign it carries e^{+i pi/4}.  No
-attempt is made to count focal points and accumulate Maslov phases — when v
-has interior zeros the result is marked caustic_flag=True and the phase
-(not the modulus) should be treated as unverified.
+carries e^{-i pi/4}; after v_b changes sign it carries e^{+i pi/4}.  The
+focal points (interior zeros of v) are counted exactly from the classical
+solver's steps and reported, but no Maslov phase is accumulated from the
+count — when v has interior zeros the result is marked caustic_flag=True
+and the phase (not the modulus) should be treated as unverified.
 
 Reported phases are "unwrapped": -pi/4 (or +pi/4 past a caustic) plus the
 full quadratic form divided by 2 v_b, NOT reduced mod 2 pi, so phase
@@ -156,12 +157,6 @@ def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
                                 "fdot_a": fd_a, "fdot_b": fd_b})
 
 
-def _interior_v_zeros(pair: FundamentalPair, t_end: float) -> int:
-    ts = np.linspace(pair.t_a, t_end, 800)[1:-1]  # v(t_a) = 0 by construction
-    v = pair.state(ts)[2]
-    return int(np.count_nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0))
-
-
 def kernel_robust(pair: FundamentalPair, q_a: float, q_b: float,
                   mu: float = 1.0, t_end: float | None = None) -> KernelValue:
     """Endpoint kernel form from the fundamental pair; valid across caustics.
@@ -170,6 +165,11 @@ def kernel_robust(pair: FundamentalPair, q_a: float, q_b: float,
     window works, which makes finite-difference probes in t_b cheap.  Raises
     CausticAtEndpoint when v(t_end) vanishes to within 1e-12 of the window
     span (focal point: the kernel is a delta function there).
+
+    diagnostics["interior_v_zeros"] is the number of focal points strictly
+    inside (t_a, t_end).  The count is exact: it is read from the signs of v
+    at the classical solver's accepted steps (FundamentalPair.focal_count),
+    whose length stays well below the spacing of the zeros.
     """
     if mu <= 0:
         raise DomainError(f"mu must be positive, got {mu}")
@@ -179,7 +179,7 @@ def kernel_robust(pair: FundamentalPair, q_a: float, q_b: float,
     if abs(v_b) < _ENDPOINT_CAUSTIC_REL * span:
         raise CausticAtEndpoint(tb, v_b)
 
-    n_zeros = _interior_v_zeros(pair, tb)
+    n_zeros = pair.focal_count(tb, v_b)
     quad_part = 0.5 * mu / v_b * (vd_b * q_b ** 2 + u_b * q_a ** 2 - 2.0 * q_a * q_b)
     pref_arg = mu / (2.0 * math.pi * 1j * v_b)
     return _finish(pref_arg, quad_part, caustic_flag=n_zeros > 0,

@@ -88,6 +88,27 @@ def test_wronskian_drift_across_suite():
         assert pair.wronskian_drift <= 1e-9, profile
 
 
+def test_wronskian_drift_on_long_caustic_free_power_law_window():
+    # a window where an RK45 solve at tol 1e-10 drifted by 1.24e-9
+    prof = PowerLaw(omega0=1.1255948094804742, alpha=1.3855371824046459,
+                    beta=-0.383590810088119)
+    pair = solve_fundamental(prof, 0.2984347397385992, 1.6572102618789633)
+    assert pair.wronskian_drift <= 1e-9
+    assert pair.focal_count(pair.t_b, float(pair.v(pair.t_b))) == 0
+
+
+def test_wronskian_drift_on_tabulated_window_split_at_knots():
+    # a cubic spline's third derivative jumps at every knot; one DOP853 step
+    # across a knot misjudges its error (drift 1.65e-9 without the split)
+    ts = np.linspace(0.0, 30.0, 61)
+    prof = Tabulated(ts, 3.0 * (1.0 + 0.4 * np.sin(0.75 * ts + 4.0)))
+    assert prof.breakpoints(0.0, 1.5) == [0.5, 1.0]
+    pair = solve_fundamental(prof, 0.0, 1.5)
+    assert pair.event_times == ()
+    assert {0.5, 1.0} <= set(pair.nodes[0])
+    assert pair.wronskian_drift <= 1e-9
+
+
 def test_state_rejects_times_outside_window():
     pair = solve_fundamental(Constant(1.0), 0.0, 1.0)
     with pytest.raises(DomainError):

@@ -395,6 +395,41 @@ def test_compare_strict_failure_exits_2(tmp_path, capsys):
     assert doc["passed"] is False
 
 
+def test_compare_on_readme_grid_defaults_to_resolved_slices(tmp_path):
+    # the README's propagate config as a compare: 2048 points on [-8, 8]
+    # resolve at most 25 slices at t = 1, so the default drops below 128
+    cfg = propagate_cfg(profile={"type": "sech_squared", "alpha": 1.0, "beta": 1.0, "t0": 0.5},
+                        window={"t_a": 0.0, "t_b": 1.0},
+                        state={"qbar": 0.0, "kbar": 1.0, "sigma": 0.7},
+                        grid={"q_min": -8.0, "q_max": 8.0, "n": 2048})
+    del cfg["method"]
+    cfg["task"] = "compare"
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    doc = json.loads((out / "compare.json").read_text())
+    assert doc["norms"]["time_sliced"] == pytest.approx(1.0, abs=1e-6)
+
+    cfg.update(task="propagate", method="time_sliced")
+    explicit = dict(cfg, n_slices=25)
+    for name, c in (("default", cfg), ("explicit", explicit)):
+        assert main(["propagate", "--config", str(write_cfg(tmp_path, c, name + ".json")),
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "default" / "wavepacket.csv").read_bytes() == \
+        (tmp_path / "explicit" / "wavepacket.csv").read_bytes()
+
+
+def test_default_slices_stay_128_where_the_grid_resolves_them(tmp_path):
+    # [-6, 6] with 128 points resolves 138 slices over t = 50
+    cfg = propagate_cfg(method="time_sliced", profile={"type": "constant", "omega0": 1.0},
+                        window={"t_a": 0.0, "t_b": 50.0},
+                        grid={"q_min": -6.0, "q_max": 6.0, "n": 128})
+    for name, c in (("default", cfg), ("explicit", dict(cfg, n_slices=128))):
+        assert main(["propagate", "--config", str(write_cfg(tmp_path, c, name + ".json")),
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "default" / "wavepacket.csv").read_bytes() == \
+        (tmp_path / "explicit" / "wavepacket.csv").read_bytes()
+
+
 @pytest.mark.parametrize("cfg", [
     kernel_cfg(),
     {"task": "classical", "profile": {"type": "exp_decay", "omega0": 1.0, "alpha": 1.0},

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from tdho.classical import FundamentalPair, SolutionCurve, closed_form, solve_fundamental
+from tdho.classical import (FundamentalPair, SolutionCurve, closed_form,
+                            pair_from_solution, solve_fundamental)
 from tdho.errors import (CausticAtEndpoint, CausticInWindow, DomainError,
                          SolutionMismatch)
-from tdho.freq_profile import Constant, DeltaPulse, ExpDecay, SechSquared
+from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
+                               JumpEvent, SechSquared)
 from tdho.kernel import (compute_W, kernel, kernel_batch, kernel_eq17,
                          kernel_robust, schrodinger_residual)
 
@@ -139,6 +141,111 @@ def test_caustic_at_endpoint_refuses():
     # just short of the focal time it still evaluates
     kv = kernel_robust(pair, 0.3, 0.4, t_end=math.pi - 1e-3)
     assert math.isfinite(kv.modulus)
+
+
+def zeros_after(v0: float, vd0: float, w: float, tau: float) -> int:
+    """Zeros in (0, tau) of v0 cos(w s) + (vd0/w) sin(w s), v0 != 0."""
+    phi = math.atan2(v0, vd0 / w)  # the curve is R sin(w s + phi)
+    return math.floor((w * tau + phi) / math.pi) - math.floor(phi / math.pi)
+
+
+def focal_count_at(pair, t_end):
+    return kernel_robust(pair, 0.3, -0.2, t_end=t_end).diagnostics["interior_v_zeros"]
+
+
+@pytest.mark.parametrize("omega, want", [(50.0, 159), (400.0, 1273)])
+def test_focal_count_at_high_frequency(omega, want):
+    kv = kernel(Constant(omega), 0.0, 10.0, 0.3, -0.2)
+    assert want == math.floor(10.0 * omega / math.pi)
+    assert kv.diagnostics["interior_v_zeros"] == want
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_focal_count_is_tolerance_independent(tol):
+    omega, T = 23.0, 10.0
+    pair = solve_fundamental(Constant(omega), 0.0, T, tol)
+    assert focal_count_at(pair, T) == math.floor(omega * T / math.pi)
+
+
+def test_focal_count_inside_the_window():
+    omega = 3.0
+    pair = solve_fundamental(Constant(omega), 0.0, 6.0)
+    for k in (1, 2, 5):
+        zero = k * math.pi / omega
+        assert focal_count_at(pair, zero - 1e-6) == k - 1
+        assert focal_count_at(pair, zero + 1e-6) == k
+    ts = pair.nodes[0]
+    # node times themselves, midpoints between nodes, and the first step
+    for t_end in np.concatenate([ts[1:-1], 0.5 * (ts[:-1] + ts[1:]), [0.5 * ts[1]]]):
+        if abs(math.remainder(omega * t_end, math.pi)) > 1e-9:
+            assert focal_count_at(pair, t_end) == math.floor(omega * t_end / math.pi), t_end
+
+
+class KickedConstant(FrequencyProfile):
+    """omega^2 = omega0^2 plus strength * delta(t - t0)."""
+
+    def __init__(self, omega0, t0, strength):
+        self.omega0, self.t0, self.strength = omega0, t0, strength
+
+    def omega_squared(self, t):
+        return self.omega0 ** 2
+
+    def jump_events(self, t_a, t_b):
+        super().jump_events(t_a, t_b)
+        return [JumpEvent(self.t0, self.strength)] if t_a < self.t0 <= t_b else []
+
+
+@pytest.mark.parametrize("profile, w, before", [
+    # kick at t0 = 1.5, between the zeros of sin(3t) at pi/3 and 2 pi/3
+    (KickedConstant(3.0, 1.5, 4.0), 3.0,
+     lambda t0: (math.sin(3.0 * t0) / 3.0, math.cos(3.0 * t0), 1)),
+    # omega^2 = 0 before t0, so v = t; the kick v' -> 1 - 4 v sends v down
+    (DeltaPulse(2.0, 1.5), 4.0, lambda t0: (t0, 1.0, 0)),
+], ids=["kick-between-zeros", "delta-pulse"])
+def test_focal_count_across_an_impulse(profile, w, before):
+    t0, T = 1.5, 6.0
+    pair = solve_fundamental(profile, 0.0, T)
+    assert pair.event_times == (t0,)
+    v0, vd0, n0 = before(t0)
+    s = profile.jump_events(0.0, T)[0].strength
+    for t_end in np.linspace(0.05, T, 240):
+        if t_end < t0:
+            want = math.floor(w * t_end / math.pi) if n0 else 0
+        else:
+            want = n0 + zeros_after(v0, vd0 - s * v0, w, t_end - t0)
+        assert focal_count_at(pair, t_end) == want, t_end
+    assert want == 6  # the sweep has passed six zeros by t = T
+
+
+@pytest.mark.parametrize("phase", [0.3, 1.2], ids=["companion-v", "companion-u"])
+def test_focal_count_of_pair_from_solution(phase):
+    # f = cos(3t + phase); phase 0.3 keeps |f_a| >= |f'_a| (numerical v is
+    # the companion), phase 1.2 does not (numerical u is)
+    omega, T = 3.0, 5.0
+    sol = SolutionCurve(f=lambda t: math.cos(omega * t + phase),
+                        fdot=lambda t: -omega * math.sin(omega * t + phase))
+    pair = pair_from_solution(sol, Constant(omega), 0.0, T)
+    ts, vs = pair.nodes
+    assert np.array_equal(ts, solve_fundamental(Constant(omega), 0.0, T).nodes[0])
+    np.testing.assert_allclose(vs, np.sin(omega * ts) / omega, atol=1e-9)
+    for t_end in (1.0, 1.1, 2.0, 2.2, T):
+        assert focal_count_at(pair, t_end) == math.floor(omega * t_end / math.pi)
+
+
+def test_focal_count_of_hand_built_pair():
+    calls = []
+
+    def state_fn(t):
+        t = np.asarray(t, dtype=float)
+        calls.append(t.size)
+        return np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)])
+
+    pair = FundamentalPair(0.0, 40.0, state_fn)
+    for t_end in (1.0, math.pi - 1e-3, math.pi + 1e-3, 20.0, 40.0):
+        assert focal_count_at(pair, t_end) == math.floor(t_end / math.pi)
+    # the default grid is evaluated once, by one vectorized call
+    assert sorted(calls)[-1] > 100 and sum(n > 1 for n in calls) == 1
+    assert pair.nodes is pair.nodes
 
 
 def test_eq17_detects_caustic_in_window():
