@@ -14,7 +14,10 @@ exponential is integrated exactly, giving a composite rule
     int g e^{iBq} dq  ~=  h W(theta) sum_n e^{i B q_n} g_n,   theta = B h,
 
 whose interior weight W(theta) -> 1 as theta -> 0 (plain Riemann) and stays
-O(1) accurate for |theta| >> 1 where a naive rule aliases.  Boundary weight
+O(1) accurate for |theta| >> 1 where a naive rule aliases.  On the uniform
+grid the sums for all q_b at once form a chirp-z transform: Bluestein's
+identity q_b q = (q_b^2 + q^2 - (q_b - q)^2)/2 turns them into
+chirp x FFT convolution x chirp, O(n log n) in the grid size.  Boundary weight
 corrections are dropped: inputs must be negligible near the grid edges
 anyway (GridTooNarrow enforces it), so the missing corrections act on
 amplitudes below 1e-8.
@@ -131,33 +134,6 @@ def _check_edges(packet: WavePacket) -> None:
             f"widen the window (limit {_EDGE_AMPLITUDE:.0e})")
 
 
-# moments c_k(theta) = int_0^1 u^k e^{i theta u} du for k = 0..3
-def _filon_moments(theta: float) -> np.ndarray:
-    c = np.empty(4, dtype=complex)
-    if abs(theta) <= 1.0:
-        # series sum_j (i theta)^j / (j! (k+j+1)); upward recursion in 1/theta
-        # cancels badly here, the series does not
-        for k in range(4):
-            total = 0.0 + 0.0j
-            term = 1.0 + 0.0j  # (i theta)^j / j!
-            j = 0
-            while True:
-                contrib = term / (k + j + 1.0)
-                total += contrib
-                if abs(contrib) < 1e-18:
-                    break
-                j += 1
-                term *= 1j * theta / j
-            c[k] = total
-        return c
-    e = cmath.exp(1j * theta)
-    it = 1j * theta
-    c[0] = (e - 1.0) / it
-    for k in range(1, 4):
-        c[k] = (e - k * c[k - 1]) / it
-    return c
-
-
 # cubic Lagrange coefficients on nodes u = -1, 0, 1, 2 (rows: powers u^0..u^3)
 _LAGRANGE = np.array([
     [0.0, -1.0 / 3.0, 0.5, -1.0 / 6.0],   # node -1
@@ -165,14 +141,37 @@ _LAGRANGE = np.array([
     [0.0, 1.0, 0.5, -0.5],                # node  1
     [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0],    # node  2
 ])
+_NODES = np.array([-1.0, 0.0, 1.0, 2.0])
+_SERIES_TERMS = 24  # 1/23! < 1e-22: the series is converged for |theta| <= 1
 
 
-def _filon_weight(theta: float) -> complex:
-    """Interior sample weight W(theta); W(0) = 1."""
-    c = _filon_moments(theta)
-    m = _LAGRANGE @ c  # M_r for r = -1, 0, 1, 2
-    r = np.array([-1.0, 0.0, 1.0, 2.0])
-    return complex(np.sum(m * np.exp(-1j * theta * r)))
+def _filon_weight(theta: np.ndarray) -> np.ndarray:
+    """Interior sample weight W(theta), elementwise; W(0) = 1.
+
+    Built from the moments c_k(theta) = int_0^1 u^k e^{i theta u} du,
+    k = 0..3, of the cubic's Lagrange basis.
+    """
+    theta = np.asarray(theta, dtype=float)
+    c = np.empty((4,) + theta.shape, dtype=complex)
+    small = np.abs(theta) <= 1.0
+    # series sum_j (i theta)^j / (j! (k+j+1)); upward recursion in 1/theta
+    # cancels badly here, the series does not
+    it = 1j * theta[small]
+    term = np.ones_like(it)  # (i theta)^j / j!
+    total = np.zeros((4,) + it.shape, dtype=complex)
+    for j in range(_SERIES_TERMS):
+        total += term / (np.arange(1.0, 5.0) + j)[:, None]
+        term = term * it / (j + 1)
+    c[:, small] = total
+    it = 1j * theta[~small]
+    e = np.exp(it)
+    ck = (e - 1.0) / it
+    c[0, ~small] = ck
+    for k in range(1, 4):
+        ck = (e - k * ck) / it
+        c[k, ~small] = ck
+    m = np.tensordot(_LAGRANGE, c, axes=1)  # M_r for r = -1, 0, 1, 2
+    return np.sum(m * np.exp(-1j * np.multiply.outer(_NODES, theta)), axis=0)
 
 
 def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
@@ -199,14 +198,19 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
         psi_out = amp * np.exp(1j * c_coef * q ** 2 + c0 - bq ** 2 / (4.0 * a))
         return WavePacket(q=q, psi=psi_out, t=t_b)
 
-    g_samples = packet.psi * np.exp(1j * a_coef * q ** 2)
+    # On the uniform grid q_b q = (q_b^2 + q^2 - (q_b - q)^2) / 2 with
+    # q_b - q = h (j - m), so the Filon sum over e^{i beta q_b q} g(q),
+    # beta = -mu / v_b, is chirp x (FFT convolution with a chirp) x chirp
+    # (Bluestein's chirp-z identity): O(n log n) for all q_b at once.
+    beta = -mu / v_b
     h = packet.dq
-    psi_out = np.empty_like(packet.psi)
-    for jb, qb in enumerate(q):
-        b_coef = -mu * qb / v_b
-        w = _filon_weight(b_coef * h)
-        psi_out[jb] = pref * cmath.exp(1j * c_coef * qb * qb) * h * w * \
-            np.sum(np.exp(1j * b_coef * q) * g_samples)
+    n = q.size
+    chirp = np.exp(0.5j * beta * q ** 2)
+    g_samples = packet.psi * np.exp(1j * a_coef * q ** 2) * chirp
+    kern = np.exp(-0.5j * beta * h * h * np.arange(1 - n, n) ** 2)
+    m = fft.next_fast_len(2 * n - 1)  # circular wrap-around misses [n-1, 2n-1)
+    sums = fft.ifft(fft.fft(g_samples, m) * fft.fft(kern, m))[n - 1:2 * n - 1] * chirp
+    psi_out = pref * np.exp(1j * c_coef * q ** 2) * h * _filon_weight(beta * q * h) * sums
     return WavePacket(q=q, psi=psi_out, t=t_b)
 
 
@@ -220,17 +224,21 @@ def _cn_segment(psi: np.ndarray, q: np.ndarray, lo: float, hi: float,
     off = -1.0 / (2.0 * mu * dq2)
     kin = 1.0 / (mu * dq2)
 
+    half = 0.5j * step
+    hop = half * off
     ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = 0.5j * step * off
-    ab[2, :-1] = 0.5j * step * off
+    ab[0, 1:] = hop
+    ab[2, :-1] = hop
     ab[0, 1] = ab[2, n - 2] = 0.0  # decouple the Dirichlet walls exactly
 
     t = lo
-    qmax2 = float(np.max(q ** 2))
+    q2 = q ** 2
+    qmax2 = float(np.max(q2))
     for _ in range(n_steps):
         w2 = omega2(t + 0.5 * step)
-        v = 0.5 * mu * w2 * q ** 2
-        h_diag = kin + v
+        if not math.isfinite(w2):
+            raise DomainError(f"omega^2 is {w2} at t={t + 0.5 * step!r}")
+        h_diag = kin + 0.5 * mu * w2 * q2
         # the scheme is unconditionally stable; warn when the potential phase
         # per step is order one, since accuracy is gone well before stability
         if not warned and step * abs(w2) * qmax2 > 1.0:
@@ -238,13 +246,15 @@ def _cn_segment(psi: np.ndarray, q: np.ndarray, lo: float, hi: float,
                 "time step does not resolve the potential phase at the grid "
                 "edges; results will be inaccurate (though not unstable)"))
             warned.append(True)
-        rhs = (1.0 - 0.5j * step * h_diag) * psi
-        rhs[1:] -= 0.5j * step * off * psi[:-1]
-        rhs[:-1] -= 0.5j * step * off * psi[1:]
+        ih = half * h_diag
+        rhs = (1.0 - ih) * psi
+        rhs[1:] -= hop * psi[:-1]
+        rhs[:-1] -= hop * psi[1:]
         rhs[0] = rhs[-1] = 0.0  # Dirichlet walls
-        ab[1, :] = 1.0 + 0.5j * step * h_diag
+        ab[1, :] = 1.0 + ih
         ab[1, 0] = ab[1, -1] = 1.0
-        psi = solve_banded((1, 1), ab, rhs)
+        # finiteness is checked above and in crank_nicolson, not per solve
+        psi = solve_banded((1, 1), ab, rhs, overwrite_b=True, check_finite=False)
         t += step
     return psi
 
@@ -262,6 +272,8 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
         raise DomainError(f"need t_b > packet time {packet.t}")
     if not (dt > 0):
         raise DomainError("dt must be positive")
+    if not np.all(np.isfinite(packet.psi)):
+        raise DomainError("psi has non-finite values")
 
     events = profile.jump_events(packet.t, t_b)
     strength = {e.time: e.strength for e in events}

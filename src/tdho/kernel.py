@@ -163,8 +163,9 @@ def kernel_robust(pair: FundamentalPair, q_a: float, q_b: float,
 
     t_end defaults to the pair's right endpoint; any time inside the pair's
     window works, which makes finite-difference probes in t_b cheap.  Raises
-    CausticAtEndpoint when v(t_end) vanishes to within 1e-12 of the window
-    span (focal point: the kernel is a delta function there).
+    CausticAtEndpoint when |v(t_end)| is at most 1e-12 of the window span
+    (focal point: the kernel is a delta function there).  This includes
+    t_end = t_a, where v = 0 and the kernel is delta(q_b - q_a).
 
     diagnostics["interior_v_zeros"] is the number of focal points strictly
     inside (t_a, t_end).  The count is exact: it is read from the signs of v
@@ -176,7 +177,7 @@ def kernel_robust(pair: FundamentalPair, q_a: float, q_b: float,
     tb = pair.t_b if t_end is None else float(t_end)
     u_b, ud_b, v_b, vd_b = (float(x) for x in pair.state(tb))
     span = tb - pair.t_a
-    if abs(v_b) < _ENDPOINT_CAUSTIC_REL * span:
+    if abs(v_b) <= _ENDPOINT_CAUSTIC_REL * span:
         raise CausticAtEndpoint(tb, v_b)
 
     n_zeros = pair.focal_count(tb, v_b)

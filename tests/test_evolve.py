@@ -4,15 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 import oracles
 from conftest import PACKET
+from tdho.classical import solve_fundamental
 from tdho.errors import (DomainError, GridMismatch, GridTooNarrow,
                          StabilityWarning)
-from tdho.evolve import (GaussianState, WavePacket, compare, crank_nicolson,
-                         propagate_kernel, time_sliced, time_sliced_oracle,
-                         uniform_grid)
-from tdho.freq_profile import Constant, DeltaPulse, SechSquared
+from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
+                         crank_nicolson, propagate_kernel, time_sliced,
+                         time_sliced_oracle, uniform_grid)
+from tdho.freq_profile import Constant, DeltaPulse, FrequencyProfile, SechSquared
+from tdho.kernel import kernel_robust
 
 FREE = Constant(0.0)
 
@@ -98,6 +102,120 @@ def test_filon_quadrature_agrees_with_closed_form():
     assert compare(a, b)["l2_error"] <= 1e-7
 
 
+# Reference for the FFT route: the direct Filon sum, one row of q_b at a
+# time, with the moments c_k(theta) = int_0^1 u^k e^{i theta u} du from a
+# scalar series (|theta| <= 1) or upward recursion.
+def _filon_moments_scalar(theta):
+    c = np.empty(4, dtype=complex)
+    if abs(theta) <= 1.0:
+        for k in range(4):
+            total, term, j = 0.0 + 0.0j, 1.0 + 0.0j, 0
+            while True:
+                contrib = term / (k + j + 1.0)
+                total += contrib
+                if abs(contrib) < 1e-18:
+                    break
+                j += 1
+                term *= 1j * theta / j
+            c[k] = total
+        return c
+    e, it = cmath.exp(1j * theta), 1j * theta
+    c[0] = (e - 1.0) / it
+    for k in range(1, 4):
+        c[k] = (e - k * c[k - 1]) / it
+    return c
+
+
+_LAGRANGE_ROWS = np.array([
+    [0.0, -1.0 / 3.0, 0.5, -1.0 / 6.0],
+    [1.0, -0.5, -1.0, 0.5],
+    [0.0, 1.0, 0.5, -0.5],
+    [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0],
+])
+
+
+def _filon_weight_scalar(theta):
+    m = _LAGRANGE_ROWS @ _filon_moments_scalar(theta)
+    return complex(np.sum(m * np.exp(-1j * theta * np.array([-1.0, 0.0, 1.0, 2.0]))))
+
+
+def _per_row_filon(profile, packet, t_b, mu=1.0):
+    d = kernel_robust(solve_fundamental(profile, packet.t, t_b), 0.0, 0.0, mu).diagnostics
+    u_b, v_b, vd_b = d["u_b"], d["v_b"], d["vdot_b"]
+    pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b))
+    q, h = packet.q, packet.dq
+    g = packet.psi * np.exp(0.5j * mu * u_b / v_b * q ** 2)
+    out = np.empty_like(packet.psi)
+    for jb, qb in enumerate(q):
+        b = -mu * qb / v_b
+        out[jb] = (pref * cmath.exp(0.5j * mu * vd_b / v_b * qb * qb) * h
+                   * _filon_weight_scalar(b * h) * np.sum(np.exp(1j * b * q) * g))
+    return out
+
+
+# an untagged two-Gaussian packet a + c b takes the Filon route
+TWO = (GaussianState(-0.8, 0.3, 0.6), GaussianState(0.9, -0.4, 0.65), 0.3 + 0.4j)
+
+
+DELTA = DeltaPulse(1.0, 0.3)  # v zeros at t = 3.04, 6.18, 9.32
+
+
+@pytest.mark.parametrize("profile,t_b,n_focal", [
+    (Constant(1.0), 2.8, 0), (Constant(1.0), 3.5, 1), (Constant(1.0), 6.6, 2),
+    (DELTA, 2.6, 0), (DELTA, 3.5, 1), (DELTA, 6.6, 2),
+], ids=["constant-0", "constant-1", "constant-2", "delta-0", "delta-1", "delta-2"])
+def test_filon_fft_route_matches_per_row_sum(profile, t_b, n_focal):
+    q = uniform_grid(-8.0, 8.0, 256)
+    a, b, c = TWO
+    p = WavePacket(q=q, psi=a.psi(q) + c * b.psi(q), t=0.0)
+    d = kernel_robust(solve_fundamental(profile, 0.0, t_b), 0.0, 0.0).diagnostics
+    assert d["interior_v_zeros"] == n_focal
+    # |theta| = |q_b h / v_b| passes 1 at the grid edges: both weight branches run
+    assert 8.0 * p.dq / abs(d["v_b"]) > 1.0
+    want = _per_row_filon(profile, p, t_b)
+    got = propagate_kernel(profile, p, t_b).psi
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("profile,t_b,n_focal", [
+    (Constant(1.0), 1.5, 0), (Constant(1.0), 4.7, 1), (Constant(1.0), 7.9, 2),
+    (DELTA, 1.47, 0), (DELTA, 4.6, 1), (DELTA, 7.75, 2),
+], ids=["constant-0", "constant-1", "constant-2", "delta-0", "delta-1", "delta-2"])
+def test_filon_route_matches_closed_form_across_caustics(profile, t_b, n_focal):
+    q = uniform_grid(-8.0, 8.0, 1024)
+    a, b, c = TWO
+    mixed = WavePacket(q=q, psi=a.psi(q) + c * b.psi(q), t=0.0)
+    pair = solve_fundamental(profile, 0.0, t_b)
+    assert kernel_robust(pair, 0.0, 0.0).diagnostics["interior_v_zeros"] == n_focal
+    want = (propagate_kernel(profile, a.on_grid(q), t_b).psi
+            + c * propagate_kernel(profile, b.on_grid(q), t_b).psi)
+    got = propagate_kernel(profile, mixed, t_b)
+    assert compare(got, WavePacket(q=q, psi=want, t=t_b))["l2_error"] <= 1e-7
+
+
+def test_filon_weight_matches_quadrature_of_the_lagrange_basis():
+    # W(theta) = sum_r e^{-i theta r} int_0^1 L_r(u) e^{i theta u} du, with L_r
+    # the cubic Lagrange basis on the nodes -1, 0, 1, 2
+    nodes = (-1, 0, 1, 2)
+
+    def basis(r, u):
+        return math.prod((u - s) / (r - s) for s in nodes if s != r)
+
+    def direct(theta):
+        def part(f):
+            return quad(lambda u: sum(basis(r, u) * f(theta * (u - r)) for r in nodes),
+                        0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        return complex(part(math.cos), part(math.sin))
+
+    thetas = np.array([0.0, 1e-8, -1e-8, 0.999, -0.999, 1.001, -1.001,
+                       5.0, -5.0, 50.0, -50.0])
+    got = _filon_weight(thetas)
+    assert got.shape == thetas.shape
+    assert got[0] == 1.0
+    for theta, w in zip(thetas, got):
+        assert abs(w - direct(theta)) <= 1e-13
+
+
 def test_coherent_state_recurrence_over_full_period():
     # displaced ground packet of the unit oscillator returns to minus itself
     # after one period; T = 2 pi is a focal time, so propagate in 4 hops
@@ -167,6 +285,74 @@ def test_cn_impulse_is_split_exactly():
     kicked = WavePacket(q=a.q, psi=a.psi * np.exp(-0.5j * w0 ** 2 * a.q ** 2), t=t0)
     b = crank_nicolson(Constant(w0 ** 2), kicked, 1.0, dt=1e-3)
     assert compare(direct, b)["l2_error"] <= 1e-12
+
+
+def _cn_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
+    """The Crank-Nicolson march written step by step, every per-step term
+    recomputed and solve_banded called with its default checks."""
+    q = packet.q
+    n = q.size
+    dq2 = (q[1] - q[0]) ** 2
+    off = -1.0 / (2.0 * mu * dq2)
+    kin = 1.0 / (mu * dq2)
+    strength = {e.time: e.strength for e in profile.jump_events(packet.t, t_b)}
+    cuts = [packet.t] + sorted(strength) + ([t_b] if t_b not in strength else [])
+    psi = packet.psi.copy()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        n_steps = max(1, math.ceil((hi - lo) / dt))
+        step = (hi - lo) / n_steps
+        ab = np.zeros((3, n), dtype=complex)
+        ab[0, 1:] = 0.5j * step * off
+        ab[2, :-1] = 0.5j * step * off
+        ab[0, 1] = ab[2, n - 2] = 0.0
+        t = lo
+        for _ in range(n_steps):
+            w2 = profile.smooth_omega_squared(t + 0.5 * step)
+            h_diag = kin + 0.5 * mu * w2 * q ** 2
+            rhs = (1.0 - 0.5j * step * h_diag) * psi
+            rhs[1:] -= 0.5j * step * off * psi[:-1]
+            rhs[:-1] -= 0.5j * step * off * psi[1:]
+            rhs[0] = rhs[-1] = 0.0
+            ab[1, :] = 1.0 + 0.5j * step * h_diag
+            ab[1, 0] = ab[1, -1] = 1.0
+            psi = solve_banded((1, 1), ab, rhs)
+            t += step
+        if hi in strength:
+            psi = psi * np.exp(-0.5j * mu * strength[hi] * q ** 2)
+    return psi
+
+
+@pytest.mark.parametrize("profile", [Constant(1.0), DeltaPulse(0.8, 0.5),
+                                     SechSquared(1.0, 1.0, 0.5)],
+                         ids=["constant", "delta-pulse", "sech-squared"])
+def test_cn_is_bit_identical_to_the_step_by_step_march(profile):
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 512))
+    out = crank_nicolson(profile, p, 1.0, dt=1e-3)
+    assert np.array_equal(out.psi, _cn_reference(profile, p, 1.0, dt=1e-3))
+
+
+def test_cn_refuses_non_finite_psi():
+    p = _free_packet(512)
+    psi = p.psi.copy()
+    psi[256] = np.nan
+    with pytest.raises(DomainError):
+        crank_nicolson(FREE, WavePacket(q=p.q, psi=psi, t=0.0), 0.1)
+
+
+class NanAfter(FrequencyProfile):
+    """omega^2 = 1 before t_bad and nan from t_bad on."""
+
+    def __init__(self, t_bad):
+        self.t_bad = t_bad
+
+    def omega_squared(self, t):
+        return 1.0 if t < self.t_bad else math.nan
+
+
+def test_cn_refuses_non_finite_omega_squared():
+    with pytest.raises(DomainError) as exc:
+        crank_nicolson(NanAfter(0.05), _free_packet(512), 0.1, dt=1e-2)
+    assert "t=0.055" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

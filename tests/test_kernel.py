@@ -143,6 +143,15 @@ def test_caustic_at_endpoint_refuses():
     assert math.isfinite(kv.modulus)
 
 
+def test_kernel_at_window_start_is_a_caustic():
+    # v(t_a) = 0: the kernel there is delta(q_b - q_a), not a finite value
+    pair = solve_fundamental(Constant(1.0), 0.0, 1.0)
+    with pytest.raises(CausticAtEndpoint) as exc:
+        kernel_robust(pair, 0.3, 0.4, t_end=0.0)
+    assert exc.value.t_b == 0.0
+    assert exc.value.v_b == 0.0
+
+
 def zeros_after(v0: float, vd0: float, w: float, tau: float) -> int:
     """Zeros in (0, tau) of v0 cos(w s) + (vd0/w) sin(w s), v0 != 0."""
     phi = math.atan2(v0, vd0 / w)  # the curve is R sin(w s + phi)
