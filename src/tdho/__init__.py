@@ -27,8 +27,7 @@ from .errors import (CausticAtEndpoint, CausticInWindow, DegenerateSolution,
                      StabilityWarning, StepFailure, TdhoError,
                      UnknownIdentifierError)
 from .evolve import (GaussianState, WavePacket, compare, crank_nicolson,
-                     propagate_kernel, time_sliced, time_sliced_oracle,
-                     uniform_grid)
+                     propagate_kernel, time_sliced_oracle, uniform_grid)
 from .freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
                            FrequencyProfile, JumpEvent, PowerLaw, SechSquared,
                            Tabulated, profile_from_json)
@@ -48,7 +47,7 @@ __all__ = [
     "compute_W", "schrodinger_residual",
     # evolution
     "WavePacket", "GaussianState", "propagate_kernel", "crank_nicolson",
-    "time_sliced_oracle", "time_sliced", "compare", "uniform_grid",
+    "time_sliced_oracle", "compare", "uniform_grid",
     # errors
     "TdhoError", "DomainError", "ParseError", "UnknownIdentifierError",
     "NonFiniteError", "EvalAtImpulse", "StepFailure", "DegenerateSolution",

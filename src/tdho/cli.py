@@ -36,7 +36,7 @@ from . import __version__
 from .classical import closed_form, solve_fundamental, verify_solution
 from .errors import TdhoError
 from .evolve import (GaussianState, compare, crank_nicolson, max_slices,
-                     propagate_kernel, time_sliced, uniform_grid)
+                     propagate_kernel, time_sliced_oracle, uniform_grid)
 from .freq_profile import profile_from_json
 from .kernel import kernel_batch
 
@@ -159,7 +159,7 @@ def _run_propagate(cfg: dict):
     elif method == "crank_nicolson":
         result = crank_nicolson(profile, packet, t_b, mu, cfg.get("dt", 1e-3))
     else:
-        result = time_sliced(profile, packet, t_b, _n_slices(cfg, packet, mu), mu)
+        result = time_sliced_oracle(profile, packet, t_b, _n_slices(cfg, packet, mu), mu)
     rows = zip(result.q, result.psi.real, result.psi.imag, np.abs(result.psi))
     out = {"wavepacket.csv": _csv(["q", "re_psi", "im_psi", "abs_psi"], rows)}
     summary = {"method": method, "t_b": float(t_b), "norm": result.norm(),
@@ -212,7 +212,7 @@ def _run_compare(cfg: dict):
     results = {
         "kernel": propagate_kernel(profile, packet, t_b, mu, cfg.get("tol", 1e-10)),
         "crank_nicolson": crank_nicolson(profile, packet, t_b, mu, cfg.get("dt", 1e-3)),
-        "time_sliced": time_sliced(profile, packet, t_b, _n_slices(cfg, packet, mu), mu),
+        "time_sliced": time_sliced_oracle(profile, packet, t_b, _n_slices(cfg, packet, mu), mu),
     }
     doc = {"norms": {k: v.norm() for k, v in results.items()}}
     worst = 0.0

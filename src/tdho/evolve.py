@@ -5,11 +5,12 @@ propagate_kernel applies the exact propagator as an integral operator,
     psi_out(q_b) = int K(q_b, t_b; q, t_a) psi(q) dq
                  = P e^{i C q_b^2} int e^{i A q^2} e^{i B(q_b) q} psi(q) dq
 
-with A = mu u_b/(2 v_b), B = -mu q_b/v_b, C = mu vdot_b/(2 v_b) and
-P = sqrt(mu/(2 pi i v_b)).  Gaussian inputs integrate in closed form.  For
-everything else the oscillatory factor e^{iBq} is handled with a Filon-type
-rule: g(q) = psi(q) e^{iAq^2} is interpolated by piecewise cubics while the
-exponential is integrated exactly, giving a composite rule
+with A = mu u_b/(2 v_b), B = -mu q_b/v_b, C = mu vdot_b/(2 v_b) and P the
+prefactor kernel.endpoint computes, Maslov sign included.  Gaussian inputs
+integrate in closed form.  For everything else the oscillatory factor e^{iBq}
+is handled with a Filon-type rule: g(q) = psi(q) e^{iAq^2} is interpolated
+by piecewise cubics while the exponential is integrated exactly, giving a
+composite rule
 
     int g e^{iBq} dq  ~=  h W(theta) sum_n e^{i B q_n} g_n,   theta = B h,
 
@@ -43,11 +44,11 @@ from scipy.linalg import solve_banded
 from .classical import solve_fundamental
 from .errors import DomainError, GridMismatch, GridTooNarrow, StabilityWarning
 from .freq_profile import FrequencyProfile
-from .kernel import kernel_robust
+from .kernel import endpoint
 
 __all__ = [
     "WavePacket", "GaussianState", "propagate_kernel", "crank_nicolson",
-    "time_sliced_oracle", "time_sliced", "max_slices", "compare", "uniform_grid",
+    "time_sliced_oracle", "max_slices", "compare", "uniform_grid",
 ]
 
 _EDGE_BAND = 4       # grid points on each side treated as "edge"
@@ -179,13 +180,11 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     """Evolve packet from its own time to t_b through the exact kernel."""
     _check_edges(packet)
     pair = solve_fundamental(profile, packet.t, t_b, tol)
-    probe = kernel_robust(pair, 0.0, 0.0, mu)  # endpoint caustic check happens here
-    d = probe.diagnostics
-    u_b, v_b, vd_b = d["u_b"], d["v_b"], d["vdot_b"]
+    e = endpoint(pair, mu)  # endpoint caustic check happens here
+    v_b, pref = e.v_b, e.pref
 
-    a_coef = 0.5 * mu * u_b / v_b
-    c_coef = 0.5 * mu * vd_b / v_b
-    pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b))
+    a_coef = 0.5 * mu * e.u_b / v_b
+    c_coef = 0.5 * mu * e.vdot_b / v_b
     q = packet.q
 
     if packet.gaussian is not None:
@@ -355,9 +354,6 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
         if j in impulse_slice:
             psi = psi * np.exp(-0.5j * mu * impulse_slice[j] * q ** 2)
     return WavePacket(q=q, psi=psi, t=t_b)
-
-
-time_sliced = time_sliced_oracle  # shorthand
 
 
 def compare(p1: WavePacket, p2: WavePacket) -> dict:

@@ -10,23 +10,25 @@ Two equivalent routes to K(q_b, t_b; q_a, t_a):
     exercise numerically.
   * kernel_robust — the endpoint form in terms of the fundamental pair:
 
-        K = sqrt(mu / (2 pi i v_b)) *
+        K = e^{-i pi/4 - i n pi/2} sqrt(mu / (2 pi |v_b|)) *
             exp{ i mu/(2 v_b) (vdot_b q_b^2 + u_b q_a^2 - 2 q_a q_b) }
 
     No quadrature and no zero-free requirement away from the endpoint; the
     only breakdown is v_b = 0, the focal point, where the kernel degenerates
     to a delta function and we refuse to evaluate (CausticAtEndpoint).
 
-Branch convention: the principal square root.  For v_b > 0 the prefactor
-carries e^{-i pi/4}; after v_b changes sign it carries e^{+i pi/4}.  The
-focal points (interior zeros of v) are counted exactly from the classical
-solver's steps and reported, but no Maslov phase is accumulated from the
-count — when v has interior zeros the result is marked caustic_flag=True
-and the phase (not the modulus) should be treated as unverified.
+Maslov convention: n is the number of focal points (interior zeros of v)
+strictly inside the window, counted exactly from the classical solver's
+steps.  Each one adds -pi/2 to the prefactor's phase (Horvathy, Int. J.
+Theor. Phys. 18, 245 (1979); Rezende, J. Math. Phys. 25, 3264 (1984)).
+endpoint() computes it as the principal root sqrt(mu / (2 pi i v_b)) times a
+sign s, with s = -1 when n mod 4 is 1 or 2 and +1 otherwise; caustic-free
+windows get s = 1 and the principal branch.  The prefactor is right on
+either side of a focal point.
 
-Reported phases are "unwrapped": -pi/4 (or +pi/4 past a caustic) plus the
-full quadratic form divided by 2 v_b, NOT reduced mod 2 pi, so phase
-differences between nearby arguments are smooth.
+Reported phases are "unwrapped": -pi/4 - n pi/2 plus the full quadratic form
+divided by 2 v_b, NOT reduced mod 2 pi, so phase differences between nearby
+arguments are smooth.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from .errors import CausticAtEndpoint, CausticInWindow, DomainError
 from .freq_profile import FrequencyProfile
 
 __all__ = [
-    "KernelValue", "compute_W", "kernel_eq17", "kernel_robust",
-    "kernel", "kernel_batch", "schrodinger_residual",
+    "KernelValue", "Endpoint", "endpoint", "compute_W", "kernel_eq17",
+    "kernel_robust", "kernel", "kernel_batch", "schrodinger_residual",
 ]
 
 _ENDPOINT_CAUSTIC_REL = 1e-12
@@ -58,8 +60,24 @@ class KernelValue:
     k: complex
     modulus: float
     phase: float               # unwrapped, see module docstring
-    caustic_flag: bool = False  # True: past an interior focal point, phase unverified
+    caustic_flag: bool = False  # informational: n_focal > 0
     diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Endpoint:
+    """A window's classical endpoint data, from which every kernel route reads.
+
+    u_b, udot_b, v_b, vdot_b are the fundamental pair at the window's end,
+    n_focal the number of focal points strictly inside the window, and pref
+    the kernel prefactor e^{-i pi/4 - i n_focal pi/2} sqrt(mu / (2 pi |v_b|)).
+    """
+    u_b: float
+    udot_b: float
+    v_b: float
+    vdot_b: float
+    n_focal: int
+    pref: complex
 
 
 def _zero_scan_grid(profile: FrequencyProfile, t_a: float, t_b: float) -> np.ndarray:
@@ -122,15 +140,6 @@ def compute_W(f: Callable[[float], float], t_a: float, t_b: float,
     return val, err
 
 
-def _finish(pref_arg: complex, quad_part: float, caustic_flag: bool,
-            diagnostics: dict) -> KernelValue:
-    pref = cmath.sqrt(pref_arg)
-    k = pref * cmath.exp(1j * quad_part)
-    base = math.copysign(math.pi / 4.0, cmath.phase(pref))
-    return KernelValue(k=k, modulus=abs(pref), phase=base + quad_part,
-                       caustic_flag=caustic_flag, diagnostics=diagnostics)
-
-
 def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
                 t_a: float, t_b: float, q_a: float, q_b: float,
                 mu: float = 1.0, check: bool = True) -> KernelValue:
@@ -150,16 +159,18 @@ def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
 
     quad_part = 0.5 * mu * (fd_b / f_b * q_b ** 2 - fd_a / f_a * q_a ** 2)
     quad_part += 0.5 * mu / w * (q_b / f_b - q_a / f_a) ** 2
-    pref_arg = mu / (2.0 * math.pi * 1j * (f_a * f_b * w))
-    return _finish(pref_arg, quad_part, caustic_flag=False,
-                   diagnostics={"W": w, "W_abserr": w_err,
-                                "f_a": f_a, "f_b": f_b,
-                                "fdot_a": fd_a, "fdot_b": fd_b})
+    # f has no zeros, so f_a f_b W = v_b > 0: no focal point, base -pi/4
+    pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * (f_a * f_b * w)))
+    return KernelValue(k=pref * cmath.exp(1j * quad_part), modulus=abs(pref),
+                       phase=-math.pi / 4.0 + quad_part,
+                       diagnostics={"W": w, "W_abserr": w_err,
+                                    "f_a": f_a, "f_b": f_b,
+                                    "fdot_a": fd_a, "fdot_b": fd_b})
 
 
-def kernel_robust(pair: FundamentalPair, q_a: float, q_b: float,
-                  mu: float = 1.0, t_end: float | None = None) -> KernelValue:
-    """Endpoint kernel form from the fundamental pair; valid across caustics.
+def endpoint(pair: FundamentalPair, mu: float = 1.0,
+             t_end: float | None = None) -> Endpoint:
+    """The window's endpoint data at t_end, with its focal count and prefactor.
 
     t_end defaults to the pair's right endpoint; any time inside the pair's
     window works, which makes finite-difference probes in t_b cheap.  Raises
@@ -167,10 +178,10 @@ def kernel_robust(pair: FundamentalPair, q_a: float, q_b: float,
     (focal point: the kernel is a delta function there).  This includes
     t_end = t_a, where v = 0 and the kernel is delta(q_b - q_a).
 
-    diagnostics["interior_v_zeros"] is the number of focal points strictly
-    inside (t_a, t_end).  The count is exact: it is read from the signs of v
-    at the classical solver's accepted steps (FundamentalPair.focal_count),
-    whose length stays well below the spacing of the zeros.
+    n_focal is the number of focal points strictly inside (t_a, t_end).  The
+    count is exact: it is read from the signs of v at the classical solver's
+    accepted steps (FundamentalPair.focal_count), whose length stays well
+    below the spacing of the zeros.
     """
     if mu <= 0:
         raise DomainError(f"mu must be positive, got {mu}")
@@ -180,13 +191,32 @@ def kernel_robust(pair: FundamentalPair, q_a: float, q_b: float,
     if abs(v_b) <= _ENDPOINT_CAUSTIC_REL * span:
         raise CausticAtEndpoint(tb, v_b)
 
-    n_zeros = pair.focal_count(tb, v_b)
-    quad_part = 0.5 * mu / v_b * (vd_b * q_b ** 2 + u_b * q_a ** 2 - 2.0 * q_a * q_b)
-    pref_arg = mu / (2.0 * math.pi * 1j * v_b)
-    return _finish(pref_arg, quad_part, caustic_flag=n_zeros > 0,
-                   diagnostics={"u_b": u_b, "udot_b": ud_b,
-                                "v_b": v_b, "vdot_b": vd_b,
-                                "interior_v_zeros": n_zeros})
+    n_focal = pair.focal_count(tb, v_b)
+    # the principal root carries e^{-i pi/4} for v_b > 0 and e^{+i pi/4} for
+    # v_b < 0; the Maslov factor differs from it by this sign
+    s = -1.0 if n_focal % 4 in (1, 2) else 1.0
+    return Endpoint(u_b, ud_b, v_b, vd_b, n_focal,
+                    s * cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b)))
+
+
+def kernel_robust(pair: FundamentalPair, q_a: float | np.ndarray,
+                  q_b: float | np.ndarray, mu: float = 1.0,
+                  t_end: float | None = None) -> KernelValue:
+    """Endpoint kernel form from the fundamental pair; valid across caustics.
+
+    q_a and q_b are scalars or arrays of one broadcastable shape; k and phase
+    take that shape.  t_end and the CausticAtEndpoint refusal are as in
+    endpoint().  diagnostics["interior_v_zeros"] is the focal count n_focal.
+    """
+    e = endpoint(pair, mu, t_end)
+    quad_part = 0.5 * mu / e.v_b * (e.vdot_b * q_b ** 2 + e.u_b * q_a ** 2
+                                    - 2.0 * q_a * q_b)
+    return KernelValue(k=e.pref * np.exp(1j * quad_part), modulus=abs(e.pref),
+                       phase=-math.pi / 4.0 - e.n_focal * math.pi / 2.0 + quad_part,
+                       caustic_flag=e.n_focal > 0,
+                       diagnostics={"u_b": e.u_b, "udot_b": e.udot_b,
+                                    "v_b": e.v_b, "vdot_b": e.vdot_b,
+                                    "interior_v_zeros": e.n_focal})
 
 
 def kernel(profile: FrequencyProfile, t_a: float, t_b: float,
@@ -208,14 +238,8 @@ def kernel_batch(pair: FundamentalPair, q_a: np.ndarray, q_b: np.ndarray,
     qb = np.asarray(q_b, dtype=float)
     if qa.shape != qb.shape:
         raise DomainError(f"q_a shape {qa.shape} != q_b shape {qb.shape}")
-    probe = kernel_robust(pair, 0.0, 0.0, mu)
-    d = probe.diagnostics
-    u_b, v_b, vd_b = d["u_b"], d["v_b"], d["vdot_b"]
-    quad_part = 0.5 * mu / v_b * (vd_b * qb ** 2 + u_b * qa ** 2 - 2.0 * qa * qb)
-    pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b))
-    k = pref * np.exp(1j * quad_part)
-    base = math.copysign(math.pi / 4.0, cmath.phase(pref))
-    return k, np.full_like(qa, abs(pref)), base + quad_part, probe.caustic_flag
+    kv = kernel_robust(pair, qa, qb, mu)
+    return kv.k, np.full_like(qa, kv.modulus), kv.phase, kv.caustic_flag
 
 
 def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,

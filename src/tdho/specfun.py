@@ -1,163 +1,55 @@
 """Special functions needed by the closed-form solution catalog.
 
-Only what the catalog uses, nothing more: the gamma function (Lanczos),
-Bessel J of real order nu >= 0, and Legendre P on (-1, 1] for real degree or
-conical degree lambda = -1/2 + i*mu.  Everything returns real floats; the
-conical case is real-valued on (-1, 1) even though the degree is complex.
+Only what the catalog uses, nothing more: the gamma function and Bessel J of
+real order nu >= 0 (both from scipy.special), and Legendre P on (-1, 1] for
+real degree or conical degree lambda = -1/2 + i*mu.  Everything returns real
+floats; the conical case is real-valued on (-1, 1) even though the degree is
+complex.
 
 Method selection
 ----------------
-bessel_j uses the ascending power series for x <= max(12, 2 nu) and Miller's
-backward recurrence beyond.  The series term count stays below ~40 on its
-side of the seam; on the far side the downward recurrence is stable where the
-alternating series would cancel catastrophically.  (A Hankel-type asymptotic
-expansion truncates near 1e-10 at x ~ 12, too coarse here, which is why the
-large-x branch recurs instead.)  Full accuracy is delivered for nu up to ~5;
-beyond that the series side of the pinned seam slowly loses digits to
-cancellation.
-
-legendre_p sums the Gauss hypergeometric series about x = 1 in the variable
-(1 - x)/2 for x > 0.  For x <= 0 that series converges too slowly, so the
-function is continued through x = 0 with the pair of quadratically
-transformed series in x^2 (the even/odd solutions of the Legendre equation),
-joined with the exact values of P and dP/dx at 0 built from gamma factors.
-Both series have real coefficients driven only by lambda*(lambda+1), so the
-conical case never leaves real arithmetic.  Intended accuracy 1e-10 relative
-for |x| <= 0.99; the x -> -1 endpoint is logarithmically singular and out of
-scope.
+The Legendre functions are summed here because scipy.special.hyp2f1 rejects
+the complex parameters of the conical case.  legendre_p sums the Gauss
+hypergeometric series about x = 1 in the variable (1 - x)/2 for x > 0.  For
+x <= 0 that series converges too slowly, so the function is continued through
+x = 0 with the pair of quadratically transformed series in x^2 (the even/odd
+solutions of the Legendre equation), joined with the exact values of P and
+dP/dx at 0 built from gamma factors.  Both series have real coefficients
+driven only by lambda*(lambda+1), so the conical case never leaves real
+arithmetic.  Intended accuracy 1e-10 relative for |x| <= 0.99; the x -> -1
+endpoint is logarithmically singular and out of scope.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+from scipy import special
 
 from .errors import DomainError
 
 __all__ = ["gamma", "bessel_j", "LegendreDegree", "legendre_p", "legendre_p_dx"]
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma_real(x: float) -> float:
-    if x < 0.5:
-        s = math.sin(math.pi * x)
-        if s == 0.0:  # pole at 0, -1, -2, ...
-            return math.inf
-        return math.pi / (s * _gamma_real(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-def _gamma_complex(z: complex) -> complex:
-    if z.real < 0.5:
-        return cmath.pi / (cmath.sin(cmath.pi * z) * _gamma_complex(1.0 - z))
-    z -= 1.0
-    acc = complex(_LANCZOS_COEF[0])
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
-
 
 def gamma(z):
-    """Gamma via the Lanczos approximation (g=7, 9 coefficients), ~1e-13 relative.
+    """Gamma function (scipy.special.gamma).
 
-    Real in, real out (inf at the poles); complex in, complex out.
+    Real in, real out (inf at the poles 0, -1, -2, ...); complex in, complex out.
     """
     if isinstance(z, complex):
-        return _gamma_complex(z)
-    return _gamma_real(float(z))
-
-
-def _recip_gamma_real(x: float) -> float:
-    """1/Gamma as an entire function: exactly 0.0 at the poles."""
-    if x > 0.5:
-        return 1.0 / _gamma_real(x)
-    return math.sin(math.pi * x) * _gamma_real(1.0 - x) / math.pi
-
-
-def _bessel_series(nu: float, x: float) -> float:
-    # ascending series; compensated summation keeps the alternating
-    # cancellation at the seam near the roundoff floor
-    half = 0.5 * x
-    t0 = half ** nu / _gamma_real(nu + 1.0)
-    terms = [t0]
-    term = t0
-    k = 1
-    while True:
-        term *= -(half * half) / (k * (k + nu))
-        terms.append(term)
-        if abs(term) < 1e-18 * abs(t0) and k > half:
-            break
-        if k > 400:
-            raise DomainError(f"bessel series failed to converge at nu={nu}, x={x}")
-        k += 1
-    return math.fsum(terms)
-
-
-def _bessel_miller(nu: float, x: float) -> float:
-    # downward recurrence from well above the turning point, normalized by
-    # sum_k (nu+2k) Gamma(nu+k)/k! * J_{nu+2k}(x) = (x/2)^nu
-    m_top = int(math.ceil(x + 2.5 * math.sqrt(x) + 34.0))
-    if m_top % 2:
-        m_top += 1
-    yp = 0.0           # order nu + m + 1
-    yc = 1e-300        # order nu + m
-    ys = [0.0] * (m_top + 1)
-    ys[m_top] = yc
-    for m in range(m_top, 0, -1):
-        yn = (2.0 * (nu + m) / x) * yc - yp
-        yp, yc = yc, yn
-        ys[m - 1] = yc
-        if abs(yc) > 1e250:
-            scale = 1e-250
-            yp *= scale
-            yc *= scale
-            for i in range(m - 1, m_top + 1):
-                ys[i] *= scale
-    c = _gamma_real(nu + 1.0)
-    total = c * ys[0]
-    for k in range(1, m_top // 2 + 1):
-        if k == 1:
-            c = (nu + 2.0) * _gamma_real(nu + 1.0)
-        else:
-            c *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-        total += c * ys[2 * k]
-    return ys[0] * (0.5 * x) ** nu / total
+        return complex(special.gamma(z))
+    x = float(z)
+    return math.inf if x <= 0.0 and x.is_integer() else float(special.gamma(x))
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """J_nu(x) for real order nu >= 0 and x >= 0.
-
-    Series for x <= max(12, 2 nu), Miller backward recurrence beyond; see the
-    module docstring for why and for the accuracy envelope.
-    """
+    """J_nu(x) for real order nu >= 0 and x >= 0 (scipy.special.jv)."""
     if not (math.isfinite(nu) and nu >= 0.0):
         raise DomainError(f"order must be finite and >= 0, got nu={nu}")
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"argument must be finite and >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x <= max(12.0, 2.0 * nu):
-        return _bessel_series(nu, x)
-    return _bessel_miller(nu, x)
+    return float(special.jv(nu, x))
 
 
 @dataclass(frozen=True)
@@ -195,14 +87,14 @@ class LegendreDegree:
         root_pi = math.sqrt(math.pi)
         if self.kind == "conical":
             # arguments come in conjugate pairs, so both products are |.|^2
-            g_even = _gamma_complex(complex(0.75, 0.5 * self.param))
-            g_odd = _gamma_complex(complex(0.25, 0.5 * self.param))
+            g_even = special.gamma(complex(0.75, 0.5 * self.param))
+            g_odd = special.gamma(complex(0.25, 0.5 * self.param))
             p0 = root_pi / (g_even.real ** 2 + g_even.imag ** 2)
             dp0 = -2.0 * root_pi / (g_odd.real ** 2 + g_odd.imag ** 2)
             return p0, dp0
         nu = self.param
-        p0 = root_pi * _recip_gamma_real(0.5 * nu + 1.0) * _recip_gamma_real(0.5 - 0.5 * nu)
-        dp0 = -2.0 * root_pi * _recip_gamma_real(0.5 * nu + 0.5) * _recip_gamma_real(-0.5 * nu)
+        p0 = root_pi * special.rgamma(0.5 * nu + 1.0) * special.rgamma(0.5 - 0.5 * nu)
+        dp0 = -2.0 * root_pi * special.rgamma(0.5 * nu + 0.5) * special.rgamma(-0.5 * nu)
         return p0, dp0
 
 

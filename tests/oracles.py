@@ -63,10 +63,17 @@ def free_kernel(mu: float, t_span: float, q_a: float, q_b: float) -> complex:
 
 def mehler_kernel(mu: float, w0: float, t_span: float,
                   q_a: float, q_b: float) -> complex:
-    """Constant-frequency oscillator propagator in its textbook trig form."""
+    """Constant-frequency oscillator propagator in its textbook trig form.
+
+    Past n = floor(w0 T / pi) focal points the prefactor is
+    e^{-i pi/4 - i n pi/2} sqrt(mu w0 / (2 pi |sin w0 T|)): the principal
+    root below, negated when n mod 4 is 1 or 2.
+    """
     s = math.sin(w0 * t_span)
     c = math.cos(w0 * t_span)
     pref = cmath.sqrt(mu * w0 / (2j * math.pi * s))
+    if math.floor(w0 * t_span / math.pi) % 4 in (1, 2):
+        pref = -pref
     phase = mu * w0 * ((q_a * q_a + q_b * q_b) * c - 2.0 * q_a * q_b) / (2.0 * s)
     return pref * cmath.exp(1j * phase)
 

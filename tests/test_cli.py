@@ -202,14 +202,6 @@ def test_default_out_is_cwd(tmp_path, monkeypatch):
     assert (tmp_path / "kernel.csv").exists()
 
 
-def test_shipped_schema_matches_docs_copy():
-    from importlib import resources
-    packaged = json.loads(
-        resources.files("tdho").joinpath("config_schema.json").read_text())
-    docs = json.loads((REPO / "docs" / "config-schema.json").read_text())
-    assert packaged == docs
-
-
 # ---------------------------------------------------------------- subcommands
 
 

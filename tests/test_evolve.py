@@ -13,10 +13,10 @@ from tdho.classical import solve_fundamental
 from tdho.errors import (DomainError, GridMismatch, GridTooNarrow,
                          StabilityWarning)
 from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
-                         crank_nicolson, propagate_kernel, time_sliced,
+                         crank_nicolson, max_slices, propagate_kernel,
                          time_sliced_oracle, uniform_grid)
 from tdho.freq_profile import Constant, DeltaPulse, FrequencyProfile, SechSquared
-from tdho.kernel import kernel_robust
+from tdho.kernel import endpoint, kernel_robust
 
 FREE = Constant(0.0)
 
@@ -140,9 +140,9 @@ def _filon_weight_scalar(theta):
 
 
 def _per_row_filon(profile, packet, t_b, mu=1.0):
-    d = kernel_robust(solve_fundamental(profile, packet.t, t_b), 0.0, 0.0, mu).diagnostics
+    kv = kernel_robust(solve_fundamental(profile, packet.t, t_b), 0, 0, mu)
+    d, pref = kv.diagnostics, kv.k
     u_b, v_b, vd_b = d["u_b"], d["v_b"], d["vdot_b"]
-    pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b))
     q, h = packet.q, packet.dq
     g = packet.psi * np.exp(0.5j * mu * u_b / v_b * q ** 2)
     out = np.empty_like(packet.psi)
@@ -227,6 +227,38 @@ def test_coherent_state_recurrence_over_full_period():
         p = propagate_kernel(prof, p, (k + 1) * math.pi / 2.0)
     err = math.sqrt(np.trapezoid(np.abs(p.psi - (-start.psi)) ** 2, grid))
     assert err <= 1e-6
+
+
+# The kernel routes, Crank-Nicolson and the time-sliced product share no
+# mechanism; a wrong Maslov sign would put the kernel routes at L2 distance 2
+# (twice the norm) from the other two.  omega = 2 has focal points at k pi/2.
+@pytest.mark.parametrize("t_b,n_focal", [(1.0, 0), (2.3, 1), (3.9, 2), (5.5, 3), (7.0, 4)])
+def test_three_routes_agree_across_focal_points(t_b, n_focal):
+    prof = Constant(2.0)
+    q = uniform_grid(-8.0, 8.0, 2048)
+    p = GaussianState(0.5, 0.3, 0.7).on_grid(q)
+    assert endpoint(solve_fundamental(prof, 0.0, t_b)).n_focal == n_focal
+    rk = propagate_kernel(prof, p, t_b)
+    quad = propagate_kernel(prof, WavePacket(q=q, psi=p.psi, t=0.0), t_b)
+    assert compare(quad, rk)["l2_error"] <= 1e-7
+    assert compare(crank_nicolson(prof, p, t_b, dt=2e-3), rk)["l2_error"] <= 2e-3
+    # Richardson extrapolation of the O(1/n) slice error
+    n = max_slices(p, t_b) // 2 * 2
+    fine, coarse = (time_sliced_oracle(prof, p, t_b, m).psi for m in (n, n // 2))
+    assert compare(WavePacket(q=q, psi=2.0 * fine - coarse, t=t_b), rk)["l2_error"] <= 2e-2
+
+
+@pytest.mark.parametrize("profile,t_mid,t_end,counts", [
+    (Constant(1.0), 2.0, 4.0, (0, 0, 1)), (DELTA, 3.5, 7.0, (1, 1, 2)),
+], ids=["focal-point-in-direct-hop-only", "focal-point-in-every-hop"])
+def test_semigroup_across_a_focal_point(profile, t_mid, t_end, counts):
+    q = uniform_grid(-8.0, 8.0, 1024)
+    p0 = GaussianState(0.5, 0.3, 0.7).on_grid(q)
+    for (lo, hi), n_focal in zip(((0.0, t_mid), (t_mid, t_end), (0.0, t_end)), counts):
+        assert endpoint(solve_fundamental(profile, lo, hi)).n_focal == n_focal
+    mid = propagate_kernel(profile, p0, t_mid)  # untagged: the second hop is the Filon route
+    two_hops = propagate_kernel(profile, mid, t_end)
+    assert compare(two_hops, propagate_kernel(profile, p0, t_end))["l2_error"] <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +430,6 @@ def test_sliced_impulse_converges_toward_kernel():
     e4 = compare(time_sliced_oracle(prof, p, 1.0, 4), ref)["l2_error"]
     e8 = compare(time_sliced_oracle(prof, p, 1.0, 8), ref)["l2_error"]
     assert e8 < e4 < 0.1
-
-
-def test_time_sliced_alias():
-    assert time_sliced is time_sliced_oracle
 
 
 # ---------------------------------------------------------------------------

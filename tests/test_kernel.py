@@ -112,20 +112,38 @@ def test_phase_is_unwrapped():
 
 
 def test_past_caustic_branch_and_flag():
-    # T = 3.5 > pi: v = sin t has crossed zero, flag set, branch continued
+    # T = 3.5 > pi: v = sin t has crossed zero once, flag set, Maslov phase added
     kv = kernel(Constant(1.0), 0.0, 3.5, 0.4, -0.3)
     assert kv.caustic_flag
     assert kv.diagnostics["interior_v_zeros"] == 1
     v_b = kv.diagnostics["v_b"]
     assert v_b == pytest.approx(math.sin(3.5), abs=1e-9)
     assert kv.modulus == pytest.approx(math.sqrt(1.0 / (2.0 * math.pi * abs(v_b))), rel=1e-9)
-    # prefactor phase flips to +pi/4 once v_b < 0; principal sqrt does this too
+    # prefactor phase is -pi/4 - pi/2 after one focal point, not the
+    # principal root's +pi/4
     want = oracles.mehler_kernel(1.0, 1.0, 3.5, 0.4, -0.3)
     assert abs(kv.k - want) <= 1e-9 * abs(want)
     quad_part = 0.5 / v_b * (kv.diagnostics["vdot_b"] * 0.3 ** 2
                              + kv.diagnostics["u_b"] * 0.4 ** 2
                              - 2.0 * 0.4 * -0.3)
-    assert kv.phase - quad_part == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert kv.phase - quad_part == pytest.approx(-3.0 * math.pi / 4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_focal", range(6))
+def test_maslov_phase_after_each_focal_point(n_focal):
+    # K = e^{-i pi/4 - i n pi/2} / sqrt(2 pi |sin T|) e^{i S_cl} for omega = 1,
+    # past n = floor(T / pi) focal points
+    t_b = 0.6 + n_focal * math.pi
+    qa, qb = 0.4, -0.3
+    kv = kernel(Constant(1.0), 0.0, t_b, qa, qb)
+    s, c = math.sin(t_b), math.cos(t_b)
+    action = ((qa * qa + qb * qb) * c - 2.0 * qa * qb) / (2.0 * s)
+    want = (cmath.exp(-1j * (math.pi / 4.0 + n_focal * math.pi / 2.0) + 1j * action)
+            / math.sqrt(2.0 * math.pi * abs(s)))
+    assert kv.diagnostics["interior_v_zeros"] == n_focal
+    assert kv.caustic_flag == (n_focal > 0)
+    assert abs(kv.k - want) <= 1e-9 * abs(want)
+    assert kv.phase == pytest.approx(-math.pi / 4.0 - n_focal * math.pi / 2.0 + action, abs=1e-9)
 
 
 def test_caustic_at_endpoint_refuses():

@@ -40,6 +40,14 @@ def test_gamma_matches_stdlib_on_reals():
         assert gamma(float(x)) == pytest.approx(math.gamma(x), rel=1e-13)
 
 
+@pytest.mark.parametrize("pole", [0.0, -1.0, -2.0, -7.0])
+def test_gamma_is_inf_at_the_poles(pole):
+    assert gamma(pole) == math.inf
+    # just off the pole -n it follows the residue (-1)^n / n!
+    n = int(-pole)
+    assert gamma(pole + 1e-9) == pytest.approx((-1) ** n / (math.factorial(n) * 1e-9), rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Bessel J
 
