@@ -35,7 +35,7 @@ from scipy.integrate import solve_ivp
 from . import specfun
 from .errors import DegenerateSolution, DomainError, SolutionMismatch, StepFailure
 from .freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
-                           PowerLaw, SechSquared)
+                           PowerLaw, SechSquared, Times)
 
 __all__ = [
     "FundamentalPair", "SolutionCurve", "ClosedFormSolution", "ResidualReport",
@@ -45,9 +45,14 @@ __all__ = [
 
 @dataclass
 class SolutionCurve:
-    """One solution of f'' + omega^2 f = 0 given by value/derivative callables."""
-    f: Callable[[float], float]
-    fdot: Callable[[float], float]
+    """One solution of f'' + omega^2 f = 0 given by value/derivative callables.
+
+    f and fdot take a float or an ndarray of times and return a float or an
+    array of t's shape; consumers broadcast a constant result, such as
+    fdot=lambda t: 3.0, to the shape of t.
+    """
+    f: Callable[[Times], Times]
+    fdot: Callable[[Times], Times]
     label: str = ""
 
 
@@ -85,8 +90,8 @@ class FundamentalPair:
         self._nodes = nodes
         self._drift: float | None = None
 
-    def state(self, t) -> np.ndarray:
-        """Array of shape (4,) or (4, n): rows u, u', v, v'."""
+    def state(self, t: Times) -> np.ndarray:
+        """Rows u, u', v, v' at t: shape (4,) for a float, (4, *t.shape) for an array."""
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < self.t_a - 1e-12) or np.any(t_arr > self.t_b + 1e-12):
             raise DomainError(f"t outside pair window [{self.t_a}, {self.t_b}]")
@@ -209,21 +214,27 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
             if terminal is not None and t == t_b:
                 return terminal.copy()
             return segments[max(bisect.bisect_right(seg_starts, t) - 1, 0)][2](t)
-        out = np.empty((4, t_arr.size))
-        idx = np.searchsorted(seg_starts, t_arr, side="right") - 1
+        ts = t_arr.ravel()
+        out = np.empty((4, ts.size))
+        idx = np.searchsorted(seg_starts, ts, side="right") - 1
         np.clip(idx, 0, len(segments) - 1, out=idx)
         for k in np.unique(idx):
             mask = idx == k
-            out[:, mask] = segments[k][2](t_arr[mask])
+            out[:, mask] = segments[k][2](ts[mask])
         if terminal is not None:
-            at_end = t_arr == t_b
+            at_end = ts == t_b
             if np.any(at_end):
                 out[:, at_end] = terminal[:, None]
-        return out
+        return out.reshape((4,) + t_arr.shape)
 
     return FundamentalPair(t_a, t_b, state_fn,
                            tuple(interior + ([t_b] if terminal is not None else [])),
                            (np.concatenate(node_t), np.concatenate(node_v)))
+
+
+def _xp(t: Times):
+    """The module whose elementary functions evaluate at t: math for a float, numpy for an array."""
+    return math if isinstance(t, float) else np
 
 
 def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
@@ -236,8 +247,8 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
     if isinstance(profile, Constant):
         w0 = profile.omega0
         return ClosedFormSolution(
-            f=lambda t: math.cos(w0 * t),
-            fdot=lambda t: -w0 * math.sin(w0 * t),
+            f=lambda t: _xp(t).cos(w0 * t),
+            fdot=lambda t: -w0 * _xp(t).sin(w0 * t),
             label=f"cos({w0}*t)",
             family="constant", params={"omega0": w0})
 
@@ -245,7 +256,7 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
         w0, a = profile.omega0, profile.alpha
 
         def z(t):
-            return (2.0 * w0 / a) * math.exp(-0.5 * a * t)
+            return (2.0 * w0 / a) * _xp(t).exp(-0.5 * a * t)
 
         return ClosedFormSolution(
             f=lambda t: specfun.bessel_j(0.0, z(t)),
@@ -264,16 +275,16 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
             return (2.0 * c / (b + 2.0)) * t ** (0.5 * (b + 2.0))
 
         def f(t):
-            if t == 0.0:
-                return 0.0
-            return math.sqrt(t / c) * specfun.bessel_j(nu, z(t))
+            # sqrt(0) J_nu(0) = 0: J_nu(0) = 0 for nu > 0
+            return _xp(t).sqrt(t / c) * specfun.bessel_j(nu, z(t))
 
         def fdot(t):
+            sqrt = _xp(t).sqrt
             zz = z(t)
             jn = specfun.bessel_j(nu, zz)
             # J'_nu = (nu/z) J_nu - J_{nu+1}, keeping orders nonnegative
             jprime = (nu / zz) * jn - specfun.bessel_j(nu + 1.0, zz)
-            return (0.5 / math.sqrt(t * c)) * jn + math.sqrt(t / c) * jprime * c * t ** (0.5 * b)
+            return (0.5 / sqrt(t * c)) * jn + sqrt(t / c) * jprime * c * t ** (0.5 * b)
 
         return ClosedFormSolution(
             f=f, fdot=fdot, label="sqrt(t/c) J_nu(z(t))",
@@ -284,11 +295,11 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
         w0, t0 = profile.omega0, profile.t0
 
         def f(t):
-            return math.exp(w0 * abs(t - t0))
+            return _xp(t).exp(w0 * abs(t - t0))
 
         def fdot(t):
-            sign = 1.0 if t >= t0 else -1.0  # right-continuous at the kink
-            return w0 * sign * math.exp(w0 * abs(t - t0))
+            sign = 2.0 * (t >= t0) - 1.0  # +1 from t0 on: right-continuous at the kink
+            return w0 * sign * _xp(t).exp(w0 * abs(t - t0))
 
         return ClosedFormSolution(
             f=f, fdot=fdot, label="exp(w0 |t - t0|)",
@@ -307,7 +318,7 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
             degree = specfun.LegendreDegree.real(-0.5 - math.sqrt(0.25 - al * al))
 
         def x(t):
-            return math.tanh(be * (t - t0))
+            return _xp(t).tanh(be * (t - t0))
 
         def f(t):
             return specfun.legendre_p(degree, x(t))
@@ -346,6 +357,21 @@ class ResidualReport:
 _ROUNDOFF_FLOOR = 1e-12
 
 
+def _residuals(profile: FrequencyProfile, sol: SolutionCurve, ts: np.ndarray,
+               steps: tuple[float, ...]) -> np.ndarray:
+    """|f''_h + omega^2(t) f| / max(1, |f|) at ts, one row per step h.
+
+    f''_h is the central second difference with step h.  sol.f is called
+    once, on ts and all its shifted copies together.
+    """
+    k, hs = len(steps), np.array(steps)[:, None]
+    grid = np.vstack([ts, ts - hs, ts + hs])  # rows: t, t - h per step, t + h per step
+    fv = np.broadcast_to(sol.f(grid), grid.shape)
+    f0, fm, fp = fv[0], fv[1:k + 1], fv[k + 1:]
+    second = (fp - 2.0 * f0 + fm) / (hs * hs)
+    return np.abs(second + profile.smooth_omega_squared(ts) * f0) / np.maximum(1.0, np.abs(f0))
+
+
 def verify_solution(profile: FrequencyProfile, sol: SolutionCurve,
                     window: tuple[float, float], h: float = 1e-2,
                     n_samples: int = 200) -> ResidualReport:
@@ -370,18 +396,9 @@ def verify_solution(profile: FrequencyProfile, sol: SolutionCurve,
     if ts.size == 0:
         raise DomainError("no sample points left after excluding event neighborhoods")
 
-    def max_residual(step: float) -> tuple[float, float]:
-        worst = (0.0, ts[0])
-        for t in ts:
-            fm, f0, fp = sol.f(t - step), sol.f(t), sol.f(t + step)
-            second = (fp - 2.0 * f0 + fm) / (step * step)
-            r = abs(second + profile.smooth_omega_squared(t) * f0) / max(1.0, abs(f0))
-            if r > worst[0]:
-                worst = (r, t)
-        return worst
-
-    r1, worst_t = max_residual(h)
-    r2, _ = max_residual(0.5 * h)
+    res = _residuals(profile, sol, ts, (h, 0.5 * h))
+    worst = int(np.argmax(res[0]))
+    r1, worst_t, r2 = float(res[0, worst]), float(ts[worst]), float(np.max(res[1]))
     floor_hit = r1 <= _ROUNDOFF_FLOOR
     slope = math.log2(r1 / r2) if (r1 > 0 and r2 > 0) else math.inf
 
@@ -424,15 +441,11 @@ def spot_check_solution(profile: FrequencyProfile, sol: SolutionCurve,
     ts = np.linspace(t_a + 5 * h, t_b - 5 * h, 7)
     for e in events:
         ts = ts[np.abs(ts - e.time) > 5.0 * h]
-    worst = (0.0, t_a)
-    for t in ts:
-        second = (sol.f(t + h) - 2.0 * sol.f(t) + sol.f(t - h)) / (h * h)
-        r = abs(second + profile.smooth_omega_squared(t) * sol.f(t)) / max(1.0, abs(sol.f(t)))
-        if r > worst[0]:
-            worst = (r, t)
-    if worst[0] > rel_tol:
+    res = _residuals(profile, sol, ts, (h,))[0]
+    if res.size and res.max() > rel_tol:
+        worst = int(np.argmax(res))
         raise SolutionMismatch("provided curve does not solve f'' + omega^2 f = 0",
-                               worst_t=worst[1], residual=worst[0])
+                               worst_t=float(ts[worst]), residual=float(res[worst]))
 
 
 def pair_from_solution(sol: SolutionCurve, profile: FrequencyProfile,
@@ -451,26 +464,17 @@ def pair_from_solution(sol: SolutionCurve, profile: FrequencyProfile,
         raise DegenerateSolution(
             f"solution has f(t_a)={f_a:.3e}, f'(t_a)={fdot_a:.3e}; cannot normalize a pair")
 
-    if abs(f_a) >= abs(fdot_a):
-        # companion = numerical v (Wronskian with f is f_a)
-        def state_fn(t_arr: np.ndarray) -> np.ndarray:
-            s = num.state(t_arr)
-            ft = np.vectorize(sol.f)(t_arr)
-            fd = np.vectorize(sol.fdot)(t_arr)
-            u = ft / f_a - (fdot_a / f_a) * s[2]
-            ud = fd / f_a - (fdot_a / f_a) * s[3]
-            return np.stack([np.asarray(u, dtype=float), np.asarray(ud, dtype=float),
-                             np.asarray(s[2], dtype=float), np.asarray(s[3], dtype=float)])
-    else:
+    def state_fn(t_arr: np.ndarray) -> np.ndarray:
+        s = num.state(t_arr)
+        ft = np.broadcast_to(sol.f(t_arr), t_arr.shape)
+        fd = np.broadcast_to(sol.fdot(t_arr), t_arr.shape)
+        if abs(f_a) >= abs(fdot_a):
+            # companion = numerical v (Wronskian with f is f_a)
+            return np.stack([ft / f_a - (fdot_a / f_a) * s[2],
+                             fd / f_a - (fdot_a / f_a) * s[3], s[2], s[3]])
         # companion = numerical u (Wronskian with f is -fdot_a)
-        def state_fn(t_arr: np.ndarray) -> np.ndarray:
-            s = num.state(t_arr)
-            ft = np.vectorize(sol.f)(t_arr)
-            fd = np.vectorize(sol.fdot)(t_arr)
-            v = ft / fdot_a - (f_a / fdot_a) * s[0]
-            vd = fd / fdot_a - (f_a / fdot_a) * s[1]
-            return np.stack([np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float),
-                             np.asarray(v, dtype=float), np.asarray(vd, dtype=float)])
+        return np.stack([s[0], s[1], ft / fdot_a - (f_a / fdot_a) * s[0],
+                         fd / fdot_a - (f_a / fdot_a) * s[1]])
 
     ts = num.nodes[0]
     return FundamentalPair(t_a, t_b, state_fn, num.event_times, (ts, state_fn(ts)[2]))

@@ -336,7 +336,7 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * eps))
     offsets = np.arange(-(n - 1), n) * h
     kern = pref * h * np.exp(0.5j * mu * offsets ** 2 / eps)
-    m = fft.next_fast_len(3 * n - 2)
+    m = fft.next_fast_len(2 * n - 1)  # circular wrap-around misses [n-1, 2n-1)
     kern_hat = fft.fft(kern, m)
 
     events = profile.jump_events(packet.t, t_b)

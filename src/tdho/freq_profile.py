@@ -4,8 +4,9 @@ Seven variants: five analytic families (constant, exponential decay, power
 law, delta impulse with a step, sech^2 well), tabulated data, and parsed
 expressions.  A profile answers four questions:
 
-  * omega_squared(t): the pointwise value.  Raises EvalAtImpulse exactly at a
-    delta impulse, DomainError outside the profile's domain.
+  * omega_squared(t): the pointwise value, at one time or at an array of
+    times.  Raises EvalAtImpulse exactly at a delta impulse, DomainError
+    outside the profile's domain.
   * jump_events(t_a, t_b): delta impulses inside the window, as (time,
     strength) pairs.  An impulse contributes strength*delta(t - time) to
     omega^2 and kicks any solution of f'' + omega^2 f = 0 by
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 
+Times = float | np.ndarray  # one time, or an array of times of any shape
+
+
 @dataclass(frozen=True)
 class JumpEvent:
     """A delta impulse in omega^2: strength * delta(t - time)."""
@@ -45,12 +49,20 @@ class JumpEvent:
 
 
 class FrequencyProfile:
-    """Base class; concrete profiles implement omega_squared."""
+    """Base class; concrete profiles implement omega_squared.
 
-    def omega_squared(self, t: float) -> float:
+    omega_squared and smooth_omega_squared take a float or an ndarray of
+    times and return a float or an array of t's shape.  A float stays on
+    math functions and plain comparisons, chosen by one isinstance(t, float)
+    test, since the classical solver calls smooth_omega_squared once per
+    right-hand-side evaluation.  An array with one bad time raises the same
+    typed error as that time alone, naming it.
+    """
+
+    def omega_squared(self, t: Times) -> Times:
         raise NotImplementedError
 
-    def smooth_omega_squared(self, t: float) -> float:
+    def smooth_omega_squared(self, t: Times) -> Times:
         """omega^2 with delta terms dropped (steps kept, right-continuous).
 
         Solvers integrate this between impulses and apply the impulses
@@ -84,8 +96,9 @@ class Constant(FrequencyProfile):
         if not (math.isfinite(self.omega0) and self.omega0 >= 0):
             raise DomainError(f"omega0 must be finite and >= 0, got {self.omega0}")
 
-    def omega_squared(self, t: float) -> float:
-        return self.omega0 ** 2
+    def omega_squared(self, t: Times) -> Times:
+        w2 = self.omega0 ** 2
+        return w2 if isinstance(t, float) else np.full(np.shape(t), w2)
 
     def to_json(self) -> dict:
         return {"type": "constant", "omega0": self.omega0}
@@ -103,8 +116,9 @@ class ExpDecay(FrequencyProfile):
         if not (math.isfinite(self.omega0) and self.omega0 >= 0):
             raise DomainError(f"omega0 must be finite and >= 0, got {self.omega0}")
 
-    def omega_squared(self, t: float) -> float:
-        return self.omega0 ** 2 * math.exp(-self.alpha * t)
+    def omega_squared(self, t: Times) -> Times:
+        exp = math.exp if isinstance(t, float) else np.exp
+        return self.omega0 ** 2 * exp(-self.alpha * t)
 
     def to_json(self) -> dict:
         return {"type": "exp_decay", "omega0": self.omega0, "alpha": self.alpha}
@@ -130,9 +144,11 @@ class PowerLaw(FrequencyProfile):
         if not (math.isfinite(self.omega0) and self.omega0 >= 0):
             raise DomainError(f"omega0 must be finite and >= 0, got {self.omega0}")
 
-    def omega_squared(self, t: float) -> float:
-        if t < 0 or (t == 0 and self.beta < 0):
-            raise DomainError(f"power-law profile needs t >= 0 (t > 0 for beta < 0), got t={t}")
+    def omega_squared(self, t: Times) -> Times:
+        outside = (t < 0) | ((t == 0) & (self.beta < 0))
+        if outside if isinstance(t, float) else np.any(outside):
+            raise DomainError("power-law profile needs t >= 0 (t > 0 for beta < 0), "
+                              f"got t={_first(t, outside)}")
         c = self.omega0 * self.alpha ** self.beta
         return c * c * t ** self.beta
 
@@ -152,13 +168,16 @@ class DeltaPulse(FrequencyProfile):
         if not math.isfinite(self.t0):
             raise DomainError(f"t0 must be finite, got {self.t0}")
 
-    def omega_squared(self, t: float) -> float:
-        if t == self.t0 and self.omega0 != 0.0:
-            raise EvalAtImpulse(t)
+    def omega_squared(self, t: Times) -> Times:
+        hit = t == self.t0 if isinstance(t, float) else np.any(t == self.t0)
+        if hit and self.omega0 != 0.0:
+            raise EvalAtImpulse(self.t0)
         return self.smooth_omega_squared(t)
 
-    def smooth_omega_squared(self, t: float) -> float:
-        return self.omega0 ** 4 if t >= self.t0 else 0.0
+    def smooth_omega_squared(self, t: Times) -> Times:
+        if isinstance(t, float):
+            return self.omega0 ** 4 if t >= self.t0 else 0.0
+        return np.where(t >= self.t0, self.omega0 ** 4, 0.0)
 
     def jump_events(self, t_a: float, t_b: float) -> list[JumpEvent]:
         super().jump_events(t_a, t_b)
@@ -182,10 +201,11 @@ class SechSquared(FrequencyProfile):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
 
-    def omega_squared(self, t: float) -> float:
+    def omega_squared(self, t: Times) -> Times:
         # sech via exp(-|x|) to avoid cosh overflow far from the well
+        exp = math.exp if isinstance(t, float) else np.exp
         x = self.beta * (t - self.t0)
-        e = math.exp(-abs(x))
+        e = exp(-abs(x))
         sech = 2.0 * e / (1.0 + e * e)
         return self.alpha ** 2 * sech ** 2
 
@@ -224,12 +244,12 @@ class Tabulated(FrequencyProfile):
             bc = "not-a-knot" if len(self.t) >= 4 else "natural"
             self._spline = CubicSpline(self.t, self.omega2, bc_type=bc)
 
-    def omega_squared(self, t: float) -> float:
-        if t < self.t[0] or t > self.t[-1]:
-            raise DomainError(f"t={t} outside tabulated range [{self.t[0]}, {self.t[-1]}]")
-        if self._spline is not None:
-            return float(self._spline(t))
-        return float(np.interp(t, self.t, self.omega2))
+    def omega_squared(self, t: Times) -> Times:
+        outside = (t < self.t[0]) | (t > self.t[-1])
+        if outside if isinstance(t, float) else np.any(outside):
+            raise DomainError(f"t={_first(t, outside)} outside tabulated range [{self.t[0]}, {self.t[-1]}]")
+        value = self._spline(t) if self._spline is not None else np.interp(t, self.t, self.omega2)
+        return float(value) if isinstance(t, float) else value
 
     def breakpoints(self, t_a: float, t_b: float) -> list[float]:
         return [float(k) for k in self.t if t_a < k < t_b]
@@ -254,14 +274,19 @@ class Expression(FrequencyProfile):
         if not self.source:
             self.source = omega_expr.to_string(self.node)
 
-    def omega_squared(self, t: float) -> float:
+    def omega_squared(self, t: Times) -> Times:
         return omega_expr.evaluate(self.node, t)
 
     def to_json(self) -> dict:
         return {"type": "expression", "expr": omega_expr.to_string(self.node)}
 
 
-def omega_squared_at(profile: FrequencyProfile, t: float) -> float:
+def _first(t: Times, outside) -> float:
+    """The first time that outside flags: t itself for a float, else the first masked entry."""
+    return t if isinstance(t, float) else float(np.asarray(t)[outside][0])
+
+
+def omega_squared_at(profile: FrequencyProfile, t: Times) -> Times:
     return profile.omega_squared(t)
 
 

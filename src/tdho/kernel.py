@@ -45,7 +45,7 @@ from scipy.optimize import brentq
 from .classical import (FundamentalPair, SolutionCurve, solve_fundamental,
                         spot_check_solution)
 from .errors import CausticAtEndpoint, CausticInWindow, DomainError
-from .freq_profile import FrequencyProfile
+from .freq_profile import FrequencyProfile, Times
 
 __all__ = [
     "KernelValue", "Endpoint", "endpoint", "compute_W", "kernel_eq17",
@@ -84,12 +84,11 @@ def _zero_scan_grid(profile: FrequencyProfile, t_a: float, t_b: float) -> np.nda
     # at least ~40 samples per oscillation period so no zero slips between nodes
     span = t_b - t_a
     probe = np.linspace(t_a, t_b, 33)
-    w2max = 0.0
-    for t in probe:
-        try:
-            w2max = max(w2max, abs(profile.smooth_omega_squared(t)))
-        except DomainError:
-            continue
+    try:
+        w2 = profile.smooth_omega_squared(probe)
+    except DomainError:  # an end outside the domain, e.g. t = 0 of a power law with beta < 0
+        w2 = profile.smooth_omega_squared(probe[1:-1])
+    w2max = float(np.max(np.abs(w2)))
     n = max(400, int(40.0 * span * math.sqrt(w2max) / (2.0 * math.pi)) + 1)
     return np.linspace(t_a, t_b, n)
 
@@ -111,16 +110,17 @@ def _locate_zeros(fvals: np.ndarray, ts: np.ndarray,
     return sorted(set(zeros))
 
 
-def compute_W(f: Callable[[float], float], t_a: float, t_b: float,
+def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
               profile: FrequencyProfile | None = None,
               epsrel: float = 1e-10) -> tuple[float, float]:
     """Quadrature W = int_{t_a}^{t_b} dt / f(t)^2, with a zero pre-scan.
 
-    Returns (W, abserr).  Raises CausticInWindow at the first zero of f
-    (the integrand is non-integrable there and the solution-scaled kernel
-    form does not apply).  profile, when given, supplies jump times that are
-    passed to the quadrature as known kink locations, plus the frequency
-    scale for the scan density.
+    f takes a float or an ndarray of times, as SolutionCurve.f does; the
+    scan evaluates it once, on its whole grid.  Returns (W, abserr).  Raises
+    CausticInWindow at the first zero of f (the integrand is non-integrable
+    there and the solution-scaled kernel form does not apply).  profile,
+    when given, supplies jump times that are passed to the quadrature as
+    known kink locations, plus the frequency scale for the scan density.
     """
     if not (t_b > t_a):
         raise DomainError(f"need t_b > t_a, got [{t_a}, {t_b}]")
@@ -130,7 +130,7 @@ def compute_W(f: Callable[[float], float], t_a: float, t_b: float,
     else:
         ts = np.linspace(t_a, t_b, 1000)
         kinks = []
-    fvals = np.array([f(t) for t in ts])
+    fvals = np.broadcast_to(f(ts), ts.shape)
     zeros = _locate_zeros(fvals, ts, f)
     if zeros:
         raise CausticInWindow(zeros[0])

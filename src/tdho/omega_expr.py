@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import DomainError, NonFiniteError, ParseError, UnknownIdentifierError
 
 __all__ = ["ExprNode", "Num", "TimeVar", "Neg", "BinOp", "Call", "parse", "evaluate", "to_string"]
@@ -216,21 +218,44 @@ def parse(src: str, constants: dict[str, float] | None = None) -> ExprNode:
     return node
 
 
-def _sech(x: float) -> float:
+def _sech(x):
     # 1/cosh without overflow for large |x|
-    e = math.exp(-abs(x))
+    e = (math.exp if isinstance(x, float) else np.exp)(-abs(x))
     return 2.0 * e / (1.0 + e * e)
 
 
-_UNARY_FN = {
+# the functions callable in an expression, plus "pow" for ^, for a float t
+# and for an array of times
+_FLOAT_FN = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
     "sqrt": math.sqrt, "tanh": math.tanh, "cosh": math.cosh, "sech": _sech,
-    "abs": abs,
+    "abs": abs, "pow": math.pow,
+}
+_ARRAY_FN = {
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+    "sqrt": np.sqrt, "tanh": np.tanh, "cosh": np.cosh, "sech": _sech,
+    "abs": np.abs, "pow": np.power,
 }
 
 
-def evaluate(node: ExprNode, t: float) -> float:
-    """Evaluate node at time t.  Raises NonFiniteError on inf/nan/domain faults."""
+def evaluate(node: ExprNode, t: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate node at time t, a float or an ndarray of times.
+
+    An array gives an array of t's shape, a constant expression included.
+    Raises NonFiniteError on inf/nan/domain faults; for an array it names
+    the first faulting time, as evaluating that time alone would.
+    """
+    if not isinstance(t, float):
+        t = np.asarray(t, dtype=float)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                value = _eval(node, t)
+            if np.all(np.isfinite(value)):
+                return np.broadcast_to(value, t.shape).astype(float)
+        except (ArithmeticError, ValueError):
+            pass
+        # some time faults: evaluating each one alone raises for the first
+        return np.array([evaluate(node, float(x)) for x in t.flat]).reshape(t.shape)
     try:
         value = _eval(node, t)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -240,7 +265,7 @@ def evaluate(node: ExprNode, t: float) -> float:
     return value
 
 
-def _eval(node: ExprNode, t: float) -> float:
+def _eval(node: ExprNode, t: float | np.ndarray):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, TimeVar):
@@ -258,11 +283,12 @@ def _eval(node: ExprNode, t: float) -> float:
             return a * b
         if node.op == "/":
             return a / b
-        return math.pow(a, b)
+        return (_FLOAT_FN if isinstance(t, float) else _ARRAY_FN)["pow"](a, b)
     if isinstance(node, Call):
+        fn = _FLOAT_FN if isinstance(t, float) else _ARRAY_FN
         if node.func == "pow":
-            return math.pow(_eval(node.args[0], t), _eval(node.args[1], t))
-        return _UNARY_FN[node.func](_eval(node.args[0], t))
+            return fn["pow"](_eval(node.args[0], t), _eval(node.args[1], t))
+        return fn[node.func](_eval(node.args[0], t))
     raise TypeError(f"not an ExprNode: {node!r}")
 
 

@@ -2,9 +2,10 @@
 
 Only what the catalog uses, nothing more: the gamma function and Bessel J of
 real order nu >= 0 (both from scipy.special), and Legendre P on (-1, 1] for
-real degree or conical degree lambda = -1/2 + i*mu.  Everything returns real
-floats; the conical case is real-valued on (-1, 1) even though the degree is
-complex.
+real degree or conical degree lambda = -1/2 + i*mu.  bessel_j, legendre_p and
+legendre_p_dx take x as a float or an ndarray and return a real float or an
+array of x's shape; the conical case is real-valued on (-1, 1) even though
+the degree is complex.
 
 Method selection
 ----------------
@@ -16,7 +17,9 @@ x = 0 with the pair of quadratically transformed series in x^2 (the even/odd
 solutions of the Legendre equation), joined with the exact values of P and
 dP/dx at 0 built from gamma factors.  Both series have real coefficients
 driven only by lambda*(lambda+1), so the conical case never leaves real
-arithmetic.  Intended accuracy 1e-10 relative for |x| <= 0.99; the x -> -1
+arithmetic.  An array is summed in one loop over the terms; each point stops
+adding terms where it alone would, so a float and an array give the same
+bits.  Intended accuracy 1e-10 relative for |x| <= 0.99; the x -> -1
 endpoint is logarithmically singular and out of scope.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special
 
 from .errors import DomainError
@@ -43,10 +47,15 @@ def gamma(z):
     return math.inf if x <= 0.0 and x.is_integer() else float(special.gamma(x))
 
 
-def bessel_j(nu: float, x: float) -> float:
+def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
     """J_nu(x) for real order nu >= 0 and x >= 0 (scipy.special.jv)."""
     if not (math.isfinite(nu) and nu >= 0.0):
         raise DomainError(f"order must be finite and >= 0, got nu={nu}")
+    if isinstance(x, np.ndarray):
+        bad = x[~(np.isfinite(x) & (x >= 0.0))]
+        if bad.size:
+            raise DomainError(f"argument must be finite and >= 0, got x={bad[0]}")
+        return special.jv(nu, x)
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"argument must be finite and >= 0, got x={x}")
     return float(special.jv(nu, x))
@@ -101,10 +110,14 @@ class LegendreDegree:
 _MAX_TERMS = 200000
 
 
-def _series_about_one(L: float, z: float, shifted: bool) -> float:
+def _any(live) -> bool:
+    return live.any() if isinstance(live, np.ndarray) else live
+
+
+def _series_about_one(L: float, z, shifted: bool):
     """F(-lam, lam+1; 1; z), or F(1-lam, lam+2; 2; z) when shifted (for dP/dx)."""
-    term = 1.0
-    total = 1.0
+    term = total = 1.0
+    live = True  # per point of z: still adding terms
     for k in range(_MAX_TERMS):
         if shifted:
             num = (k + 1.0) * (k + 2.0) - L
@@ -113,65 +126,75 @@ def _series_about_one(L: float, z: float, shifted: bool) -> float:
             num = k * (k + 1.0) - L
             den = (k + 1.0) * (k + 1.0)
         term *= num * z / den
-        total += term
-        if abs(term) <= 1e-17 * abs(total) and k > 4:
+        total += term * live
+        live &= (abs(term) > 1e-17 * abs(total)) | (k <= 4)
+        if not _any(live):
             return total
     raise DomainError(f"legendre series about x=1 did not converge (z={z})")
 
 
-def legendre_p(degree: LegendreDegree, x: float) -> float:
+def legendre_p(degree: LegendreDegree, x: float | np.ndarray) -> float | np.ndarray:
     """Legendre/conical P_degree(x) on (-1, 1]."""
-    _check_x(x)
-    if x == 1.0:
-        return 1.0
-    L = degree.lam_lam1
-    if x > 0.0:
-        return _series_about_one(L, 0.5 * (1.0 - x), shifted=False)
-    return _about_zero(degree, x, derivative=False)
+    return _legendre(degree, x, derivative=False)
 
 
-def legendre_p_dx(degree: LegendreDegree, x: float) -> float:
+def legendre_p_dx(degree: LegendreDegree, x: float | np.ndarray) -> float | np.ndarray:
     """d/dx of P_degree at x, same domain and method split as legendre_p."""
-    _check_x(x)
+    return _legendre(degree, x, derivative=True)
+
+
+def _legendre(degree: LegendreDegree, x: float | np.ndarray, derivative: bool):
+    xs = np.asarray(x, dtype=float)
+    bad = xs[~((-1.0 < xs) & (xs <= 1.0))]
+    if bad.size:
+        raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
+    if not isinstance(x, np.ndarray):
+        return float(_about_one(degree, x, derivative) if x > 0.0
+                     else _about_zero(degree, x, derivative))
+    out = np.empty(xs.shape)
+    right = xs > 0.0
+    out[right] = _about_one(degree, xs[right], derivative)
+    out[~right] = _about_zero(degree, xs[~right], derivative)
+    return out
+
+
+def _about_one(degree: LegendreDegree, x, derivative: bool):
     L = degree.lam_lam1
-    if x > 0.0:
-        return 0.5 * L * _series_about_one(L, 0.5 * (1.0 - x), shifted=True)
-    return _about_zero(degree, x, derivative=True)
+    z = 0.5 * (1.0 - x)
+    if derivative:
+        return 0.5 * L * _series_about_one(L, z, shifted=True)
+    return _series_about_one(L, z, shifted=False)
 
 
-def _check_x(x: float):
-    if not (-1.0 < x <= 1.0):
-        raise DomainError(f"argument must lie in (-1, 1], got x={x}")
-
-
-def _about_zero(degree: LegendreDegree, x: float, derivative: bool) -> float:
+def _about_zero(degree: LegendreDegree, x, derivative: bool):
     L = degree.lam_lam1
     p0, dp0 = degree.half_degree_gammas()
-    if x == 0.0:
-        return dp0 if derivative else p0
     x2 = x * x
     # even solution E = F(-lam/2, (lam+1)/2; 1/2; x^2)
     # odd solution  O = x F((1-lam)/2, lam/2+1; 3/2; x^2)
     # iteration k turns term k into term k+1, i.e. the coefficient of x^(2k+2)
-    e_term = 1.0
-    e_sum = 1.0
+    e_term = e_sum = 1.0
     e_dsum = 0.0   # dE/dx, with one power of x divided out at the end
-    o_term = 1.0
-    o_sum = 1.0
+    o_term = o_sum = 1.0
     o_dsum = 1.0   # dO/dx = sum (2k+1) o_k x^(2k)
+    live = True    # per point of x: still adding terms
     for k in range(_MAX_TERMS):
         e_num = k * k + 0.5 * k - 0.25 * L
         o_num = k * k + 1.5 * k + 0.25 * (2.0 - L)
         e_term *= e_num * x2 / ((k + 0.5) * (k + 1.0))
         o_term *= o_num * x2 / ((k + 1.5) * (k + 1.0))
-        e_sum += e_term
-        o_sum += o_term
-        e_dsum += 2.0 * (k + 1.0) * e_term
-        o_dsum += (2.0 * k + 3.0) * o_term
-        if abs(e_term) <= 1e-17 * abs(e_sum) and abs(o_term) <= 1e-17 * max(abs(o_sum), 1e-300) and k > 4:
+        e_sum += e_term * live
+        o_sum += o_term * live
+        e_dsum += 2.0 * (k + 1.0) * e_term * live
+        o_dsum += (2.0 * k + 3.0) * o_term * live
+        # the 1e-300 only keeps o_sum = 0 from stalling the test
+        live &= ((abs(e_term) > 1e-17 * abs(e_sum))
+                 | (abs(o_term) > 1e-17 * (abs(o_sum) + 1e-300)) | (k <= 4))
+        if not _any(live):
             break
     else:
         raise DomainError(f"legendre series about x=0 did not converge (x={x})")
     if derivative:
-        return p0 * e_dsum / x + dp0 * o_dsum
+        # e_dsum is 0 at x = 0, where dE/dx = 0: any nonzero divisor will do
+        return p0 * e_dsum / np.where(x == 0.0, 1.0, x) + dp0 * o_dsum
     return p0 * e_sum + dp0 * x * o_sum

@@ -23,7 +23,7 @@ from tdho.freq_profile import Constant, DeltaPulse, ExpDecay, PowerLaw, SechSqua
 from tdho.kernel import kernel_eq17, kernel_robust, schrodinger_residual
 from tdho.specfun import LegendreDegree, bessel_j, legendre_p
 
-COS = SolutionCurve(lambda t: math.cos(t), lambda t: -math.sin(t), "cos")
+COS = SolutionCurve(lambda t: np.cos(t), lambda t: -np.sin(t), "cos")
 ONE = SolutionCurve(lambda t: 1.0, lambda t: 0.0, "1")
 
 

@@ -193,8 +193,8 @@ def test_verify_solution_argument_validation():
 
 
 def test_verify_solution_grades_wrong_frequency_fail():
-    wrong = SolutionCurve(f=lambda t: math.cos(2.0 * t),
-                          fdot=lambda t: -2.0 * math.sin(2.0 * t),
+    wrong = SolutionCurve(f=lambda t: np.cos(2.0 * t),
+                          fdot=lambda t: -2.0 * np.sin(2.0 * t),
                           label="cos(2t)")
     report = verify_solution(Constant(1.0), wrong, (0.0, 1.0))
     assert not report.passed
@@ -202,8 +202,8 @@ def test_verify_solution_grades_wrong_frequency_fail():
 
 
 def test_spot_check_raises_on_wrong_solution():
-    wrong = SolutionCurve(f=lambda t: math.cos(2.0 * t),
-                          fdot=lambda t: -2.0 * math.sin(2.0 * t))
+    wrong = SolutionCurve(f=lambda t: np.cos(2.0 * t),
+                          fdot=lambda t: -2.0 * np.sin(2.0 * t))
     with pytest.raises(SolutionMismatch) as exc:
         spot_check_solution(Constant(1.0), wrong, 0.0, 1.0)
     assert exc.value.residual > 1.0
@@ -214,7 +214,7 @@ def test_spot_check_raises_on_wrong_solution():
 # pair_from_solution
 
 def test_pair_from_cosine_solution():
-    sol = SolutionCurve(f=math.cos, fdot=lambda t: -math.sin(t))
+    sol = SolutionCurve(f=np.cos, fdot=lambda t: -np.sin(t))
     pair = pair_from_solution(sol, Constant(1.0), 0.0, 1.0)
     for t in np.linspace(0.0, 1.0, 7):
         assert pair.u(t) == pytest.approx(math.cos(t), abs=1e-10)
@@ -224,7 +224,7 @@ def test_pair_from_cosine_solution():
 
 def test_pair_from_solution_vanishing_at_start():
     # f(t_a) = 0 exercises the other normalization branch
-    sol = SolutionCurve(f=math.sin, fdot=math.cos)
+    sol = SolutionCurve(f=np.sin, fdot=np.cos)
     pair = pair_from_solution(sol, Constant(1.0), 0.0, 1.0)
     assert pair.u(0.0) == pytest.approx(1.0, abs=1e-10)
     assert pair.udot(0.0) == pytest.approx(0.0, abs=1e-10)
@@ -250,7 +250,7 @@ def test_pair_from_zero_solution_is_degenerate():
 
 
 def test_pair_from_solution_rejects_non_solution():
-    wrong = SolutionCurve(f=lambda t: math.cos(2.0 * t),
-                          fdot=lambda t: -2.0 * math.sin(2.0 * t))
+    wrong = SolutionCurve(f=lambda t: np.cos(2.0 * t),
+                          fdot=lambda t: -2.0 * np.sin(2.0 * t))
     with pytest.raises(SolutionMismatch):
         pair_from_solution(wrong, Constant(1.0), 0.0, 1.0)

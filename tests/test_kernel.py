@@ -9,13 +9,13 @@ from tdho.classical import (FundamentalPair, SolutionCurve, closed_form,
                             pair_from_solution, solve_fundamental)
 from tdho.errors import (CausticAtEndpoint, CausticInWindow, DomainError,
                          SolutionMismatch)
-from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
-                               JumpEvent, SechSquared)
+from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
+                               FrequencyProfile, JumpEvent, SechSquared)
 from tdho.kernel import (compute_W, kernel, kernel_batch, kernel_eq17,
                          kernel_robust, schrodinger_residual)
 
 ONE = SolutionCurve(f=lambda t: 1.0, fdot=lambda t: 0.0, label="1")
-COS = SolutionCurve(f=math.cos, fdot=lambda t: -math.sin(t), label="cos")
+COS = SolutionCurve(f=np.cos, fdot=lambda t: -np.sin(t), label="cos")
 
 
 def test_quadrature_pinned_values():
@@ -170,6 +170,21 @@ def test_kernel_at_window_start_is_a_caustic():
     assert exc.value.v_b == 0.0
 
 
+@pytest.mark.parametrize("t_b", [1.0, 3.0, 6.0])
+def test_inverted_oscillator_matches_closed_form(t_b):
+    # omega^2 = -1: u = cosh t and v = sinh t, so v has no zero after t = 0
+    profile = Expression("-1")
+    grid = np.linspace(0.0, t_b, 7)
+    w2 = profile.omega_squared(grid)
+    assert isinstance(w2, np.ndarray) and w2.shape == grid.shape and np.all(w2 == -1.0)
+    q_a, q_b = np.array([-1.0, 0.3, 1.2, 0.0]), np.array([0.5, -0.8, 1.1, 2.0])
+    got = kernel_robust(solve_fundamental(profile, 0.0, t_b), q_a, q_b).k
+    u, v = math.cosh(t_b), math.sinh(t_b)
+    want = cmath.sqrt(1.0 / (2.0 * math.pi * 1j * v)) * np.exp(
+        0.5j / v * (u * q_b ** 2 + u * q_a ** 2 - 2.0 * q_a * q_b))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
 def zeros_after(v0: float, vd0: float, w: float, tau: float) -> int:
     """Zeros in (0, tau) of v0 cos(w s) + (vd0/w) sin(w s), v0 != 0."""
     phi = math.atan2(v0, vd0 / w)  # the curve is R sin(w s + phi)
@@ -249,8 +264,8 @@ def test_focal_count_of_pair_from_solution(phase):
     # f = cos(3t + phase); phase 0.3 keeps |f_a| >= |f'_a| (numerical v is
     # the companion), phase 1.2 does not (numerical u is)
     omega, T = 3.0, 5.0
-    sol = SolutionCurve(f=lambda t: math.cos(omega * t + phase),
-                        fdot=lambda t: -omega * math.sin(omega * t + phase))
+    sol = SolutionCurve(f=lambda t: np.cos(omega * t + phase),
+                        fdot=lambda t: -omega * np.sin(omega * t + phase))
     pair = pair_from_solution(sol, Constant(omega), 0.0, T)
     ts, vs = pair.nodes
     assert np.array_equal(ts, solve_fundamental(Constant(omega), 0.0, T).nodes[0])
@@ -282,8 +297,8 @@ def test_eq17_detects_caustic_in_window():
 
 
 def test_eq17_rejects_non_solution():
-    wrong = SolutionCurve(f=lambda t: math.cos(2.0 * t),
-                          fdot=lambda t: -2.0 * math.sin(2.0 * t))
+    wrong = SolutionCurve(f=lambda t: np.cos(2.0 * t),
+                          fdot=lambda t: -2.0 * np.sin(2.0 * t))
     with pytest.raises(SolutionMismatch):
         kernel_eq17(Constant(1.0), wrong, 0.0, 1.0, 0.0, 0.5)
 
