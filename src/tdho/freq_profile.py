@@ -54,9 +54,10 @@ class FrequencyProfile:
     omega_squared and smooth_omega_squared take a float or an ndarray of
     times and return a float or an array of t's shape.  A float stays on
     math functions and plain comparisons, chosen by one isinstance(t, float)
-    test, since the classical solver calls smooth_omega_squared once per
-    right-hand-side evaluation.  An array with one bad time raises the same
-    typed error as that time alone, naming it.
+    test: the classical solver's right-hand side, about 500 calls with one
+    time per solve, is its one hot caller (the zero scan and W quadrature
+    pass arrays).  An array with one bad time raises the same typed error
+    as that time alone, naming it.
     """
 
     def omega_squared(self, t: Times) -> Times:

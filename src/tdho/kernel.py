@@ -39,12 +39,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import cubature
 from scipy.optimize import brentq
 
 from .classical import (FundamentalPair, SolutionCurve, solve_fundamental,
                         spot_check_solution)
-from .errors import CausticAtEndpoint, CausticInWindow, DomainError
+from .errors import CausticAtEndpoint, CausticInWindow, DomainError, StepFailure
 from .freq_profile import FrequencyProfile, Times
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _ENDPOINT_CAUSTIC_REL = 1e-12
+_W_RTOL = 1e-10
 
 
 @dataclass
@@ -111,16 +112,19 @@ def _locate_zeros(fvals: np.ndarray, ts: np.ndarray,
 
 
 def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
-              profile: FrequencyProfile | None = None,
-              epsrel: float = 1e-10) -> tuple[float, float]:
+              profile: FrequencyProfile | None = None) -> tuple[float, float]:
     """Quadrature W = int_{t_a}^{t_b} dt / f(t)^2, with a zero pre-scan.
 
-    f takes a float or an ndarray of times, as SolutionCurve.f does; the
-    scan evaluates it once, on its whole grid.  Returns (W, abserr).  Raises
-    CausticInWindow at the first zero of f (the integrand is non-integrable
-    there and the solution-scaled kernel form does not apply).  profile,
-    when given, supplies jump times that are passed to the quadrature as
-    known kink locations, plus the frequency scale for the scan density.
+    f takes a float or an ndarray of times, as SolutionCurve.f does, and a
+    constant result is broadcast.  The scan and the 21-point Gauss-Kronrod
+    cubature pass whole arrays; only brentq, locating a zero that is then
+    refused, passes one time, so curves need no fast path for it.  Returns
+    (W, abserr).  Raises CausticInWindow at the first zero of f (the
+    integrand is non-integrable there and the solution-scaled kernel form
+    does not apply), StepFailure if the quadrature does not converge.
+    profile, when given, supplies jump times that are passed to the
+    quadrature as known kink locations, plus the frequency scale for the
+    scan density.
     """
     if not (t_b > t_a):
         raise DomainError(f"need t_b > t_a, got [{t_a}, {t_b}]")
@@ -135,9 +139,13 @@ def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
     if zeros:
         raise CausticInWindow(zeros[0])
 
-    val, err = quad(lambda t: 1.0 / f(t) ** 2, t_a, t_b,
-                    points=kinks or None, epsrel=epsrel, epsabs=0.0, limit=200)
-    return val, err
+    res = cubature(lambda x: 1.0 / np.broadcast_to(f(x[:, 0]), x.shape[:1]) ** 2,
+                   [t_a], [t_b], rule="gk21", rtol=_W_RTOL, atol=0.0,
+                   max_subdivisions=200, points=[[k] for k in kinks])
+    if res.status != "converged":
+        raise StepFailure(f"W quadrature on [{t_a}, {t_b}] did not converge: "
+                          f"estimate {float(res.estimate)!r}, error estimate {float(res.error):.3e}")
+    return float(res.estimate), float(res.error)
 
 
 def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,

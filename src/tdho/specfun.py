@@ -51,14 +51,12 @@ def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
     """J_nu(x) for real order nu >= 0 and x >= 0 (scipy.special.jv)."""
     if not (math.isfinite(nu) and nu >= 0.0):
         raise DomainError(f"order must be finite and >= 0, got nu={nu}")
-    if isinstance(x, np.ndarray):
-        bad = x[~(np.isfinite(x) & (x >= 0.0))]
-        if bad.size:
-            raise DomainError(f"argument must be finite and >= 0, got x={bad[0]}")
-        return special.jv(nu, x)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"argument must be finite and >= 0, got x={x}")
-    return float(special.jv(nu, x))
+    xs = np.asarray(x, dtype=float)
+    bad = xs[~(np.isfinite(xs) & (xs >= 0.0))]
+    if bad.size:
+        raise DomainError(f"argument must be finite and >= 0, got x={bad[0]}")
+    out = special.jv(nu, xs)
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)
@@ -110,10 +108,6 @@ class LegendreDegree:
 _MAX_TERMS = 200000
 
 
-def _any(live) -> bool:
-    return live.any() if isinstance(live, np.ndarray) else live
-
-
 def _series_about_one(L: float, z, shifted: bool):
     """F(-lam, lam+1; 1; z), or F(1-lam, lam+2; 2; z) when shifted (for dP/dx)."""
     term = total = 1.0
@@ -128,7 +122,7 @@ def _series_about_one(L: float, z, shifted: bool):
         term *= num * z / den
         total += term * live
         live &= (abs(term) > 1e-17 * abs(total)) | (k <= 4)
-        if not _any(live):
+        if not live.any():
             return total
     raise DomainError(f"legendre series about x=1 did not converge (z={z})")
 
@@ -148,14 +142,11 @@ def _legendre(degree: LegendreDegree, x: float | np.ndarray, derivative: bool):
     bad = xs[~((-1.0 < xs) & (xs <= 1.0))]
     if bad.size:
         raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
-    if not isinstance(x, np.ndarray):
-        return float(_about_one(degree, x, derivative) if x > 0.0
-                     else _about_zero(degree, x, derivative))
     out = np.empty(xs.shape)
     right = xs > 0.0
     out[right] = _about_one(degree, xs[right], derivative)
     out[~right] = _about_zero(degree, xs[~right], derivative)
-    return out
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def _about_one(degree: LegendreDegree, x, derivative: bool):
@@ -190,7 +181,7 @@ def _about_zero(degree: LegendreDegree, x, derivative: bool):
         # the 1e-300 only keeps o_sum = 0 from stalling the test
         live &= ((abs(e_term) > 1e-17 * abs(e_sum))
                  | (abs(o_term) > 1e-17 * (abs(o_sum) + 1e-300)) | (k <= 4))
-        if not _any(live):
+        if not live.any():
             break
     else:
         raise DomainError(f"legendre series about x=0 did not converge (x={x})")

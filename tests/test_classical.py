@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,7 +12,8 @@ from tdho.classical import (
 )
 from tdho.errors import DegenerateSolution, DomainError, SolutionMismatch
 from tdho.freq_profile import (
-    Constant, DeltaPulse, ExpDecay, Expression, PowerLaw, SechSquared, Tabulated,
+    Constant, DeltaPulse, ExpDecay, Expression, FrequencyProfile, JumpEvent,
+    PowerLaw, SechSquared, Tabulated,
 )
 
 
@@ -61,6 +64,32 @@ def test_impulse_exactly_at_right_edge():
     assert pair.u(1.0) == pytest.approx(1.0, abs=1e-12)
     assert pair.udot(1.0) == pytest.approx(-0.36, abs=1e-10)
     assert pair.udot(1.0 - 1e-9) == pytest.approx(0.0, abs=1e-7)
+
+
+class TwoKicks(FrequencyProfile):
+    """omega^2 = 1 plus impulses 0.7 delta(t - 0.4) and 1.3 delta(t - 1)."""
+
+    def omega_squared(self, t):
+        return 1.0
+
+    def jump_events(self, t_a, t_b):
+        super().jump_events(t_a, t_b)
+        return [JumpEvent(t, s) for t, s in ((0.4, 0.7), (1.0, 1.3)) if t_a < t <= t_b]
+
+
+def test_state_on_a_2d_array_equals_scalar_calls():
+    pair = solve_fundamental(TwoKicks(), 0.0, 1.0)
+    assert pair.event_times == (0.4, 1.0)
+    ts = np.array([[0.4, 0.4 - 1e-9, 1.0], [0.0, 0.7, 1.0 - 1e-9]])
+    got = pair.state(ts)
+    assert got.shape == (4, 2, 3) and pair.state(np.array([])).shape == (4, 0)
+    for i, j in np.ndindex(ts.shape):
+        assert np.array_equal(got[:, i, j], pair.state(float(ts[i, j])))
+    # right-continuous derivatives: each kick is df' = -strength * f
+    assert got[1, 0, 0] == pytest.approx(-math.sin(0.4) - 0.7 * math.cos(0.4), abs=1e-10)
+    assert got[1, 0, 1] == pytest.approx(-math.sin(0.4), abs=1e-8)
+    np.testing.assert_allclose(got[[1, 3], 0, 2] - got[[1, 3], 1, 2],
+                               -1.3 * got[[0, 2], 0, 2], atol=1e-8)
 
 
 def test_time_translation_covariance_for_autonomous_profile():
@@ -153,6 +182,28 @@ def test_catalog_power_law_passes_audit():
     assert report.slope == pytest.approx(2.0, abs=0.1)
 
 
+def test_power_law_solution_refuses_a_float_outside_its_domain():
+    # the domain is t > 0; f(0) = 0 is kept, so a window from 0 is a caustic
+    p = PowerLaw(0.8, 1.0, 1.0)
+    sol = closed_form(p)
+    assert sol.f(0.0) == 0.0
+    with pytest.raises(DomainError, match="t=0.0"):
+        sol.fdot(0.0)
+    with pytest.raises(DomainError, match="t=-0.25"):
+        sol.f(-0.25)
+    with pytest.raises(DomainError):
+        pair_from_solution(sol, p, 0.0, 1.0)
+
+
+def test_power_law_solution_refuses_an_array_outside_its_domain():
+    sol = closed_form(PowerLaw(0.8, 1.0, 1.0))
+    with pytest.raises(DomainError, match="t=0.0"):
+        sol.fdot(np.array([0.5, 0.0, -1.0]))
+    with pytest.raises(DomainError, match="t=-0.5"):
+        sol.f(np.array([1.0, -0.5, -1.0]))
+    assert sol.f(np.array([0.0, 1.0]))[0] == 0.0
+
+
 def test_catalog_delta_pulse_fails_audit_with_magnitudes():
     p = DeltaPulse(1.0, 0.5)
     sol = closed_form(p)
@@ -166,6 +217,10 @@ def test_catalog_delta_pulse_fails_audit_with_magnitudes():
     assert t0 == 0.5
     assert m1 == pytest.approx(3.0, rel=0.1)
     assert not ok
+    # plain Python values, as the CLI writes the report as JSON
+    assert type(ok) is bool and type(report.passed) is bool
+    assert all(type(x) is float for x in (m1, m2, report.max_residual, report.slope))
+    json.dumps(dataclasses.asdict(report))
 
 
 def test_catalog_sech_squared_fails_audit_with_magnitude():

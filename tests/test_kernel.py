@@ -8,7 +8,7 @@ import oracles
 from tdho.classical import (FundamentalPair, SolutionCurve, closed_form,
                             pair_from_solution, solve_fundamental)
 from tdho.errors import (CausticAtEndpoint, CausticInWindow, DomainError,
-                         SolutionMismatch)
+                         SolutionMismatch, StepFailure)
 from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
                                FrequencyProfile, JumpEvent, SechSquared)
 from tdho.kernel import (compute_W, kernel, kernel_batch, kernel_eq17,
@@ -32,6 +32,12 @@ def test_quadrature_detects_caustic():
     assert exc.value.t_zero == pytest.approx(math.pi / 2.0, abs=1e-9)
     with pytest.raises(DomainError):
         compute_W(ONE.f, 1.0, 1.0)
+
+
+def test_quadrature_refuses_an_unconverged_W():
+    # 1/f^2 oscillates 3183 times on the window: 200 subdivisions do not resolve it
+    with pytest.raises(StepFailure, match=r"\[0\.0, 1\.0\].*estimate.*error estimate"):
+        compute_W(lambda t: 2.0 + np.sin(2e4 * t), 0.0, 1.0)
 
 
 def test_free_kernel_both_routes():
