@@ -6,6 +6,7 @@ process, the installed `tdho` script the same way when one is on PATH, and
 that pyproject.toml's [project.scripts] maps `tdho` to `tdho.cli:main`.
 """
 
+import copy
 import hashlib
 import json
 import math
@@ -19,10 +20,10 @@ import numpy as np
 import pytest
 
 import tdho
-from tdho import __version__
+from tdho import __version__, cli
 from tdho.classical import solve_fundamental
 from tdho.cli import main
-from tdho.freq_profile import Constant
+from tdho.freq_profile import Constant, profile_from_json
 from tdho.kernel import kernel_batch
 
 REPO = Path(__file__).resolve().parents[1]
@@ -176,6 +177,19 @@ def test_window_must_be_increasing(tmp_path, capsys):
     cfg = kernel_cfg(window={"t_a": 1.0, "t_b": 1.0})
     assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg))]) == 1
     assert "need t_b > t_a" in capsys.readouterr().err
+
+
+def test_schema_is_parsed_once_and_never_mutated(tmp_path, capsys):
+    # two different bad configs in one process each get their own error path
+    schema = copy.deepcopy(cli._schema())
+    bad_profile = kernel_cfg(profile={"type": "constant", "omega0": -1.0})
+    bad_grid = propagate_cfg(grid={"q_min": -6.0, "q_max": 6.0, "n": "many"})
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, bad_profile, "a.json"))]) == 1
+    assert capsys.readouterr().err.startswith("config error at $.profile")
+    assert main(["propagate", "--config", str(write_cfg(tmp_path, bad_grid, "b.json"))]) == 1
+    assert capsys.readouterr().err.startswith("config error at $.grid.n:")
+    assert cli._schema() is cli._schema()
+    assert cli._schema() == schema
 
 
 def test_out_dir_is_created(tmp_path):
@@ -420,6 +434,59 @@ def test_default_slices_stay_128_where_the_grid_resolves_them(tmp_path):
                      "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "default" / "wavepacket.csv").read_bytes() == \
         (tmp_path / "explicit" / "wavepacket.csv").read_bytes()
+
+
+# ---------------------------------------------------------------- CSV bytes
+
+
+def per_value_csv(header, rows):
+    """The CSV rule one value at a time: ints and bools as str(int), the rest %.17g."""
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_, int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".17g")
+    lines = [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+def test_csv_matches_the_per_value_rule(n):
+    rng = np.random.default_rng(n)
+    special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, 0.1]
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[:len(special)] = special[:n]
+    ints = rng.integers(-2**62, 2**62, n)
+    bools = rng.random(n) < 0.5
+    header = ["f", "i_scalar", "i", "f_scalar", "b", "b_scalar", "np_f_scalar", "g"]
+    columns = [floats, 7, ints, 0.1, bools, True, np.float64(-0.0), floats[::-1]]
+    rows = [[c[i] if np.ndim(c) else c for c in columns] for i in range(n)]
+    assert cli._csv(header, columns) == per_value_csv(header, rows)
+
+
+def test_kernel_and_classical_csv_bytes(tmp_path):
+    # a JSON integer t_a prints as 0; 70^2 rows and 4097 samples cross a block boundary
+    profile = {"type": "delta_pulse", "omega0": 0.6, "t0": 0.5}
+    kcfg = {"task": "kernel", "profile": profile, "window": {"t_a": 0, "t_b": 1.25},
+            "grid": {"q_min": -3.0, "q_max": 3.0, "n": 70}}
+    ccfg = {"task": "classical", "profile": profile, "window": {"t_a": 0, "t_b": 1.25},
+            "n_samples": cli._BLOCK_ROWS + 1}
+    for cfg in (kcfg, ccfg):
+        out = tmp_path / cfg["task"]
+        assert main([cfg["task"], "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+
+    pair = solve_fundamental(profile_from_json(profile), 0, 1.25, 1e-10)
+    axis = np.linspace(-3.0, 3.0, 70)
+    qa, qb = np.repeat(axis, 70), np.tile(axis, 70)
+    k, modulus, phase, flag = kernel_batch(pair, qa, qb, 1.0)
+    rows = [(qa[i], 0, qb[i], 1.25, k[i].real, k[i].imag, modulus[i], phase[i], flag)
+            for i in range(qa.size)]
+    header = ["q_a", "t_a", "q_b", "t_b", "re_k", "im_k", "abs_k", "phase", "caustic_flag"]
+    assert (tmp_path / "kernel" / "kernel.csv").read_bytes() == per_value_csv(header, rows)
+
+    ts = np.linspace(0, 1.25, cli._BLOCK_ROWS + 1)
+    rows = zip(ts, *pair.state(ts))
+    assert (tmp_path / "classical" / "classical.csv").read_bytes() == \
+        per_value_csv(["t", "u", "udot", "v", "vdot"], rows)
 
 
 @pytest.mark.parametrize("cfg", [
