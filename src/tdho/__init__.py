@@ -12,8 +12,8 @@ The shortest path through the library:
 Modules: freq_profile (the omega^2 families), classical (fundamental pair,
 closed forms, residual grading), kernel (the propagator itself), evolve
 (wavepackets, finite-difference and path-sliced cross-checks), specfun
-(self-contained Bessel/Legendre/Gamma), omega_expr (expression parser),
-cli (the tdho command).
+(gamma and Bessel J from scipy.special, Legendre P summed here),
+omega_expr (expression parser), cli (the tdho command).
 """
 
 __version__ = "0.1.0"

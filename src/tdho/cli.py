@@ -9,6 +9,8 @@ shipped schema before anything runs):
     tdho validate  --config cfg.json    grade the closed-form catalog entry
     tdho compare   --config cfg.json    kernel vs finite-difference vs sliced
 
+A numeric key the config omits takes the default of the library call it feeds.
+
 Outputs land in --out (default: $TDHO_OUT, then the working directory):
 data as CSV with %.17g floats and %d integers or JSON with sorted keys, plus
 manifest.json recording the config hash and per-file hashes.  CSV rows are
@@ -22,6 +24,7 @@ Exit codes: 0 success; 1 error (unusable config, caustic, solver breakdown);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -102,6 +105,12 @@ def _validate_config(cfg: dict, task: str) -> str | None:
     return None
 
 
+def _given(cfg: dict, *keys: str) -> dict:
+    """The config's values for those keys it sets; the library call's own
+    defaults cover the keys it omits."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 def _packet(cfg):
     g = cfg["grid"]
     q = uniform_grid(g["q_min"], g["q_max"], g["n"])
@@ -109,17 +118,22 @@ def _packet(cfg):
     return state.on_grid(q, t=cfg["window"]["t_a"])
 
 
-def _n_slices(cfg: dict, packet, mu: float) -> int:
-    """The config's n_slices; by default 128, or fewer if the grid resolves fewer."""
-    if "n_slices" in cfg:
-        return cfg["n_slices"]
-    return max(1, min(128, max_slices(packet, cfg["window"]["t_b"], mu)))
+def _evolve(method: str, profile, packet, cfg: dict):
+    """The packet at the window's end by one route.  Time slicing defaults to
+    128 slices, or fewer if the grid resolves fewer."""
+    t_b = cfg["window"]["t_b"]
+    if method == "kernel":
+        return propagate_kernel(profile, packet, t_b, **_given(cfg, "mu", "tol"))
+    if method == "crank_nicolson":
+        return crank_nicolson(profile, packet, t_b, **_given(cfg, "mu", "dt"))
+    kw = _given(cfg, "mu")
+    n_slices = cfg["n_slices"] if "n_slices" in cfg else \
+        max(1, min(128, max_slices(packet, t_b, **kw)))
+    return time_sliced_oracle(profile, packet, t_b, n_slices, **kw)
 
 
-def _run_kernel(cfg: dict):
-    profile = profile_from_json(cfg["profile"])
+def _run_kernel(profile, cfg: dict):
     t_a, t_b = cfg["window"]["t_a"], cfg["window"]["t_b"]
-    mu = cfg.get("mu", 1.0)
     if "points" in cfg:
         qa = np.asarray(cfg["points"]["q_a"], dtype=float)
         qb = np.asarray(cfg["points"]["q_b"], dtype=float)
@@ -128,8 +142,8 @@ def _run_kernel(cfg: dict):
         axis = uniform_grid(g["q_min"], g["q_max"], g["n"])
         qa = np.repeat(axis, g["n"])
         qb = np.tile(axis, g["n"])
-    pair = solve_fundamental(profile, t_a, t_b, cfg.get("tol", 1e-10))
-    k, modulus, phase, flag = kernel_batch(pair, qa, qb, mu)
+    pair = solve_fundamental(profile, t_a, t_b, **_given(cfg, "tol"))
+    k, modulus, phase, flag = kernel_batch(pair, qa, qb, **_given(cfg, "mu"))
     out = {"kernel.csv": _csv(
         ["q_a", "t_a", "q_b", "t_b", "re_k", "im_k", "abs_k", "phase", "caustic_flag"],
         [qa, t_a, qb, t_b, k.real, k.imag, modulus, phase, flag])}
@@ -138,10 +152,9 @@ def _run_kernel(cfg: dict):
     return out, summary, None
 
 
-def _run_classical(cfg: dict):
-    profile = profile_from_json(cfg["profile"])
+def _run_classical(profile, cfg: dict):
     t_a, t_b = cfg["window"]["t_a"], cfg["window"]["t_b"]
-    pair = solve_fundamental(profile, t_a, t_b, cfg.get("tol", 1e-10))
+    pair = solve_fundamental(profile, t_a, t_b, **_given(cfg, "tol"))
     ts = np.linspace(t_a, t_b, cfg.get("n_samples", 201))
     u, ud, v, vd = pair.state(ts)
     out = {"classical.csv": _csv(["t", "u", "udot", "v", "vdot"], [ts, u, ud, v, vd])}
@@ -150,53 +163,32 @@ def _run_classical(cfg: dict):
     return out, summary, None
 
 
-def _run_propagate(cfg: dict):
-    profile = profile_from_json(cfg["profile"])
-    t_b = cfg["window"]["t_b"]
-    mu = cfg.get("mu", 1.0)
-    packet = _packet(cfg)
+def _run_propagate(profile, cfg: dict):
     method = cfg["method"]
-    if method == "kernel":
-        result = propagate_kernel(profile, packet, t_b, mu, cfg.get("tol", 1e-10))
-    elif method == "crank_nicolson":
-        result = crank_nicolson(profile, packet, t_b, mu, cfg.get("dt", 1e-3))
-    else:
-        result = time_sliced_oracle(profile, packet, t_b, _n_slices(cfg, packet, mu), mu)
+    result = _evolve(method, profile, _packet(cfg), cfg)
     out = {"wavepacket.csv": _csv(
         ["q", "re_psi", "im_psi", "abs_psi"],
         [result.q, result.psi.real, result.psi.imag, np.abs(result.psi)])}
-    summary = {"method": method, "t_b": float(t_b), "norm": result.norm(),
+    summary = {"method": method, "t_b": float(cfg["window"]["t_b"]), "norm": result.norm(),
                "mean_q": result.mean_q(), "mean_q2": result.mean_q2()}
     return out, summary, None
 
 
-def _run_validate(cfg: dict):
-    profile = profile_from_json(cfg["profile"])
+def _run_validate(profile, cfg: dict):
     sol = closed_form(profile)
     if sol is None:
         raise DomainError(
             f"no closed-form reference for profile type {cfg['profile']['type']!r}")
     window = (cfg["window"]["t_a"], cfg["window"]["t_b"])
-    report = verify_solution(profile, sol, window, h=cfg.get("h", 1e-2),
-                             n_samples=cfg.get("n_samples", 200))
+    report = verify_solution(profile, sol, window, **_given(cfg, "h", "n_samples"))
     doc = {
         "family": sol.family,
         "label": sol.label,
         "params": sol.params,
         "claimed_exact": sol.satisfies_equation,
         "note": sol.note,
-        "report": {
-            "passed": report.passed,
-            "window": list(report.window),
-            "h": report.h,
-            "max_residual": report.max_residual,
-            "max_residual_refined": report.max_residual_refined,
-            "slope": report.slope if report.slope != float("inf") else None,
-            "calibration_c": report.calibration_c,
-            "worst_t": report.worst_t,
-            "jump_mismatches": [list(j) for j in report.jump_mismatches],
-            "note": report.note,
-        },
+        "report": {**dataclasses.asdict(report),
+                   "slope": None if report.slope == float("inf") else report.slope},
     }
     out = {"validate.json": _json_bytes(doc)}
     summary = {"family": sol.family, "passed": report.passed}
@@ -206,20 +198,13 @@ def _run_validate(cfg: dict):
     return out, summary, strict_fail
 
 
-def _run_compare(cfg: dict):
-    profile = profile_from_json(cfg["profile"])
-    t_b = cfg["window"]["t_b"]
-    mu = cfg.get("mu", 1.0)
+def _run_compare(profile, cfg: dict):
     packet = _packet(cfg)
-    results = {
-        "kernel": propagate_kernel(profile, packet, t_b, mu, cfg.get("tol", 1e-10)),
-        "crank_nicolson": crank_nicolson(profile, packet, t_b, mu, cfg.get("dt", 1e-3)),
-        "time_sliced": time_sliced_oracle(profile, packet, t_b, _n_slices(cfg, packet, mu), mu),
-    }
+    results = {m: _evolve(m, profile, packet, cfg)
+               for m in ("kernel", "crank_nicolson", "time_sliced")}
     doc = {"norms": {k: v.norm() for k, v in results.items()}}
     worst = 0.0
-    for a, b in (("kernel", "crank_nicolson"), ("kernel", "time_sliced"),
-                 ("crank_nicolson", "time_sliced")):
+    for a, b in itertools.combinations(results, 2):
         c = compare(results[a], results[b])
         doc[f"{a}_vs_{b}"] = {
             "l2_error": c["l2_error"],
@@ -300,7 +285,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        outputs, summary, strict_fail = _RUNNERS[args.command](cfg)
+        outputs, summary, strict_fail = _RUNNERS[args.command](profile_from_json(cfg["profile"]), cfg)
     except TdhoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

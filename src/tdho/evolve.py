@@ -328,10 +328,11 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     span = q[-1] - q[0]
     rate = mu * span * h / eps  # chirp phase advance per sample, worst case
     if rate > math.pi:
+        # on the same extent dq = span/(n-1), so the grid needs n-1 >= mu*span^2/(pi*eps)
         raise DomainError(
             f"grid cannot resolve the slice kernel: mu*span*dq/eps = {rate:.2f} "
             f"> pi; use at most n_slices = {max_slices(packet, t_b, mu)} "
-            f"on this grid, or at least {int(mu * span ** 2 * n_slices / (math.pi * (t_b - packet.t)))} points")
+            f"on this grid, or at least {math.ceil(mu * span ** 2 / (math.pi * eps)) + 1} points")
 
     pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * eps))
     offsets = np.arange(-(n - 1), n) * h

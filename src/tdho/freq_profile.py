@@ -22,6 +22,7 @@ impulse exactly once.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -86,7 +87,9 @@ class FrequencyProfile:
         return []
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """The dict form profile_from_json reads back: the family's type name,
+        then the dataclass fields in declaration order."""
+        return {"type": _KIND[type(self)], **dataclasses.asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,6 @@ class Constant(FrequencyProfile):
     def omega_squared(self, t: Times) -> Times:
         w2 = self.omega0 ** 2
         return w2 if isinstance(t, float) else np.full(np.shape(t), w2)
-
-    def to_json(self) -> dict:
-        return {"type": "constant", "omega0": self.omega0}
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,6 @@ class ExpDecay(FrequencyProfile):
     def omega_squared(self, t: Times) -> Times:
         exp = math.exp if isinstance(t, float) else np.exp
         return self.omega0 ** 2 * exp(-self.alpha * t)
-
-    def to_json(self) -> dict:
-        return {"type": "exp_decay", "omega0": self.omega0, "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -152,9 +149,6 @@ class PowerLaw(FrequencyProfile):
                               f"got t={_first(t, outside)}")
         c = self.omega0 * self.alpha ** self.beta
         return c * c * t ** self.beta
-
-    def to_json(self) -> dict:
-        return {"type": "power_law", "omega0": self.omega0, "alpha": self.alpha, "beta": self.beta}
 
 
 @dataclass(frozen=True)
@@ -186,9 +180,6 @@ class DeltaPulse(FrequencyProfile):
             return [JumpEvent(self.t0, self.omega0 ** 2)]
         return []
 
-    def to_json(self) -> dict:
-        return {"type": "delta_pulse", "omega0": self.omega0, "t0": self.t0}
-
 
 @dataclass(frozen=True)
 class SechSquared(FrequencyProfile):
@@ -209,9 +200,6 @@ class SechSquared(FrequencyProfile):
         e = exp(-abs(x))
         sech = 2.0 * e / (1.0 + e * e)
         return self.alpha ** 2 * sech ** 2
-
-    def to_json(self) -> dict:
-        return {"type": "sech_squared", "alpha": self.alpha, "beta": self.beta, "t0": self.t0}
 
 
 @dataclass
@@ -256,7 +244,7 @@ class Tabulated(FrequencyProfile):
         return [float(k) for k in self.t if t_a < k < t_b]
 
     def to_json(self) -> dict:
-        return {"type": "tabulated", "t": self.t.tolist(),
+        return {"type": _KIND[type(self)], "t": self.t.tolist(),
                 "omega2": self.omega2.tolist(), "interp": self.interp}
 
 
@@ -279,7 +267,7 @@ class Expression(FrequencyProfile):
         return omega_expr.evaluate(self.node, t)
 
     def to_json(self) -> dict:
-        return {"type": "expression", "expr": omega_expr.to_string(self.node)}
+        return {"type": _KIND[type(self)], "expr": omega_expr.to_string(self.node)}
 
 
 def _first(t: Times, outside) -> float:
@@ -295,30 +283,31 @@ def jump_events(profile: FrequencyProfile, t_a: float, t_b: float) -> list[JumpE
     return profile.jump_events(t_a, t_b)
 
 
+_FAMILIES = {
+    "constant": Constant, "exp_decay": ExpDecay, "power_law": PowerLaw,
+    "delta_pulse": DeltaPulse, "sech_squared": SechSquared,
+    "tabulated": Tabulated, "expression": Expression,
+}
+_KIND = {cls: kind for kind, cls in _FAMILIES.items()}
+
+
 def profile_from_json(data: dict) -> FrequencyProfile:
     """Build a profile from its dict form.  Inverse of to_json."""
     if not isinstance(data, dict) or "type" not in data:
         raise DomainError("profile config must be a dict with a 'type' key")
     kind = data["type"]
+    cls = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DomainError(f"unknown profile type {kind!r}")
     extra = {k: v for k, v in data.items() if k != "type"}
     try:
-        if kind == "constant":
-            return Constant(**extra)
-        if kind == "exp_decay":
-            return ExpDecay(**extra)
-        if kind == "power_law":
-            return PowerLaw(**extra)
-        if kind == "delta_pulse":
-            return DeltaPulse(**extra)
-        if kind == "sech_squared":
-            return SechSquared(**extra)
-        if kind == "tabulated":
+        if cls is Tabulated:
             return Tabulated(np.asarray(extra.pop("t")), np.asarray(extra.pop("omega2")), **extra)
-        if kind == "expression":
+        if cls is Expression:
             constants = extra.get("constants") or {}
             return Expression(omega_expr.parse(extra["expr"], constants), source=extra["expr"])
+        return cls(**extra)
     except TypeError as exc:
         raise DomainError(f"bad fields for profile type {kind!r}: {exc}") from exc
     except KeyError as exc:
         raise DomainError(f"missing field for profile type {kind!r}: {exc}") from exc
-    raise DomainError(f"unknown profile type {kind!r}")

@@ -94,21 +94,18 @@ def _zero_scan_grid(profile: FrequencyProfile, t_a: float, t_b: float) -> np.nda
     return np.linspace(t_a, t_b, n)
 
 
-def _locate_zeros(fvals: np.ndarray, ts: np.ndarray,
-                  f: Callable[[float], float]) -> list[float]:
-    zeros = []
-    sign = np.sign(fvals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        zeros.append(float(brentq(f, ts[i], ts[i + 1], xtol=1e-14)))
-    exact = np.nonzero(fvals == 0.0)[0]
-    zeros.extend(float(ts[i]) for i in exact)
-    # grazing minima: |f| collapses without a sign flip
-    scale = np.max(np.abs(fvals))
-    if scale > 0:
-        tiny = np.nonzero(np.abs(fvals) < 1e-8 * scale)[0]
-        zeros.extend(float(ts[i]) for i in tiny if i not in exact)
-    return sorted(set(zeros))
+def _first_zero(fvals: np.ndarray, ts: np.ndarray,
+                f: Callable[[float], float]) -> float | None:
+    """The scan's earliest zero, or None: a node where |f| is 0 or grazes 0
+    (below 1e-8 of its largest value), or the root of a sign flip between
+    nodes i and i+1, which lies past node i.  brentq runs only when the
+    first flip comes before the first such node."""
+    flips = np.flatnonzero(np.sign(fvals[:-1]) * np.sign(fvals[1:]) < 0)
+    nodes = np.flatnonzero((fvals == 0.0) | (np.abs(fvals) < 1e-8 * np.max(np.abs(fvals))))
+    first_node = nodes[0] if nodes.size else ts.size
+    if flips.size and flips[0] < first_node:
+        return float(brentq(f, ts[flips[0]], ts[flips[0] + 1], xtol=1e-14))
+    return float(ts[first_node]) if nodes.size else None
 
 
 def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
@@ -135,9 +132,9 @@ def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
         ts = np.linspace(t_a, t_b, 1000)
         kinks = []
     fvals = np.broadcast_to(f(ts), ts.shape)
-    zeros = _locate_zeros(fvals, ts, f)
-    if zeros:
-        raise CausticInWindow(zeros[0])
+    t_zero = _first_zero(fvals, ts, f)
+    if t_zero is not None:
+        raise CausticInWindow(t_zero)
 
     res = cubature(lambda x: 1.0 / np.broadcast_to(f(x[:, 0]), x.shape[:1]) ** 2,
                    [t_a], [t_b], rule="gk21", rtol=_W_RTOL, atol=0.0,

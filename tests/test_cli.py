@@ -8,6 +8,7 @@ that pyproject.toml's [project.scripts] maps `tdho` to `tdho.cli:main`.
 
 import copy
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -21,8 +22,9 @@ import pytest
 
 import tdho
 from tdho import __version__, cli
-from tdho.classical import solve_fundamental
+from tdho.classical import solve_fundamental, verify_solution
 from tdho.cli import main
+from tdho.evolve import crank_nicolson, propagate_kernel, time_sliced_oracle
 from tdho.freq_profile import Constant, profile_from_json
 from tdho.kernel import kernel_batch
 
@@ -489,7 +491,7 @@ def test_kernel_and_classical_csv_bytes(tmp_path):
         per_value_csv(["t", "u", "udot", "v", "vdot"], rows)
 
 
-@pytest.mark.parametrize("cfg", [
+TASK_CFGS = [
     kernel_cfg(),
     {"task": "classical", "profile": {"type": "exp_decay", "omega0": 1.0, "alpha": 1.0},
      "window": {"t_a": 0.0, "t_b": 1.0}, "n_samples": 41},
@@ -497,7 +499,11 @@ def test_kernel_and_classical_csv_bytes(tmp_path):
     {"task": "validate", "profile": {"type": "constant", "omega0": 0.8},
      "window": {"t_a": 0.0, "t_b": 1.0}},
     compare_cfg(),
-], ids=["kernel", "classical", "propagate", "validate", "compare"])
+]
+TASK_IDS = [cfg["task"] for cfg in TASK_CFGS]
+
+
+@pytest.mark.parametrize("cfg", TASK_CFGS, ids=TASK_IDS)
 def test_reruns_are_byte_identical(tmp_path, cfg):
     cfg_path = write_cfg(tmp_path, cfg)
     dirs = []
@@ -511,3 +517,29 @@ def test_reruns_are_byte_identical(tmp_path, cfg):
     assert "manifest.json" in names
     for n in names:
         assert (a / n).read_bytes() == (b / n).read_bytes()
+
+
+# each optional config key a subcommand hands to the library, and the call whose default it takes
+LIBRARY_KEYS = {
+    "kernel": {"tol": solve_fundamental, "mu": kernel_batch},
+    "classical": {"tol": solve_fundamental},
+    "propagate": {"tol": propagate_kernel, "mu": propagate_kernel, "dt": crank_nicolson},
+    "validate": {"h": verify_solution, "n_samples": verify_solution},
+    "compare": {"tol": propagate_kernel, "mu": time_sliced_oracle, "dt": crank_nicolson},
+}
+
+
+@pytest.mark.parametrize("cfg", TASK_CFGS + [propagate_cfg(method="crank_nicolson"),
+                                             propagate_cfg(method="time_sliced")],
+                         ids=TASK_IDS + ["propagate-cn", "propagate-sliced"])
+def test_omitted_keys_take_the_library_defaults(tmp_path, cfg):
+    keys = LIBRARY_KEYS[cfg["task"]]
+    bare = {k: v for k, v in cfg.items() if k not in keys}
+    defaults = {k: inspect.signature(f).parameters[k].default for k, f in keys.items()}
+    written = []
+    for name, c in (("bare", bare), ("full", {**bare, **defaults})):
+        out = tmp_path / name
+        assert main([c["task"], "--config", str(write_cfg(tmp_path, c, f"{name}.json")),
+                     "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+    assert written[0] == written[1] and written[0]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -412,6 +413,20 @@ def test_sliced_alias_guard_names_the_knob():
     with pytest.raises(DomainError) as exc:
         time_sliced_oracle(Constant(1.0), p, 1.0, n_slices=64)
     assert "n_slices" in str(exc.value)
+
+
+@pytest.mark.parametrize("n_slices", [40, 400])
+def test_sliced_refusal_suggests_the_smallest_accepted_grid(n_slices):
+    # 256 points on [-8, 8] resolve 25 slices over T = 1; the hint names the
+    # first n whose dq = 16/(n-1) resolves n_slices on the same extent
+    prof = Constant(1.0)
+    with pytest.raises(DomainError) as exc:
+        time_sliced_oracle(prof, _free_packet(256), 1.0, n_slices)
+    n = int(re.search(r"at least (\d+) points", str(exc.value)).group(1))
+    out = time_sliced_oracle(prof, _free_packet(n), 1.0, n_slices)
+    assert np.all(np.isfinite(out.psi))
+    with pytest.raises(DomainError, match="cannot resolve"):
+        time_sliced_oracle(prof, _free_packet(n - 1), 1.0, n_slices)
 
 
 def test_sliced_argument_validation():

@@ -180,17 +180,39 @@ def test_expression_json_with_constants():
     assert omega_squared_at(q, 1.0) == omega_squared_at(p, 1.0)
 
 
+@pytest.mark.parametrize("profile, doc", [
+    (Constant(0.8), {"type": "constant", "omega0": 0.8}),
+    (ExpDecay(1.0, 1.5), {"type": "exp_decay", "omega0": 1.0, "alpha": 1.5}),
+    (PowerLaw(0.8, 1.0, 0.5), {"type": "power_law", "omega0": 0.8, "alpha": 1.0, "beta": 0.5}),
+    (DeltaPulse(0.6, 0.5), {"type": "delta_pulse", "omega0": 0.6, "t0": 0.5}),
+    (SechSquared(1.0, 2.0), {"type": "sech_squared", "alpha": 1.0, "beta": 2.0, "t0": 0.0}),
+    (Tabulated([0.0, 0.5, 1.0], [1.0, 2.0, 1.5], interp="linear"),
+     {"type": "tabulated", "t": [0.0, 0.5, 1.0], "omega2": [1.0, 2.0, 1.5], "interp": "linear"}),
+    (Expression("exp(-t)*2"), {"type": "expression", "expr": "exp(-t)*2.0"}),
+], ids=lambda x: x["type"] if isinstance(x, dict) else "")
+def test_json_round_trip_keeps_the_key_order(profile, doc):
+    assert list(profile.to_json().items()) == list(doc.items())
+    assert list(profile_from_json(doc).to_json().items()) == list(doc.items())
+
+
 def test_json_errors():
-    with pytest.raises(DomainError):
-        profile_from_json({"type": "spline"})
-    with pytest.raises(DomainError):
-        profile_from_json({"omega0": 1.0})
-    with pytest.raises(DomainError):
-        profile_from_json({"type": "exp_decay", "omega0": 1.0})
-    with pytest.raises(DomainError):
-        profile_from_json({"type": "expression"})
-    with pytest.raises(DomainError):
-        profile_from_json([1, 2])
+    cases = [
+        ({"type": "spline"}, "unknown profile type 'spline'"),
+        # a non-string or unhashable type is unknown, not a TypeError
+        ({"type": ["constant"]}, "unknown profile type ['constant']"),
+        ({"type": None}, "unknown profile type None"),
+        ({"type": {"constant": 1}}, "unknown profile type {'constant': 1}"),
+        ({"omega0": 1.0}, "profile config must be a dict with a 'type' key"),
+        ([1, 2], "profile config must be a dict with a 'type' key"),
+        ({"type": "exp_decay", "omega0": 1.0}, "bad fields for profile type 'exp_decay': "),
+        ({"type": "constant", "omega0": 1.0, "x": 2}, "bad fields for profile type 'constant': "),
+        ({"type": "tabulated", "omega2": [1.0, 2.0]}, "missing field for profile type 'tabulated': 't'"),
+        ({"type": "expression"}, "missing field for profile type 'expression': 'expr'"),
+    ]
+    for data, message in cases:
+        with pytest.raises(DomainError) as exc:
+            profile_from_json(data)
+        assert str(exc.value).startswith(message)
 
 
 def test_sech_squared_far_from_well():

@@ -1,8 +1,10 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles
 from tdho.classical import (FundamentalPair, SolutionCurve, closed_form,
@@ -13,6 +15,8 @@ from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
                                FrequencyProfile, JumpEvent, SechSquared)
 from tdho.kernel import (compute_W, kernel, kernel_batch, kernel_eq17,
                          kernel_robust, schrodinger_residual)
+
+kernel_module = importlib.import_module("tdho.kernel")  # tdho.kernel is also a function
 
 ONE = SolutionCurve(f=lambda t: 1.0, fdot=lambda t: 0.0, label="1")
 COS = SolutionCurve(f=np.cos, fdot=lambda t: -np.sin(t), label="cos")
@@ -32,6 +36,30 @@ def test_quadrature_detects_caustic():
     assert exc.value.t_zero == pytest.approx(math.pi / 2.0, abs=1e-9)
     with pytest.raises(DomainError):
         compute_W(ONE.f, 1.0, 1.0)
+
+
+# the scan without a profile samples np.linspace(0, 9.99, 1000): nodes k/100
+_NODE = np.linspace(0.0, 9.99, 1000)[300]
+
+
+@pytest.mark.parametrize("f, want", [
+    (np.cos, math.pi / 2.0),                                   # two sign flips
+    (lambda t: (t - _NODE) * (t - 5.555), _NODE),              # an exact zero on a node, then a flip
+    (lambda t: (t - 2.345) * (t - _NODE), 2.345),              # a flip, then an exact zero on a node
+    (lambda t: (t - _NODE - 1e-12) * (t - 5.555), _NODE),      # a grazing node just before a flip
+], ids=["two-flips", "node-then-flip", "flip-then-node", "grazing-then-flip"])
+def test_quadrature_refuses_at_the_earliest_zero(monkeypatch, f, want):
+    calls = []
+
+    def counting_brentq(*args, **kw):
+        calls.append(args[1:3])
+        return brentq(*args, **kw)
+
+    monkeypatch.setattr(kernel_module, "brentq", counting_brentq)
+    with pytest.raises(CausticInWindow) as exc:
+        compute_W(f, 0.0, 9.99)
+    assert exc.value.t_zero == pytest.approx(want, abs=1e-12)
+    assert len(calls) <= 1
 
 
 def test_quadrature_refuses_an_unconverged_W():
