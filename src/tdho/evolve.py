@@ -24,7 +24,9 @@ anyway (GridTooNarrow enforces it), so the missing corrections act on
 amplitudes below 1e-8.
 
 crank_nicolson marches i dpsi/dt = H(t) psi directly (unitary, O(dt^2),
-Dirichlet walls); time_sliced_oracle applies the short-time kernel composition
+Dirichlet walls), one LAPACK gtsv tridiagonal solve per step; the
+off-diagonals are built once per segment and the diagonals again only when
+omega^2 changes.  time_sliced_oracle applies the short-time kernel composition
 that defines the path integral, with O(1/n) convergence.  The three routes
 share no mechanism, which is the point: agreement is evidence.
 """
@@ -39,10 +41,12 @@ from typing import Callable
 
 import numpy as np
 from scipy import fft
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
+from scipy.linalg import solve_banded  # noqa: F401  unused here; bench/tracing.py patches it (ROADMAP item 4)
 
 from .classical import solve_fundamental
-from .errors import DomainError, GridMismatch, GridTooNarrow, StabilityWarning
+from .errors import (DomainError, GridMismatch, GridTooNarrow, StabilityWarning,
+                     StepFailure)
 from .freq_profile import FrequencyProfile
 from .kernel import endpoint
 
@@ -218,42 +222,55 @@ def _cn_segment(psi: np.ndarray, q: np.ndarray, lo: float, hi: float,
                 warned: list) -> np.ndarray:
     n_steps = max(1, math.ceil((hi - lo) / dt))
     step = (hi - lo) / n_steps
-    n = q.size
     dq2 = (q[1] - q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
     kin = 1.0 / (mu * dq2)
 
     half = 0.5j * step
     hop = half * off
-    ab = np.zeros((3, n), dtype=complex)
+    # I + i(step/2)H in solve_banded's layout: rows hold the super-, main and
+    # sub-diagonal.  The off-diagonals are fixed for the segment; their zeros
+    # decouple the Dirichlet walls exactly
+    ab = np.zeros((3, q.size), dtype=complex)
     ab[0, 1:] = hop
     ab[2, :-1] = hop
-    ab[0, 1] = ab[2, n - 2] = 0.0  # decouple the Dirichlet walls exactly
+    ab[0, 1] = ab[2, -2] = 0.0
+    # gtsv, the routine solve_banded picks for a (1, 1) band, factors its
+    # input in place: each step factors a copy, made into one buffer (fresh
+    # buffers cost page faults on every step at large n)
+    lu = np.empty_like(ab)
+    gtsv, = get_lapack_funcs(("gtsv",), (ab,))
 
     t = lo
     q2 = q ** 2
     qmax2 = float(np.max(q2))
+    w2_prev = None
     for _ in range(n_steps):
         w2 = omega2(t + 0.5 * step)
-        if not math.isfinite(w2):
-            raise DomainError(f"omega^2 is {w2} at t={t + 0.5 * step!r}")
-        h_diag = kin + 0.5 * mu * w2 * q2
-        # the scheme is unconditionally stable; warn when the potential phase
-        # per step is order one, since accuracy is gone well before stability
-        if not warned and step * abs(w2) * qmax2 > 1.0:
-            warnings.warn(StabilityWarning(
-                "time step does not resolve the potential phase at the grid "
-                "edges; results will be inaccurate (though not unstable)"))
-            warned.append(True)
-        ih = half * h_diag
-        rhs = (1.0 - ih) * psi
+        if w2 != w2_prev:  # the diagonals change only with omega^2
+            if not math.isfinite(w2):
+                raise DomainError(f"omega^2 is {w2} at t={t + 0.5 * step!r}")
+            # the scheme is unconditionally stable; warn when the potential phase
+            # per step is order one, since accuracy is gone well before stability
+            if not warned and step * abs(w2) * qmax2 > 1.0:
+                warnings.warn(StabilityWarning(
+                    "time step does not resolve the potential phase at the grid "
+                    "edges; results will be inaccurate (though not unstable)"))
+                warned.append(True)
+            ih = half * (kin + 0.5 * mu * w2 * q2)
+            explicit = 1.0 - ih
+            ab[1] = 1.0 + ih
+            ab[1, 0] = ab[1, -1] = 1.0  # Dirichlet walls
+            w2_prev = w2
+        rhs = explicit * psi
         rhs[1:] -= hop * psi[:-1]
         rhs[:-1] -= hop * psi[1:]
         rhs[0] = rhs[-1] = 0.0  # Dirichlet walls
-        ab[1, :] = 1.0 + ih
-        ab[1, 0] = ab[1, -1] = 1.0
-        # finiteness is checked above and in crank_nicolson, not per solve
-        psi = solve_banded((1, 1), ab, rhs, overwrite_b=True, check_finite=False)
+        lu[...] = ab
+        psi, info = gtsv(lu[2, :-1], lu[1], lu[0, 1:], rhs, overwrite_dl=True,
+                         overwrite_d=True, overwrite_du=True, overwrite_b=True)[3:]
+        if info:  # I + i(step/2)H with real H is never singular for finite input
+            raise StepFailure(f"tridiagonal solve failed (info={info}) at t={t!r}")
         t += step
     return psi
 

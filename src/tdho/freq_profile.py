@@ -291,6 +291,11 @@ _FAMILIES = {
 _KIND = {cls: kind for kind, cls in _FAMILIES.items()}
 
 
+def _parsed(expr: str, constants: dict | None = None) -> Expression:
+    """The expression family's dict fields: exactly expr and, optionally, constants."""
+    return Expression(omega_expr.parse(expr, constants or {}), source=expr)
+
+
 def profile_from_json(data: dict) -> FrequencyProfile:
     """Build a profile from its dict form.  Inverse of to_json."""
     if not isinstance(data, dict) or "type" not in data:
@@ -304,8 +309,7 @@ def profile_from_json(data: dict) -> FrequencyProfile:
         if cls is Tabulated:
             return Tabulated(np.asarray(extra.pop("t")), np.asarray(extra.pop("omega2")), **extra)
         if cls is Expression:
-            constants = extra.get("constants") or {}
-            return Expression(omega_expr.parse(extra["expr"], constants), source=extra["expr"])
+            return _parsed(extra.pop("expr"), **extra)
         return cls(**extra)
     except TypeError as exc:
         raise DomainError(f"bad fields for profile type {kind!r}: {exc}") from exc

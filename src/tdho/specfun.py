@@ -142,6 +142,12 @@ def _legendre(degree: LegendreDegree, x: float | np.ndarray, derivative: bool):
     bad = xs[~((-1.0 < xs) & (xs <= 1.0))]
     if bad.size:
         raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
+    if xs.ndim == 0:
+        # the same loop on a numpy scalar, not on a one-element array (a
+        # plain float has no live.any())
+        x0 = np.float64(xs)
+        out = (_about_one if x0 > 0.0 else _about_zero)(degree, x0, derivative)
+        return np.asarray(out, dtype=float) if isinstance(x, np.ndarray) else float(out)
     out = np.empty(xs.shape)
     right = xs > 0.0
     out[right] = _about_one(degree, xs[right], derivative)

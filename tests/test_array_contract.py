@@ -89,6 +89,23 @@ def test_legendre_array_equals_points(degree):
     assert legendre_p(degree, np.array([])).shape == (0,)
 
 
+@pytest.mark.parametrize("degree", [LegendreDegree.real(0.3), LegendreDegree.real(-0.7),
+                                    LegendreDegree.real(3.0), LegendreDegree.conical(1.7)],
+                         ids=["real-0.3", "real-neg", "integer", "conical"])
+def test_legendre_float_calls_are_bitwise_one_array_call(degree):
+    # a float runs the series on a numpy scalar; its bits must be those of
+    # the same point inside an array, on both branches and at x = 0, 1, 1e-300
+    x = np.concatenate([np.linspace(-0.99, 1.0, 28), [0.0, 1e-300, -1e-300, 1.0, 0.5]])
+    for fn in (legendre_p, legendre_p_dx):
+        got = fn(degree, x)
+        floats = [fn(degree, float(v)) for v in x]
+        assert all(type(f) is float for f in floats)
+        assert np.array_equal(np.array(floats), got)
+        zero_d = fn(degree, np.array(0.25))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert zero_d == fn(degree, np.array([0.25]))[0]
+
+
 def test_one_bad_point_raises_the_scalar_error():
     t = np.array([0.5, 1.0, -0.25, 2.0, -0.5])
     with pytest.raises(DomainError, match="t=-0.25"):

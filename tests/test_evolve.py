@@ -16,7 +16,8 @@ from tdho.errors import (DomainError, GridMismatch, GridTooNarrow,
 from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
                          crank_nicolson, max_slices, propagate_kernel,
                          time_sliced_oracle, uniform_grid)
-from tdho.freq_profile import Constant, DeltaPulse, FrequencyProfile, SechSquared
+from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
+                               JumpEvent, SechSquared)
 from tdho.kernel import endpoint, kernel_robust
 
 FREE = Constant(0.0)
@@ -355,13 +356,33 @@ def _cn_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
     return psi
 
 
-@pytest.mark.parametrize("profile", [Constant(1.0), DeltaPulse(0.8, 0.5),
-                                     SechSquared(1.0, 1.0, 0.5)],
-                         ids=["constant", "delta-pulse", "sech-squared"])
-def test_cn_is_bit_identical_to_the_step_by_step_march(profile):
-    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 512))
-    out = crank_nicolson(profile, p, 1.0, dt=1e-3)
-    assert np.array_equal(out.psi, _cn_reference(profile, p, 1.0, dt=1e-3))
+class TwoKicks(FrequencyProfile):
+    """Impulses at 0.3004 and 0.55 with a different constant omega^2 on each
+    side, so the three CN segments differ in length, step and diagonals."""
+
+    def omega_squared(self, t):
+        return 1.0 if t < 0.3004 else (0.5 if t < 0.55 else 2.0)
+
+    def jump_events(self, t_a, t_b):
+        super().jump_events(t_a, t_b)
+        return [JumpEvent(t, s) for t, s in ((0.3004, 0.7), (0.55, 1.1)) if t_a < t <= t_b]
+
+
+@pytest.mark.parametrize("profile, n, mu", [
+    (Constant(1.0), 512, 1.0),
+    (DeltaPulse(0.8, 0.5), 512, 1.0),
+    (SechSquared(1.0, 1.0, 0.5), 512, 1.0),
+    (Constant(1.0), 256, 1.0),
+    (DeltaPulse(0.8, 0.5), 1024, 1.0),
+    (DeltaPulse(0.8, 0.5), 512, 0.5),
+    (ExpDecay(1.2, 0.9), 512, 1.0),    # omega^2 changes on every step
+    (TwoKicks(), 512, 1.0),
+], ids=["constant", "delta-pulse", "sech-squared", "constant-n256",
+        "delta-pulse-n1024", "delta-pulse-mu0.5", "exp-decay", "two-kicks"])
+def test_cn_is_bit_identical_to_the_step_by_step_march(profile, n, mu):
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, n))
+    out = crank_nicolson(profile, p, 1.0, mu=mu, dt=1e-3)
+    assert np.array_equal(out.psi, _cn_reference(profile, p, 1.0, mu=mu, dt=1e-3))
 
 
 def test_cn_refuses_non_finite_psi():

@@ -208,6 +208,11 @@ def test_json_errors():
         ({"type": "constant", "omega0": 1.0, "x": 2}, "bad fields for profile type 'constant': "),
         ({"type": "tabulated", "omega2": [1.0, 2.0]}, "missing field for profile type 'tabulated': 't'"),
         ({"type": "expression"}, "missing field for profile type 'expression': 'expr'"),
+        # expression takes exactly expr and constants, like the other families
+        ({"type": "expression", "expr": "2*t", "interp": "cubic"},
+         "bad fields for profile type 'expression': "),
+        ({"type": "expression", "expr": "w*t", "contants": {"w": 2.0}},
+         "bad fields for profile type 'expression': "),
     ]
     for data, message in cases:
         with pytest.raises(DomainError) as exc:
