@@ -5,12 +5,10 @@ classical trajectory problem.  This module solves it:
 
   * solve_fundamental: the fundamental pair u, v with u(t_a)=1, u'(t_a)=0,
     v(t_a)=0, v'(t_a)=1, dense over the window, Wronskian u v' - u' v = 1.
-    One DOP853 solve (8th-order Dormand-Prince) at tol/10 gives both the
-    dense pair and the focal count: the zeros of v are read off the signs of
-    v at the solver's accepted steps.  Delta impulses in omega^2 are
-    first-class events: integration stops at each one and restarts with f'
-    kicked by -strength * f(t0); they are never smeared into the right-hand
-    side.
+    Sixth-order Magnus steps, bisected in whole arrays, give both the dense
+    pair and the focal count: the zeros of v are read off the signs of v at
+    the step ends.  Each delta impulse in omega^2 kicks f' by
+    -strength * f(t0) as a step of its own; it is never smeared into omega^2.
   * closed_form: the catalog of reference solutions for the five analytic
     families.  Two entries (delta_pulse, sech_squared) are quoted reference
     forms that do NOT satisfy the equation for generic parameters; they are
@@ -29,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 
 from . import specfun
 from .errors import DegenerateSolution, DomainError, SolutionMismatch, StepFailure
@@ -65,6 +62,9 @@ class ClosedFormSolution(SolutionCurve):
 
 
 _DEFAULT_NODES = 1001  # focal-count grid of a pair given only a state_fn
+_GAUSS = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])  # Gauss nodes, from a step's midpoint per unit length
+_INITIAL_STEPS = 8     # uniform steps per segment before bisection
+_MAX_STEPS = 1 << 18   # largest mesh solve_fundamental builds
 
 
 class FundamentalPair:
@@ -76,9 +76,6 @@ class FundamentalPair:
     of v; without them a uniform grid of _DEFAULT_NODES times is evaluated
     through state_fn once, on first use.  Instances are immutable after
     construction, apart from such caches, and safe to share between threads.
-    A solve_fundamental pair passes one time, as endpoint() reads it,
-    straight to scipy's OdeSolution single-point call: half the cost of a
-    one-element array.
     """
 
     def __init__(self, t_a: float, t_b: float,
@@ -138,7 +135,7 @@ class FundamentalPair:
         t_end, starting from v > 0 just after t_a (v' = 1 there) and ending
         at v_end.  Exact whenever no node interval holds two zeros: zeros of
         v between impulses lie at least pi / max(omega) apart, and
-        solve_fundamental's steps are far shorter than that.
+        solve_fundamental's node intervals keep omega h <= 1/2.
         """
         ts, vs = self.nodes
         inner = vs[1:np.searchsorted(ts, t_end, side="left")]
@@ -156,78 +153,107 @@ class FundamentalPair:
         return self._drift
 
 
+def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of traceless 2x2 matrices stored as rows (a, b, c) = [[a, b], [c, -a]]."""
+    return np.stack([x[1] * y[2] - y[1] * x[2], 2.0 * (x[0] * y[1] - y[0] * x[1]),
+                     2.0 * (y[0] * x[2] - x[0] * y[2])])
+
+
+def _magnus(profile: FrequencyProfile, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sixth-order Gauss Magnus steps of y' = [[0, 1], [-omega^2, 0]] y from t0 to t1.
+
+    Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009): omega^2 is
+    evaluated at each step's three Gauss nodes, in one array call, and never
+    at its ends.  Returns the step matrices, shape (n, 2, 2), and the largest
+    |omega^2| at each step's nodes.
+    """
+    h = t1 - t0
+    wl, wm, wr = np.broadcast_to(profile.smooth_omega_squared(
+        0.5 * (t0 + t1) + np.multiply.outer(_GAUSS, h)), (3,) + h.shape)
+    zero = np.zeros_like(h)
+    a1 = np.stack([zero, h, -h * wm])
+    a2 = np.stack([zero, zero, -(math.sqrt(15.0) / 3.0) * h * (wr - wl)])
+    a3 = np.stack([zero, zero, -(10.0 / 3.0) * h * (wr - 2.0 * wm + wl)])
+    c1 = _comm(a1, a2)
+    c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
+    a, b, c = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # Omega is traceless: exp(Omega) = cosh(r) I + (sinh(r) / r) Omega with
+    # r^2 = -det Omega, cos and sin for r^2 < 0; its determinant is 1
+    d = a * a + b * c
+    r = np.sqrt(np.abs(d))
+    ch = np.where(d < 0, np.cos(r), np.cosh(r))
+    sh = np.where(r > 0, np.where(d < 0, np.sin(r), np.sinh(r)) / np.where(r > 0, r, 1.0), 1.0)
+    mats = np.stack([ch + sh * a, sh * b, sh * c, ch - sh * a], axis=-1)
+    return mats.reshape(h.shape + (2, 2)), np.max(np.abs([wl, wm, wr]), axis=0)
+
+
 def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
                       tol: float = 1e-10) -> FundamentalPair:
-    """Integrate the fundamental pair with the adaptive DOP853 scheme.
+    """The fundamental pair on [t_a, t_b] from sixth-order Gauss Magnus steps.
 
-    The solver runs at atol = tol/10, rtol = max(tol/10, 1e-13).  Dense
-    output everywhere in [t_a, t_b]; the integration is split at each jump
-    event, with the impulse kick applied exactly between segments, and at
-    each of the profile's breakpoints.  The accepted steps and v there
-    become the pair's focal-count nodes; v is continuous across kicks, so
-    the segments' nodes simply concatenate.  The right-hand side, called
-    about 500 times per solve, is the one hot caller of the profiles' float
-    path.
+    Each segment between jump events and breakpoints starts from
+    _INITIAL_STEPS uniform steps.  A step is bisected until its one-step and
+    two-half-step matrices differ by at most 63 tol h / (t_b - t_a) in each
+    entry (relative to entries above 1, so roundoff in omega-sized entries
+    passes), which bounds its halves' error by tol h / (t_b - t_a), and
+    omega h <= 1, so that no step holds two zeros of v; it then contributes
+    its two halves.  A kick [[1, 0], [-strength, 1]] is a zero-length step.
+    One prefix product gives the state at the step ends, the pair's nodes;
+    between them the state is a partial step from the node before.  Raises
+    StepFailure when the mesh would pass _MAX_STEPS steps.
     """
     if not (t_b > t_a):
         raise DomainError(f"need t_b > t_a, got [{t_a}, {t_b}]")
     if not (tol > 0):
         raise DomainError(f"tol must be positive, got {tol}")
 
-    events = profile.jump_events(t_a, t_b)
-    interior = sorted({e.time for e in events if e.time < t_b})
-    strength = {e.time: e.strength for e in events}
-    boundaries = sorted({t_a, t_b, *interior, *profile.breakpoints(t_a, t_b)})
-
-    def make_rhs(hi: float, step_at_hi: bool):
-        # the theta-step attached to an event belongs to [t0, inf); stage
-        # evaluations at the segment's right end must see the left limit
-        def rhs(t, y):
-            tt = t
-            if step_at_hi and t >= hi:
-                tt = math.nextafter(hi, -math.inf)
-            w2 = profile.smooth_omega_squared(tt)
-            return (y[1], -w2 * y[0], y[3], -w2 * y[2])
-        return rhs
-
-    y = np.array([1.0, 0.0, 0.0, 1.0])
-    segments = []  # one OdeSolution per segment
-    node_t, node_v = [], []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        sol = solve_ivp(make_rhs(hi, hi in strength), (lo, hi), y,
-                        method="DOP853", dense_output=True,
-                        rtol=max(0.1 * tol, 1e-13), atol=0.1 * tol)
-        if not sol.success:
-            raise StepFailure(f"integration failed on [{lo}, {hi}]: {sol.message}")
-        segments.append(sol.sol)
-        node_t.append(sol.t)
-        node_v.append(sol.y[2])
-        y = sol.y[:, -1].copy()
-        if hi in strength:  # impulse at the segment end: kick the derivatives
-            s = strength[hi]
-            y[1] -= s * y[0]
-            y[3] -= s * y[2]
-
-    # an impulse exactly at t_b only alters the terminal derivatives
-    terminal = y if t_b in strength else None
-    # all segments' steps in one OdeSolution; alt_segment takes the step that
-    # starts at a node, so derivatives are right-continuous at kicks
-    dense = OdeSolution(np.concatenate([seg.ts[:-1] for seg in segments] + [[t_b]]),
-                        [step for seg in segments for step in seg.interpolants],
-                        alt_segment=True)
+    kicks = {e.time: e.strength for e in profile.jump_events(t_a, t_b)}
+    boundaries = sorted({t_a, t_b, *kicks, *profile.breakpoints(t_a, t_b)})
+    edges = [np.linspace(lo, hi, _INITIAL_STEPS + 1) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
+    t0, t1 = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    budget = 63.0 * tol / (t_b - t_a)
+    times = np.array(sorted(kicks))
+    steps = [(times, times, np.array([[[1.0, 0.0], [-kicks[k], 1.0]] for k in times]).reshape(-1, 2, 2))]
+    n_accepted = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # steps still to be bisected may overflow
+        full = _magnus(profile, t0, t1)[0]
+        while t0.size:
+            h = t1 - t0
+            if n_accepted + 2 * h.size > _MAX_STEPS:
+                raise StepFailure(f"no mesh of at most {_MAX_STEPS} steps meets tol={tol} on "
+                                  f"[{t_a}, {t_b}]; a step near t={float(t0[0])!r} fails")
+            mid = 0.5 * (t0 + t1)
+            halves, w2max = _magnus(profile, np.concatenate([t0, mid]), np.concatenate([mid, t1]))
+            left, right = np.split(halves, 2)
+            err = np.max(np.abs(full - right @ left) / np.maximum(1.0, np.abs(full)), axis=(1, 2))
+            ok = (err <= budget * h) & (h * np.sqrt(np.maximum(*np.split(w2max, 2))) <= 1.0)
+            steps += [(t0[ok], mid[ok], left[ok]), (mid[ok], t1[ok], right[ok])]
+            n_accepted += 2 * np.count_nonzero(ok)
+            t0, t1 = np.concatenate([t0[~ok], mid[~ok]]), np.concatenate([mid[~ok], t1[~ok]])
+            full = np.concatenate([left[~ok], right[~ok]])
+        lo, hi, mats = (np.concatenate(x) for x in zip(*steps))
+        order = np.lexsort((hi, lo))  # a kick precedes the step that starts at its time
+        mats = mats[order]
+        shift = 1
+        while shift < len(mats):  # prefix product: mats[k] becomes step k times ... step 0
+            mats[shift:] = mats[shift:] @ mats[:-shift]
+            shift *= 2
+    if not np.all(np.isfinite(mats)):
+        raise StepFailure(f"the fundamental pair overflows on [{t_a}, {t_b}]")
+    node_t = np.concatenate([[t_a], hi[order]])
+    node_y = np.concatenate([np.eye(2)[None], mats])
 
     def state_fn(t_arr: np.ndarray) -> np.ndarray:
-        if t_arr.size == 0:  # OdeSolution cannot evaluate an empty array
-            return np.empty((4,) + t_arr.shape)
-        # a 0-d time takes OdeSolution's own single-point call
-        out = dense(t_arr) if t_arr.ndim == 0 else dense(t_arr.ravel()).reshape((4,) + t_arr.shape)
-        if terminal is not None:
-            out[..., t_arr == t_b] = terminal[:, None]
-        return out
+        t = np.clip(t_arr.ravel(), t_a, t_b)
+        # side="right": the state after a kick at that very time, and at t_b
+        k = np.searchsorted(node_t, t, side="right") - 1
+        y = node_y[k]
+        part = t > node_t[k]
+        if np.any(part):
+            y[part] = _magnus(profile, node_t[k[part]], t[part])[0] @ y[part]
+        return np.stack([y[:, 0, 0], y[:, 1, 0], y[:, 0, 1], y[:, 1, 1]]).reshape((4,) + t_arr.shape)
 
-    return FundamentalPair(t_a, t_b, state_fn,
-                           tuple(interior + ([t_b] if terminal is not None else [])),
-                           (np.concatenate(node_t), np.concatenate(node_v)))
+    return FundamentalPair(t_a, t_b, state_fn, tuple(sorted(kicks)), (node_t, node_y[:, 0, 1]))
 
 
 def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:

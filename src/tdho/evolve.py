@@ -218,7 +218,7 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
 
 
 def _cn_segment(psi: np.ndarray, q: np.ndarray, lo: float, hi: float,
-                omega2: Callable[[float], float], mu: float, dt: float,
+                omega2: Callable[[np.ndarray], np.ndarray], mu: float, dt: float,
                 warned: list) -> np.ndarray:
     n_steps = max(1, math.ceil((hi - lo) / dt))
     step = (hi - lo) / n_steps
@@ -241,22 +241,25 @@ def _cn_segment(psi: np.ndarray, q: np.ndarray, lo: float, hi: float,
     lu = np.empty_like(ab)
     gtsv, = get_lapack_funcs(("gtsv",), (ab,))
 
-    t = lo
+    # the step start times summed as the march sums them, t += step, so that
+    # omega^2 takes one array call at the same midpoints
+    t = np.add.accumulate(np.concatenate(([lo], np.full(n_steps - 1, step))))
+    mids = t + 0.5 * step
+    w2s = np.broadcast_to(omega2(mids), mids.shape)
+    bad = ~np.isfinite(w2s)
+    if np.any(bad):
+        raise DomainError(f"omega^2 is {float(w2s[bad][0])} at t={float(mids[bad][0])!r}")
     q2 = q ** 2
-    qmax2 = float(np.max(q2))
+    # the scheme is unconditionally stable; warn when the potential phase
+    # per step is order one, since accuracy is gone well before stability
+    if not warned and step * float(np.max(np.abs(w2s))) * float(np.max(q2)) > 1.0:
+        warnings.warn(StabilityWarning(
+            "time step does not resolve the potential phase at the grid "
+            "edges; results will be inaccurate (though not unstable)"))
+        warned.append(True)
     w2_prev = None
-    for _ in range(n_steps):
-        w2 = omega2(t + 0.5 * step)
+    for k, w2 in enumerate(w2s):
         if w2 != w2_prev:  # the diagonals change only with omega^2
-            if not math.isfinite(w2):
-                raise DomainError(f"omega^2 is {w2} at t={t + 0.5 * step!r}")
-            # the scheme is unconditionally stable; warn when the potential phase
-            # per step is order one, since accuracy is gone well before stability
-            if not warned and step * abs(w2) * qmax2 > 1.0:
-                warnings.warn(StabilityWarning(
-                    "time step does not resolve the potential phase at the grid "
-                    "edges; results will be inaccurate (though not unstable)"))
-                warned.append(True)
             ih = half * (kin + 0.5 * mu * w2 * q2)
             explicit = 1.0 - ih
             ab[1] = 1.0 + ih
@@ -270,8 +273,7 @@ def _cn_segment(psi: np.ndarray, q: np.ndarray, lo: float, hi: float,
         psi, info = gtsv(lu[2, :-1], lu[1], lu[0, 1:], rhs, overwrite_dl=True,
                          overwrite_d=True, overwrite_du=True, overwrite_b=True)[3:]
         if info:  # I + i(step/2)H with real H is never singular for finite input
-            raise StepFailure(f"tridiagonal solve failed (info={info}) at t={t!r}")
-        t += step
+            raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[k])!r}")
     return psi
 
 
@@ -363,12 +365,14 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
         j = max(1, math.ceil((e.time - packet.t) / eps - 1e-12))
         impulse_slice[j] = impulse_slice.get(j, 0.0) + e.strength
 
+    # omega^2 at every slice's right edge t_j, in one call
+    w2s = np.broadcast_to(profile.smooth_omega_squared(packet.t + np.arange(1, n_slices + 1) * eps),
+                          (n_slices,))
     psi = packet.psi
     for j in range(1, n_slices + 1):
-        t_j = packet.t + j * eps
         conv = fft.ifft(fft.fft(psi, m) * kern_hat)
         psi = conv[n - 1:2 * n - 1]
-        psi = psi * np.exp(-0.5j * eps * mu * profile.smooth_omega_squared(t_j) * q ** 2)
+        psi = psi * np.exp(-0.5j * eps * mu * w2s[j - 1] * q ** 2)
         if j in impulse_slice:
             psi = psi * np.exp(-0.5j * mu * impulse_slice[j] * q ** 2)
     return WavePacket(q=q, psi=psi, t=t_b)

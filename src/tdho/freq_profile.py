@@ -53,12 +53,12 @@ class FrequencyProfile:
     """Base class; concrete profiles implement omega_squared.
 
     omega_squared and smooth_omega_squared take a float or an ndarray of
-    times and return a float or an array of t's shape.  A float stays on
-    math functions and plain comparisons, chosen by one isinstance(t, float)
-    test: the classical solver's right-hand side, about 500 calls with one
-    time per solve, is its one hot caller (the zero scan and W quadrature
-    pass arrays).  An array with one bad time raises the same typed error
-    as that time alone, naming it.
+    times and return a numpy float or an array of t's shape.  Both go
+    through the same numpy calls, so a float's value equals that time's
+    entry in an array.  The solvers pass arrays: the classical solver's
+    Gauss nodes, the zero scan, the W quadrature and the grid routes' step
+    times.  An array with one bad time raises the same typed error as that
+    time alone, naming it.
     """
 
     def omega_squared(self, t: Times) -> Times:
@@ -81,8 +81,8 @@ class FrequencyProfile:
         """Times in the open window (t_a, t_b) where omega^2 is continuous
         but not smooth, such as the knots of a tabulated profile.
 
-        The classical solver restarts there: its high-order error estimate
-        assumes a smooth right-hand side within each step.
+        The classical solver starts a segment there: its sixth-order error
+        estimate assumes omega^2 smooth within each step.
         """
         return []
 
@@ -101,8 +101,7 @@ class Constant(FrequencyProfile):
             raise DomainError(f"omega0 must be finite and >= 0, got {self.omega0}")
 
     def omega_squared(self, t: Times) -> Times:
-        w2 = self.omega0 ** 2
-        return w2 if isinstance(t, float) else np.full(np.shape(t), w2)
+        return np.full(np.shape(t), self.omega0 ** 2)[()]
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,7 @@ class ExpDecay(FrequencyProfile):
             raise DomainError(f"omega0 must be finite and >= 0, got {self.omega0}")
 
     def omega_squared(self, t: Times) -> Times:
-        exp = math.exp if isinstance(t, float) else np.exp
-        return self.omega0 ** 2 * exp(-self.alpha * t)
+        return self.omega0 ** 2 * np.exp(-self.alpha * t)
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,11 @@ class PowerLaw(FrequencyProfile):
 
     def omega_squared(self, t: Times) -> Times:
         outside = (t < 0) | ((t == 0) & (self.beta < 0))
-        if outside if isinstance(t, float) else np.any(outside):
+        if np.any(outside):
             raise DomainError("power-law profile needs t >= 0 (t > 0 for beta < 0), "
-                              f"got t={_first(t, outside)}")
+                              f"got t={float(np.asarray(t)[outside][0])}")
         c = self.omega0 * self.alpha ** self.beta
-        return c * c * t ** self.beta
+        return c * c * np.power(t, self.beta)
 
 
 @dataclass(frozen=True)
@@ -164,15 +162,12 @@ class DeltaPulse(FrequencyProfile):
             raise DomainError(f"t0 must be finite, got {self.t0}")
 
     def omega_squared(self, t: Times) -> Times:
-        hit = t == self.t0 if isinstance(t, float) else np.any(t == self.t0)
-        if hit and self.omega0 != 0.0:
+        if np.any(t == self.t0) and self.omega0 != 0.0:
             raise EvalAtImpulse(self.t0)
         return self.smooth_omega_squared(t)
 
     def smooth_omega_squared(self, t: Times) -> Times:
-        if isinstance(t, float):
-            return self.omega0 ** 4 if t >= self.t0 else 0.0
-        return np.where(t >= self.t0, self.omega0 ** 4, 0.0)
+        return np.where(t >= self.t0, self.omega0 ** 4, 0.0)[()]
 
     def jump_events(self, t_a: float, t_b: float) -> list[JumpEvent]:
         super().jump_events(t_a, t_b)
@@ -194,12 +189,7 @@ class SechSquared(FrequencyProfile):
                 raise DomainError(f"{name} must be finite")
 
     def omega_squared(self, t: Times) -> Times:
-        # sech via exp(-|x|) to avoid cosh overflow far from the well
-        exp = math.exp if isinstance(t, float) else np.exp
-        x = self.beta * (t - self.t0)
-        e = exp(-abs(x))
-        sech = 2.0 * e / (1.0 + e * e)
-        return self.alpha ** 2 * sech ** 2
+        return self.alpha ** 2 * omega_expr.sech(self.beta * (t - self.t0)) ** 2
 
 
 @dataclass
@@ -235,10 +225,10 @@ class Tabulated(FrequencyProfile):
 
     def omega_squared(self, t: Times) -> Times:
         outside = (t < self.t[0]) | (t > self.t[-1])
-        if outside if isinstance(t, float) else np.any(outside):
-            raise DomainError(f"t={_first(t, outside)} outside tabulated range [{self.t[0]}, {self.t[-1]}]")
+        if np.any(outside):
+            raise DomainError(f"t={float(np.asarray(t)[outside][0])} outside tabulated range [{self.t[0]}, {self.t[-1]}]")
         value = self._spline(t) if self._spline is not None else np.interp(t, self.t, self.omega2)
-        return float(value) if isinstance(t, float) else value
+        return value[()]
 
     def breakpoints(self, t_a: float, t_b: float) -> list[float]:
         return [float(k) for k in self.t if t_a < k < t_b]
@@ -268,11 +258,6 @@ class Expression(FrequencyProfile):
 
     def to_json(self) -> dict:
         return {"type": _KIND[type(self)], "expr": omega_expr.to_string(self.node)}
-
-
-def _first(t: Times, outside) -> float:
-    """The first time that outside flags: t itself for a float, else the first masked entry."""
-    return t if isinstance(t, float) else float(np.asarray(t)[outside][0])
 
 
 def omega_squared_at(profile: FrequencyProfile, t: Times) -> Times:

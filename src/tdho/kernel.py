@@ -185,8 +185,8 @@ def endpoint(pair: FundamentalPair, mu: float = 1.0,
 
     n_focal is the number of focal points strictly inside (t_a, t_end).  The
     count is exact: it is read from the signs of v at the classical solver's
-    accepted steps (FundamentalPair.focal_count), whose length stays well
-    below the spacing of the zeros.
+    step ends (FundamentalPair.focal_count), whose spacing stays well below
+    that of the zeros.
     """
     if mu <= 0:
         raise DomainError(f"mu must be positive, got {mu}")

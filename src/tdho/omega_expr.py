@@ -17,7 +17,6 @@ round trip.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -218,78 +217,54 @@ def parse(src: str, constants: dict[str, float] | None = None) -> ExprNode:
     return node
 
 
-def _sech(x):
-    # 1/cosh without overflow for large |x|
-    e = (math.exp if isinstance(x, float) else np.exp)(-abs(x))
+def sech(x):
+    """1/cosh(x) without overflow for large |x|."""
+    e = np.exp(-np.abs(x))
     return 2.0 * e / (1.0 + e * e)
 
 
-# the functions callable in an expression, plus "pow" for ^, for a float t
-# and for an array of times
-_FLOAT_FN = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-    "sqrt": math.sqrt, "tanh": math.tanh, "cosh": math.cosh, "sech": _sech,
-    "abs": abs, "pow": math.pow,
-}
-_ARRAY_FN = {
+# the functions callable in an expression, and the binary operators
+_FN = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-    "sqrt": np.sqrt, "tanh": np.tanh, "cosh": np.cosh, "sech": _sech,
+    "sqrt": np.sqrt, "tanh": np.tanh, "cosh": np.cosh, "sech": sech,
     "abs": np.abs, "pow": np.power,
 }
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
 def evaluate(node: ExprNode, t: float | np.ndarray) -> float | np.ndarray:
     """Evaluate node at time t, a float or an ndarray of times.
 
-    An array gives an array of t's shape, a constant expression included.
-    Raises NonFiniteError on inf/nan/domain faults; for an array it names
-    the first faulting time, as evaluating that time alone would.
+    A float gives a numpy float, an array an array of t's shape, a constant
+    expression included.  Raises NonFiniteError when any operation gives
+    inf or nan (a division by zero, an overflow, a domain fault), naming the
+    first time at which one does.
     """
-    if not isinstance(t, float):
-        t = np.asarray(t, dtype=float)
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                value = _eval(node, t)
-            if np.all(np.isfinite(value)):
-                return np.broadcast_to(value, t.shape).astype(float)
-        except (ArithmeticError, ValueError):
-            pass
-        # some time faults: evaluating each one alone raises for the first
-        return np.array([evaluate(node, float(x)) for x in t.flat]).reshape(t.shape)
-    try:
-        value = _eval(node, t)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteError(t, str(exc)) from exc
-    if not math.isfinite(value):
-        raise NonFiniteError(t, f"result {value!r}")
-    return value
+    t = np.asarray(t, dtype=float)
+    faults = np.zeros(t.shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = np.broadcast_to(_eval(node, t, faults), t.shape).astype(float)
+    if np.any(faults):
+        raise NonFiniteError(float(t.flat[np.argmax(faults)]), "an operation gave inf or nan")
+    return value[()]
 
 
-def _eval(node: ExprNode, t: float | np.ndarray):
+def _eval(node: ExprNode, t: np.ndarray, faults: np.ndarray):
+    """node's value at t; sets faults wherever an operation gives inf or nan."""
     if isinstance(node, Num):
-        return node.value
+        return np.float64(node.value)
     if isinstance(node, TimeVar):
         return t
     if isinstance(node, Neg):
-        return -_eval(node.child, t)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, t)
-        b = _eval(node.right, t)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return (_FLOAT_FN if isinstance(t, float) else _ARRAY_FN)["pow"](a, b)
-    if isinstance(node, Call):
-        fn = _FLOAT_FN if isinstance(t, float) else _ARRAY_FN
-        if node.func == "pow":
-            return fn["pow"](_eval(node.args[0], t), _eval(node.args[1], t))
-        return fn[node.func](_eval(node.args[0], t))
-    raise TypeError(f"not an ExprNode: {node!r}")
+        value = -_eval(node.child, t, faults)
+    elif isinstance(node, BinOp):
+        value = _OPS[node.op](_eval(node.left, t, faults), _eval(node.right, t, faults))
+    elif isinstance(node, Call):
+        value = _FN[node.func](*(_eval(arg, t, faults) for arg in node.args))
+    else:
+        raise TypeError(f"not an ExprNode: {node!r}")
+    faults |= ~np.isfinite(value)
+    return value
 
 
 # printing precedence; atoms sit above everything

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from tdho.classical import (
     FundamentalPair, SolutionCurve, closed_form, pair_from_solution,
     solve_fundamental, spot_check_solution, verify_solution,
 )
-from tdho.errors import DegenerateSolution, DomainError, SolutionMismatch
+from tdho.errors import DegenerateSolution, DomainError, SolutionMismatch, StepFailure
 from tdho.freq_profile import (
     Constant, DeltaPulse, ExpDecay, Expression, FrequencyProfile, JumpEvent,
     PowerLaw, SechSquared, Tabulated,
@@ -90,6 +92,46 @@ def test_state_on_a_2d_array_equals_scalar_calls():
     assert got[1, 0, 1] == pytest.approx(-math.sin(0.4), abs=1e-8)
     np.testing.assert_allclose(got[[1, 3], 0, 2] - got[[1, 3], 1, 2],
                                -1.3 * got[[0, 2], 0, 2], atol=1e-8)
+
+
+EXACT_SOLUTIONS = {
+    # omega^2 = -1: cosh t + 2 sinh t, so both u and v enter
+    "negative-omega2": (Expression("-1"), 0.0, 2.0,
+                        SolutionCurve(lambda t: np.cosh(t) + 2.0 * np.sinh(t),
+                                      lambda t: np.sinh(t) + 2.0 * np.cosh(t))),
+    # omega T = 1000, about 160 periods: cos + sin of 1000 t
+    "high-frequency": (Constant(1000.0), 0.0, 1.0,
+                       SolutionCurve(lambda t: np.cos(1e3 * t) + np.sin(1e3 * t),
+                                     lambda t: 1e3 * (np.cos(1e3 * t) - np.sin(1e3 * t)))),
+    # omega = 1e4: roundoff in the omega-sized matrix entries is above the
+    # absolute per-step budget, so the step test must be relative there
+    "very-high-frequency": (Constant(1e4), 0.0, 1.0,
+                            SolutionCurve(lambda t: np.cos(1e4 * t), lambda t: -1e4 * np.sin(1e4 * t))),
+    # beta < 0: omega^2 = 0.64 / t diverges at t = 0, just left of the window
+    "power-law-singular": (PowerLaw(0.8, 1.0, -1.0), 0.01, 2.0, closed_form(PowerLaw(0.8, 1.0, -1.0))),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_SOLUTIONS)
+def test_pair_reproduces_exact_solution(name):
+    profile, t_a, t_b, exact = EXACT_SOLUTIONS[name]
+    curve = solve_fundamental(profile, t_a, t_b).combination(float(exact.f(t_a)), float(exact.fdot(t_a)))
+    ts = np.linspace(t_a, t_b, 13)  # node times and times between nodes
+    for got, want in ((curve.f(ts), exact.f(ts)), (curve.fdot(ts), exact.fdot(ts))):
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("expr", ["1/(t-0.5)^2", "sin(1/(t-0.5))/(t-0.5)^4"])
+def test_singular_profile_fails_within_a_bounded_mesh(expr):
+    # omega diverges at t = 0.5, so no mesh keeps omega h <= 1 there; the
+    # solver must give up quickly, not bisect until memory runs out
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(StepFailure, match="t=0.5"):
+        solve_fundamental(Expression(expr), 0.0, 1.0)
+    elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 10.0 and peak < 200e6, (elapsed, peak)
 
 
 def test_time_translation_covariance_for_autonomous_profile():

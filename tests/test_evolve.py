@@ -361,7 +361,7 @@ class TwoKicks(FrequencyProfile):
     side, so the three CN segments differ in length, step and diagonals."""
 
     def omega_squared(self, t):
-        return 1.0 if t < 0.3004 else (0.5 if t < 0.55 else 2.0)
+        return np.select([t < 0.3004, t < 0.55], [1.0, 0.5], 2.0)[()]
 
     def jump_events(self, t_a, t_b):
         super().jump_events(t_a, t_b)
@@ -400,7 +400,7 @@ class NanAfter(FrequencyProfile):
         self.t_bad = t_bad
 
     def omega_squared(self, t):
-        return 1.0 if t < self.t_bad else math.nan
+        return np.where(t < self.t_bad, 1.0, math.nan)[()]
 
 
 def test_cn_refuses_non_finite_omega_squared():

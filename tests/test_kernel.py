@@ -195,6 +195,15 @@ def test_caustic_at_endpoint_refuses():
     assert math.isfinite(kv.modulus)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_focal_endpoint_refuses_at_the_default_tol(k):
+    # T = k pi is a focal time of omega = 1; the solve must put v_b at
+    # roundoff there, below the singularity threshold, not at ~1e-11
+    with pytest.raises(CausticAtEndpoint) as exc:
+        kernel(Constant(1.0), 0.0, k * math.pi, 0.3, -0.2)
+    assert abs(exc.value.v_b) < 1e-15
+
+
 def test_kernel_at_window_start_is_a_caustic():
     # v(t_a) = 0: the kernel there is delta(q_b - q_a), not a finite value
     pair = solve_fundamental(Constant(1.0), 0.0, 1.0)
