@@ -50,7 +50,8 @@ class JumpEvent:
 
 
 class FrequencyProfile:
-    """Base class; concrete profiles implement omega_squared.
+    """Base class; concrete profiles implement omega_squared, and _smooth
+    when they carry delta terms.
 
     omega_squared and smooth_omega_squared take a float or an ndarray of
     times and return a numpy float or an array of t's shape.  Both go
@@ -69,7 +70,18 @@ class FrequencyProfile:
 
         Solvers integrate this between impulses and apply the impulses
         separately, so unlike omega_squared it is defined at impulse times.
+        Every solver reads omega^2 through here, so here it is refused when
+        not finite: DomainError names the first such time.
         """
+        value = self._smooth(t)
+        if not np.isfinite(value).all():
+            t_all, value = np.broadcast_arrays(t, value)
+            bad = ~np.isfinite(value)
+            raise DomainError(f"omega^2 is {float(value[bad][0])} at t={float(t_all[bad][0])!r}")
+        return value
+
+    def _smooth(self, t: Times) -> Times:
+        """smooth_omega_squared before its finiteness check."""
         return self.omega_squared(t)
 
     def jump_events(self, t_a: float, t_b: float) -> list[JumpEvent]:
@@ -166,7 +178,7 @@ class DeltaPulse(FrequencyProfile):
             raise EvalAtImpulse(self.t0)
         return self.smooth_omega_squared(t)
 
-    def smooth_omega_squared(self, t: Times) -> Times:
+    def _smooth(self, t: Times) -> Times:
         return np.where(t >= self.t0, self.omega0 ** 4, 0.0)[()]
 
     def jump_events(self, t_a: float, t_b: float) -> list[JumpEvent]:

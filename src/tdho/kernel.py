@@ -154,7 +154,7 @@ def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
     (SolutionMismatch otherwise).  A zero of sol in the window raises
     CausticInWindow; use kernel_robust to cross a focal point.
     """
-    if mu <= 0:
+    if not (mu > 0):
         raise DomainError(f"mu must be positive, got {mu}")
     if check:
         spot_check_solution(profile, sol, t_a, t_b, rel_tol=1e-3)
@@ -188,7 +188,7 @@ def endpoint(pair: FundamentalPair, mu: float = 1.0,
     step ends (FundamentalPair.focal_count), whose spacing stays well below
     that of the zeros.
     """
-    if mu <= 0:
+    if not (mu > 0):
         raise DomainError(f"mu must be positive, got {mu}")
     tb = pair.t_b if t_end is None else float(t_end)
     u_b, ud_b, v_b, vd_b = (float(x) for x in pair.state(tb))

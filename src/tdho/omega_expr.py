@@ -1,13 +1,15 @@
 """Parser and evaluator for omega^2(t) expressions.
 
-Small arithmetic language over one free variable t.  Grammar, in decreasing
-binding strength:
+Small arithmetic language over one free variable t.  Atoms are finite
+number literals, t, named constants, f(expr, ...) calls of the functions in
+FUNCTIONS, and (expr).  The operators and their binding strengths are the
+table _PREC, which both parse and to_string read:
 
-    atoms:  numbers, t, named constants, f(expr), (expr)
-    ^       right-associative
-    - x     unary minus (binds looser than ^, so -t^2 is -(t^2))
-    * /
-    + -
+    + -     1   left-associative
+    * /     2   left-associative
+    - x     3   unary minus, so -t^2 is -(t^2) and -2*t is (-2)*t
+    ^       4   right-associative; its right operand may start with a
+                minus, so t^-2 and 2^-3^2 parse
 
 Named constants are inlined as number literals at parse time, so an ExprNode
 never refers to anything except t.  Unary minus applied to a number literal is
@@ -17,6 +19,7 @@ round trip.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -58,164 +61,6 @@ class Call:
 
 ExprNode = Union[Num, TimeVar, Neg, BinOp, Call]
 
-# arity of every callable; pow is the only binary one (x^y is usually written
-# with the operator, pow(x,y) exists for generated configs)
-FUNCTIONS = {
-    "sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1,
-    "tanh": 1, "cosh": 1, "sech": 1, "abs": 1, "pow": 2,
-}
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_]\w*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
-
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            # skip over any trailing whitespace before complaining
-            stripped = src[pos:].lstrip()
-            at = len(src) - len(stripped)
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(src)))
-    return tokens
-
-
-def _neg(node: ExprNode) -> ExprNode:
-    # fold -literal so that printed negative numbers reparse to the same tree
-    if isinstance(node, Num):
-        return Num(-node.value)
-    return Neg(node)
-
-
-class _Parser:
-    def __init__(self, src: str, constants: dict[str, float]):
-        self.src = src
-        self.constants = constants
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"unexpected {text!r}" if kind != "end" else "unexpected end of input",
-                             pos, expected=repr(op))
-        return self.next()
-
-    # additive level (+ -), then multiplicative (* /), then unary, then power
-    def parse_sum(self) -> ExprNode:
-        node = self.parse_product()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                node = BinOp(text, node, self.parse_product())
-            else:
-                return node
-
-    def parse_product(self) -> ExprNode:
-        node = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                node = BinOp(text, node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self) -> ExprNode:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
-            return _neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> ExprNode:
-        base = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            # right-assoc, and the exponent may carry a unary minus: t^-2
-            return BinOp("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> ExprNode:
-        kind, text, pos = self.next()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "op" and text == "(":
-            node = self.parse_sum()
-            self.expect_op(")")
-            return node
-        if kind == "ident":
-            if text in FUNCTIONS:
-                nk, nt, npos = self.peek()
-                if nk == "op" and nt == "(":
-                    return self.parse_call(text, pos)
-                raise ParseError(f"function {text!r} must be called", npos, expected="'('")
-            if text == "t":
-                return TimeVar()
-            if text in self.constants:
-                return Num(float(self.constants[text]))
-            raise UnknownIdentifierError(text, pos)
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos, expected="an operand")
-        raise ParseError(f"unexpected {text!r}", pos, expected="an operand")
-
-    def parse_call(self, func: str, pos: int) -> ExprNode:
-        self.expect_op("(")
-        args = [self.parse_sum()]
-        while True:
-            kind, text, p = self.peek()
-            if kind == "op" and text == ",":
-                self.next()
-                args.append(self.parse_sum())
-            else:
-                break
-        self.expect_op(")")
-        arity = FUNCTIONS[func]
-        if len(args) != arity:
-            raise ParseError(f"{func} takes {arity} argument(s), got {len(args)}", pos)
-        return Call(func, tuple(args))
-
-
-def parse(src: str, constants: dict[str, float] | None = None) -> ExprNode:
-    """Parse src into an ExprNode, inlining constants as literals.
-
-    Raises ParseError (with .position byte offset), UnknownIdentifierError.
-    """
-    constants = dict(constants or {})
-    if "t" in constants:
-        raise DomainError("'t' is the time variable and cannot be bound as a constant")
-    p = _Parser(src, constants)
-    node = p.parse_sum()
-    kind, text, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {text!r} after expression", pos, expected="end of input")
-    return node
-
 
 def sech(x):
     """1/cosh(x) without overflow for large |x|."""
@@ -223,13 +68,121 @@ def sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-# the functions callable in an expression, and the binary operators
-_FN = {
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-    "sqrt": np.sqrt, "tanh": np.tanh, "cosh": np.cosh, "sech": sech,
-    "abs": np.abs, "pow": np.power,
+# every callable: its arity and its numpy function.  pow is the only binary
+# one (x^y is usually written with the operator, pow(x,y) exists for
+# generated configs)
+FUNCTIONS = {
+    "sin": (1, np.sin), "cos": (1, np.cos), "exp": (1, np.exp), "log": (1, np.log),
+    "sqrt": (1, np.sqrt), "tanh": (1, np.tanh), "cosh": (1, np.cosh), "sech": (1, sech),
+    "abs": (1, np.abs), "pow": (2, np.power),
 }
+# binding strength of each operator, "neg" being unary minus; atoms bind at 5
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
+)
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, last one first, so that pop() takes the
+    next token.  An operator's kind is its own text."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group() if m.lastgroup == "op" else m.lastgroup, m.group(), m.start()))
+    return [("end", "", len(src))] + tokens[::-1]
+
+
+def _right_min(op: str) -> int:
+    """The least binding strength of op's right operand: ^ is
+    right-associative, the other binary operators left-associative."""
+    return _PREC[op] + (op != "^")
+
+
+def _unexpected(token: tuple[str, str, int], expected: str) -> ParseError:
+    kind, text, pos = token
+    return ParseError("unexpected end of input" if kind == "end" else f"unexpected {text!r}", pos, expected)
+
+
+def _expr(tokens: list, constants: dict[str, float], min_prec: int = 1) -> ExprNode:
+    """Precedence climbing: a prefix minus or an atom, then each binary
+    operator that binds at least min_prec, with its right operand."""
+    if tokens[-1][0] == "-":
+        tokens.pop()
+        node = _expr(tokens, constants, _PREC["neg"])
+        # fold -literal so that printed negative numbers reparse to the same tree
+        node = Num(-node.value) if isinstance(node, Num) else Neg(node)
+    else:
+        node = _atom(tokens, constants)
+    while tokens[-1][0] in _OPS and _PREC[tokens[-1][0]] >= min_prec:
+        op = tokens.pop()[0]
+        node = BinOp(op, node, _expr(tokens, constants, _right_min(op)))
+    return node
+
+
+def _close(tokens: list) -> None:
+    if tokens[-1][0] != ")":
+        raise _unexpected(tokens[-1], "')'")
+    tokens.pop()
+
+
+def _atom(tokens: list, constants: dict[str, float]) -> ExprNode:
+    kind, text, pos = token = tokens.pop()
+    if kind == "num":
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParseError(f"number {text!r} overflows a float", pos)
+        return Num(value)
+    if kind == "(":
+        node = _expr(tokens, constants)
+        _close(tokens)
+        return node
+    if kind != "ident":
+        raise _unexpected(token, "an operand")
+    if text in FUNCTIONS:
+        if tokens[-1][0] != "(":
+            raise ParseError(f"function {text!r} must be called", tokens[-1][2], expected="'('")
+        tokens.pop()
+        args = [_expr(tokens, constants)]
+        while tokens[-1][0] == ",":
+            tokens.pop()
+            args.append(_expr(tokens, constants))
+        _close(tokens)
+        arity = FUNCTIONS[text][0]
+        if len(args) != arity:
+            raise ParseError(f"{text} takes {arity} argument(s), got {len(args)}", pos)
+        return Call(text, tuple(args))
+    if text == "t":
+        return TimeVar()
+    if text in constants:
+        value = float(constants[text])
+        if not math.isfinite(value):
+            raise DomainError(f"constant {text!r} is {value}; constants must be finite")
+        return Num(value)
+    raise UnknownIdentifierError(text, pos)
+
+
+def parse(src: str, constants: dict[str, float] | None = None) -> ExprNode:
+    """Parse src into an ExprNode, inlining constants as literals.
+
+    Raises ParseError (with .position byte offset), UnknownIdentifierError,
+    and DomainError for a constant named t or one that is not finite.
+    """
+    constants = dict(constants or {})
+    if "t" in constants:
+        raise DomainError("'t' is the time variable and cannot be bound as a constant")
+    tokens = _tokenize(src)
+    node = _expr(tokens, constants)
+    kind, text, pos = tokens[-1]
+    if kind != "end":
+        raise ParseError(f"unexpected {text!r} after expression", pos, expected="end of input")
+    return node
 
 
 def evaluate(node: ExprNode, t: float | np.ndarray) -> float | np.ndarray:
@@ -260,26 +213,18 @@ def _eval(node: ExprNode, t: np.ndarray, faults: np.ndarray):
     elif isinstance(node, BinOp):
         value = _OPS[node.op](_eval(node.left, t, faults), _eval(node.right, t, faults))
     elif isinstance(node, Call):
-        value = _FN[node.func](*(_eval(arg, t, faults) for arg in node.args))
+        value = FUNCTIONS[node.func][1](*(_eval(arg, t, faults) for arg in node.args))
     else:
         raise TypeError(f"not an ExprNode: {node!r}")
     faults |= ~np.isfinite(value)
     return value
 
 
-# printing precedence; atoms sit above everything
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prints_negative(node: ExprNode) -> bool:
-    # covers -0.0 as well, which `< 0` would miss
-    return isinstance(node, Num) and repr(node.value).startswith("-")
-
-
 def _prec(node: ExprNode) -> int:
     if isinstance(node, BinOp):
         return _PREC[node.op]
-    if isinstance(node, Neg) or _prints_negative(node):
+    # a negative literal prints with its minus; repr covers -0.0, which `< 0` misses
+    if isinstance(node, Neg) or (isinstance(node, Num) and repr(node.value).startswith("-")):
         return _PREC["neg"]
     return 5
 
@@ -292,26 +237,17 @@ def to_string(node: ExprNode) -> str:
         return "t"
     if isinstance(node, Neg):
         child = to_string(node.child)
-        if _prec(node.child) < _PREC["neg"]:
-            child = f"({child})"
-        return f"-{child}"
+        return f"-({child})" if _prec(node.child) < _PREC["neg"] else f"-{child}"
     if isinstance(node, Call):
         return f"{node.func}({','.join(to_string(a) for a in node.args)})"
     if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        left = to_string(node.left)
-        right = to_string(node.right)
-        if node.op == "^":
-            # right-assoc: parenthesize an operator-left-child, keep t^-2 bare
-            if _prec(node.left) <= p:
-                left = f"({left})"
-            if _prec(node.right) < p and not isinstance(node.right, Neg) \
-                    and not _prints_negative(node.right):
-                right = f"({right})"
-        else:
-            if _prec(node.left) < p:
-                left = f"({left})"
-            if _prec(node.right) <= p:
-                right = f"({right})"
+        left, right = to_string(node.left), to_string(node.right)
+        # a left operand binds at least as tightly as op (more tightly under
+        # ^); a right operand binds as the parser requires, or starts with a
+        # minus, which the parser takes wherever an operand starts
+        if _prec(node.left) < _PREC[node.op] + (node.op == "^"):
+            left = f"({left})"
+        if _prec(node.right) < _right_min(node.op) and _prec(node.right) != _PREC["neg"]:
+            right = f"({right})"
         return f"{left}{node.op}{right}"
     raise TypeError(f"not an ExprNode: {node!r}")

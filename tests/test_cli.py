@@ -154,6 +154,14 @@ def test_bad_nested_value_reports_json_path(tmp_path, capsys):
     assert "$.profile" in err
 
 
+def test_non_finite_constant_is_named(tmp_path, capsys):
+    # json writes and reads NaN, so a config can carry one
+    cfg = kernel_cfg(profile={"type": "expression", "expr": "w0^2*t", "constants": {"w0": math.nan}})
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "'w0'" in err and "t=" not in err
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = kernel_cfg(frequency=3)
     assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg))]) == 1

@@ -18,7 +18,7 @@ from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
                          time_sliced_oracle, uniform_grid)
 from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
                                JumpEvent, SechSquared)
-from tdho.kernel import endpoint, kernel_robust
+from tdho.kernel import compute_W, endpoint, kernel_robust
 
 FREE = Constant(0.0)
 
@@ -407,6 +407,26 @@ def test_cn_refuses_non_finite_omega_squared():
     with pytest.raises(DomainError) as exc:
         crank_nicolson(NanAfter(0.05), _free_packet(512), 0.1, dt=1e-2)
     assert "t=0.055" in str(exc.value)
+    # every other consumer of omega^2 gives the same refusal, naming a time
+    # past t_bad, instead of a nan state, a mesh search or a bare ValueError
+    for route in (lambda p, q: time_sliced_oracle(p, q, 10.0, n_slices=20),
+                  lambda p, q: propagate_kernel(p, q, 0.1),
+                  lambda p, q: solve_fundamental(p, 0.0, 0.1),
+                  lambda p, q: compute_W(lambda t: np.ones_like(t), 0.0, 0.1, p)):
+        with pytest.raises(DomainError, match=r"omega\^2 is nan at t=") as exc:
+            route(NanAfter(0.05), _free_packet(512))
+        assert 0.05 <= float(str(exc.value).rsplit("t=", 1)[1]) <= 0.5
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+def test_grid_routes_refuse_non_positive_mu(mu):
+    p = _free_packet(256)
+    for route in (lambda: crank_nicolson(FREE, p, 0.1, mu=mu),
+                  lambda: time_sliced_oracle(FREE, p, 0.1, n_slices=4, mu=mu),
+                  lambda: max_slices(p, 0.1, mu=mu),
+                  lambda: propagate_kernel(FREE, p, 0.1, mu=mu)):
+        with pytest.raises(DomainError, match="mu must be positive"):
+            route()
 
 
 # ---------------------------------------------------------------------------

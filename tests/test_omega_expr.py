@@ -104,6 +104,24 @@ def test_misc_parse_errors():
     assert exc.value.position == 2
 
 
+@pytest.mark.parametrize("src, position, expected", [
+    ("sin + 1", 4, "'('"),
+    ("(t+1", 4, "')'"),
+    ("pow(t)", 0, ""),
+    ("sin(t, 1)", 0, ""),
+    ("2^", 2, "an operand"),
+    ("-", 1, "an operand"),
+    (")", 0, "an operand"),
+    ("t,", 1, "end of input"),
+    ("", 0, "an operand"),
+])
+def test_parse_error_pins(src, position, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert type(exc.value) is ParseError
+    assert (exc.value.position, exc.value.expected) == (position, expected)
+
+
 def test_t_cannot_be_a_constant():
     with pytest.raises(DomainError):
         parse("t+1", {"t": 2.0})
@@ -194,3 +212,18 @@ def test_round_trip_idempotent_on_pinned_sources():
                 "t^-2", "pow(t,2)/(1+t^2)", "-(t+1)*-(t-1)"):
         node = parse(src, {"w0": 2.0, "a": 0.5})
         assert parse(to_string(node)) == node
+
+
+@pytest.mark.parametrize("src, position", [("1e999", 0), ("2*1e400", 2), ("t + 5.3e400*t", 4)])
+def test_non_finite_literal_is_refused_at_its_offset(src, position):
+    # a literal that overflows to inf would print as "inf", which does not re-parse
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert type(exc.value) is ParseError
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_constant_is_refused_by_name(value):
+    with pytest.raises(DomainError, match="'w0'"):
+        parse("w0^2*t", {"w0": value, "a": 1.0})
