@@ -224,12 +224,13 @@ def _run_compare(profile, cfg: dict):
     return out, summary, strict_fail
 
 
-_RUNNERS = {
-    "kernel": _run_kernel,
-    "classical": _run_classical,
-    "propagate": _run_propagate,
-    "validate": _run_validate,
-    "compare": _run_compare,
+# each subcommand's runner and its --help line
+_TASKS = {
+    "kernel": (_run_kernel, "propagator values on endpoint pairs or a grid"),
+    "classical": (_run_classical, "sample the fundamental solution pair"),
+    "propagate": (_run_propagate, "evolve a Gaussian wavepacket by one method"),
+    "validate": (_run_validate, "grade a closed-form catalog entry against its equation"),
+    "compare": (_run_compare, "cross-check kernel, finite-difference, and sliced evolution"),
 }
 
 
@@ -240,14 +241,7 @@ def main(argv=None) -> int:
                     "time-dependent frequency.")
     parser.add_argument("--version", action="version", version=f"tdho {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "kernel": "propagator values on endpoint pairs or a grid",
-        "classical": "sample the fundamental solution pair",
-        "propagate": "evolve a Gaussian wavepacket by one method",
-        "validate": "grade a closed-form catalog entry against its equation",
-        "compare": "cross-check kernel, finite-difference, and sliced evolution",
-    }
-    for name, text in helps.items():
+    for name, (_, text) in _TASKS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, type=Path,
                        help="JSON run configuration")
@@ -285,7 +279,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        outputs, summary, strict_fail = _RUNNERS[args.command](profile_from_json(cfg["profile"]), cfg)
+        outputs, summary, strict_fail = _TASKS[args.command][0](profile_from_json(cfg["profile"]), cfg)
     except TdhoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

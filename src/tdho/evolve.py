@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy import fft
 from scipy.linalg import get_lapack_funcs
-from scipy.linalg import solve_banded  # noqa: F401  unused here; bench/tracing.py patches it (ROADMAP item 4)
+from scipy.linalg import solve_banded  # noqa: F401  unused here; bench/tracing.py patches it (ROADMAP item 5)
 
 from .classical import solve_fundamental
 from .errors import (DomainError, GridMismatch, GridTooNarrow, StabilityWarning,

@@ -272,6 +272,8 @@ class Expression(FrequencyProfile):
         return {"type": _KIND[type(self)], "expr": omega_expr.to_string(self.node)}
 
 
+# nothing in tdho calls these two wrappers: bench/tracing.py patches them by
+# identity, and they go when the tracer reads run traces (ROADMAP item 5)
 def omega_squared_at(profile: FrequencyProfile, t: Times) -> Times:
     return profile.omega_squared(t)
 

@@ -147,17 +147,16 @@ def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
 
 def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
                 t_a: float, t_b: float, q_a: float, q_b: float,
-                mu: float = 1.0, check: bool = True) -> KernelValue:
+                mu: float = 1.0) -> KernelValue:
     """Solution-scaled kernel form from a caller-provided zero-free solution.
 
-    check=True spot-probes that sol actually solves the classical equation
-    (SolutionMismatch otherwise).  A zero of sol in the window raises
-    CausticInWindow; use kernel_robust to cross a focal point.
+    sol is first spot-probed against the classical equation at relative
+    tolerance 1e-3 (SolutionMismatch otherwise).  A zero of sol in the window
+    raises CausticInWindow; use kernel_robust to cross a focal point.
     """
     if not (mu > 0):
         raise DomainError(f"mu must be positive, got {mu}")
-    if check:
-        spot_check_solution(profile, sol, t_a, t_b, rel_tol=1e-3)
+    spot_check_solution(profile, sol, t_a, t_b, rel_tol=1e-3)
     w, w_err = compute_W(sol.f, t_a, t_b, profile)
     f_a, f_b = sol.f(t_a), sol.f(t_b)
     fd_a, fd_b = sol.fdot(t_a), sol.fdot(t_b)

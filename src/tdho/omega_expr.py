@@ -79,6 +79,10 @@ FUNCTIONS = {
 # binding strength of each operator, "neg" being unary minus; atoms bind at 5
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+# the most levels a parsed tree has: repr and == of a Call recurse four frames
+# a level, and this leaves room below Python's default recursion limit of 1000
+_MAX_DEPTH = 200
+_TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -110,20 +114,28 @@ def _unexpected(token: tuple[str, str, int], expected: str) -> ParseError:
     return ParseError("unexpected end of input" if kind == "end" else f"unexpected {text!r}", pos, expected)
 
 
-def _expr(tokens: list, constants: dict[str, float], min_prec: int = 1) -> ExprNode:
+def _expr(tokens: list, constants: dict[str, float], min_prec: int = 1,
+          depth: int = 0) -> tuple[ExprNode, int]:
     """Precedence climbing: a prefix minus or an atom, then each binary
-    operator that binds at least min_prec, with its right operand."""
+    operator that binds at least min_prec, with its right operand.  Returns
+    the node and its height; depth counts the levels above it, parentheses
+    included, and depth + height may not pass _MAX_DEPTH."""
+    if depth >= _MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, tokens[-1][2])
     if tokens[-1][0] == "-":
         tokens.pop()
-        node = _expr(tokens, constants, _PREC["neg"])
+        node, height = _expr(tokens, constants, _PREC["neg"], depth + 1)
         # fold -literal so that printed negative numbers reparse to the same tree
-        node = Num(-node.value) if isinstance(node, Num) else Neg(node)
+        node, height = (Num(-node.value), 1) if isinstance(node, Num) else (Neg(node), height + 1)
     else:
-        node = _atom(tokens, constants)
+        node, height = _atom(tokens, constants, depth)
     while tokens[-1][0] in _OPS and _PREC[tokens[-1][0]] >= min_prec:
-        op = tokens.pop()[0]
-        node = BinOp(op, node, _expr(tokens, constants, _right_min(op)))
-    return node
+        op, _, pos = tokens.pop()
+        right, right_height = _expr(tokens, constants, _right_min(op), depth + 1)
+        node, height = BinOp(op, node, right), 1 + max(height, right_height)
+        if depth + height > _MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, pos)
+    return node, height
 
 
 def _close(tokens: list) -> None:
@@ -132,39 +144,39 @@ def _close(tokens: list) -> None:
     tokens.pop()
 
 
-def _atom(tokens: list, constants: dict[str, float]) -> ExprNode:
+def _atom(tokens: list, constants: dict[str, float], depth: int) -> tuple[ExprNode, int]:
     kind, text, pos = token = tokens.pop()
     if kind == "num":
         value = float(text)
         if not math.isfinite(value):
             raise ParseError(f"number {text!r} overflows a float", pos)
-        return Num(value)
+        return Num(value), 1
     if kind == "(":
-        node = _expr(tokens, constants)
+        result = _expr(tokens, constants, depth=depth + 1)
         _close(tokens)
-        return node
+        return result
     if kind != "ident":
         raise _unexpected(token, "an operand")
     if text in FUNCTIONS:
         if tokens[-1][0] != "(":
             raise ParseError(f"function {text!r} must be called", tokens[-1][2], expected="'('")
         tokens.pop()
-        args = [_expr(tokens, constants)]
+        args = [_expr(tokens, constants, depth=depth + 1)]
         while tokens[-1][0] == ",":
             tokens.pop()
-            args.append(_expr(tokens, constants))
+            args.append(_expr(tokens, constants, depth=depth + 1))
         _close(tokens)
         arity = FUNCTIONS[text][0]
         if len(args) != arity:
             raise ParseError(f"{text} takes {arity} argument(s), got {len(args)}", pos)
-        return Call(text, tuple(args))
+        return Call(text, tuple(a for a, _ in args)), 1 + max(h for _, h in args)
     if text == "t":
-        return TimeVar()
+        return TimeVar(), 1
     if text in constants:
         value = float(constants[text])
         if not math.isfinite(value):
             raise DomainError(f"constant {text!r} is {value}; constants must be finite")
-        return Num(value)
+        return Num(value), 1
     raise UnknownIdentifierError(text, pos)
 
 
@@ -172,13 +184,14 @@ def parse(src: str, constants: dict[str, float] | None = None) -> ExprNode:
     """Parse src into an ExprNode, inlining constants as literals.
 
     Raises ParseError (with .position byte offset), UnknownIdentifierError,
-    and DomainError for a constant named t or one that is not finite.
+    and DomainError for a constant named t or one that is not finite.  A tree
+    deeper than _MAX_DEPTH is a ParseError at the token that passes the limit.
     """
     constants = dict(constants or {})
     if "t" in constants:
         raise DomainError("'t' is the time variable and cannot be bound as a constant")
     tokens = _tokenize(src)
-    node = _expr(tokens, constants)
+    node, _ = _expr(tokens, constants)
     kind, text, pos = tokens[-1]
     if kind != "end":
         raise ParseError(f"unexpected {text!r} after expression", pos, expected="end of input")

@@ -10,8 +10,10 @@ the degree is complex.
 Method selection
 ----------------
 The Legendre functions are summed here because scipy.special.hyp2f1 rejects
-the complex parameters of the conical case.  legendre_p sums the Gauss
-hypergeometric series about x = 1 in the variable (1 - x)/2 for x > 0.  For
+the complex parameters of the conical case.  For x > 0, legendre_p sums the
+Gauss hypergeometric series about x = 1 in the variable (1 - x)/2, and
+legendre_p_dx the series of its derivative (DLMF 15.5.1), whose term ratio
+is the same with the index shifted by one; one loop sums both.  For
 x <= 0 that series converges too slowly, so the function is continued through
 x = 0 with the pair of quadratically transformed series in x^2 (the even/odd
 solutions of the Legendre equation), joined with the exact values of P and
@@ -70,16 +72,17 @@ class LegendreDegree:
     kind: str    # "real" or "conical"
     param: float  # nu, or mu
 
+    def __post_init__(self):
+        if not math.isfinite(self.param):
+            raise DomainError("degree must be finite" if self.kind == "real"
+                              else "conical parameter must be finite")
+
     @classmethod
     def real(cls, nu: float) -> "LegendreDegree":
-        if not math.isfinite(nu):
-            raise DomainError("degree must be finite")
         return cls("real", float(nu))
 
     @classmethod
     def conical(cls, mu: float) -> "LegendreDegree":
-        if not math.isfinite(mu):
-            raise DomainError("conical parameter must be finite")
         return cls("conical", float(mu))
 
     @property
@@ -106,25 +109,6 @@ class LegendreDegree:
 
 
 _MAX_TERMS = 200000
-
-
-def _series_about_one(L: float, z, shifted: bool):
-    """F(-lam, lam+1; 1; z), or F(1-lam, lam+2; 2; z) when shifted (for dP/dx)."""
-    term = total = 1.0
-    live = True  # per point of z: still adding terms
-    for k in range(_MAX_TERMS):
-        if shifted:
-            num = (k + 1.0) * (k + 2.0) - L
-            den = (k + 2.0) * (k + 1.0)
-        else:
-            num = k * (k + 1.0) - L
-            den = (k + 1.0) * (k + 1.0)
-        term *= num * z / den
-        total += term * live
-        live &= (abs(term) > 1e-17 * abs(total)) | (k <= 4)
-        if not live.any():
-            return total
-    raise DomainError(f"legendre series about x=1 did not converge (z={z})")
 
 
 def legendre_p(degree: LegendreDegree, x: float | np.ndarray) -> float | np.ndarray:
@@ -158,9 +142,18 @@ def _legendre(degree: LegendreDegree, x: float | np.ndarray, derivative: bool):
 def _about_one(degree: LegendreDegree, x, derivative: bool):
     L = degree.lam_lam1
     z = 0.5 * (1.0 - x)
-    if derivative:
-        return 0.5 * L * _series_about_one(L, z, shifted=True)
-    return _series_about_one(L, z, shifted=False)
+    # P = F(-lam, lam+1; 1; z) and dP/dx = (L/2) F(1-lam, lam+2; 2; z): the
+    # term ratio of the second is that of the first with k shifted by s = 1
+    s = int(derivative)
+    term = total = 1.0
+    live = True  # per point of z: still adding terms
+    for k in range(_MAX_TERMS):
+        term *= ((k + s) * (k + s + 1.0) - L) * z / ((k + s + 1.0) * (k + 1.0))
+        total += term * live
+        live &= (abs(term) > 1e-17 * abs(total)) | (k <= 4)
+        if not live.any():
+            return 0.5 * L * total if derivative else total
+    raise DomainError(f"legendre series about x=1 did not converge (z={z})")
 
 
 def _about_zero(degree: LegendreDegree, x, derivative: bool):

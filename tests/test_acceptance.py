@@ -108,8 +108,8 @@ def test_c04_initial_condition_independence():
                 continue  # too close to a zero: not caustic-free
             n += 1
             qa, qb = rng.uniform(-1.5, 1.5, size=2)
-            a = kernel_eq17(prof, curve, *WINDOW, qa, qb, check=False).k
-            b = kernel_eq17(prof, ref_curve, *WINDOW, qa, qb, check=False).k
+            a = kernel_eq17(prof, curve, *WINDOW, qa, qb).k
+            b = kernel_eq17(prof, ref_curve, *WINDOW, qa, qb).k
             worst = max(worst, abs(a - b) / abs(b))
         n_cases += n
     grade(4, "kernel independent of solution initial data (250 random cases)",

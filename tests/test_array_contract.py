@@ -140,16 +140,21 @@ def test_constant_results_broadcast_to_the_grid():
 
 
 class CountingCurve(SolutionCurve):
-    """cos t, recording the shape of every argument f is called with."""
+    """cos t, recording the shape of every argument f and fdot are called with."""
 
     def __init__(self):
         self.shapes = []
+        self.fdot_shapes = []
 
         def f(t):
             self.shapes.append(np.shape(t))
             return np.cos(t)
 
-        super().__init__(f, lambda t: -np.sin(t), "counted cos")
+        def fdot(t):
+            self.fdot_shapes.append(np.shape(t))
+            return -np.sin(t)
+
+        super().__init__(f, fdot, "counted cos")
 
 
 def test_compute_W_scans_in_one_call():
@@ -162,12 +167,23 @@ def test_compute_W_scans_in_one_call():
 
 
 def test_verify_solution_evaluates_in_one_call():
-    curve = CountingCurve()
-    report = verify_solution(Constant(1.0), curve, (0.0, 1.0), h=1e-2, n_samples=50)
-    # t, t - h, t - h/2, t + h, t + h/2 for the 50 sample times
-    assert curve.shapes == [(5, 50)]
-    assert report.passed and isinstance(report.passed, bool)
-    assert isinstance(report.max_residual, float) and isinstance(report.worst_t, float)
+    ts = np.linspace(0.01, 0.99, 50)
+    # cos t solves the first profile, not the second, whose kick at 0.5 takes
+    # out the samples within 3h of it
+    for profile, events, passed in ((Constant(1.0), [], True),
+                                    (DeltaPulse(1.0, 0.5), [0.5], False)):
+        curve = CountingCurve()
+        report = verify_solution(profile, curve, (0.0, 1.0), h=1e-2, n_samples=50)
+        n_kept = sum(all(abs(t - e) > 0.03 for e in events) for t in ts)
+        # t, t - h, t - h/2, t + h, t + h/2 for the sample times; then, with
+        # an event inside, f at the event times and f' at 4 offsets of 2 steps
+        assert curve.shapes == [(5, n_kept)] + [(len(events),)] * bool(events)
+        assert curve.fdot_shapes == [(len(events), 2, 4)] * bool(events)
+        assert report.passed is passed
+        assert isinstance(report.max_residual, float) and isinstance(report.worst_t, float)
+        assert [j[0] for j in report.jump_mismatches] == events
+        for _, m1, m2, ok in report.jump_mismatches:
+            assert type(m1) is float and type(m2) is float and type(ok) is bool
 
 
 def test_power_law_window_from_zero_keeps_its_probe():

@@ -351,3 +351,38 @@ def test_pair_from_solution_rejects_non_solution():
                           fdot=lambda t: -2.0 * np.sin(2.0 * t))
     with pytest.raises(SolutionMismatch):
         pair_from_solution(wrong, Constant(1.0), 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# typed refusals and exclusions
+
+def test_overflowing_pair_is_a_step_failure():
+    # omega^2 = -9e4 grows the pair like e^{300 t}: past a float by t = 3
+    with pytest.raises(StepFailure, match="overflows"):
+        solve_fundamental(Expression("-90000"), 0.0, 3.0)
+
+
+def test_verify_solution_refuses_a_window_left_without_samples():
+    sol = solve_fundamental(DeltaPulse(1.0, 0.5), 0.0, 1.0).combination(1.0, 0.0)
+    with pytest.raises(DomainError, match="no sample points left"):
+        verify_solution(DeltaPulse(1.0, 0.5), sol, (0.49, 0.51), h=0.004, n_samples=3)
+
+
+def test_verify_solution_skips_an_event_within_3h_of_the_edge():
+    profile = DeltaPulse(1.0, 0.5)
+    sol = solve_fundamental(profile, 0.0, 1.0).combination(1.0, 0.0)
+    inside = verify_solution(profile, sol, (0.0, 1.0))
+    assert [j[0] for j in inside.jump_mismatches] == [0.5] and inside.passed
+    near_edge = verify_solution(profile, sol, (0.48, 1.0))  # a + 3h = 0.51
+    assert profile.jump_events(0.48, 1.0) and near_edge.jump_mismatches == []
+    assert near_edge.passed
+
+
+def test_spot_check_drops_probe_times_near_an_event():
+    # the middle of the seven probes of [0, 1] falls on the kick at 0.5,
+    # where the second difference of f straddles the jump in f'
+    profile = DeltaPulse(1.0, 0.5)
+    sol = solve_fundamental(profile, 0.0, 1.0).combination(1.0, 0.0)
+    spot_check_solution(profile, sol, 0.0, 1.0)
+    with pytest.raises(SolutionMismatch):
+        spot_check_solution(Constant(1.0), sol, 0.0, 1.0)

@@ -551,3 +551,20 @@ def test_omitted_keys_take_the_library_defaults(tmp_path, cfg):
                      "--out", str(out)]) == 0
         written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
     assert written[0] == written[1] and written[0]
+
+
+def test_out_directory_that_cannot_be_created(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file")
+    out = blocker / "out"
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, kernel_cfg())), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot create {out}")
+    assert blocker.read_text() == "a regular file"
+
+
+def test_too_deep_an_expression_exits_1(tmp_path, capsys):
+    cfg = kernel_cfg(profile={"type": "expression", "expr": "+".join(["t"] * 1000)})
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested deeper than" in err
+    assert not (tmp_path / "manifest.json").exists()

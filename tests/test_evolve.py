@@ -521,3 +521,13 @@ def test_compare_grid_mismatch():
     c = PACKET.on_grid(uniform_grid(-7.0, 9.0, 512))
     with pytest.raises(GridMismatch):
         compare(a, c)
+
+
+def test_zero_state_is_refused_by_every_grid_route():
+    q = uniform_grid(-4.0, 4.0, 64)
+    packet = WavePacket(q=q, psi=np.zeros(64, dtype=complex), t=0.0)
+    for route in (lambda: propagate_kernel(FREE, packet, 0.5),
+                  lambda: crank_nicolson(FREE, packet, 0.5),
+                  lambda: time_sliced_oracle(FREE, packet, 0.5, 2)):
+        with pytest.raises(DomainError, match="zero state"):
+            route()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tdho import omega_expr
 from tdho.errors import DomainError, EvalAtImpulse, NonFiniteError
 from tdho.freq_profile import (
     Constant, DeltaPulse, ExpDecay, Expression, JumpEvent, PowerLaw,
@@ -225,3 +226,16 @@ def test_sech_squared_far_from_well():
     assert omega_squared_at(p, 400.0) == 0.0  # no cosh overflow
     assert omega_squared_at(p, -400.0) == 0.0
     assert omega_squared_at(p, 0.0) == 9.0
+
+
+@pytest.mark.parametrize("cls, rest", [(PowerLaw, (1.0, 0.5)), (DeltaPulse, (0.5,))])
+@pytest.mark.parametrize("omega0", [-1.0, math.nan, math.inf])
+def test_omega0_must_be_finite_and_non_negative(cls, rest, omega0):
+    with pytest.raises(DomainError, match="omega0 must be finite and >= 0"):
+        cls(omega0, *rest)
+
+
+def test_expression_from_a_node_takes_its_source_from_the_printer():
+    p = Expression(omega_expr.parse("1+t^2"))
+    assert p.source == "1.0+t^2.0"
+    assert omega_squared_at(p, 2.0) == 5.0

@@ -88,7 +88,7 @@ def test_free_kernel_random_endpoints():
         qa, qb = rng.uniform(-3, 3, size=2)
         T = rng.uniform(0.2, 2.0)
         want = oracles.free_kernel(1.0, T, qa, qb)
-        kv = kernel_eq17(Constant(0.0), ONE, 0.0, T, qa, qb, check=False)
+        kv = kernel_eq17(Constant(0.0), ONE, 0.0, T, qa, qb)
         assert abs(kv.k - want) <= 1e-12 * abs(want)
 
 
@@ -99,7 +99,7 @@ def test_constant_frequency_matches_mehler_both_routes():
     for qa in qs:
         for qb in qs:
             want = oracles.mehler_kernel(1.0, 1.0, 0.5, qa, qb)
-            kv = kernel_eq17(prof, COS, 0.0, 0.5, float(qa), float(qb), check=False)
+            kv = kernel_eq17(prof, COS, 0.0, 0.5, float(qa), float(qb))
             assert abs(kv.k - want) <= 1e-9 * abs(want)
             kv = kernel_robust(pair, float(qa), float(qb))
             assert abs(kv.k - want) <= 1e-9 * abs(want)
@@ -110,7 +110,7 @@ def test_solution_scaled_equals_endpoint_form():
     sol = closed_form(prof)
     pair = solve_fundamental(prof, 0.0, 1.0)
     for qa, qb in ((0.0, 0.0), (0.7, -0.4), (-1.5, 2.0), (2.0, 2.0)):
-        a = kernel_eq17(prof, sol, 0.0, 1.0, qa, qb, check=False)
+        a = kernel_eq17(prof, sol, 0.0, 1.0, qa, qb)
         b = kernel_robust(pair, qa, qb)
         assert abs(a.k - b.k) <= 1e-9 * abs(b.k)
 
@@ -122,8 +122,8 @@ def test_solution_scaled_is_gauge_invariant():
     f1 = pair.combination(1.0, 0.3)
     f2 = pair.combination(0.7, -0.2)
     for qa, qb in ((0.3, 0.9), (-1.0, 0.5)):
-        a = kernel_eq17(prof, f1, 0.0, 1.0, qa, qb, check=False)
-        b = kernel_eq17(prof, f2, 0.0, 1.0, qa, qb, check=False)
+        a = kernel_eq17(prof, f1, 0.0, 1.0, qa, qb)
+        b = kernel_eq17(prof, f2, 0.0, 1.0, qa, qb)
         assert abs(a.k - b.k) <= 1e-8 * abs(b.k)
 
 
@@ -139,7 +139,7 @@ def test_modulus_is_endpoint_independent():
 
 
 def test_phase_is_unwrapped():
-    kv = kernel_eq17(Constant(0.0), ONE, 0.0, 1.0, 0.0, 10.0, check=False)
+    kv = kernel_eq17(Constant(0.0), ONE, 0.0, 1.0, 0.0, 10.0)
     assert kv.phase == pytest.approx(50.0 - math.pi / 4.0, rel=1e-12)
     assert kv.phase > 2.0 * math.pi  # not reduced
     assert cmath.isclose(kv.k, kv.modulus * cmath.exp(1j * kv.phase), rel_tol=1e-12)
@@ -335,7 +335,7 @@ def test_focal_count_of_hand_built_pair():
 
 def test_eq17_detects_caustic_in_window():
     with pytest.raises(CausticInWindow) as exc:
-        kernel_eq17(Constant(1.0), COS, 0.0, 2.0, 0.1, 0.2, check=False)
+        kernel_eq17(Constant(1.0), COS, 0.0, 2.0, 0.1, 0.2)
     assert exc.value.t_zero == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 

@@ -5,6 +5,9 @@ import pytest
 
 import oracles
 from tdho.errors import DomainError, NonFiniteError, ParseError, UnknownIdentifierError
+from tdho import omega_expr
+from tdho.classical import solve_fundamental
+from tdho.freq_profile import Expression
 from tdho.omega_expr import BinOp, Call, Num, Neg, TimeVar, evaluate, parse, to_string
 
 
@@ -227,3 +230,44 @@ def test_non_finite_literal_is_refused_at_its_offset(src, position):
 def test_non_finite_constant_is_refused_by_name(value):
     with pytest.raises(DomainError, match="'w0'"):
         parse("w0^2*t", {"w0": value, "a": 1.0})
+
+
+# ---------------------------------------------------------------- depth limit
+
+# sources past the depth limit m, and the offset of the first token past it
+TOO_DEEP = {
+    "parens": ("(" * 600 + "t" + ")" * 600, lambda m: m),
+    "minuses": ("-" * 1000 + "t", lambda m: m),
+    "sum": ("+".join(["t"] * 1000), lambda m: 2 * m - 1),  # the "+" making it too deep
+    "power": ("^".join(["t"] * 1000), lambda m: 2 * m),
+}
+
+
+@pytest.mark.parametrize("shape", TOO_DEEP)
+def test_too_deep_a_tree_is_refused_at_its_token(shape):
+    src, position = TOO_DEEP[shape]
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert type(exc.value) is ParseError
+    assert exc.value.position == position(omega_expr._MAX_DEPTH)
+
+
+def test_a_sum_at_the_depth_limit_parses_evaluates_and_round_trips():
+    m = omega_expr._MAX_DEPTH
+    src = "+".join(["t"] * m)
+    node = parse(src)
+    assert evaluate(node, 0.5) == 0.5 * m
+    assert parse(to_string(node)) == node
+    with pytest.raises(ParseError):
+        parse(src + "+t")
+
+
+def test_a_tree_at_the_depth_limit_is_safe_inside_the_solver():
+    # calls recurse the most frames per level in parse, repr and ==
+    m = omega_expr._MAX_DEPTH
+    src = "pow(" * (m - 1) + "t" + ",1)" * (m - 1)
+    node = parse(src)
+    assert repr(node).count("Call") == m - 1
+    assert parse(to_string(node)) == node
+    pair = solve_fundamental(Expression(node), 0.0, 1.0)
+    assert pair.wronskian_drift < 1e-12

@@ -243,3 +243,18 @@ def test_conical_values_are_real_floats():
         for x in (-0.9, -0.2, 0.4, 0.99):
             v = legendre_p(LegendreDegree.conical(tau), x)
             assert isinstance(v, float) and math.isfinite(v)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_degree_refuses_non_finite_parameters(value):
+    with pytest.raises(DomainError, match="^degree must be finite$"):
+        LegendreDegree.real(value)
+    with pytest.raises(DomainError, match="^conical parameter must be finite$"):
+        LegendreDegree.conical(value)
+
+
+def test_degree_constructor_refuses_non_finite_parameters():
+    with pytest.raises(DomainError, match="^degree must be finite$"):
+        LegendreDegree("real", math.nan)
+    with pytest.raises(DomainError, match="^conical parameter must be finite$"):
+        LegendreDegree("conical", math.inf)
