@@ -24,11 +24,13 @@ anyway (GridTooNarrow enforces it), so the missing corrections act on
 amplitudes below 1e-8.
 
 crank_nicolson marches i dpsi/dt = H(t) psi directly (unitary, O(dt^2),
-Dirichlet walls), one LAPACK gtsv tridiagonal solve per step; the
-off-diagonals are built once per segment and the diagonals again only when
-omega^2 changes.  time_sliced_oracle applies the short-time kernel composition
-that defines the path integral, with O(1/n) convergence.  The three routes
-share no mechanism, which is the point: agreement is evidence.
+Dirichlet walls), one LAPACK gtsv tridiagonal solve per step.  It makes one
+march over the whole window, reading omega^2 at all the steps' midpoints in
+one call; the off-diagonals are rebuilt only when the step changes, the
+diagonals when the step or omega^2 changes.  time_sliced_oracle applies the
+short-time kernel composition that defines the path integral, with O(1/n)
+convergence.  The three routes share no mechanism, which is the point:
+agreement is evidence.  They share one input check.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
@@ -127,7 +128,10 @@ def uniform_grid(q_min: float, q_max: float, n: int) -> np.ndarray:
     return np.linspace(q_min, q_max, n)
 
 
-def _check_edges(packet: WavePacket) -> None:
+def _check_packet(packet: WavePacket, t_b: float, mu: float) -> None:
+    """The input check the three grid routes share."""
+    if not np.all(np.isfinite(packet.psi)):
+        raise DomainError("psi has non-finite values")
     amp = np.abs(packet.psi)
     scale = float(np.max(amp))
     if scale == 0.0:
@@ -137,6 +141,10 @@ def _check_edges(packet: WavePacket) -> None:
         raise GridTooNarrow(
             f"|psi| reaches {edge:.2e} of peak near the grid edge; "
             f"widen the window (limit {_EDGE_AMPLITUDE:.0e})")
+    if not (t_b > packet.t):
+        raise DomainError(f"need t_b > packet time {packet.t}")
+    if not (mu > 0):
+        raise DomainError(f"mu must be positive, got {mu}")
 
 
 # cubic Lagrange coefficients on nodes u = -1, 0, 1, 2 (rows: powers u^0..u^3)
@@ -182,7 +190,7 @@ def _filon_weight(theta: np.ndarray) -> np.ndarray:
 def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
                      mu: float = 1.0, tol: float = 1e-10) -> WavePacket:
     """Evolve packet from its own time to t_b through the exact kernel."""
-    _check_edges(packet)
+    _check_packet(packet, t_b, mu)
     pair = solve_fundamental(profile, packet.t, t_b, tol)
     e = endpoint(pair, mu)  # endpoint caustic check happens here
     v_b, pref = e.v_b, e.pref
@@ -217,51 +225,69 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     return WavePacket(q=q, psi=psi_out, t=t_b)
 
 
-def _cn_segment(psi: np.ndarray, q: np.ndarray, lo: float, hi: float,
-                omega2: Callable[[np.ndarray], np.ndarray], mu: float, dt: float,
-                warned: list) -> np.ndarray:
-    n_steps = max(1, math.ceil((hi - lo) / dt))
-    step = (hi - lo) / n_steps
+def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
+                   mu: float = 1.0, dt: float = 1e-3) -> WavePacket:
+    """Unitary O(dt^2) finite-difference evolution on the packet's grid.
+
+    One march covers the window.  Its steps fit each segment between jump
+    events, and each impulse of strength s applies the exact phase
+    exp(-i mu s q^2 / 2) after its segment's last step.  Walls are
+    Dirichlet, so the grid must stay wide enough that nothing reaches them.
+    """
+    _check_packet(packet, t_b, mu)
+    if not (dt > 0):
+        raise DomainError("dt must be positive")
+
+    strength = {e.time: e.strength for e in profile.jump_events(packet.t, t_b)}
+    cuts = [packet.t] + sorted(strength) + ([t_b] if t_b not in strength else [])
+    # the step schedule of every segment; each segment's start times are
+    # summed as a march sums them, t += step, so that omega^2 takes one array
+    # call at the same midpoints
+    steps, starts, kicks = [], [], {}  # kicks: step index -> strength after it
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        n_steps = max(1, math.ceil((hi - lo) / dt))
+        step = (hi - lo) / n_steps
+        steps += [step] * n_steps
+        starts.append(np.add.accumulate(np.concatenate(([lo], np.full(n_steps - 1, step)))))
+        if hi in strength:
+            kicks[len(steps) - 1] = strength[hi]
+    t = np.concatenate(starts)
+    step_of = np.array(steps)
+    w2s = np.broadcast_to(profile.smooth_omega_squared(t + 0.5 * step_of), t.shape)
+    q = packet.q
+    q2 = q ** 2
+    # the scheme is unconditionally stable; warn when the potential phase
+    # per step is order one, since accuracy is gone well before stability
+    if float(np.max(step_of * np.abs(w2s))) * float(np.max(q2)) > 1.0:
+        warnings.warn(StabilityWarning(
+            "time step does not resolve the potential phase at the grid "
+            "edges; results will be inaccurate (though not unstable)"))
+
     dq2 = (q[1] - q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
     kin = 1.0 / (mu * dq2)
-
-    half = 0.5j * step
-    hop = half * off
     # I + i(step/2)H in solve_banded's layout: rows hold the super-, main and
-    # sub-diagonal.  The off-diagonals are fixed for the segment; their zeros
-    # decouple the Dirichlet walls exactly
+    # sub-diagonal
     ab = np.zeros((3, q.size), dtype=complex)
-    ab[0, 1:] = hop
-    ab[2, :-1] = hop
-    ab[0, 1] = ab[2, -2] = 0.0
     # gtsv, the routine solve_banded picks for a (1, 1) band, factors its
     # input in place: each step factors a copy, made into one buffer (fresh
     # buffers cost page faults on every step at large n)
     lu = np.empty_like(ab)
     gtsv, = get_lapack_funcs(("gtsv",), (ab,))
-
-    # the step start times summed as the march sums them, t += step, so that
-    # omega^2 takes one array call at the same midpoints
-    t = np.add.accumulate(np.concatenate(([lo], np.full(n_steps - 1, step))))
-    mids = t + 0.5 * step
-    w2s = np.broadcast_to(omega2(mids), mids.shape)
-    q2 = q ** 2
-    # the scheme is unconditionally stable; warn when the potential phase
-    # per step is order one, since accuracy is gone well before stability
-    if not warned and step * float(np.max(np.abs(w2s))) * float(np.max(q2)) > 1.0:
-        warnings.warn(StabilityWarning(
-            "time step does not resolve the potential phase at the grid "
-            "edges; results will be inaccurate (though not unstable)"))
-        warned.append(True)
-    w2_prev = None
-    for k, w2 in enumerate(w2s):
-        if w2 != w2_prev:  # the diagonals change only with omega^2
+    psi = packet.psi
+    step_prev = w2_prev = None
+    for k, (step, w2) in enumerate(zip(steps, w2s)):
+        if step != step_prev:  # the off-diagonals change only with the step
+            half = 0.5j * step
+            hop = half * off
+            ab[0, 1:] = ab[2, :-1] = hop
+            ab[0, 1] = ab[2, -2] = 0.0  # these zeros decouple the Dirichlet walls exactly
+        if step != step_prev or w2 != w2_prev:  # the diagonals also with omega^2
             ih = half * (kin + 0.5 * mu * w2 * q2)
             explicit = 1.0 - ih
             ab[1] = 1.0 + ih
             ab[1, 0] = ab[1, -1] = 1.0  # Dirichlet walls
-            w2_prev = w2
+            step_prev, w2_prev = step, w2
         rhs = explicit * psi
         rhs[1:] -= hop * psi[:-1]
         rhs[:-1] -= hop * psi[1:]
@@ -271,39 +297,9 @@ def _cn_segment(psi: np.ndarray, q: np.ndarray, lo: float, hi: float,
                          overwrite_d=True, overwrite_du=True, overwrite_b=True)[3:]
         if info:  # I + i(step/2)H with real H is never singular for finite input
             raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[k])!r}")
-    return psi
-
-
-def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
-                   mu: float = 1.0, dt: float = 1e-3) -> WavePacket:
-    """Unitary O(dt^2) finite-difference evolution on the packet's grid.
-
-    The march is split at jump events; each impulse of strength s applies
-    the exact phase exp(-i mu s q^2 / 2) between segments.  Walls are
-    Dirichlet, so the grid must stay wide enough that nothing reaches them.
-    """
-    _check_edges(packet)
-    if not (t_b > packet.t):
-        raise DomainError(f"need t_b > packet time {packet.t}")
-    if not (dt > 0):
-        raise DomainError("dt must be positive")
-    if not (mu > 0):
-        raise DomainError(f"mu must be positive, got {mu}")
-    if not np.all(np.isfinite(packet.psi)):
-        raise DomainError("psi has non-finite values")
-
-    events = profile.jump_events(packet.t, t_b)
-    strength = {e.time: e.strength for e in events}
-    cuts = [packet.t] + sorted(strength) + ([t_b] if t_b not in strength else [])
-
-    psi = packet.psi.copy()
-    warned: list = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        psi = _cn_segment(psi, packet.q, lo, hi, profile.smooth_omega_squared,
-                          mu, dt, warned)
-        if hi in strength:
-            psi = psi * np.exp(-0.5j * mu * strength[hi] * packet.q ** 2)
-    return WavePacket(q=packet.q, psi=psi, t=t_b)
+        if k in kicks:
+            psi = psi * np.exp(-0.5j * mu * kicks[k] * q2)
+    return WavePacket(q=q, psi=psi, t=t_b)
 
 
 def max_slices(packet: WavePacket, t_b: float, mu: float = 1.0) -> int:
@@ -335,20 +331,18 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     exponentially with the slice count.  DomainError enforces the bound
     rather than returning garbage — refine the grid or lower n_slices.
     """
-    _check_edges(packet)
+    _check_packet(packet, t_b, mu)
     if n_slices < 1:
         raise DomainError("n_slices must be >= 1")
-    if not (t_b > packet.t):
-        raise DomainError(f"need t_b > packet time {packet.t}")
-    limit = max_slices(packet, t_b, mu)  # refuses mu <= 0
+    limit = max_slices(packet, t_b, mu)
     eps = (t_b - packet.t) / n_slices
     q = packet.q
     h = packet.dq
     n = q.size
 
-    span = q[-1] - q[0]
-    rate = mu * span * h / eps  # chirp phase advance per sample, worst case
-    if rate > math.pi:
+    if n_slices > limit:
+        span = q[-1] - q[0]
+        rate = mu * span * h / eps  # chirp phase advance per sample, worst case
         # on the same extent dq = span/(n-1), so the grid needs n-1 >= mu*span^2/(pi*eps)
         raise DomainError(
             f"grid cannot resolve the slice kernel: mu*span*dq/eps = {rate:.2f} "

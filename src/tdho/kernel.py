@@ -54,6 +54,7 @@ __all__ = [
 
 _ENDPOINT_CAUSTIC_REL = 1e-12
 _W_RTOL = 1e-10
+_RESIDUAL_TOL = 1e-12
 
 
 @dataclass
@@ -248,8 +249,7 @@ def kernel_batch(pair: FundamentalPair, q_a: np.ndarray, q_b: np.ndarray,
 
 def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,
                          q_a: float, q_b: float, mu: float = 1.0,
-                         h_t: float = 1e-2, h_q: float = 1e-2,
-                         tol: float = 1e-12) -> float:
+                         h_t: float = 1e-2, h_q: float = 1e-2) -> float:
     """Normalized defect of K in the time-dependent Schrodinger equation.
 
     Central differences in t_b and q_b of the endpoint-form kernel:
@@ -260,7 +260,7 @@ def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,
     so halving h_t and h_q should shrink the result fourfold.  Keep t_b away
     from jump events (the t-derivative straddles the kick otherwise).
     """
-    pair = solve_fundamental(profile, t_a, t_b + h_t, tol)
+    pair = solve_fundamental(profile, t_a, t_b + h_t, _RESIDUAL_TOL)
     for e in pair.event_times:
         if abs(e - t_b) <= h_t:
             raise DomainError(f"t_b within h_t of jump event at {e}")

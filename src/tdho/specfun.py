@@ -73,6 +73,8 @@ class LegendreDegree:
     param: float  # nu, or mu
 
     def __post_init__(self):
+        if self.kind not in ("real", "conical"):
+            raise DomainError(f"degree kind must be 'real' or 'conical', got {self.kind!r}")
         if not math.isfinite(self.param):
             raise DomainError("degree must be finite" if self.kind == "real"
                               else "conical parameter must be finite")

@@ -10,6 +10,7 @@ from scipy.linalg import solve_banded
 
 import oracles
 from conftest import PACKET
+from tdho import evolve
 from tdho.classical import solve_fundamental
 from tdho.errors import (DomainError, GridMismatch, GridTooNarrow,
                          StabilityWarning)
@@ -385,12 +386,32 @@ def test_cn_is_bit_identical_to_the_step_by_step_march(profile, n, mu):
     assert np.array_equal(out.psi, _cn_reference(profile, p, 1.0, mu=mu, dt=1e-3))
 
 
-def test_cn_refuses_non_finite_psi():
-    p = _free_packet(512)
-    psi = p.psi.copy()
-    psi[256] = np.nan
-    with pytest.raises(DomainError):
-        crank_nicolson(FREE, WavePacket(q=p.q, psi=psi, t=0.0), 0.1)
+class CountingTwoKicks(TwoKicks):
+    """TwoKicks that records the shape of each smooth_omega_squared call."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def smooth_omega_squared(self, t):
+        self.shapes.append(np.shape(t))
+        return super().smooth_omega_squared(t)
+
+
+def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
+    lookups, lookup = [], evolve.get_lapack_funcs
+
+    def counting_lookup(*args, **kwargs):
+        lookups.append(args[0])
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "get_lapack_funcs", counting_lookup)
+    prof = CountingTwoKicks()
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
+    crank_nicolson(prof, p, 1.0, dt=1e-3)
+    cuts = (0.0, 0.3004, 0.55, 1.0)
+    n_steps = sum(math.ceil((hi - lo) / 1e-3) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    assert prof.shapes == [(n_steps,)]
+    assert lookups == [("gtsv",)]
 
 
 class NanAfter(FrequencyProfile):
@@ -458,7 +479,7 @@ def test_sliced_alias_guard_names_the_knob():
 
 @pytest.mark.parametrize("n_slices", [40, 400])
 def test_sliced_refusal_suggests_the_smallest_accepted_grid(n_slices):
-    # 256 points on [-8, 8] resolve 25 slices over T = 1; the hint names the
+    # 256 points on [-8, 8] resolve 3 slices over T = 1; the hint names the
     # first n whose dq = 16/(n-1) resolves n_slices on the same extent
     prof = Constant(1.0)
     with pytest.raises(DomainError) as exc:
@@ -468,6 +489,18 @@ def test_sliced_refusal_suggests_the_smallest_accepted_grid(n_slices):
     assert np.all(np.isfinite(out.psi))
     with pytest.raises(DomainError, match="cannot resolve"):
         time_sliced_oracle(prof, _free_packet(n - 1), 1.0, n_slices)
+
+
+@pytest.mark.parametrize("n", [256, 3260, 3261])
+def test_sliced_accepts_max_slices_and_refuses_one_more(n):
+    # the grids of the test above: 256 points, and the smallest grid (3261
+    # points) accepting 40 slices with its one-point-smaller neighbour
+    prof = Constant(1.0)
+    p = _free_packet(n)
+    limit = max_slices(p, 1.0)
+    assert np.all(np.isfinite(time_sliced_oracle(prof, p, 1.0, limit).psi))
+    with pytest.raises(DomainError, match=f"cannot resolve.*at most n_slices = {limit} "):
+        time_sliced_oracle(prof, p, 1.0, limit + 1)
 
 
 def test_sliced_argument_validation():
@@ -523,11 +556,30 @@ def test_compare_grid_mismatch():
         compare(a, c)
 
 
-def test_zero_state_is_refused_by_every_grid_route():
+def _routes(packet, t_b=0.5):
+    return (lambda: propagate_kernel(FREE, packet, t_b),
+            lambda: crank_nicolson(FREE, packet, t_b),
+            lambda: time_sliced_oracle(FREE, packet, t_b, 2))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (None, "zero state"), (math.nan, "non-finite"), (math.inf, "non-finite"),
+], ids=["zero", "nan", "inf"])
+def test_every_grid_route_refuses_a_zero_or_non_finite_state(bad, message):
     q = uniform_grid(-4.0, 4.0, 64)
-    packet = WavePacket(q=q, psi=np.zeros(64, dtype=complex), t=0.0)
-    for route in (lambda: propagate_kernel(FREE, packet, 0.5),
-                  lambda: crank_nicolson(FREE, packet, 0.5),
-                  lambda: time_sliced_oracle(FREE, packet, 0.5, 2)):
-        with pytest.raises(DomainError, match="zero state"):
+    if bad is None:
+        psi = np.zeros(64, dtype=complex)
+    else:
+        psi = GaussianState(0.0, 0.0, 0.5).psi(q)
+        psi[32] = bad
+    for route in _routes(WavePacket(q=q, psi=psi, t=0.0)):
+        with pytest.raises(DomainError, match=message):
             route()
+
+
+def test_every_grid_route_refuses_t_b_not_after_the_packet():
+    p = _free_packet(256)
+    for t_b in (0.0, -0.5):
+        for route in _routes(p, t_b):
+            with pytest.raises(DomainError, match=r"need t_b > packet time 0\.0"):
+                route()

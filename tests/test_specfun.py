@@ -139,6 +139,12 @@ def test_degree_lambda_products():
     assert d.lam_lam1 == pytest.approx(-(1.3 ** 2 + 0.25), rel=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["Real", "CONICAL", "integer", ""])
+def test_degree_refuses_an_unknown_kind(kind):
+    with pytest.raises(DomainError, match="kind must be 'real' or 'conical'"):
+        LegendreDegree(kind, 2.0)
+
+
 def test_legendre_pinned_identities():
     assert legendre_p(LegendreDegree.real(2.7), 1.0) == 1.0
     assert legendre_p(LegendreDegree.conical(1.0), 1.0) == 1.0
