@@ -24,13 +24,16 @@ anyway (GridTooNarrow enforces it), so the missing corrections act on
 amplitudes below 1e-8.
 
 crank_nicolson marches i dpsi/dt = H(t) psi directly (unitary, O(dt^2),
-Dirichlet walls), one LAPACK gtsv tridiagonal solve per step.  It makes one
-march over the whole window, reading omega^2 at all the steps' midpoints in
-one call; the off-diagonals are rebuilt only when the step changes, the
-diagonals when the step or omega^2 changes.  time_sliced_oracle applies the
-short-time kernel composition that defines the path integral, with O(1/n)
-convergence.  The three routes share no mechanism, which is the point:
-agreement is evidence.  They share one input check.
+Dirichlet walls), one LAPACK tridiagonal solve per step.  It makes one march
+over the whole window, reading omega^2 at all the steps' midpoints in one
+call; the off-diagonals are rebuilt only when the step changes, the
+diagonals when the step or omega^2 changes.  A matrix that serves a run of
+steps is factored once (gttrf) and each step of the run solves with the
+factors (gttrs); a matrix that serves one step is factored and solved in one
+gtsv call.  time_sliced_oracle applies the short-time kernel composition
+that defines the path integral, with O(1/n) convergence.  The three routes
+share no mechanism, which is the point: agreement is evidence.  They share
+one input check.
 """
 
 from __future__ import annotations
@@ -231,8 +234,10 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
 
     One march covers the window.  Its steps fit each segment between jump
     events, and each impulse of strength s applies the exact phase
-    exp(-i mu s q^2 / 2) after its segment's last step.  Walls are
-    Dirichlet, so the grid must stay wide enough that nothing reaches them.
+    exp(-i mu s q^2 / 2) after its segment's last step.  Consecutive steps
+    with equal step and omega^2 share one LAPACK factorization, bit for bit
+    the solve_banded result.  Walls are Dirichlet, so the grid must stay
+    wide enough that nothing reaches them.
     """
     _check_packet(packet, t_b, mu)
     if not (dt > 0):
@@ -263,38 +268,55 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
             "time step does not resolve the potential phase at the grid "
             "edges; results will be inaccurate (though not unstable)"))
 
+    # a step with its predecessor's (step, omega^2) reuses its matrix; a run
+    # of such steps factors it once (gttrf) and solves by gttrs, a matrix for
+    # one step takes gtsv, which is cheaper than gttrf + gttrs
+    fresh = np.append(True, (step_of[1:] != step_of[:-1]) | (w2s[1:] != w2s[:-1]))
+    solo = fresh & np.append(fresh[1:], True)
+
     dq2 = (q[1] - q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
     kin = 1.0 / (mu * dq2)
     # I + i(step/2)H in solve_banded's layout: rows hold the super-, main and
     # sub-diagonal
     ab = np.zeros((3, q.size), dtype=complex)
-    # gtsv, the routine solve_banded picks for a (1, 1) band, factors its
-    # input in place: each step factors a copy, made into one buffer (fresh
-    # buffers cost page faults on every step at large n)
+    # gtsv (the routine solve_banded picks for a (1, 1) band) and gttrf factor
+    # their input in place, so each factors a copy made into one buffer; the
+    # right-hand side is built in two more (fresh buffers cost page faults on
+    # every step at large n)
     lu = np.empty_like(ab)
-    gtsv, = get_lapack_funcs(("gtsv",), (ab,))
+    rhs, hop_psi = np.empty_like(packet.psi), np.empty_like(packet.psi)
+    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (ab,))
     psi = packet.psi
-    step_prev = w2_prev = None
+    step_prev = None
     for k, (step, w2) in enumerate(zip(steps, w2s)):
-        if step != step_prev:  # the off-diagonals change only with the step
-            half = 0.5j * step
-            hop = half * off
-            ab[0, 1:] = ab[2, :-1] = hop
-            ab[0, 1] = ab[2, -2] = 0.0  # these zeros decouple the Dirichlet walls exactly
-        if step != step_prev or w2 != w2_prev:  # the diagonals also with omega^2
+        if fresh[k]:
+            if step != step_prev:  # the off-diagonals change only with the step
+                half = 0.5j * step
+                hop = half * off
+                ab[0, 1:] = ab[2, :-1] = hop
+                ab[0, 1] = ab[2, -2] = 0.0  # these zeros decouple the Dirichlet walls exactly
+                step_prev = step
             ih = half * (kin + 0.5 * mu * w2 * q2)
             explicit = 1.0 - ih
             ab[1] = 1.0 + ih
             ab[1, 0] = ab[1, -1] = 1.0  # Dirichlet walls
-            step_prev, w2_prev = step, w2
-        rhs = explicit * psi
-        rhs[1:] -= hop * psi[:-1]
-        rhs[:-1] -= hop * psi[1:]
+            lu[...] = ab
+            if not solo[k]:
+                *factors, info = gttrf(lu[2, :-1], lu[1], lu[0, 1:], overwrite_dl=True,
+                                       overwrite_d=True, overwrite_du=True)
+        # hop * psi once, its two shifted slices subtracted: each element sees
+        # explicit * psi - hop * psi_left - hop * psi_right in that order
+        np.multiply(hop, psi, out=hop_psi)
+        np.multiply(explicit, psi, out=rhs)
+        rhs[1:] -= hop_psi[:-1]
+        rhs[:-1] -= hop_psi[1:]
         rhs[0] = rhs[-1] = 0.0  # Dirichlet walls
-        lu[...] = ab
-        psi, info = gtsv(lu[2, :-1], lu[1], lu[0, 1:], rhs, overwrite_dl=True,
-                         overwrite_d=True, overwrite_du=True, overwrite_b=True)[3:]
+        if solo[k]:
+            psi, info = gtsv(lu[2, :-1], lu[1], lu[0, 1:], rhs, overwrite_dl=True,
+                             overwrite_d=True, overwrite_du=True, overwrite_b=True)[3:]
+        else:
+            psi = gttrs(*factors, rhs, overwrite_b=True)[0]
         if info:  # I + i(step/2)H with real H is never singular for finite input
             raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[k])!r}")
         if k in kicks:
@@ -364,14 +386,22 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     # omega^2 at every slice's right edge t_j, in one call
     w2s = np.broadcast_to(profile.smooth_omega_squared(packet.t + np.arange(1, n_slices + 1) * eps),
                           (n_slices,))
+    # the phases go into one buffer and multiply psi, a view of each slice's
+    # own convolution output, in place (fresh arrays cost page faults on
+    # every slice at large n)
+    q2 = q ** 2
+    phase = np.empty(n, dtype=complex)
     psi = packet.psi
-    for j in range(1, n_slices + 1):
-        conv = fft.ifft(fft.fft(psi, m) * kern_hat)
-        psi = conv[n - 1:2 * n - 1]
-        psi = psi * np.exp(-0.5j * eps * mu * w2s[j - 1] * q ** 2)
+    w2_prev = None
+    for j, w2 in enumerate(w2s, 1):
+        psi = fft.ifft(fft.fft(psi, m) * kern_hat)[n - 1:2 * n - 1]
+        if w2 != w2_prev:  # the potential phase changes only with omega^2
+            np.exp(np.multiply(-0.5j * eps * mu * w2, q2, out=phase), out=phase)
+            w2_prev = w2
+        psi *= phase
         if j in impulse_slice:
-            psi = psi * np.exp(-0.5j * mu * impulse_slice[j] * q ** 2)
-    return WavePacket(q=q, psi=psi, t=t_b)
+            psi *= np.exp(-0.5j * mu * impulse_slice[j] * q2)
+    return WavePacket(q=q, psi=psi.copy(), t=t_b)  # not a view pinning the 2n buffer
 
 
 def compare(p1: WavePacket, p2: WavePacket) -> dict:

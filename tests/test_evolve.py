@@ -2,9 +2,11 @@ import cmath
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import fft
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
@@ -13,12 +15,12 @@ from conftest import PACKET
 from tdho import evolve
 from tdho.classical import solve_fundamental
 from tdho.errors import (DomainError, GridMismatch, GridTooNarrow,
-                         StabilityWarning)
+                         StabilityWarning, StepFailure)
 from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
                          crank_nicolson, max_slices, propagate_kernel,
                          time_sliced_oracle, uniform_grid)
 from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
-                               JumpEvent, SechSquared)
+                               JumpEvent, SechSquared, Tabulated)
 from tdho.kernel import compute_W, endpoint, kernel_robust
 
 FREE = Constant(0.0)
@@ -369,6 +371,27 @@ class TwoKicks(FrequencyProfile):
         return [JumpEvent(t, s) for t, s in ((0.3004, 0.7), (0.55, 1.1)) if t_a < t <= t_b]
 
 
+class Staircase(FrequencyProfile):
+    """Piecewise-constant omega^2 with its edges on the dt = 1e-3 step
+    boundaries of [0, 1]: runs of 200, 1, 1, 2, 1 and 495 equal CN steps
+    side by side, with a kick at 0.5 inside the 495 (the steps on both sides
+    of it are equal), then a run of 2 and one of 298 at negative omega^2."""
+
+    EDGES = (0.2, 0.201, 0.202, 0.204, 0.205, 0.7, 0.702)
+    VALUES = (1.0, 0.5, 2.0, 0.25, 1.5, 0.75, 0.0, -0.5)
+
+    def omega_squared(self, t):
+        return np.select([t < e for e in self.EDGES], self.VALUES[:-1], self.VALUES[-1])[()]
+
+    def jump_events(self, t_a, t_b):
+        super().jump_events(t_a, t_b)
+        return [JumpEvent(0.5, 0.4)] if t_a < 0.5 <= t_b else []
+
+
+# flat, ramp (omega^2 changes on every step), flat
+FLATS_AND_RAMP = Tabulated([0.0, 0.3, 0.6, 1.0], [1.0, 1.0, 0.2, 0.2], interp="linear")
+
+
 @pytest.mark.parametrize("profile, n, mu", [
     (Constant(1.0), 512, 1.0),
     (DeltaPulse(0.8, 0.5), 512, 1.0),
@@ -378,8 +401,12 @@ class TwoKicks(FrequencyProfile):
     (DeltaPulse(0.8, 0.5), 512, 0.5),
     (ExpDecay(1.2, 0.9), 512, 1.0),    # omega^2 changes on every step
     (TwoKicks(), 512, 1.0),
+    (Staircase(), 512, 1.0),
+    (Staircase(), 256, 0.5),
+    (FLATS_AND_RAMP, 512, 1.0),
 ], ids=["constant", "delta-pulse", "sech-squared", "constant-n256",
-        "delta-pulse-n1024", "delta-pulse-mu0.5", "exp-decay", "two-kicks"])
+        "delta-pulse-n1024", "delta-pulse-mu0.5", "exp-decay", "two-kicks",
+        "staircase", "staircase-n256-mu0.5", "tabulated-flats-and-ramp"])
 def test_cn_is_bit_identical_to_the_step_by_step_march(profile, n, mu):
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, n))
     out = crank_nicolson(profile, p, 1.0, mu=mu, dt=1e-3)
@@ -397,21 +424,70 @@ class CountingTwoKicks(TwoKicks):
         return super().smooth_omega_squared(t)
 
 
-def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
-    lookups, lookup = [], evolve.get_lapack_funcs
+def _count_lapack_calls(monkeypatch, fail=None):
+    """Patch evolve's LAPACK lookup; returns the list of lookups and a
+    Counter of the calls of every routine it hands out.  The routine named
+    fail reports info = 1 after doing its work."""
+    lookups, calls, lookup = [], Counter(), evolve.get_lapack_funcs
 
-    def counting_lookup(*args, **kwargs):
-        lookups.append(args[0])
-        return lookup(*args, **kwargs)
+    def wrap(name, func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            out = func(*args, **kwargs)
+            return out[:-1] + (1,) if name == fail else out
+        return counted
+
+    def counting_lookup(names, arrays):
+        lookups.append(names)
+        return [wrap(name, f) for name, f in zip(names, lookup(names, arrays))]
 
     monkeypatch.setattr(evolve, "get_lapack_funcs", counting_lookup)
-    prof = CountingTwoKicks()
+    return lookups, calls
+
+
+def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
+    # one lookup and one omega^2 read per run; a matrix is factored once per
+    # run of equal steps (TwoKicks: one per segment; Staircase: the kick at
+    # 0.5 sits inside a run, its three one-step runs take gtsv) and never
+    # when omega^2 changes on every step (ExpDecay: gtsv throughout)
+    lookups, calls = _count_lapack_calls(monkeypatch)
+    two_kicks = CountingTwoKicks()
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
-    crank_nicolson(prof, p, 1.0, dt=1e-3)
     cuts = (0.0, 0.3004, 0.55, 1.0)
     n_steps = sum(math.ceil((hi - lo) / 1e-3) for lo, hi in zip(cuts[:-1], cuts[1:]))
-    assert prof.shapes == [(n_steps,)]
-    assert lookups == [("gtsv",)]
+    for prof, total, gttrf, gtsv in ((two_kicks, n_steps, 3, 0),
+                                     (ExpDecay(1.2, 0.9), 1000, 0, 1000),
+                                     (Staircase(), 1000, 5, 3)):
+        lookups.clear()
+        calls.clear()
+        crank_nicolson(prof, p, 1.0, dt=1e-3)
+        assert lookups == [("gtsv", "gttrf", "gttrs")]
+        assert calls == Counter(gttrf=gttrf, gttrs=total - gtsv, gtsv=gtsv)
+    assert two_kicks.shapes == [(n_steps,)]
+
+
+def test_cn_leaves_the_input_packet_unchanged():
+    # the march writes its right-hand sides and solutions into reused buffers
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
+    before = p.psi.copy()
+    out = crank_nicolson(Staircase(), p, 1.0, dt=1e-3)
+    assert np.array_equal(p.psi, before)
+    assert not np.shares_memory(out.psi, p.psi)
+
+
+@pytest.mark.parametrize("routine, profile, t_a, t_fail", [
+    ("gttrf", Constant(1.0), 0.0, 0.0),       # the first step's run is factored
+    ("gtsv", ExpDecay(1.2, 0.9), 0.0, 0.0),   # every step is a one-step run
+    # from 0.2 Staircase gives two one-step runs, then the first factored run
+    ("gtsv", Staircase(), 0.2, 0.2),
+    ("gttrf", Staircase(), 0.2, 0.202),
+])
+def test_cn_refuses_a_failed_factorization_naming_t(monkeypatch, routine, profile, t_a, t_fail):
+    _count_lapack_calls(monkeypatch, fail=routine)
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256), t=t_a)
+    with pytest.raises(StepFailure, match=r"info=1\) at t=") as exc:
+        crank_nicolson(profile, p, 1.0, dt=1e-3)
+    assert float(str(exc.value).rsplit("t=", 1)[1]) == pytest.approx(t_fail, abs=1e-12)
 
 
 class NanAfter(FrequencyProfile):
@@ -509,6 +585,44 @@ def test_sliced_argument_validation():
         time_sliced_oracle(FREE, p, 1.0, n_slices=0)
     with pytest.raises(DomainError):
         time_sliced_oracle(FREE, p, 0.0, n_slices=4)
+
+
+def _sliced_reference(profile, packet, t_b, n_slices, mu=1.0):
+    """The time-sliced composition written slice by slice, every potential
+    phase rebuilt from q ** 2; omega^2 is read in one call, as the route
+    reads it."""
+    q, h, n = packet.q, packet.dq, packet.q.size
+    eps = (t_b - packet.t) / n_slices
+    pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * eps))
+    kern = pref * h * np.exp(0.5j * mu * (np.arange(-(n - 1), n) * h) ** 2 / eps)
+    m = fft.next_fast_len(2 * n - 1)
+    kern_hat = fft.fft(kern, m)
+    kicks = {}
+    for e in profile.jump_events(packet.t, t_b):
+        j = max(1, math.ceil((e.time - packet.t) / eps - 1e-12))
+        kicks[j] = kicks.get(j, 0.0) + e.strength
+    w2s = np.broadcast_to(profile.smooth_omega_squared(packet.t + np.arange(1, n_slices + 1) * eps),
+                          (n_slices,))
+    psi = packet.psi
+    for j in range(1, n_slices + 1):
+        psi = fft.ifft(fft.fft(psi, m) * kern_hat)[n - 1:2 * n - 1]
+        psi = psi * np.exp(-0.5j * eps * mu * w2s[j - 1] * q ** 2)
+        if j in kicks:
+            psi = psi * np.exp(-0.5j * mu * kicks[j] * q ** 2)
+    return psi
+
+
+@pytest.mark.parametrize("profile", [Constant(1.0), DeltaPulse(0.6, 0.5), ExpDecay(1.2, 0.9)],
+                         ids=["constant", "delta-pulse", "exp-decay"])
+def test_sliced_is_bit_identical_to_the_slice_by_slice_composition(profile):
+    # the route multiplies its phases in place, never into the input, and
+    # returns an array of its own
+    p = PACKET.on_grid(uniform_grid(-8.0, 8.0, 2048))
+    before = p.psi.copy()
+    out = time_sliced_oracle(profile, p, 1.0, 8)
+    assert np.array_equal(out.psi, _sliced_reference(profile, p, 1.0, 8))
+    assert np.array_equal(p.psi, before)
+    assert out.psi.base is None
 
 
 def test_sliced_impulse_converges_toward_kernel():
