@@ -153,30 +153,31 @@ class FundamentalPair:
         return self._drift
 
 
-def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] of traceless 2x2 matrices stored as rows (a, b, c) = [[a, b], [c, -a]]."""
-    return np.stack([x[1] * y[2] - y[1] * x[2], 2.0 * (x[0] * y[1] - y[0] * x[1]),
-                     2.0 * (y[0] * x[2] - x[0] * y[2])])
-
-
 def _magnus(profile: FrequencyProfile, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sixth-order Gauss Magnus steps of y' = [[0, 1], [-omega^2, 0]] y from t0 to t1.
 
     Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009): omega^2 is
     evaluated at each step's three Gauss nodes, in one array call, and never
-    at its ends.  Returns the step matrices, shape (n, 2, 2), and the largest
-    |omega^2| at each step's nodes.
+    at its ends; Omega's commutators are written out entry by entry.  Returns
+    the step matrices, shape (n, 2, 2), and the largest |omega^2| at each
+    step's nodes.
     """
     h = t1 - t0
     wl, wm, wr = np.broadcast_to(profile.smooth_omega_squared(
         0.5 * (t0 + t1) + np.multiply.outer(_GAUSS, h)), (3,) + h.shape)
-    zero = np.zeros_like(h)
-    a1 = np.stack([zero, h, -h * wm])
-    a2 = np.stack([zero, zero, -(math.sqrt(15.0) / 3.0) * h * (wr - wl)])
-    a3 = np.stack([zero, zero, -(10.0 / 3.0) * h * (wr - 2.0 * wm + wl)])
-    c1 = _comm(a1, a2)
-    c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
-    a, b, c = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # Omega = A1 + A3/12 + [X, A2 + C2]/240 with X = -20 A1 - A3 + C1, C1 = [A1, A2] = (p, 0, 0),
+    # C2 = [A1, 2 A3 + C1]/-60 = (q0, q1, q2), A1 = (0, h, hw), A2 = (0, 0, g2) and A3 = (0, 0, g3),
+    # as (a, b, c) = [[a, b], [c, -a]] with [x, y] = (x1 y2 - y1 x2, 2 (x0 y1 - y0 x1),
+    # 2 (y0 x2 - x0 y2)).  Only exact zero terms are dropped, in operand order: the same bits.
+    hw = -h * wm
+    g2 = -(math.sqrt(15.0) / 3.0) * h * (wr - wl)
+    g3 = -(10.0 / 3.0) * h * (wr - 2.0 * wm + wl)
+    p = h * g2
+    q0, q1, q2 = h * (2.0 * g3) / -60.0, 2.0 * -(p * h) / -60.0, 2.0 * (p * hw) / -60.0
+    x1, x2, y2 = -20.0 * h, -20.0 * hw - g3, g2 + q2  # X = (p, x1, x2), A2 + C2 = (q0, q1, y2)
+    a = (x1 * y2 - q1 * x2) / 240.0
+    b = h + 2.0 * (p * q1 - q0 * x1) / 240.0
+    c = hw + g3 / 12.0 + 2.0 * (q0 * x2 - p * y2) / 240.0
     # Omega is traceless: exp(Omega) = cosh(r) I + (sinh(r) / r) Omega with
     # r^2 = -det Omega, cos and sin for r^2 < 0; its determinant is 1
     d = a * a + b * c
@@ -197,10 +198,11 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     entry (relative to entries above 1, so roundoff in omega-sized entries
     passes), which bounds its halves' error by tol h / (t_b - t_a), and
     omega h <= 1, so that no step holds two zeros of v; it then contributes
-    its two halves.  A kick [[1, 0], [-strength, 1]] is a zero-length step.
-    One prefix product gives the state at the step ends, the pair's nodes;
-    between them the state is a partial step from the node before.  Raises
-    StepFailure when the mesh would pass _MAX_STEPS steps.
+    its two halves.  Each level is one _magnus call, the first for the
+    initial steps and their halves.  A kick [[1, 0], [-strength, 1]] is a
+    zero-length step.  One prefix product gives the state at the step ends,
+    the pair's nodes; between them the state is a partial step from the node
+    before.  Raises StepFailure when the mesh would pass _MAX_STEPS steps.
     """
     if not (t_b > t_a):
         raise DomainError(f"need t_b > t_a, got [{t_a}, {t_b}]")
@@ -215,18 +217,22 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     times = np.array(sorted(kicks))
     steps = [(times, times, np.array([[[1.0, 0.0], [-kicks[k], 1.0]] for k in times]).reshape(-1, 2, 2))]
     n_accepted = 0
+    full = None  # the whole steps, computed in level 1's call
     with np.errstate(over="ignore", invalid="ignore"):  # steps still to be bisected may overflow
-        full = _magnus(profile, t0, t1)[0]
         while t0.size:
-            h = t1 - t0
-            if n_accepted + 2 * h.size > _MAX_STEPS:
+            h, n = t1 - t0, t0.size
+            if n_accepted + 2 * n > _MAX_STEPS:
                 raise StepFailure(f"no mesh of at most {_MAX_STEPS} steps meets tol={tol} on "
                                   f"[{t_a}, {t_b}]; a step near t={float(t0[0])!r} fails")
             mid = 0.5 * (t0 + t1)
-            halves, w2max = _magnus(profile, np.concatenate([t0, mid]), np.concatenate([mid, t1]))
-            left, right = np.split(halves, 2)
+            if full is None:
+                halves, w2max = _magnus(profile, np.concatenate([t0, mid, t0]), np.concatenate([mid, t1, t1]))
+                full = halves[2 * n:]
+            else:
+                halves, w2max = _magnus(profile, np.concatenate([t0, mid]), np.concatenate([mid, t1]))
+            left, right = halves[:n], halves[n:2 * n]
             err = np.max(np.abs(full - right @ left) / np.maximum(1.0, np.abs(full)), axis=(1, 2))
-            ok = (err <= budget * h) & (h * np.sqrt(np.maximum(*np.split(w2max, 2))) <= 1.0)
+            ok = (err <= budget * h) & (h * np.sqrt(np.maximum(w2max[:n], w2max[n:2 * n])) <= 1.0)
             steps += [(t0[ok], mid[ok], left[ok]), (mid[ok], t1[ok], right[ok])]
             n_accepted += 2 * np.count_nonzero(ok)
             t0, t1 = np.concatenate([t0[~ok], mid[~ok]]), np.concatenate([mid[~ok], t1[~ok]])

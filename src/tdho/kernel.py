@@ -1,4 +1,4 @@
-"""Exact propagator of the driven oscillator from one classical solution.
+"""Exact propagator of the time-dependent harmonic oscillator from one classical solution.
 
 Two equivalent routes to K(q_b, t_b; q_a, t_a):
 

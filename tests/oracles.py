@@ -4,12 +4,18 @@ Nothing here imports the package under test.  Each oracle is written with a
 deliberately different mechanism from the production code (lgamma-based fixed
 series instead of adaptive ratio recurrences, a shunting-yard evaluator
 instead of recursive descent) so a shared bug would have to be a shared idea,
-not shared code.
+not shared code.  The one exception is the Gauss-Magnus step, kept verbatim in
+its earlier stacked-commutator form as the bit-for-bit reference of the
+closed-form step that replaced it.
 """
+
+from __future__ import annotations
 
 import cmath
 import math
 import re
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # special functions
@@ -84,6 +90,46 @@ def free_gaussian(q, t: float, mu: float = 1.0, sigma: float = 1.0):
     s = 1.0 + 1j * t / (2.0 * mu * sigma * sigma)
     return ((2.0 * math.pi * sigma * sigma) ** -0.25 / np.sqrt(s)
             * np.exp(-np.asarray(q) ** 2 / (4.0 * sigma * sigma * s)))
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Magnus step, as tdho.classical computed it with stacked commutators
+
+_GAUSS = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])  # Gauss nodes, from a step's midpoint per unit length
+
+
+def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of traceless 2x2 matrices stored as rows (a, b, c) = [[a, b], [c, -a]]."""
+    return np.stack([x[1] * y[2] - y[1] * x[2], 2.0 * (x[0] * y[1] - y[0] * x[1]),
+                     2.0 * (y[0] * x[2] - x[0] * y[2])])
+
+
+def _magnus(profile: FrequencyProfile, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sixth-order Gauss Magnus steps of y' = [[0, 1], [-omega^2, 0]] y from t0 to t1.
+
+    Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009): omega^2 is
+    evaluated at each step's three Gauss nodes, in one array call, and never
+    at its ends.  Returns the step matrices, shape (n, 2, 2), and the largest
+    |omega^2| at each step's nodes.
+    """
+    h = t1 - t0
+    wl, wm, wr = np.broadcast_to(profile.smooth_omega_squared(
+        0.5 * (t0 + t1) + np.multiply.outer(_GAUSS, h)), (3,) + h.shape)
+    zero = np.zeros_like(h)
+    a1 = np.stack([zero, h, -h * wm])
+    a2 = np.stack([zero, zero, -(math.sqrt(15.0) / 3.0) * h * (wr - wl)])
+    a3 = np.stack([zero, zero, -(10.0 / 3.0) * h * (wr - 2.0 * wm + wl)])
+    c1 = _comm(a1, a2)
+    c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
+    a, b, c = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # Omega is traceless: exp(Omega) = cosh(r) I + (sinh(r) / r) Omega with
+    # r^2 = -det Omega, cos and sin for r^2 < 0; its determinant is 1
+    d = a * a + b * c
+    r = np.sqrt(np.abs(d))
+    ch = np.where(d < 0, np.cos(r), np.cosh(r))
+    sh = np.where(r > 0, np.where(d < 0, np.sin(r), np.sinh(r)) / np.where(r > 0, r, 1.0), 1.0)
+    mats = np.stack([ch + sh * a, sh * b, sh * c, ch - sh * a], axis=-1)
+    return mats.reshape(h.shape + (2, 2)), np.max(np.abs([wl, wm, wr]), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from conftest import SUITE
 from tdho.classical import (
-    FundamentalPair, SolutionCurve, closed_form, pair_from_solution,
-    solve_fundamental, spot_check_solution, verify_solution,
+    _INITIAL_STEPS, _MAX_STEPS, FundamentalPair, SolutionCurve, _magnus, closed_form,
+    pair_from_solution, solve_fundamental, spot_check_solution, verify_solution,
 )
 from tdho.errors import DegenerateSolution, DomainError, SolutionMismatch, StepFailure
 from tdho.freq_profile import (
@@ -351,6 +352,137 @@ def test_pair_from_solution_rejects_non_solution():
                           fdot=lambda t: -2.0 * np.sin(2.0 * t))
     with pytest.raises(SolutionMismatch):
         pair_from_solution(wrong, Constant(1.0), 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Magnus step against the stacked-commutator oracle
+
+
+class Quadratic(FrequencyProfile):
+    """omega^2 = c0 + c1 (t - tc) + c2 (t - tc)^2."""
+
+    def __init__(self, c0, c1=0.0, c2=0.0, tc=0.0):
+        self.c, self.tc = (c0, c1, c2), tc
+
+    def omega_squared(self, t):
+        s = t - self.tc
+        return self.c[0] + self.c[1] * s + self.c[2] * s * s
+
+
+def _steps(rng, n, lo=1e-9, hi=1.0):
+    """n steps starting in [0, 2], with lengths log-uniform in [lo, hi]."""
+    t0 = rng.uniform(0.0, 2.0, n)
+    return t0, t0 + 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+
+
+def _magnus_case(case, rng, n):
+    """(profile, t0, t1) of n seeded steps."""
+    if case == "positive":
+        return (Quadratic(rng.uniform(0.5, 50.0), 1.0, 0.5), *_steps(rng, n))
+    if case == "negative":
+        return (Quadratic(-rng.uniform(0.5, 50.0), -1.0, -0.5), *_steps(rng, n))
+    if case == "zero":
+        return (Constant(0.0), *_steps(rng, n))
+    if case == "sign-change":  # omega^2 = 30 (t - 1) changes sign inside every step
+        h = 10.0 ** rng.uniform(-9.0, 0.0, n)
+        t0 = 1.0 - rng.uniform(0.1, 0.9, n) * h
+        return Quadratic(0.0, 30.0, 0.0, tc=1.0), t0, t0 + h
+    t0 = rng.uniform(0.0, 2.0, n)  # omega-h-near-1
+    return Constant(7.0), t0, t0 + rng.uniform(0.9, 1.1, n) / 7.0
+
+
+MAGNUS_CASES = ["positive", "negative", "zero", "sign-change", "omega-h-near-1"]
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("case", MAGNUS_CASES)
+def test_closed_form_magnus_step_is_bit_identical_to_the_stacked_commutators(case, n):
+    rng = np.random.default_rng([20261019, n, MAGNUS_CASES.index(case)])
+    profile, t0, t1 = _magnus_case(case, rng, n)
+    got, want = _magnus(profile, t0, t1), oracles._magnus(profile, t0, t1)
+    assert np.all(np.isfinite(want[0]))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_overflowing_magnus_step_is_non_finite_in_both_forms():
+    # omega^2 = -1e6: exp(Omega) grows like 1000 e^{1000 h}, past a float near h = 0.704
+    rng = np.random.default_rng(20261019)
+    t0, t1 = _steps(rng, 32, lo=1e-6, hi=1.0)
+    profile = Quadratic(-1e6, 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _magnus(profile, t0, t1), oracles._magnus(profile, t0, t1)
+    finite = np.isfinite(want[0]).all(axis=(1, 2))
+    assert np.array_equal(np.isfinite(got[0]).all(axis=(1, 2)), finite)
+    h = t1 - t0
+    assert finite[h < 0.7].all() and not finite[h > 0.72].any() and 0 < finite.sum() < finite.size
+    assert np.array_equal(got[0][finite], want[0][finite]) and np.array_equal(got[1], want[1])
+
+
+def _stacked_step_solve(profile, t_a, t_b, tol=1e-10):
+    """solve_fundamental's nodes and state, bisecting level by level on the oracle step."""
+    kicks = {e.time: e.strength for e in profile.jump_events(t_a, t_b)}
+    boundaries = sorted({t_a, t_b, *kicks, *profile.breakpoints(t_a, t_b)})
+    edges = [np.linspace(lo, hi, _INITIAL_STEPS + 1) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
+    t0, t1 = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    budget = 63.0 * tol / (t_b - t_a)
+    times = np.array(sorted(kicks))
+    steps = [(times, times, np.array([[[1.0, 0.0], [-kicks[k], 1.0]] for k in times]).reshape(-1, 2, 2))]
+    n_accepted = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = oracles._magnus(profile, t0, t1)[0]
+        while t0.size:
+            h = t1 - t0
+            assert n_accepted + 2 * h.size <= _MAX_STEPS
+            mid = 0.5 * (t0 + t1)
+            halves, w2max = oracles._magnus(profile, np.concatenate([t0, mid]), np.concatenate([mid, t1]))
+            left, right = np.split(halves, 2)
+            err = np.max(np.abs(full - right @ left) / np.maximum(1.0, np.abs(full)), axis=(1, 2))
+            ok = (err <= budget * h) & (h * np.sqrt(np.maximum(*np.split(w2max, 2))) <= 1.0)
+            steps += [(t0[ok], mid[ok], left[ok]), (mid[ok], t1[ok], right[ok])]
+            n_accepted += 2 * np.count_nonzero(ok)
+            t0, t1 = np.concatenate([t0[~ok], mid[~ok]]), np.concatenate([mid[~ok], t1[~ok]])
+            full = np.concatenate([left[~ok], right[~ok]])
+        lo, hi, mats = (np.concatenate(x) for x in zip(*steps))
+        order = np.lexsort((hi, lo))
+        mats = mats[order]
+        shift = 1
+        while shift < len(mats):
+            mats[shift:] = mats[shift:] @ mats[:-shift]
+            shift *= 2
+    node_t = np.concatenate([[t_a], hi[order]])
+    node_y = np.concatenate([np.eye(2)[None], mats])
+
+    def state(t):
+        k = np.searchsorted(node_t, t, side="right") - 1
+        y = node_y[k]
+        part = t > node_t[k]
+        y[part] = oracles._magnus(profile, node_t[k[part]], t[part])[0] @ y[part]
+        return np.stack([y[:, 0, 0], y[:, 1, 0], y[:, 0, 1], y[:, 1, 1]])
+
+    return node_t, node_y, state
+
+
+STACKED_SOLVES = {
+    "constant": (Constant(2.3), 0.0, 7.0),
+    "exp-decay": (ExpDecay(3.0, 0.1), 0.0, 9.0),
+    "power-law": (PowerLaw(1.5, 1.0, 0.5), 0.3, 6.0),
+    "delta-pulse-kick": (DeltaPulse(1.2, 0.9), 0.0, 4.0),
+    "sech-squared": (SechSquared(3.0, 0.2, 4.0), 0.0, 9.0),
+    "tabulated-breakpoints": (Tabulated(np.linspace(0.0, 10.0, 21),
+                                        2.0 + np.sin(np.linspace(0.0, 10.0, 21))), 0.25, 7.3),
+    "expression-sign-change": (Expression("4*sin(0.5*t) + 1"), 0.0, 12.0),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_SOLVES)
+def test_solve_is_bit_identical_to_the_stacked_step_bisection(name):
+    profile, t_a, t_b = STACKED_SOLVES[name]
+    node_t, node_y, state = _stacked_step_solve(profile, t_a, t_b)
+    pair = solve_fundamental(profile, t_a, t_b)
+    assert np.array_equal(pair.nodes[0], node_t) and np.array_equal(pair.nodes[1], node_y[:, 0, 1])
+    assert node_t.size > 16 * (1 + len(profile.breakpoints(t_a, t_b)))  # bisected past level 1
+    ts = np.concatenate([node_t, np.linspace(t_a, t_b, 37)])
+    assert np.array_equal(pair.state(ts), state(ts))
 
 
 # ---------------------------------------------------------------------------
