@@ -226,6 +226,32 @@ def test_default_out_is_cwd(tmp_path, monkeypatch):
     assert (tmp_path / "kernel.csv").exists()
 
 
+def test_the_one_parser_keeps_no_state_between_runs(tmp_path, monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--strict"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+    cfg = {"task": "validate",
+           "profile": {"type": "delta_pulse", "omega0": 1.0, "t0": 0.5},
+           "window": {"t_a": 0.0, "t_b": 1.0}}
+    cfg_path = write_cfg(tmp_path, cfg)
+    given = tmp_path / "given"
+    assert main(["validate", "--config", str(cfg_path), "--out", str(given), "--strict"]) == 2
+    assert main(["validate", "--config", str(cfg_path), "--out", str(given)]) == 0
+
+    # no --out: each run reads $TDHO_OUT afresh
+    for name in ("env1", "env2"):
+        monkeypatch.setenv("TDHO_OUT", str(tmp_path / name))
+        assert main(["validate", "--config", str(cfg_path)]) == 0
+    for name in ("given", "env1", "env2"):
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["manifest.json", "validate.json"]
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -459,6 +485,11 @@ def per_value_csv(header, rows):
     return ("\n".join(lines) + "\n").encode()
 
 
+# two NaN bit patterns: the default quiet NaN and a negative one with a payload
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+REPEATED = np.array([-0.0, 0.0, np.inf, -np.inf, *NANS, 5e-324, -5e-324, 2.5e-309, 1e300, 0.1])
+
+
 @pytest.mark.parametrize("n", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
 def test_csv_matches_the_per_value_rule(n):
     rng = np.random.default_rng(n)
@@ -467,8 +498,19 @@ def test_csv_matches_the_per_value_rule(n):
     floats[:len(special)] = special[:n]
     ints = rng.integers(-2**62, 2**62, n)
     bools = rng.random(n) < 0.5
-    header = ["f", "i_scalar", "i", "f_scalar", "b", "b_scalar", "np_f_scalar", "g"]
-    columns = [floats, 7, ints, 0.1, bools, True, np.float64(-0.0), floats[::-1]]
+    # float columns with at most half their bit patterns distinct, which _csv
+    # formats once per pattern, and one just over half
+    repeated = REPEATED[rng.permutation(np.arange(n) % REPEATED.size)]
+    half = np.resize(rng.standard_normal(max(1, n // 2)), n)
+    over_half = np.resize(rng.standard_normal(n // 2 + 1), n)
+    single = np.full(n, -0.0)
+    if n > 1:
+        shares = [np.unique(c.view(np.int64)).size / n for c in (repeated, half, single, over_half)]
+        assert [s <= 0.5 for s in shares] == [True, True, True, False]
+    header = ["f", "i_scalar", "i", "f_scalar", "b", "b_scalar", "np_f_scalar", "g",
+              "repeated", "half", "single", "over_half"]
+    columns = [floats, 7, ints, 0.1, bools, True, np.float64(-0.0), floats[::-1],
+               repeated, half, single, over_half]
     rows = [[c[i] if np.ndim(c) else c for c in columns] for i in range(n)]
     assert cli._csv(header, columns) == per_value_csv(header, rows)
 
@@ -497,6 +539,24 @@ def test_kernel_and_classical_csv_bytes(tmp_path):
     rows = zip(ts, *pair.state(ts))
     assert (tmp_path / "classical" / "classical.csv").read_bytes() == \
         per_value_csv(["t", "u", "udot", "v", "vdot"], rows)
+
+
+def test_first_run_in_a_process_writes_the_bytes_of_later_runs(tmp_path):
+    # odd n puts 0 on the axis; the child process runs the same tdho as this one
+    cfg = {"task": "kernel", "profile": {"type": "exp_decay", "omega0": 1.0, "alpha": 0.5},
+           "window": {"t_a": 0.0, "t_b": 1.0}, "grid": {"q_min": -2.0, "q_max": 2.0, "n": 31}}
+    cfg_path = write_cfg(tmp_path, cfg)
+    env = dict(os.environ, PYTHONPATH=str(Path(tdho.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-m", "tdho", "kernel", "--config", str(cfg_path),
+           "--out", str(tmp_path / "fresh")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("again", "once more"):
+        assert main(["kernel", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+    for f in ("kernel.csv", "manifest.json"):
+        fresh = (tmp_path / "fresh" / f).read_bytes()
+        assert fresh == (tmp_path / "again" / f).read_bytes() == (tmp_path / "once more" / f).read_bytes()
+    assert b"\n0,0,0,1," in (tmp_path / "fresh" / "kernel.csv").read_bytes()
 
 
 TASK_CFGS = [
