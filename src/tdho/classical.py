@@ -16,14 +16,15 @@ classical trajectory problem.  This module solves it:
     them FAIL.  Numerical solutions are authoritative for those families.
   * verify_solution: central-difference residual grading with two-step
     Richardson calibration (an exact solution shows slope 2.0 as h halves).
-  * pair_from_solution: promote one known solution to a fundamental pair
-    using a single numerical companion solve.
+  * pair_from_solution: the solved pair of a window, after a residual check
+    of a caller's solution on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,52 +62,44 @@ class ClosedFormSolution(SolutionCurve):
     note: str = ""
 
 
-_DEFAULT_NODES = 1001  # focal-count grid of a pair given only a state_fn
 _GAUSS = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])  # Gauss nodes, from a step's midpoint per unit length
 _INITIAL_STEPS = 8     # uniform steps per segment before bisection
 _MAX_STEPS = 1 << 18   # largest mesh solve_fundamental builds
 
 
+@dataclass(frozen=True, eq=False)
 class FundamentalPair:
-    """Dense fundamental pair on [t_a, t_b].
+    """The fundamental pair on [t_a, t_b] as solve_fundamental's node arrays.
 
     u and v carry the canonical initial data at t_a; derivatives are
-    right-continuous at impulse times.  nodes = (t, v(t)) are non-decreasing
-    times from t_a to t_b with v there, at which focal_count reads the sign
-    of v; without them a uniform grid of _DEFAULT_NODES times is evaluated
-    through state_fn once, on first use.  Instances are immutable after
-    construction, apart from such caches, and safe to share between threads.
+    right-continuous at impulse times.  node_t holds the step ends, from t_a
+    to t_b, and node_y[k] = [[u, v], [u', v']] at node_t[k], the product of
+    every step before it.  A kick at t0 is a zero-length step, so t0 appears
+    twice: first with the state before the kick, then with the state after
+    it.  Between nodes, state() takes a partial Magnus step from the node
+    before.  state() and focal_count() only read these arrays, so a pair is
+    safe to share between threads.
     """
-
-    def __init__(self, t_a: float, t_b: float,
-                 state_fn: Callable[[np.ndarray], np.ndarray],
-                 event_times: tuple[float, ...] = (),
-                 nodes: tuple[np.ndarray, np.ndarray] | None = None):
-        self.t_a = float(t_a)
-        self.t_b = float(t_b)
-        self._state = state_fn
-        self.event_times = tuple(event_times)
-        self._nodes = nodes
-        self._drift: float | None = None
+    profile: FrequencyProfile
+    t_a: float
+    t_b: float
+    node_t: np.ndarray         # (n,) non-decreasing step ends
+    node_y: np.ndarray         # (n, 2, 2) prefix products of the steps
+    event_times: tuple[float, ...]
 
     def state(self, t: Times) -> np.ndarray:
         """Rows u, u', v, v' at t: shape (4,) for a float, (4, *t.shape) for an array."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.t_a - 1e-12) or np.any(t_arr > self.t_b + 1e-12):
+        if not np.all((t_arr >= self.t_a - 1e-12) & (t_arr <= self.t_b + 1e-12)):
             raise DomainError(f"t outside pair window [{self.t_a}, {self.t_b}]")
-        return self._state(t_arr)
-
-    def u(self, t):
-        return self.state(t)[0]
-
-    def udot(self, t):
-        return self.state(t)[1]
-
-    def v(self, t):
-        return self.state(t)[2]
-
-    def vdot(self, t):
-        return self.state(t)[3]
+        ts = np.clip(t_arr.ravel(), self.t_a, self.t_b)
+        # side="right": the state after a kick at that very time, and at t_b
+        k = np.searchsorted(self.node_t, ts, side="right") - 1
+        y = self.node_y[k]
+        part = ts > self.node_t[k]
+        if np.any(part):
+            y[part] = _magnus(self.profile, self.node_t[k[part]], ts[part])[0] @ y[part]
+        return np.stack([y[:, 0, 0], y[:, 1, 0], y[:, 0, 1], y[:, 1, 1]]).reshape((4,) + t_arr.shape)
 
     def combination(self, f_a: float, fdot_a: float, label: str = "") -> SolutionCurve:
         """The solution with initial data f(t_a)=f_a, f'(t_a)=fdot_a."""
@@ -120,14 +113,6 @@ class FundamentalPair:
 
         return SolutionCurve(f, fdot, label or f"{f_a}*u + {fdot_a}*v")
 
-    @property
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t, v(t)) at the times where focal_count reads the sign of v."""
-        if self._nodes is None:
-            ts = np.linspace(self.t_a, self.t_b, _DEFAULT_NODES)
-            self._nodes = (ts, np.asarray(self._state(ts)[2], dtype=float))
-        return self._nodes
-
     def focal_count(self, t_end: float, v_end: float) -> int:
         """Number of zeros of v in the open interval (t_a, t_end).
 
@@ -137,20 +122,16 @@ class FundamentalPair:
         v between impulses lie at least pi / max(omega) apart, and
         solve_fundamental's node intervals keep omega h <= 1/2.
         """
-        ts, vs = self.nodes
-        inner = vs[1:np.searchsorted(ts, t_end, side="left")]
+        inner = self.node_y[1:np.searchsorted(self.node_t, t_end, side="left"), 0, 1]
         signs = np.sign(np.concatenate(([1.0], inner, [v_end])))
         signs = signs[signs != 0.0]
         return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
-    @property
+    @cached_property
     def wronskian_drift(self) -> float:
         """max |u v' - u' v - 1| over 100 uniform sample times."""
-        if self._drift is None:
-            ts = np.linspace(self.t_a, self.t_b, 100)
-            u, ud, v, vd = self.state(ts)
-            self._drift = float(np.max(np.abs(u * vd - ud * v - 1.0)))
-        return self._drift
+        u, ud, v, vd = self.state(np.linspace(self.t_a, self.t_b, 100))
+        return float(np.max(np.abs(u * vd - ud * v - 1.0)))
 
 
 def _magnus(profile: FrequencyProfile, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +183,12 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     initial steps and their halves.  A kick [[1, 0], [-strength, 1]] is a
     zero-length step.  One prefix product gives the state at the step ends,
     the pair's nodes; between them the state is a partial step from the node
-    before.  Raises StepFailure when the mesh would pass _MAX_STEPS steps.
+    before.  Raises DomainError on a non-finite or empty window or a
+    non-positive tol, and StepFailure when the mesh would pass _MAX_STEPS
+    steps.
     """
+    if not all(map(math.isfinite, (t_a, t_b, tol))):
+        raise DomainError(f"need finite t_a, t_b and tol, got [{t_a}, {t_b}], tol={tol}")
     if not (t_b > t_a):
         raise DomainError(f"need t_b > t_a, got [{t_a}, {t_b}]")
     if not (tol > 0):
@@ -248,18 +233,7 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
         raise StepFailure(f"the fundamental pair overflows on [{t_a}, {t_b}]")
     node_t = np.concatenate([[t_a], hi[order]])
     node_y = np.concatenate([np.eye(2)[None], mats])
-
-    def state_fn(t_arr: np.ndarray) -> np.ndarray:
-        t = np.clip(t_arr.ravel(), t_a, t_b)
-        # side="right": the state after a kick at that very time, and at t_b
-        k = np.searchsorted(node_t, t, side="right") - 1
-        y = node_y[k]
-        part = t > node_t[k]
-        if np.any(part):
-            y[part] = _magnus(profile, node_t[k[part]], t[part])[0] @ y[part]
-        return np.stack([y[:, 0, 0], y[:, 1, 0], y[:, 0, 1], y[:, 1, 1]]).reshape((4,) + t_arr.shape)
-
-    return FundamentalPair(t_a, t_b, state_fn, tuple(sorted(kicks)), (node_t, node_y[:, 0, 1]))
+    return FundamentalPair(profile, float(t_a), float(t_b), node_t, node_y, tuple(sorted(kicks)))
 
 
 def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
@@ -477,31 +451,16 @@ def spot_check_solution(profile: FrequencyProfile, sol: SolutionCurve,
 
 def pair_from_solution(sol: SolutionCurve, profile: FrequencyProfile,
                        t_a: float, t_b: float, tol: float = 1e-10) -> FundamentalPair:
-    """Fundamental pair built from one known solution plus a numerical companion.
+    """The window's fundamental pair, once sol passes as a nonzero solution on it.
 
-    Raises DegenerateSolution if sol is numerically the zero solution at t_a
-    (no independent companion can be combined), SolutionMismatch if sol does
-    not actually solve the equation.
+    A pair is fixed by its initial data, so sol is only checked, never used:
+    the result is solve_fundamental(profile, t_a, t_b, tol).  Raises
+    SolutionMismatch if sol does not actually solve the equation, then
+    DegenerateSolution if it is numerically the zero solution at t_a.
     """
     spot_check_solution(profile, sol, t_a, t_b)
-    num = solve_fundamental(profile, t_a, t_b, tol)
     f_a, fdot_a = sol.f(t_a), sol.fdot(t_a)
-    scale = max(abs(f_a), abs(fdot_a))
-    if scale <= 1e-6:
+    if max(abs(f_a), abs(fdot_a)) <= 1e-6:
         raise DegenerateSolution(
-            f"solution has f(t_a)={f_a:.3e}, f'(t_a)={fdot_a:.3e}; cannot normalize a pair")
-
-    def state_fn(t_arr: np.ndarray) -> np.ndarray:
-        s = num.state(t_arr)
-        ft = np.broadcast_to(sol.f(t_arr), t_arr.shape)
-        fd = np.broadcast_to(sol.fdot(t_arr), t_arr.shape)
-        if abs(f_a) >= abs(fdot_a):
-            # companion = numerical v (Wronskian with f is f_a)
-            return np.stack([ft / f_a - (fdot_a / f_a) * s[2],
-                             fd / f_a - (fdot_a / f_a) * s[3], s[2], s[3]])
-        # companion = numerical u (Wronskian with f is -fdot_a)
-        return np.stack([s[0], s[1], ft / fdot_a - (f_a / fdot_a) * s[0],
-                         fd / fdot_a - (f_a / fdot_a) * s[1]])
-
-    ts = num.nodes[0]
-    return FundamentalPair(t_a, t_b, state_fn, num.event_times, (ts, state_fn(ts)[2]))
+            f"solution has f(t_a)={f_a:.3e}, f'(t_a)={fdot_a:.3e}; it is numerically zero")
+    return solve_fundamental(profile, t_a, t_b, tol)

@@ -59,7 +59,7 @@ class StepFailure(TdhoError, RuntimeError):
 
 
 class DegenerateSolution(TdhoError, ValueError):
-    """Provided solution is (numerically) proportional to its companion; no fundamental pair exists."""
+    """Provided solution is numerically the zero solution: f and f' vanish at t_a."""
 
 
 class SolutionMismatch(TdhoError, ValueError):

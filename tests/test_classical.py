@@ -22,19 +22,21 @@ from tdho.freq_profile import (
 
 def test_constant_frequency_pinned_values():
     pair = solve_fundamental(Constant(2.0), 0.0, 1.0)
-    assert pair.u(0.5) == pytest.approx(math.cos(1.0), abs=1e-9)
-    assert pair.v(0.5) == pytest.approx(math.sin(1.0) / 2.0, abs=1e-9)
-    assert pair.udot(0.5) == pytest.approx(-2.0 * math.sin(1.0), abs=1e-9)
-    assert pair.vdot(0.5) == pytest.approx(math.cos(1.0), abs=1e-9)
+    u, udot, v, vdot = pair.state(0.5)
+    assert u == pytest.approx(math.cos(1.0), abs=1e-9)
+    assert v == pytest.approx(math.sin(1.0) / 2.0, abs=1e-9)
+    assert udot == pytest.approx(-2.0 * math.sin(1.0), abs=1e-9)
+    assert vdot == pytest.approx(math.cos(1.0), abs=1e-9)
 
 
 def test_free_particle_pair_is_affine():
     pair = solve_fundamental(Constant(0.0), 0.3, 1.7)
     for t in np.linspace(0.3, 1.7, 11):
-        assert pair.u(t) == pytest.approx(1.0, abs=1e-12)
-        assert pair.udot(t) == pytest.approx(0.0, abs=1e-12)
-        assert pair.v(t) == pytest.approx(t - 0.3, abs=1e-12)
-        assert pair.vdot(t) == pytest.approx(1.0, abs=1e-12)
+        u, udot, v, vdot = pair.state(t)
+        assert u == pytest.approx(1.0, abs=1e-12)
+        assert udot == pytest.approx(0.0, abs=1e-12)
+        assert v == pytest.approx(t - 0.3, abs=1e-12)
+        assert vdot == pytest.approx(1.0, abs=1e-12)
 
 
 def test_delta_impulse_kick_matches_piecewise_analytic():
@@ -46,27 +48,30 @@ def test_delta_impulse_kick_matches_piecewise_analytic():
     assert pair.event_times == (t0,)
 
     # derivatives are right-continuous at the event
-    assert pair.udot(t0) == pytest.approx(-s, abs=1e-10)
-    assert pair.vdot(t0) == pytest.approx(1.0 - s * t0, abs=1e-10)
-    assert pair.udot(t0 - 1e-9) == pytest.approx(0.0, abs=1e-7)
+    _, udot, _, vdot = pair.state(t0)
+    assert udot == pytest.approx(-s, abs=1e-10)
+    assert vdot == pytest.approx(1.0 - s * t0, abs=1e-10)
+    assert pair.state(t0 - 1e-9)[1] == pytest.approx(0.0, abs=1e-7)
 
     for t in (0.6, 0.8, 1.0):
         tau = t - t0
         c, sn = math.cos(W * tau), math.sin(W * tau)
         u_want = c - (s / W) * sn
         v_want = t0 * c + ((1.0 - s * t0) / W) * sn
-        assert pair.u(t) == pytest.approx(u_want, abs=1e-10)
-        assert pair.udot(t) == pytest.approx(-W * sn - s * c, abs=1e-10)
-        assert pair.v(t) == pytest.approx(v_want, abs=1e-10)
-        assert pair.vdot(t) == pytest.approx(-t0 * W * sn + (1.0 - s * t0) * c, abs=1e-10)
+        u, udot, v, vdot = pair.state(t)
+        assert u == pytest.approx(u_want, abs=1e-10)
+        assert udot == pytest.approx(-W * sn - s * c, abs=1e-10)
+        assert v == pytest.approx(v_want, abs=1e-10)
+        assert vdot == pytest.approx(-t0 * W * sn + (1.0 - s * t0) * c, abs=1e-10)
 
 
 def test_impulse_exactly_at_right_edge():
     pair = solve_fundamental(DeltaPulse(0.6, 1.0), 0.0, 1.0)
     assert 1.0 in pair.event_times
-    assert pair.u(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert pair.udot(1.0) == pytest.approx(-0.36, abs=1e-10)
-    assert pair.udot(1.0 - 1e-9) == pytest.approx(0.0, abs=1e-7)
+    u, udot, _, _ = pair.state(1.0)
+    assert u == pytest.approx(1.0, abs=1e-12)
+    assert udot == pytest.approx(-0.36, abs=1e-10)
+    assert pair.state(1.0 - 1e-9)[1] == pytest.approx(0.0, abs=1e-7)
 
 
 class TwoKicks(FrequencyProfile):
@@ -148,8 +153,9 @@ def test_combination_is_linear():
     pair = solve_fundamental(ExpDecay(1.0, 1.0), 0.0, 1.0)
     sol = pair.combination(2.0, 3.0)
     for t in (0.0, 0.4, 1.0):
-        assert sol.f(t) == pytest.approx(2.0 * pair.u(t) + 3.0 * pair.v(t), rel=1e-12)
-        assert sol.fdot(t) == pytest.approx(2.0 * pair.udot(t) + 3.0 * pair.vdot(t), rel=1e-12)
+        u, udot, v, vdot = pair.state(t)
+        assert sol.f(t) == pytest.approx(2.0 * u + 3.0 * v, rel=1e-12)
+        assert sol.fdot(t) == pytest.approx(2.0 * udot + 3.0 * vdot, rel=1e-12)
     assert sol.f(0.0) == pytest.approx(2.0, abs=1e-12)
     assert sol.fdot(0.0) == pytest.approx(3.0, abs=1e-12)
 
@@ -166,7 +172,7 @@ def test_wronskian_drift_on_long_caustic_free_power_law_window():
                     beta=-0.383590810088119)
     pair = solve_fundamental(prof, 0.2984347397385992, 1.6572102618789633)
     assert pair.wronskian_drift <= 1e-9
-    assert pair.focal_count(pair.t_b, float(pair.v(pair.t_b))) == 0
+    assert pair.focal_count(pair.t_b, float(pair.state(pair.t_b)[2])) == 0
 
 
 def test_wronskian_drift_on_tabulated_window_split_at_knots():
@@ -177,23 +183,38 @@ def test_wronskian_drift_on_tabulated_window_split_at_knots():
     assert prof.breakpoints(0.0, 1.5) == [0.5, 1.0]
     pair = solve_fundamental(prof, 0.0, 1.5)
     assert pair.event_times == ()
-    assert {0.5, 1.0} <= set(pair.nodes[0])
+    assert {0.5, 1.0} <= set(pair.node_t)
     assert pair.wronskian_drift <= 1e-9
 
 
 def test_state_rejects_times_outside_window():
+    # NaN compares False both ways, so it must fail the window test, not pass it
     pair = solve_fundamental(Constant(1.0), 0.0, 1.0)
-    with pytest.raises(DomainError):
-        pair.u(1.5)
-    with pytest.raises(DomainError):
-        pair.state(np.array([0.2, -0.1]))
+    for t in (1.5, np.array([0.2, -0.1]), math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(DomainError):
+            pair.state(t)
 
 
 def test_solver_argument_validation():
-    with pytest.raises(DomainError):
-        solve_fundamental(Constant(1.0), 1.0, 1.0)
-    with pytest.raises(DomainError):
-        solve_fundamental(Constant(1.0), 0.0, 1.0, tol=0.0)
+    for t_a, t_b, tol in ((1.0, 1.0, 1e-10), (0.0, 1.0, 0.0), (0.0, 1.0, math.inf),
+                          (0.0, 1.0, math.nan), (0.0, math.inf, 1e-10),
+                          (-math.inf, 1.0, 1e-10), (0.0, math.nan, 1e-10)):
+        with pytest.raises(DomainError):
+            solve_fundamental(ExpDecay(2.0, 0.5), t_a, t_b, tol)
+
+
+def test_pair_is_a_frozen_record_that_state_only_reads():
+    # state() copies the node matrices it steps from, so a shared pair is never written
+    pair = solve_fundamental(ExpDecay(2.0, 0.5), 0.0, 3.0)
+    node_t, node_y = pair.node_t.copy(), pair.node_y.copy()
+    mid = 0.5 * (node_t[:-1] + node_t[1:])  # each a partial step from the node before
+    pair.state(mid)
+    pair.state(float(mid[5]))
+    assert np.array_equal(pair.node_t, node_t) and np.array_equal(pair.node_y, node_y)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.node_y = node_y
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.t_b = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -315,30 +336,31 @@ def test_pair_from_cosine_solution():
     sol = SolutionCurve(f=np.cos, fdot=lambda t: -np.sin(t))
     pair = pair_from_solution(sol, Constant(1.0), 0.0, 1.0)
     for t in np.linspace(0.0, 1.0, 7):
-        assert pair.u(t) == pytest.approx(math.cos(t), abs=1e-10)
-        assert pair.v(t) == pytest.approx(math.sin(t), abs=1e-9)
+        assert pair.state(t)[0] == pytest.approx(math.cos(t), abs=1e-10)
+        assert pair.state(t)[2] == pytest.approx(math.sin(t), abs=1e-9)
     assert pair.wronskian_drift <= 1e-9
 
 
 def test_pair_from_solution_vanishing_at_start():
-    # f(t_a) = 0 exercises the other normalization branch
+    # f(t_a) = 0 with f'(t_a) = 1 is a nonzero solution, not a degenerate one
     sol = SolutionCurve(f=np.sin, fdot=np.cos)
     pair = pair_from_solution(sol, Constant(1.0), 0.0, 1.0)
-    assert pair.u(0.0) == pytest.approx(1.0, abs=1e-10)
-    assert pair.udot(0.0) == pytest.approx(0.0, abs=1e-10)
-    assert pair.v(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert pair.vdot(0.0) == pytest.approx(1.0, abs=1e-12)
+    u, udot, v, vdot = pair.state(0.0)
+    assert u == pytest.approx(1.0, abs=1e-10)
+    assert udot == pytest.approx(0.0, abs=1e-10)
+    assert v == pytest.approx(0.0, abs=1e-12)
+    assert vdot == pytest.approx(1.0, abs=1e-12)
     for t in (0.3, 0.8):
-        assert pair.v(t) == pytest.approx(math.sin(t), abs=1e-10)
-        assert pair.u(t) == pytest.approx(math.cos(t), abs=1e-9)
+        assert pair.state(t)[2] == pytest.approx(math.sin(t), abs=1e-10)
+        assert pair.state(t)[0] == pytest.approx(math.cos(t), abs=1e-9)
 
 
 def test_pair_from_free_affine_solution():
     sol = SolutionCurve(f=lambda t: 2.0 + 3.0 * t, fdot=lambda t: 3.0)
     pair = pair_from_solution(sol, Constant(0.0), 0.0, 1.0)
     for t in (0.0, 0.5, 1.0):
-        assert pair.u(t) == pytest.approx(1.0, abs=1e-10)
-        assert pair.v(t) == pytest.approx(t, abs=1e-10)
+        assert pair.state(t)[0] == pytest.approx(1.0, abs=1e-10)
+        assert pair.state(t)[2] == pytest.approx(t, abs=1e-10)
 
 
 def test_pair_from_zero_solution_is_degenerate():
@@ -479,7 +501,7 @@ def test_solve_is_bit_identical_to_the_stacked_step_bisection(name):
     profile, t_a, t_b = STACKED_SOLVES[name]
     node_t, node_y, state = _stacked_step_solve(profile, t_a, t_b)
     pair = solve_fundamental(profile, t_a, t_b)
-    assert np.array_equal(pair.nodes[0], node_t) and np.array_equal(pair.nodes[1], node_y[:, 0, 1])
+    assert np.array_equal(pair.node_t, node_t) and np.array_equal(pair.node_y, node_y)
     assert node_t.size > 16 * (1 + len(profile.breakpoints(t_a, t_b)))  # bisected past level 1
     ts = np.concatenate([node_t, np.linspace(t_a, t_b, 37)])
     assert np.array_equal(pair.state(ts), state(ts))

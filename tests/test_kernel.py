@@ -130,7 +130,7 @@ def test_solution_scaled_is_gauge_invariant():
 def test_modulus_is_endpoint_independent():
     # |K| = sqrt(mu / 2 pi |v_b|) for every (q_a, q_b)
     pair = solve_fundamental(Constant(0.8), 0.0, 1.0)
-    v_b = float(pair.v(1.0))
+    v_b = float(pair.state(1.0)[2])
     want = math.sqrt(1.0 / (2.0 * math.pi * abs(v_b)))
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -180,12 +180,16 @@ def test_maslov_phase_after_each_focal_point(n_focal):
     assert kv.phase == pytest.approx(-math.pi / 4.0 - n_focal * math.pi / 2.0 + action, abs=1e-9)
 
 
-def test_caustic_at_endpoint_refuses():
-    def state_fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)])
+def rotation_pair(t_b: float, n: int) -> FundamentalPair:
+    """omega = 1's exact pair u = cos t, v = sin t, as a record with n + 1 uniform nodes."""
+    ts = np.linspace(0.0, t_b, n + 1)
+    c, s = np.cos(ts), np.sin(ts)
+    node_y = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=-2)
+    return FundamentalPair(Constant(1.0), 0.0, t_b, ts, node_y, ())
 
-    pair = FundamentalPair(0.0, math.pi, state_fn)
+
+def test_caustic_at_endpoint_refuses():
+    pair = rotation_pair(math.pi, 16)
     with pytest.raises(CausticAtEndpoint) as exc:
         kernel_robust(pair, 0.3, 0.4)
     assert exc.value.t_b == pytest.approx(math.pi)
@@ -211,6 +215,14 @@ def test_kernel_at_window_start_is_a_caustic():
         kernel_robust(pair, 0.3, 0.4, t_end=0.0)
     assert exc.value.t_b == 0.0
     assert exc.value.v_b == 0.0
+
+
+def test_kernel_refuses_a_nan_end_time():
+    # NaN passes no comparison, so it must fail the window test rather than
+    # be clipped to t_b and return the t_b kernel
+    pair = solve_fundamental(Constant(1.0), 0.0, 2.0)
+    with pytest.raises(DomainError):
+        kernel_robust(pair, 0.3, 0.2, t_end=math.nan)
 
 
 @pytest.mark.parametrize("t_b", [1.0, 3.0, 6.0])
@@ -259,7 +271,7 @@ def test_focal_count_inside_the_window():
         zero = k * math.pi / omega
         assert focal_count_at(pair, zero - 1e-6) == k - 1
         assert focal_count_at(pair, zero + 1e-6) == k
-    ts = pair.nodes[0]
+    ts = pair.node_t
     # node times themselves, midpoints between nodes, and the first step
     for t_end in np.concatenate([ts[1:-1], 0.5 * (ts[:-1] + ts[1:]), [0.5 * ts[1]]]):
         if abs(math.remainder(omega * t_end, math.pi)) > 1e-9:
@@ -302,35 +314,26 @@ def test_focal_count_across_an_impulse(profile, w, before):
     assert want == 6  # the sweep has passed six zeros by t = T
 
 
-@pytest.mark.parametrize("phase", [0.3, 1.2], ids=["companion-v", "companion-u"])
-def test_focal_count_of_pair_from_solution(phase):
-    # f = cos(3t + phase); phase 0.3 keeps |f_a| >= |f'_a| (numerical v is
-    # the companion), phase 1.2 does not (numerical u is)
+def test_focal_count_of_pair_from_solution():
+    # a pair is fixed by its initial data: the caller's f = cos(3t + 1.2) is
+    # only checked, and the pair is the solved one, bit for bit
     omega, T = 3.0, 5.0
-    sol = SolutionCurve(f=lambda t: np.cos(omega * t + phase),
-                        fdot=lambda t: -omega * np.sin(omega * t + phase))
+    sol = SolutionCurve(f=lambda t: np.cos(omega * t + 1.2),
+                        fdot=lambda t: -omega * np.sin(omega * t + 1.2))
     pair = pair_from_solution(sol, Constant(omega), 0.0, T)
-    ts, vs = pair.nodes
-    assert np.array_equal(ts, solve_fundamental(Constant(omega), 0.0, T).nodes[0])
-    np.testing.assert_allclose(vs, np.sin(omega * ts) / omega, atol=1e-9)
+    solved = solve_fundamental(Constant(omega), 0.0, T)
+    assert np.array_equal(pair.node_t, solved.node_t) and np.array_equal(pair.node_y, solved.node_y)
+    ts = np.linspace(0.0, T, 41)
+    assert np.array_equal(pair.state(ts), solved.state(ts))
     for t_end in (1.0, 1.1, 2.0, 2.2, T):
         assert focal_count_at(pair, t_end) == math.floor(omega * t_end / math.pi)
 
 
 def test_focal_count_of_hand_built_pair():
-    calls = []
-
-    def state_fn(t):
-        t = np.asarray(t, dtype=float)
-        calls.append(t.size)
-        return np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)])
-
-    pair = FundamentalPair(0.0, 40.0, state_fn)
+    # node spacing 0.25 keeps omega h <= 1/2, so no interval holds two zeros
+    pair = rotation_pair(40.0, 160)
     for t_end in (1.0, math.pi - 1e-3, math.pi + 1e-3, 20.0, 40.0):
         assert focal_count_at(pair, t_end) == math.floor(t_end / math.pi)
-    # the default grid is evaluated once, by one vectorized call
-    assert sorted(calls)[-1] > 100 and sum(n > 1 for n in calls) == 1
-    assert pair.nodes is pair.nodes
 
 
 def test_eq17_detects_caustic_in_window():
