@@ -95,8 +95,18 @@ def _write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _json_path(err) -> str:
-    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path)
+def _json_path(parts) -> str:
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)
+
+
+def _non_finite(node, parts: tuple = ()) -> str | None:
+    """The error for node's first float that is not finite, or None: json reads
+    NaN, Infinity and overflowing literals such as 1e999 as floats."""
+    if isinstance(node, float) and not np.isfinite(node):
+        key = [p for p in parts if isinstance(p, str)][-1]
+        return f"config error at {_json_path(parts)}: {node} in {key!r} is not a finite number"
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return next(filter(None, (_non_finite(v, (*parts, k)) for k, v in items)), None)
 
 
 @functools.cache
@@ -112,7 +122,7 @@ def _validate_config(cfg: dict, task: str) -> str | None:
     doc = {**branch, "$defs": schema["$defs"]}  # a copy: the cached schema stays as parsed
     err = best_match(Draft202012Validator(doc).iter_errors(cfg))
     if err is not None:
-        return f"config error at {_json_path(err)}: {err.message}"
+        return f"config error at {_json_path(err.absolute_path)}: {err.message}"
     if task == "kernel" and "points" in cfg:
         if len(cfg["points"]["q_a"]) != len(cfg["points"]["q_b"]):
             return "config error at $.points: q_a and q_b must have equal length"
@@ -289,7 +299,7 @@ def main(argv=None) -> int:
               f"got {cfg.get('task')!r}" if isinstance(cfg, dict)
               else "config error: top level must be a JSON object", file=sys.stderr)
         return 1
-    msg = _validate_config(cfg, args.command)
+    msg = _non_finite(cfg) or _validate_config(cfg, args.command)
     if msg is not None:
         print(msg, file=sys.stderr)
         return 1

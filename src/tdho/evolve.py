@@ -106,8 +106,8 @@ class WavePacket:
         if self.q.size < 2 * _EDGE_BAND + 4:
             raise DomainError(f"grid too small ({self.q.size} points)")
         d = np.diff(self.q)
-        if d[0] <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
-            raise DomainError("grid must be uniform and increasing")
+        if not (np.isfinite(self.q).all() and d[0] > 0 and np.max(np.abs(d - d[0])) <= 1e-9 * d[0]):
+            raise DomainError("grid must be finite, uniform and increasing")
 
     @property
     def dq(self) -> float:
@@ -126,12 +126,12 @@ class WavePacket:
 
 
 def uniform_grid(q_min: float, q_max: float, n: int) -> np.ndarray:
-    if not (q_max > q_min and n >= 16):
-        raise DomainError("need q_max > q_min and n >= 16")
+    if not (q_min < q_max and math.isfinite(q_max - q_min) and n >= 16):
+        raise DomainError(f"need q_min < q_max with a finite span and n >= 16, got {q_min}, {q_max}, {n}")
     return np.linspace(q_min, q_max, n)
 
 
-def _check_packet(packet: WavePacket, t_b: float, mu: float) -> None:
+def _check_packet(packet: WavePacket, mu: float) -> None:
     """The input check the three grid routes share."""
     if not np.all(np.isfinite(packet.psi)):
         raise DomainError("psi has non-finite values")
@@ -144,8 +144,6 @@ def _check_packet(packet: WavePacket, t_b: float, mu: float) -> None:
         raise GridTooNarrow(
             f"|psi| reaches {edge:.2e} of peak near the grid edge; "
             f"widen the window (limit {_EDGE_AMPLITUDE:.0e})")
-    if not (t_b > packet.t):
-        raise DomainError(f"need t_b > packet time {packet.t}")
     if not (mu > 0):
         raise DomainError(f"mu must be positive, got {mu}")
 
@@ -193,7 +191,7 @@ def _filon_weight(theta: np.ndarray) -> np.ndarray:
 def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
                      mu: float = 1.0, tol: float = 1e-10) -> WavePacket:
     """Evolve packet from its own time to t_b through the exact kernel."""
-    _check_packet(packet, t_b, mu)
+    _check_packet(packet, mu)
     pair = solve_fundamental(profile, packet.t, t_b, tol)
     e = endpoint(pair, mu)  # endpoint caustic check happens here
     v_b, pref = e.v_b, e.pref
@@ -239,7 +237,7 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     the solve_banded result.  Walls are Dirichlet, so the grid must stay
     wide enough that nothing reaches them.
     """
-    _check_packet(packet, t_b, mu)
+    _check_packet(packet, mu)
     if not (dt > 0):
         raise DomainError("dt must be positive")
 
@@ -332,8 +330,10 @@ def max_slices(packet: WavePacket, t_b: float, mu: float = 1.0) -> int:
     """
     if not (mu > 0):
         raise DomainError(f"mu must be positive, got {mu}")
-    span = packet.q[-1] - packet.q[0]
-    return int(math.pi * (t_b - packet.t) / (mu * span * packet.dq))
+    limit = math.pi * (t_b - packet.t) / (mu * (packet.q[-1] - packet.q[0]) * packet.dq)
+    if not math.isfinite(limit):
+        raise DomainError(f"no slice limit from t={packet.t} to t_b={t_b}")
+    return int(limit)
 
 
 def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float,
@@ -353,9 +353,10 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     exponentially with the slice count.  DomainError enforces the bound
     rather than returning garbage — refine the grid or lower n_slices.
     """
-    _check_packet(packet, t_b, mu)
+    _check_packet(packet, mu)
     if n_slices < 1:
         raise DomainError("n_slices must be >= 1")
+    events = profile.jump_events(packet.t, t_b)
     limit = max_slices(packet, t_b, mu)
     eps = (t_b - packet.t) / n_slices
     q = packet.q
@@ -377,7 +378,6 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     m = fft.next_fast_len(2 * n - 1)  # circular wrap-around misses [n-1, 2n-1)
     kern_hat = fft.fft(kern, m)
 
-    events = profile.jump_events(packet.t, t_b)
     impulse_slice: dict[int, float] = {}
     for e in events:
         j = max(1, math.ceil((e.time - packet.t) / eps - 1e-12))

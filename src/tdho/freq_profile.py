@@ -7,10 +7,10 @@ expressions.  A profile answers four questions:
   * omega_squared(t): the pointwise value, at one time or at an array of
     times.  Raises EvalAtImpulse exactly at a delta impulse, DomainError
     outside the profile's domain.
-  * jump_events(t_a, t_b): delta impulses inside the window, as (time,
-    strength) pairs.  An impulse contributes strength*delta(t - time) to
-    omega^2 and kicks any solution of f'' + omega^2 f = 0 by
-    df'(time) = -strength * f(time).
+  * jump_events(t_a, t_b): the impulses strength*delta(t - time) in omega^2
+    inside the window, as (time, strength) pairs; each kicks any solution of
+    f'' + omega^2 f = 0 by df'(time) = -strength * f(time).  Every solver
+    asks this first, and it refuses a window unless -inf < t_a < t_b < inf.
   * breakpoints(t_a, t_b): times inside the open window where omega^2 is
     continuous but not smooth (a tabulated profile's knots).
   * to_json()/profile_from_json(): config round trip.
@@ -85,8 +85,10 @@ class FrequencyProfile:
         return self.omega_squared(t)
 
     def jump_events(self, t_a: float, t_b: float) -> list[JumpEvent]:
-        if not t_a < t_b:
-            raise DomainError(f"empty window [{t_a}, {t_b}]")
+        """Delta impulses in (t_a, t_b], and the one place a window is refused:
+        every solver calls this first, and an override calls super() first."""
+        if not -math.inf < t_a < t_b < math.inf:
+            raise DomainError(f"need a finite window t_a < t_b, got [{t_a}, {t_b}]")
         return []
 
     def breakpoints(self, t_a: float, t_b: float) -> list[float]:
@@ -215,7 +217,7 @@ class Tabulated(FrequencyProfile):
     t: np.ndarray
     omega2: np.ndarray
     interp: str = "cubic"
-    _spline: object = field(default=None, repr=False, compare=False)
+    _spline: object = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)

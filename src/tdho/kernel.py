@@ -110,7 +110,7 @@ def _first_zero(fvals: np.ndarray, ts: np.ndarray,
 
 
 def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
-              profile: FrequencyProfile | None = None) -> tuple[float, float]:
+              profile: FrequencyProfile) -> tuple[float, float]:
     """Quadrature W = int_{t_a}^{t_b} dt / f(t)^2, with a zero pre-scan.
 
     f takes a float or an ndarray of times, as SolutionCurve.f does, and a
@@ -120,18 +120,11 @@ def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
     (W, abserr).  Raises CausticInWindow at the first zero of f (the
     integrand is non-integrable there and the solution-scaled kernel form
     does not apply), StepFailure if the quadrature does not converge.
-    profile, when given, supplies jump times that are passed to the
-    quadrature as known kink locations, plus the frequency scale for the
-    scan density.
+    profile's jump times are the quadrature's known kinks, and its frequency
+    scale sets the scan density.
     """
-    if not (t_b > t_a):
-        raise DomainError(f"need t_b > t_a, got [{t_a}, {t_b}]")
-    if profile is not None:
-        ts = _zero_scan_grid(profile, t_a, t_b)
-        kinks = [e.time for e in profile.jump_events(t_a, t_b) if e.time < t_b]
-    else:
-        ts = np.linspace(t_a, t_b, 1000)
-        kinks = []
+    kinks = [e.time for e in profile.jump_events(t_a, t_b) if e.time < t_b]
+    ts = _zero_scan_grid(profile, t_a, t_b)
     fvals = np.broadcast_to(f(ts), ts.shape)
     t_zero = _first_zero(fvals, ts, f)
     if t_zero is not None:
@@ -260,6 +253,8 @@ def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,
     so halving h_t and h_q should shrink the result fourfold.  Keep t_b away
     from jump events (the t-derivative straddles the kick otherwise).
     """
+    if not (0 < h_t < math.inf and 0 < h_q < math.inf):
+        raise DomainError(f"steps must be positive and finite, got h_t={h_t}, h_q={h_q}")
     pair = solve_fundamental(profile, t_a, t_b + h_t, _RESIDUAL_TOL)
     for e in pair.event_times:
         if abs(e - t_b) <= h_t:

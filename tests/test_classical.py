@@ -196,11 +196,10 @@ def test_state_rejects_times_outside_window():
 
 
 def test_solver_argument_validation():
-    for t_a, t_b, tol in ((1.0, 1.0, 1e-10), (0.0, 1.0, 0.0), (0.0, 1.0, math.inf),
-                          (0.0, 1.0, math.nan), (0.0, math.inf, 1e-10),
-                          (-math.inf, 1.0, 1e-10), (0.0, math.nan, 1e-10)):
-        with pytest.raises(DomainError):
-            solve_fundamental(ExpDecay(2.0, 0.5), t_a, t_b, tol)
+    # bad windows are in test_windows.py, with every other route
+    for tol in (0.0, -1e-10, math.inf, math.nan):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            solve_fundamental(ExpDecay(2.0, 0.5), 0.0, 1.0, tol)
 
 
 def test_pair_is_a_frozen_record_that_state_only_reads():

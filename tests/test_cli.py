@@ -162,6 +162,27 @@ def test_non_finite_constant_is_named(tmp_path, capsys):
     assert "'w0'" in err and "t=" not in err
 
 
+_KERNEL_GRID = {"q_min": -1.0, "q_max": 1.0, "n": 16}
+
+
+@pytest.mark.parametrize("cfg, path", [
+    (kernel_cfg(mu=math.inf), "$.mu"),
+    (kernel_cfg(points=None, grid={**_KERNEL_GRID, "q_min": -math.inf}), "$.grid.q_min"),
+    (kernel_cfg(points={"q_a": [0.0, math.nan, 1.0], "q_b": [0.2, -0.4, 1.0]}), "$.points.q_a[1]"),
+    (propagate_cfg(method="crank_nicolson", window={"t_a": 0.0, "t_b": math.inf}), "$.window.t_b"),
+    (propagate_cfg(method="time_sliced", window={"t_a": 0.0, "t_b": math.inf}), "$.window.t_b"),
+    (kernel_cfg(window={"t_a": 0.0, "t_b": "1e999"}), "$.window.t_b"),  # json reads it as inf
+], ids=["mu-inf", "q_min-minus-inf", "q_a-nan", "cn-t_b-inf", "sliced-t_b-inf", "t_b-1e999"])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, cfg, path):
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    path_cfg = tmp_path / "cfg.json"
+    path_cfg.write_text(json.dumps(cfg).replace('"1e999"', "1e999"))
+    out = tmp_path / "out"
+    assert main([cfg["task"], "--config", str(path_cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = kernel_cfg(frequency=3)
     assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg))]) == 1

@@ -55,6 +55,21 @@ def test_wavepacket_validation():
         uniform_grid(1.0, -1.0, 64)
 
 
+def test_grids_refuse_non_finite_values():
+    # NaN compares False both ways, so it must fail each test, not pass it
+    for q_min, q_max in ((-1e308, 1e308), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(DomainError, match="finite span"):
+            uniform_grid(q_min, q_max, 64)
+    q = uniform_grid(-4.0, 4.0, 64)
+    for bad in (np.full(64, math.nan), np.append(-math.inf, q[1:]), np.append(q[:-1], math.inf)):
+        with pytest.raises(DomainError, match="grid must be finite, uniform and increasing"):
+            WavePacket(q=bad, psi=np.ones(64), t=0.0)
+    p = _free_packet(256)
+    for t_b in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="no slice limit"):
+            max_slices(p, t_b)
+
+
 def test_narrow_grid_is_refused():
     p = GaussianState(0.0, 0.0, 1.0).on_grid(uniform_grid(-3.0, 3.0, 64))
     with pytest.raises(GridTooNarrow):
@@ -695,5 +710,5 @@ def test_every_grid_route_refuses_t_b_not_after_the_packet():
     p = _free_packet(256)
     for t_b in (0.0, -0.5):
         for route in _routes(p, t_b):
-            with pytest.raises(DomainError, match=r"need t_b > packet time 0\.0"):
+            with pytest.raises(DomainError, match=rf"need a finite window t_a < t_b, got \[0\.0, {t_b}\]"):
                 route()

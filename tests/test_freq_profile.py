@@ -221,6 +221,15 @@ def test_json_errors():
         assert str(exc.value).startswith(message)
 
 
+def test_tabulated_spline_is_not_a_field_callers_set():
+    with pytest.raises(DomainError, match="bad fields for profile type 'tabulated': "):
+        profile_from_json({"type": "tabulated", "t": [0, 1], "omega2": [1, 2], "_spline": 3})
+    with pytest.raises(TypeError):
+        Tabulated(np.array([0.0, 1.0]), np.array([1.0, 2.0]), _spline=3)
+    # a two-sample cubic profile interpolates linearly
+    assert Tabulated(np.array([0.0, 1.0]), np.array([1.0, 2.0])).omega_squared(0.5) == 1.5
+
+
 def test_sech_squared_far_from_well():
     p = SechSquared(3.0, 2.0, 0.0)
     assert omega_squared_at(p, 400.0) == 0.0  # no cosh overflow

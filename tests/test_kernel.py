@@ -13,8 +13,8 @@ from tdho.errors import (CausticAtEndpoint, CausticInWindow, DomainError,
                          SolutionMismatch, StepFailure)
 from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
                                FrequencyProfile, JumpEvent, SechSquared)
-from tdho.kernel import (compute_W, kernel, kernel_batch, kernel_eq17,
-                         kernel_robust, schrodinger_residual)
+from tdho.kernel import (_zero_scan_grid, compute_W, kernel, kernel_batch,
+                         kernel_eq17, kernel_robust, schrodinger_residual)
 
 kernel_module = importlib.import_module("tdho.kernel")  # tdho.kernel is also a function
 
@@ -23,23 +23,23 @@ COS = SolutionCurve(f=np.cos, fdot=lambda t: -np.sin(t), label="cos")
 
 
 def test_quadrature_pinned_values():
-    w, err = compute_W(ONE.f, 0.0, 2.0)
+    w, err = compute_W(ONE.f, 0.0, 2.0, Constant(0.0))
     assert w == pytest.approx(2.0, abs=1e-12)
     assert err < 1e-10
-    w, err = compute_W(COS.f, 0.0, 0.5)
+    w, err = compute_W(COS.f, 0.0, 0.5, Constant(1.0))
     assert w == pytest.approx(math.tan(0.5), rel=1e-10)
 
 
 def test_quadrature_detects_caustic():
     with pytest.raises(CausticInWindow) as exc:
-        compute_W(COS.f, 0.0, 2.0)
+        compute_W(COS.f, 0.0, 2.0, Constant(1.0))
     assert exc.value.t_zero == pytest.approx(math.pi / 2.0, abs=1e-9)
     with pytest.raises(DomainError):
-        compute_W(ONE.f, 1.0, 1.0)
+        compute_W(ONE.f, 1.0, 1.0, Constant(0.0))
 
 
-# the scan without a profile samples np.linspace(0, 9.99, 1000): nodes k/100
-_NODE = np.linspace(0.0, 9.99, 1000)[300]
+# a node of the zero scan that compute_W runs for Constant(0.0) on [0, 9.99]
+_NODE = _zero_scan_grid(Constant(0.0), 0.0, 9.99)[120]
 
 
 @pytest.mark.parametrize("f, want", [
@@ -57,7 +57,7 @@ def test_quadrature_refuses_at_the_earliest_zero(monkeypatch, f, want):
 
     monkeypatch.setattr(kernel_module, "brentq", counting_brentq)
     with pytest.raises(CausticInWindow) as exc:
-        compute_W(f, 0.0, 9.99)
+        compute_W(f, 0.0, 9.99, Constant(0.0))
     assert exc.value.t_zero == pytest.approx(want, abs=1e-12)
     assert len(calls) <= 1
 
@@ -65,7 +65,14 @@ def test_quadrature_refuses_at_the_earliest_zero(monkeypatch, f, want):
 def test_quadrature_refuses_an_unconverged_W():
     # 1/f^2 oscillates 3183 times on the window: 200 subdivisions do not resolve it
     with pytest.raises(StepFailure, match=r"\[0\.0, 1\.0\].*estimate.*error estimate"):
-        compute_W(lambda t: 2.0 + np.sin(2e4 * t), 0.0, 1.0)
+        compute_W(lambda t: 2.0 + np.sin(2e4 * t), 0.0, 1.0, Constant(0.0))
+
+
+@pytest.mark.parametrize("h_t, h_q", [(0.0, 1e-2), (-1e-2, 1e-2), (math.inf, 1e-2),
+                                      (1e-2, 0.0), (1e-2, math.nan), (1e-2, -1e-2)])
+def test_schrodinger_residual_refuses_bad_steps(h_t, h_q):
+    with pytest.raises(DomainError, match="steps must be positive and finite"):
+        schrodinger_residual(Constant(1.0), 0.0, 1.0, 0.1, 0.2, h_t=h_t, h_q=h_q)
 
 
 def test_free_kernel_both_routes():
