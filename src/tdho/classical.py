@@ -30,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from .errors import DegenerateSolution, DomainError, SolutionMismatch, StepFailure
+from .errors import (DegenerateSolution, DomainError, SolutionMismatch, StepFailure,
+                     check_positive)
 from .freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
                            PowerLaw, SechSquared, Times)
 
@@ -101,7 +102,7 @@ class FundamentalPair:
             y[part] = _magnus(self.profile, self.node_t[k[part]], ts[part])[0] @ y[part]
         return np.stack([y[:, 0, 0], y[:, 1, 0], y[:, 0, 1], y[:, 1, 1]]).reshape((4,) + t_arr.shape)
 
-    def combination(self, f_a: float, fdot_a: float, label: str = "") -> SolutionCurve:
+    def combination(self, f_a: float, fdot_a: float) -> SolutionCurve:
         """The solution with initial data f(t_a)=f_a, f'(t_a)=fdot_a."""
         def f(t):
             s = self.state(t)
@@ -111,7 +112,7 @@ class FundamentalPair:
             s = self.state(t)
             return f_a * s[1] + fdot_a * s[3]
 
-        return SolutionCurve(f, fdot, label or f"{f_a}*u + {fdot_a}*v")
+        return SolutionCurve(f, fdot, f"{f_a}*u + {fdot_a}*v")
 
     def focal_count(self, t_end: float, v_end: float) -> int:
         """Number of zeros of v in the open interval (t_a, t_end).
@@ -144,8 +145,7 @@ def _magnus(profile: FrequencyProfile, t0: np.ndarray, t1: np.ndarray) -> tuple[
     step's nodes.
     """
     h = t1 - t0
-    wl, wm, wr = np.broadcast_to(profile.smooth_omega_squared(
-        0.5 * (t0 + t1) + np.multiply.outer(_GAUSS, h)), (3,) + h.shape)
+    wl, wm, wr = profile.smooth_omega_squared(0.5 * (t0 + t1) + np.multiply.outer(_GAUSS, h))
     # Omega = A1 + A3/12 + [X, A2 + C2]/240 with X = -20 A1 - A3 + C1, C1 = [A1, A2] = (p, 0, 0),
     # C2 = [A1, 2 A3 + C1]/-60 = (q0, q1, q2), A1 = (0, h, hw), A2 = (0, 0, g2) and A3 = (0, 0, g3),
     # as (a, b, c) = [[a, b], [c, -a]] with [x, y] = (x1 y2 - y1 x2, 2 (x0 y1 - y0 x1),
@@ -186,9 +186,7 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     before.  Raises DomainError on a bad window (from profile.jump_events) or
     a tol that is not positive and finite, StepFailure past _MAX_STEPS steps.
     """
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-
+    check_positive("tol", tol)
     kicks = {e.time: e.strength for e in profile.jump_events(t_a, t_b)}
     boundaries = sorted({t_a, t_b, *kicks, *profile.breakpoints(t_a, t_b)})
     edges = [np.linspace(lo, hi, _INITIAL_STEPS + 1) for lo, hi in zip(boundaries[:-1], boundaries[1:])]

@@ -3,6 +3,11 @@
 Everything numeric raises subclasses of TdhoError so callers can catch one
 base type at the CLI boundary.  Error objects carry the data needed to act on
 them (byte offsets, event times, zero locations) rather than just a message.
+An expression's non-finite omega^2 (NonFiniteError) is a DomainError, like
+every other omega^2 outside a profile's domain, so code that steps around
+a domain fault catches both with one clause.  check_positive() is the one
+test of a scale that must be positive and finite: the mass mu, a solver's
+tol, a Gaussian's sigma and the Schrodinger residual's difference steps.
 """
 
 from __future__ import annotations
@@ -14,6 +19,12 @@ class TdhoError(Exception):
 
 class DomainError(TdhoError, ValueError):
     """Input outside the mathematical domain of an operation."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse value unless 0 < value < inf, naming it."""
+    if not 0 < value < float("inf"):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 class ParseError(TdhoError, ValueError):
@@ -37,8 +48,8 @@ class UnknownIdentifierError(ParseError):
         self.name = name
 
 
-class NonFiniteError(TdhoError, ArithmeticError):
-    """Expression evaluation produced inf or nan."""
+class NonFiniteError(DomainError, ArithmeticError):
+    """Expression evaluation produced inf or nan: t is outside the expression's domain."""
 
     def __init__(self, t: float, detail: str):
         super().__init__(f"non-finite value at t={t!r}: {detail}")

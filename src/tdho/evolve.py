@@ -50,7 +50,7 @@ from scipy.linalg import solve_banded  # noqa: F401  unused here; bench/tracing.
 
 from .classical import solve_fundamental
 from .errors import (DomainError, GridMismatch, GridTooNarrow, StabilityWarning,
-                     StepFailure)
+                     StepFailure, check_positive)
 from .freq_profile import FrequencyProfile
 from .kernel import endpoint
 
@@ -71,8 +71,7 @@ class GaussianState:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        check_positive("sigma", self.sigma)
 
     def psi(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -144,8 +143,7 @@ def _check_packet(packet: WavePacket, mu: float) -> None:
         raise GridTooNarrow(
             f"|psi| reaches {edge:.2e} of peak near the grid edge; "
             f"widen the window (limit {_EDGE_AMPLITUDE:.0e})")
-    if not (mu > 0):
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_positive("mu", mu)
 
 
 # cubic Lagrange coefficients on nodes u = -1, 0, 1, 2 (rows: powers u^0..u^3)
@@ -256,7 +254,7 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
             kicks[len(steps) - 1] = strength[hi]
     t = np.concatenate(starts)
     step_of = np.array(steps)
-    w2s = np.broadcast_to(profile.smooth_omega_squared(t + 0.5 * step_of), t.shape)
+    w2s = profile.smooth_omega_squared(t + 0.5 * step_of)
     q = packet.q
     q2 = q ** 2
     # the scheme is unconditionally stable; warn when the potential phase
@@ -328,8 +326,7 @@ def max_slices(packet: WavePacket, t_b: float, mu: float = 1.0) -> int:
     The grid resolves the slice kernel while mu * span * dq / eps <= pi,
     with span the grid's extent and eps the slice length.
     """
-    if not (mu > 0):
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_positive("mu", mu)
     limit = math.pi * (t_b - packet.t) / (mu * (packet.q[-1] - packet.q[0]) * packet.dq)
     if not math.isfinite(limit):
         raise DomainError(f"no slice limit from t={packet.t} to t_b={t_b}")
@@ -384,8 +381,7 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
         impulse_slice[j] = impulse_slice.get(j, 0.0) + e.strength
 
     # omega^2 at every slice's right edge t_j, in one call
-    w2s = np.broadcast_to(profile.smooth_omega_squared(packet.t + np.arange(1, n_slices + 1) * eps),
-                          (n_slices,))
+    w2s = profile.smooth_omega_squared(packet.t + np.arange(1, n_slices + 1) * eps)
     # the phases go into one buffer and multiply psi, a view of each slice's
     # own convolution output, in place (fresh arrays cost page faults on
     # every slice at large n)

@@ -70,15 +70,18 @@ class FrequencyProfile:
 
         Solvers integrate this between impulses and apply the impulses
         separately, so unlike omega_squared it is defined at impulse times.
-        Every solver reads omega^2 through here, so here it is refused when
-        not finite: DomainError names the first such time.
+        Every solver reads omega^2 through here, so here it takes t's shape,
+        also from a subclass that returns one number, and here it is refused
+        when not finite: DomainError names the first such time.
         """
-        value = self._smooth(t)
-        if not np.isfinite(value).all():
-            t_all, value = np.broadcast_arrays(t, value)
-            bad = ~np.isfinite(value)
-            raise DomainError(f"omega^2 is {float(value[bad][0])} at t={float(t_all[bad][0])!r}")
-        return value
+        value = np.asarray(self._smooth(t))
+        if value.shape != np.shape(t):  # one value for all of t
+            value = np.full(np.shape(t), value)
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise DomainError(f"omega^2 is {float(value[~finite][0])} "
+                              f"at t={float(np.asarray(t)[~finite][0])!r}")
+        return value[()]
 
     def _smooth(self, t: Times) -> Times:
         """smooth_omega_squared before its finiteness check."""
@@ -256,16 +259,10 @@ class Tabulated(FrequencyProfile):
 class Expression(FrequencyProfile):
     """omega^2(t) given by a parsed expression in t (constants already inlined)."""
     node: ExprNode
-    source: str = ""
 
     def __post_init__(self):
         if isinstance(self.node, str):
-            src = self.node
-            self.node = omega_expr.parse(src)
-            if not self.source:
-                self.source = src
-        if not self.source:
-            self.source = omega_expr.to_string(self.node)
+            self.node = omega_expr.parse(self.node)
 
     def omega_squared(self, t: Times) -> Times:
         return omega_expr.evaluate(self.node, t)
@@ -294,7 +291,7 @@ _KIND = {cls: kind for kind, cls in _FAMILIES.items()}
 
 def _parsed(expr: str, constants: dict | None = None) -> Expression:
     """The expression family's dict fields: exactly expr and, optionally, constants."""
-    return Expression(omega_expr.parse(expr, constants or {}), source=expr)
+    return Expression(omega_expr.parse(expr, constants or {}))
 
 
 def profile_from_json(data: dict) -> FrequencyProfile:

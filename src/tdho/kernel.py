@@ -44,7 +44,8 @@ from scipy.optimize import brentq
 
 from .classical import (FundamentalPair, SolutionCurve, solve_fundamental,
                         spot_check_solution)
-from .errors import CausticAtEndpoint, CausticInWindow, DomainError, StepFailure
+from .errors import (CausticAtEndpoint, CausticInWindow, DomainError, StepFailure,
+                     check_positive)
 from .freq_profile import FrequencyProfile, Times
 
 __all__ = [
@@ -88,7 +89,7 @@ def _zero_scan_grid(profile: FrequencyProfile, t_a: float, t_b: float) -> np.nda
     probe = np.linspace(t_a, t_b, 33)
     try:
         w2 = profile.smooth_omega_squared(probe)
-    except DomainError:  # an end outside the domain, e.g. t = 0 of a power law with beta < 0
+    except DomainError:  # an end outside the domain, e.g. t = 0 of a power law with beta < 0 or of log(t)
         w2 = profile.smooth_omega_squared(probe[1:-1])
     w2max = float(np.max(np.abs(w2)))
     n = max(400, int(40.0 * span * math.sqrt(w2max) / (2.0 * math.pi)) + 1)
@@ -148,12 +149,12 @@ def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
     tolerance 1e-3 (SolutionMismatch otherwise).  A zero of sol in the window
     raises CausticInWindow; use kernel_robust to cross a focal point.
     """
-    if not (mu > 0):
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_positive("mu", mu)
     spot_check_solution(profile, sol, t_a, t_b, rel_tol=1e-3)
     w, w_err = compute_W(sol.f, t_a, t_b, profile)
-    f_a, f_b = sol.f(t_a), sol.f(t_b)
-    fd_a, fd_b = sol.fdot(t_a), sol.fdot(t_b)
+    ends = np.array([t_a, t_b])
+    f_a, f_b = np.broadcast_to(sol.f(ends), (2,)).tolist()
+    fd_a, fd_b = np.broadcast_to(sol.fdot(ends), (2,)).tolist()
 
     quad_part = 0.5 * mu * (fd_b / f_b * q_b ** 2 - fd_a / f_a * q_a ** 2)
     quad_part += 0.5 * mu / w * (q_b / f_b - q_a / f_a) ** 2
@@ -181,8 +182,7 @@ def endpoint(pair: FundamentalPair, mu: float = 1.0,
     step ends (FundamentalPair.focal_count), whose spacing stays well below
     that of the zeros.
     """
-    if not (mu > 0):
-        raise DomainError(f"mu must be positive, got {mu}")
+    check_positive("mu", mu)
     tb = pair.t_b if t_end is None else float(t_end)
     u_b, ud_b, v_b, vd_b = (float(x) for x in pair.state(tb))
     span = tb - pair.t_a
@@ -253,8 +253,8 @@ def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,
     so halving h_t and h_q should shrink the result fourfold.  Keep t_b away
     from jump events (the t-derivative straddles the kick otherwise).
     """
-    if not (0 < h_t < math.inf and 0 < h_q < math.inf):
-        raise DomainError(f"steps must be positive and finite, got h_t={h_t}, h_q={h_q}")
+    check_positive("h_t", h_t)
+    check_positive("h_q", h_q)
     pair = solve_fundamental(profile, t_a, t_b + h_t, _RESIDUAL_TOL)
     for e in pair.event_times:
         if abs(e - t_b) <= h_t:

@@ -15,8 +15,8 @@ from tdho.classical import (SolutionCurve, closed_form, solve_fundamental,
                             verify_solution)
 from tdho.errors import DomainError, EvalAtImpulse, NonFiniteError
 from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
-                               PowerLaw, SechSquared, Tabulated)
-from tdho.kernel import _zero_scan_grid, compute_W
+                               FrequencyProfile, PowerLaw, SechSquared, Tabulated)
+from tdho.kernel import _zero_scan_grid, compute_W, kernel_eq17
 from tdho.specfun import LegendreDegree, bessel_j, legendre_p, legendre_p_dx
 
 # 2-d, so that "same shape" is not satisfied by accident by a flat result
@@ -139,6 +139,27 @@ def test_constant_results_broadcast_to_the_grid():
     assert w == pytest.approx(0.25, rel=1e-14)
 
 
+class OneNumber(FrequencyProfile):
+    """A subclass whose omega_squared returns one number for any t."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def omega_squared(self, t):
+        return self.value
+
+
+def test_smooth_omega_squared_gives_a_one_number_profile_t_shape():
+    one = OneNumber(2.0).smooth_omega_squared(0.5)
+    assert type(one) is np.float64 and one == 2.0
+    grid = OneNumber(2.0).smooth_omega_squared(GRID)
+    assert isinstance(grid, np.ndarray) and grid.shape == GRID.shape
+    assert np.all(grid == 2.0)
+    grid[0, 0] = 3.0  # a fresh array the caller owns
+    with pytest.raises(DomainError, match=r"omega\^2 is inf at t=0\.2$"):
+        OneNumber(math.inf).smooth_omega_squared(GRID)
+
+
 class CountingCurve(SolutionCurve):
     """cos t, recording the shape of every argument f and fdot are called with."""
 
@@ -164,6 +185,15 @@ def test_compute_W_scans_in_one_call():
     # the zero scan first, in one call; then the quadrature's node arrays
     assert curve.shapes[0] == _zero_scan_grid(profile, 0.0, 1.0).shape
     assert len(curve.shapes) > 1 and () not in curve.shapes
+
+
+def test_kernel_eq17_reads_both_ends_in_one_call():
+    curve = CountingCurve()
+    kv = kernel_eq17(Constant(1.0), curve, 0.0, 1.0, 0.1, 0.2)
+    # spot check, zero scan and quadrature pass arrays; then f and f' at (t_a, t_b)
+    assert () not in curve.shapes + curve.fdot_shapes
+    assert curve.shapes[-1] == curve.fdot_shapes[-1] == (2,)
+    assert kv.diagnostics["f_b"] == math.cos(1.0) and kv.diagnostics["fdot_a"] == 0.0
 
 
 def test_verify_solution_evaluates_in_one_call():

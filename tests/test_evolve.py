@@ -530,17 +530,6 @@ def test_cn_refuses_non_finite_omega_squared():
         assert 0.05 <= float(str(exc.value).rsplit("t=", 1)[1]) <= 0.5
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
-def test_grid_routes_refuse_non_positive_mu(mu):
-    p = _free_packet(256)
-    for route in (lambda: crank_nicolson(FREE, p, 0.1, mu=mu),
-                  lambda: time_sliced_oracle(FREE, p, 0.1, n_slices=4, mu=mu),
-                  lambda: max_slices(p, 0.1, mu=mu),
-                  lambda: propagate_kernel(FREE, p, 0.1, mu=mu)):
-        with pytest.raises(DomainError, match="mu must be positive"):
-            route()
-
-
 # ---------------------------------------------------------------------------
 # time-sliced route
 
