@@ -10,10 +10,12 @@ classical trajectory problem.  This module solves it:
     the step ends.  Each delta impulse in omega^2 kicks f' by
     -strength * f(t0) as a step of its own; it is never smeared into omega^2.
   * closed_form: the catalog of reference solutions for the five analytic
-    families.  Two entries (delta_pulse, sech_squared) are quoted reference
-    forms that do NOT satisfy the equation for generic parameters; they are
-    shipped verbatim with satisfies_equation=False and verify_solution grades
-    them FAIL.  Numerical solutions are authoritative for those families.
+    families: f, f', a label and whether the form solves the equation; the
+    family and its parameters are the profile's own (to_json).  Two entries
+    (delta_pulse, sech_squared) are quoted reference forms that do NOT
+    satisfy the equation for generic parameters; they are shipped verbatim
+    with satisfies_equation=False and verify_solution grades them FAIL.
+    Numerical solutions are authoritative for those families.
   * verify_solution: central-difference residual grading with two-step
     Richardson calibration (an exact solution shows slope 2.0 as h halves).
   * pair_from_solution: the solved pair of a window, after a residual check
@@ -23,7 +25,7 @@ classical trajectory problem.  This module solves it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -56,9 +58,6 @@ class SolutionCurve:
 
 @dataclass
 class ClosedFormSolution(SolutionCurve):
-    family: str = ""
-    params: dict = field(default_factory=dict)
-    domain: tuple[float, float] | None = None  # open constraint, None = all t
     satisfies_equation: bool = True
     note: str = ""
 
@@ -241,8 +240,7 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
         return ClosedFormSolution(
             f=lambda t: np.cos(w0 * t),
             fdot=lambda t: -w0 * np.sin(w0 * t),
-            label=f"cos({w0}*t)",
-            family="constant", params={"omega0": w0})
+            label=f"cos({w0}*t)")
 
     if isinstance(profile, ExpDecay):
         w0, a = profile.omega0, profile.alpha
@@ -253,8 +251,7 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
         return ClosedFormSolution(
             f=lambda t: specfun.bessel_j(0.0, z(t)),
             fdot=lambda t: 0.5 * a * z(t) * specfun.bessel_j(1.0, z(t)),
-            label="J0(2 w0/a exp(-a t/2))",
-            family="exp_decay", params={"omega0": w0, "alpha": a})
+            label="J0(2 w0/a exp(-a t/2))")
 
     if isinstance(profile, PowerLaw):
         w0, a, b = profile.omega0, profile.alpha, profile.beta
@@ -283,10 +280,7 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
             jprime = (nu / zz) * jn - specfun.bessel_j(nu + 1.0, zz)
             return (0.5 / np.sqrt(t * c)) * jn + np.sqrt(t / c) * jprime * c * t ** (0.5 * b)
 
-        return ClosedFormSolution(
-            f=f, fdot=fdot, label="sqrt(t/c) J_nu(z(t))",
-            family="power_law", params={"omega0": w0, "alpha": a, "beta": b},
-            domain=(0.0, math.inf))
+        return ClosedFormSolution(f=f, fdot=fdot, label="sqrt(t/c) J_nu(z(t))")
 
     if isinstance(profile, DeltaPulse):
         w0, t0 = profile.omega0, profile.t0
@@ -300,7 +294,6 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
 
         return ClosedFormSolution(
             f=f, fdot=fdot, label="exp(w0 |t - t0|)",
-            family="delta_pulse", params={"omega0": w0, "t0": t0},
             satisfies_equation=False,
             note="quoted reference form; direct substitution leaves an O(1) "
                  "residual on both sides of t0 for generic omega0, and the "
@@ -309,10 +302,9 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
 
     if isinstance(profile, SechSquared):
         al, be, t0 = profile.alpha, profile.beta, profile.t0
-        if al >= 0.5:
-            degree = specfun.LegendreDegree.conical(math.sqrt(al * al - 0.25))
-        else:
-            degree = specfun.LegendreDegree.real(-0.5 - math.sqrt(0.25 - al * al))
+        # lambda(lambda+1) = -alpha^2: conical -1/2 + i mu from alpha = 1/2 on
+        degree = complex(-0.5, math.sqrt(al * al - 0.25)) if al >= 0.5 else \
+            -0.5 - math.sqrt(0.25 - al * al)
 
         def x(t):
             return np.tanh(be * (t - t0))
@@ -326,7 +318,6 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
 
         return ClosedFormSolution(
             f=f, fdot=fdot, label="P_lambda(tanh(beta (t - t0)))",
-            family="sech_squared", params={"alpha": al, "beta": be, "t0": t0},
             satisfies_equation=False,
             note="quoted reference form; the degree solves lambda(lambda+1) = "
                  "-alpha^2, while the substitution x = tanh(beta(t-t0)) needs "

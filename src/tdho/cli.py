@@ -208,19 +208,21 @@ def _run_validate(profile, cfg: dict):
             f"no closed-form reference for profile type {cfg['profile']['type']!r}")
     window = (cfg["window"]["t_a"], cfg["window"]["t_b"])
     report = verify_solution(profile, sol, window, **_given(cfg, "h", "n_samples"))
+    params = profile.to_json()
+    family = params.pop("type")
     doc = {
-        "family": sol.family,
+        "family": family,
         "label": sol.label,
-        "params": sol.params,
+        "params": params,
         "claimed_exact": sol.satisfies_equation,
         "note": sol.note,
         "report": {**dataclasses.asdict(report),
                    "slope": None if report.slope == float("inf") else report.slope},
     }
     out = {"validate.json": _json_bytes(doc)}
-    summary = {"family": sol.family, "passed": report.passed}
+    summary = {"family": family, "passed": report.passed}
     strict_fail = None if report.passed else \
-        f"closed form for {sol.family!r} fails the residual check " \
+        f"closed form for {family!r} fails the residual check " \
         f"(max residual {report.max_residual:.3e}, slope {report.slope:.2f})"
     return out, summary, strict_fail
 

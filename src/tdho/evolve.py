@@ -6,11 +6,16 @@ propagate_kernel applies the exact propagator as an integral operator,
                  = P e^{i C q_b^2} int e^{i A q^2} e^{i B(q_b) q} psi(q) dq
 
 with A = mu u_b/(2 v_b), B = -mu q_b/v_b, C = mu vdot_b/(2 v_b) and P the
-prefactor kernel.endpoint computes, Maslov sign included.  Gaussian inputs
-integrate in closed form.  For everything else the oscillatory factor e^{iBq}
-is handled with a Filon-type rule: g(q) = psi(q) e^{iAq^2} is interpolated
-by piecewise cubics while the exponential is integrated exactly, giving a
-composite rule
+prefactor kernel.endpoint computes, Maslov sign included.  A Gaussian input
+skips the integral: Heller's thawed Gaussian (J. Chem. Phys. 62, 1544
+(1975)) is exact for a quadratic Hamiltonian.  Its centre (q_t, p_t) and its
+width pair (Q, P) follow the classical flow [[u, v/mu], [mu u', v']], and the
+state picks up the phase (p_t q_t - p_0 q_0)/2; Q^{-1/2} is the principal
+root times kernel.maslov_sign.  Nothing divides by v_b, so the Gaussian
+route is valid on focal points too.  For everything else the oscillatory
+factor e^{iBq} is handled with a Filon-type rule: g(q) = psi(q) e^{iAq^2} is
+interpolated by piecewise cubics while the exponential is integrated
+exactly, giving a composite rule
 
     int g e^{iBq} dq  ~=  h W(theta) sum_n e^{i B q_n} g_n,   theta = B h,
 
@@ -52,7 +57,7 @@ from .classical import solve_fundamental
 from .errors import (DomainError, GridMismatch, GridTooNarrow, StabilityWarning,
                      StepFailure, check_positive)
 from .freq_profile import FrequencyProfile
-from .kernel import endpoint
+from .kernel import endpoint, maslov_sign
 
 __all__ = [
     "WavePacket", "GaussianState", "propagate_kernel", "crank_nicolson",
@@ -89,8 +94,8 @@ class WavePacket:
     """State sampled on a uniform grid at one instant.
 
     gaussian, when set, certifies that psi is exactly that Gaussian; the
-    kernel propagator then uses the closed-form integral instead of
-    quadrature.  Propagation outputs never carry the tag.
+    kernel propagator then uses the thawed Gaussian instead of quadrature.
+    Propagation outputs never carry the tag.
     """
     q: np.ndarray
     psi: np.ndarray
@@ -188,25 +193,35 @@ def _filon_weight(theta: np.ndarray) -> np.ndarray:
 
 def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
                      mu: float = 1.0, tol: float = 1e-10) -> WavePacket:
-    """Evolve packet from its own time to t_b through the exact kernel."""
+    """Evolve packet from its own time to t_b through the exact kernel.
+
+    A Gaussian input takes the thawed Gaussian, valid at every t_b; any
+    other input takes the Filon route, which raises CausticAtEndpoint at a
+    focal point.
+    """
     _check_packet(packet, mu)
     pair = solve_fundamental(profile, packet.t, t_b, tol)
-    e = endpoint(pair, mu)  # endpoint caustic check happens here
-    v_b, pref = e.v_b, e.pref
-
-    a_coef = 0.5 * mu * e.u_b / v_b
-    c_coef = 0.5 * mu * e.vdot_b / v_b
     q = packet.q
 
     if packet.gaussian is not None:
+        # psi0 = N exp(i A0 (q - qbar)^2 / 2 + i kbar q): (q_t, p_t) and (Q, P)
+        # flow from (qbar, kbar) and (1, A0); Im Q has v's sign, so Q != 0
         g = packet.gaussian
-        a = 1j * a_coef - 1.0 / (4.0 * g.sigma ** 2)
-        b_const = g.qbar / (2.0 * g.sigma ** 2) + 1j * g.kbar
-        bq = b_const + 1j * (-mu / v_b) * q          # b as a function of q_b
-        c0 = -g.qbar ** 2 / (4.0 * g.sigma ** 2)
-        amp = pref * (2.0 * math.pi * g.sigma ** 2) ** -0.25 * cmath.sqrt(math.pi / -a)
-        psi_out = amp * np.exp(1j * c_coef * q ** 2 + c0 - bq ** 2 / (4.0 * a))
+        u, ud, v, vd = (float(x) for x in pair.state(t_b))
+        a0 = 0.5j / g.sigma ** 2
+        big_q, big_p = u + v * a0 / mu, mu * ud + vd * a0
+        q_t, p_t = u * g.qbar + v * g.kbar / mu, mu * ud * g.qbar + vd * g.kbar
+        amp = maslov_sign(pair.focal_count(t_b, v)) * (2.0 * math.pi * g.sigma ** 2) ** -0.25 \
+            / cmath.sqrt(big_q)
+        d = q - q_t
+        psi_out = amp * np.exp(0.5j * (big_p / big_q) * d ** 2 + 1j * p_t * d
+                               + 0.5j * (p_t * q_t + g.kbar * g.qbar))
         return WavePacket(q=q, psi=psi_out, t=t_b)
+
+    e = endpoint(pair, mu)  # endpoint caustic check happens here
+    v_b, pref = e.v_b, e.pref
+    a_coef = 0.5 * mu * e.u_b / v_b
+    c_coef = 0.5 * mu * e.vdot_b / v_b
 
     # On the uniform grid q_b q = (q_b^2 + q^2 - (q_b - q)^2) / 2 with
     # q_b - q = h (j - m), so the Filon sum over e^{i beta q_b q} g(q),
@@ -236,8 +251,7 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     wide enough that nothing reaches them.
     """
     _check_packet(packet, mu)
-    if not (dt > 0):
-        raise DomainError("dt must be positive")
+    check_positive("dt", dt)
 
     strength = {e.time: e.strength for e in profile.jump_events(packet.t, t_b)}
     cuts = [packet.t] + sorted(strength) + ([t_b] if t_b not in strength else [])
@@ -324,9 +338,12 @@ def max_slices(packet: WavePacket, t_b: float, mu: float = 1.0) -> int:
     """Most slices time_sliced_oracle accepts from the packet's time to t_b.
 
     The grid resolves the slice kernel while mu * span * dq / eps <= pi,
-    with span the grid's extent and eps the slice length.
+    with span the grid's extent and eps the slice length.  A t_b at or
+    before the packet's time raises DomainError.
     """
     check_positive("mu", mu)
+    if t_b <= packet.t:
+        raise DomainError(f"need t_b after the packet's time t={packet.t}, got t_b={t_b}")
     limit = math.pi * (t_b - packet.t) / (mu * (packet.q[-1] - packet.q[0]) * packet.dq)
     if not math.isfinite(limit):
         raise DomainError(f"no slice limit from t={packet.t} to t_b={t_b}")

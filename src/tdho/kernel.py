@@ -22,9 +22,9 @@ strictly inside the window, counted exactly from the classical solver's
 steps.  Each one adds -pi/2 to the prefactor's phase (Horvathy, Int. J.
 Theor. Phys. 18, 245 (1979); Rezende, J. Math. Phys. 25, 3264 (1984)).
 endpoint() computes it as the principal root sqrt(mu / (2 pi i v_b)) times a
-sign s, with s = -1 when n mod 4 is 1 or 2 and +1 otherwise; caustic-free
-windows get s = 1 and the principal branch.  The prefactor is right on
-either side of a focal point.
+sign s = maslov_sign(n): -1 when n mod 4 is 1 or 2 and +1 otherwise;
+caustic-free windows get s = 1 and the principal branch.  The prefactor is
+right on either side of a focal point.
 
 Reported phases are "unwrapped": -pi/4 - n pi/2 plus the full quadratic form
 divided by 2 v_b, NOT reduced mod 2 pi, so phase differences between nearby
@@ -49,7 +49,7 @@ from .errors import (CausticAtEndpoint, CausticInWindow, DomainError, StepFailur
 from .freq_profile import FrequencyProfile, Times
 
 __all__ = [
-    "KernelValue", "Endpoint", "endpoint", "compute_W", "kernel_eq17",
+    "KernelValue", "Endpoint", "endpoint", "maslov_sign", "compute_W", "kernel_eq17",
     "kernel_robust", "kernel", "kernel_batch", "schrodinger_residual",
 ]
 
@@ -191,10 +191,16 @@ def endpoint(pair: FundamentalPair, mu: float = 1.0,
 
     n_focal = pair.focal_count(tb, v_b)
     # the principal root carries e^{-i pi/4} for v_b > 0 and e^{+i pi/4} for
-    # v_b < 0; the Maslov factor differs from it by this sign
-    s = -1.0 if n_focal % 4 in (1, 2) else 1.0
+    # v_b < 0; the Maslov factor differs from it by maslov_sign
     return Endpoint(u_b, ud_b, v_b, vd_b, n_focal,
-                    s * cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b)))
+                    maslov_sign(n_focal) * cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b)))
+
+
+def maslov_sign(n_focal: int) -> float:
+    """-1 when n_focal mod 4 is 1 or 2, else 1: the principal root of a
+    radicand that turns by pi per focal point (1 / (i v), and the thawed
+    Gaussian's 1 / Q) times this is the continuous branch."""
+    return -1.0 if n_focal % 4 in (1, 2) else 1.0
 
 
 def kernel_robust(pair: FundamentalPair, q_a: float | np.ndarray,

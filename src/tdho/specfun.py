@@ -1,11 +1,12 @@
 """Special functions needed by the closed-form solution catalog.
 
 Only what the catalog uses, nothing more: the gamma function and Bessel J of
-real order nu >= 0 (both from scipy.special), and Legendre P on (-1, 1] for
-real degree or conical degree lambda = -1/2 + i*mu.  bessel_j, legendre_p and
-legendre_p_dx take x as a float or an ndarray and return a real float or an
-array of x's shape; the conical case is real-valued on (-1, 1) even though
-the degree is complex.
+real order nu >= 0 (both from scipy.special), and Legendre P on (-1, 1] of a
+degree lambda given as one number: a float nu, or a complex -1/2 + i*mu for
+the conical case (DLMF 14.20); any other degree raises DomainError.
+bessel_j, legendre_p and legendre_p_dx take x as a float or an ndarray and
+return a real float or an array of x's shape; the conical case is
+real-valued on (-1, 1) even though the degree is complex.
 
 Method selection
 ----------------
@@ -27,15 +28,15 @@ endpoint is logarithmically singular and out of scope.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError
 
-__all__ = ["gamma", "bessel_j", "LegendreDegree", "legendre_p", "legendre_p_dx"]
+__all__ = ["gamma", "bessel_j", "legendre_p", "legendre_p_dx"]
 
 
 def gamma(z):
@@ -61,82 +62,56 @@ def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-@dataclass(frozen=True)
-class LegendreDegree:
-    """Degree of a Legendre function: real nu, or conical -1/2 + i*mu.
+def _degree_terms(degree: float | complex) -> tuple[float, float, float]:
+    """lambda(lambda+1), P(0) and P'(0) of a degree lambda.
 
-    Exactly one flavor is active.  Everything downstream only consumes
-    lambda*(lambda+1), which is real in both cases.
+    A real degree nu takes the gamma-factor values of DLMF 14.5.1-2; a
+    complex one must be conical, -1/2 + i mu, whose gamma arguments come in
+    conjugate pairs, so both products are |.|^2 and stay real.
     """
-
-    kind: str    # "real" or "conical"
-    param: float  # nu, or mu
-
-    def __post_init__(self):
-        if self.kind not in ("real", "conical"):
-            raise DomainError(f"degree kind must be 'real' or 'conical', got {self.kind!r}")
-        if not math.isfinite(self.param):
-            raise DomainError("degree must be finite" if self.kind == "real"
-                              else "conical parameter must be finite")
-
-    @classmethod
-    def real(cls, nu: float) -> "LegendreDegree":
-        return cls("real", float(nu))
-
-    @classmethod
-    def conical(cls, mu: float) -> "LegendreDegree":
-        return cls("conical", float(mu))
-
-    @property
-    def lam_lam1(self) -> float:
-        """lambda*(lambda+1)."""
-        if self.kind == "real":
-            return self.param * (self.param + 1.0)
-        return -(self.param * self.param + 0.25)
-
-    def half_degree_gammas(self) -> tuple[float, float]:
-        """(P(0), P'(0)) of this degree, from the standard gamma-factor values."""
-        root_pi = math.sqrt(math.pi)
-        if self.kind == "conical":
-            # arguments come in conjugate pairs, so both products are |.|^2
-            g_even = special.gamma(complex(0.75, 0.5 * self.param))
-            g_odd = special.gamma(complex(0.25, 0.5 * self.param))
-            p0 = root_pi / (g_even.real ** 2 + g_even.imag ** 2)
-            dp0 = -2.0 * root_pi / (g_odd.real ** 2 + g_odd.imag ** 2)
-            return p0, dp0
-        nu = self.param
-        p0 = root_pi * special.rgamma(0.5 * nu + 1.0) * special.rgamma(0.5 - 0.5 * nu)
-        dp0 = -2.0 * root_pi * special.rgamma(0.5 * nu + 0.5) * special.rgamma(-0.5 * nu)
-        return p0, dp0
+    conical = isinstance(degree, complex)
+    lam = complex(degree) if conical else float(degree)
+    if not cmath.isfinite(lam) or (conical and lam.real != -0.5):
+        raise DomainError(f"degree must be a finite real nu or -1/2 + i mu, got {degree!r}")
+    lam_lam1 = (lam * (lam + 1.0)).real
+    root_pi = math.sqrt(math.pi)
+    if conical:
+        g_even = special.gamma(complex(0.75, 0.5 * lam.imag))
+        g_odd = special.gamma(complex(0.25, 0.5 * lam.imag))
+        return (lam_lam1, root_pi / (g_even.real ** 2 + g_even.imag ** 2),
+                -2.0 * root_pi / (g_odd.real ** 2 + g_odd.imag ** 2))
+    return (lam_lam1,
+            root_pi * special.rgamma(0.5 * lam + 1.0) * special.rgamma(0.5 - 0.5 * lam),
+            -2.0 * root_pi * special.rgamma(0.5 * lam + 0.5) * special.rgamma(-0.5 * lam))
 
 
 _MAX_TERMS = 200000
 
 
-def legendre_p(degree: LegendreDegree, x: float | np.ndarray) -> float | np.ndarray:
+def legendre_p(degree: float | complex, x: float | np.ndarray) -> float | np.ndarray:
     """Legendre/conical P_degree(x) on (-1, 1]."""
     return _legendre(degree, x, derivative=False)
 
 
-def legendre_p_dx(degree: LegendreDegree, x: float | np.ndarray) -> float | np.ndarray:
+def legendre_p_dx(degree: float | complex, x: float | np.ndarray) -> float | np.ndarray:
     """d/dx of P_degree at x, same domain and method split as legendre_p."""
     return _legendre(degree, x, derivative=True)
 
 
-def _legendre(degree: LegendreDegree, x: float | np.ndarray, derivative: bool):
+def _legendre(degree: float | complex, x: float | np.ndarray, derivative: bool):
+    L, p0, dp0 = _degree_terms(degree)
     xs = np.asarray(x, dtype=float)
     bad = xs[~((-1.0 < xs) & (xs <= 1.0))]
     if bad.size:
         raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
     out = np.empty(xs.shape)
     right = xs > 0.0
-    out[right] = _about_one(degree, xs[right], derivative)
-    out[~right] = _about_zero(degree, xs[~right], derivative)
+    out[right] = _about_one(L, xs[right], derivative)
+    out[~right] = _about_zero(L, p0, dp0, xs[~right], derivative)
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _about_one(degree: LegendreDegree, x, derivative: bool):
-    L = degree.lam_lam1
+def _about_one(L: float, x, derivative: bool):
     z = 0.5 * (1.0 - x)
     # P = F(-lam, lam+1; 1; z) and dP/dx = (L/2) F(1-lam, lam+2; 2; z): the
     # term ratio of the second is that of the first with k shifted by s = 1
@@ -152,9 +127,7 @@ def _about_one(degree: LegendreDegree, x, derivative: bool):
     raise DomainError(f"legendre series about x=1 did not converge (z={z})")
 
 
-def _about_zero(degree: LegendreDegree, x, derivative: bool):
-    L = degree.lam_lam1
-    p0, dp0 = degree.half_degree_gammas()
+def _about_zero(L: float, p0: float, dp0: float, x, derivative: bool):
     x2 = x * x
     # even solution E = F(-lam/2, (lam+1)/2; 1/2; x^2)
     # odd solution  O = x F((1-lam)/2, lam/2+1; 3/2; x^2)

@@ -92,6 +92,24 @@ def free_gaussian(q, t: float, mu: float = 1.0, sigma: float = 1.0):
             * np.exp(-np.asarray(q) ** 2 / (4.0 * sigma * sigma * s)))
 
 
+def gaussian_through_kernel(u_b: float, udot_b: float, v_b: float, vdot_b: float,
+                            pref: complex, qbar: float, kbar: float, sigma: float,
+                            q, mu: float = 1.0):
+    """The (qbar, kbar, sigma) Gaussian pushed through the endpoint kernel
+
+        K = pref exp(i mu / (2 v_b) (vdot_b q^2 + u_b q_a^2 - 2 q_a q))
+
+    by the Gaussian integral over q_a, in the form propagate_kernel used
+    before its thawed-Gaussian route: it divides by v_b, so it is a
+    reference only away from focal points.
+    """
+    a = 1j * 0.5 * mu * u_b / v_b - 1.0 / (4.0 * sigma ** 2)
+    b = qbar / (2.0 * sigma ** 2) + 1j * kbar + 1j * (-mu / v_b) * np.asarray(q)
+    c0 = -qbar ** 2 / (4.0 * sigma ** 2)
+    amp = pref * (2.0 * math.pi * sigma ** 2) ** -0.25 * cmath.sqrt(math.pi / -a)
+    return amp * np.exp(1j * 0.5 * mu * vdot_b / v_b * np.asarray(q) ** 2 + c0 - b ** 2 / (4.0 * a))
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Magnus step, as tdho.classical computed it with stacked commutators
 

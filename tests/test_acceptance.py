@@ -21,7 +21,7 @@ from tdho.evolve import (compare, crank_nicolson, propagate_kernel,
                          time_sliced_oracle, uniform_grid)
 from tdho.freq_profile import Constant, DeltaPulse, ExpDecay, PowerLaw, SechSquared
 from tdho.kernel import kernel_eq17, kernel_robust, schrodinger_residual
-from tdho.specfun import LegendreDegree, bessel_j, legendre_p
+from tdho.specfun import bessel_j, legendre_p
 
 COS = SolutionCurve(lambda t: np.cos(t), lambda t: -np.sin(t), "cos")
 ONE = SolutionCurve(lambda t: 1.0, lambda t: 0.0, "1")
@@ -198,19 +198,21 @@ def test_c10_bessel_and_legendre():
         worst_j = max(worst_j, err / max(1.0, abs(oracles.bessel_j_series(nu, x))))
     worst_p = 0.0
     for _ in range(200):
+        # lambda(lambda+1) is nu(nu+1) for a real degree nu, and -(mu^2 + 1/4)
+        # for a conical one, -1/2 + i mu
         if rng.random() < 0.5:
-            deg = LegendreDegree.real(rng.uniform(0.0, 6.0))
+            nu = rng.uniform(0.0, 6.0)
+            deg, lam_lam1 = nu, nu * (nu + 1.0)
         else:
-            deg = LegendreDegree.conical(rng.uniform(0.0, 4.0))
+            mu = rng.uniform(0.0, 4.0)
+            deg, lam_lam1 = complex(-0.5, mu), -(mu * mu + 0.25)
         # x >= 0.1 keeps the 40-term oracle tail below 1e-14; the x <= 0
         # branch is audited separately by ODE continuation in the unit tests
         x = rng.uniform(0.1, 1.0)
-        want = oracles.legendre_p_series(deg.lam_lam1, x)
+        want = oracles.legendre_p_series(lam_lam1, x)
         err = abs(legendre_p(deg, x) - want)
         worst_p = max(worst_p, err / max(1.0, abs(want)))
-    at_one = max(abs(legendre_p(d, 1.0) - 1.0) for d in
-                 (LegendreDegree.real(0.5), LegendreDegree.real(3.7),
-                  LegendreDegree.conical(1.3)))
+    at_one = max(abs(legendre_p(d, 1.0) - 1.0) for d in (0.5, 3.7, complex(-0.5, 1.3)))
     grade(10, "Bessel and Legendre vs 40-term series oracles (200 points each)",
           worst_j <= 1e-12 and worst_p <= 1e-10 and at_one <= 1e-14,
           f"J worst {worst_j:.1e} (tol 1e-12); P worst {worst_p:.1e} "

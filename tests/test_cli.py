@@ -418,6 +418,33 @@ def test_validate_fail_is_graded(tmp_path, capsys):
     assert (out / "validate.json").exists() and (out / "manifest.json").exists()
 
 
+CATALOGUE_PROFILES = {
+    "constant": {"type": "constant", "omega0": 1},
+    "exp_decay": {"type": "exp_decay", "omega0": 2, "alpha": 0.5},
+    "power_law": {"type": "power_law", "omega0": 0.8, "alpha": 1, "beta": 1},
+    "delta_pulse": {"type": "delta_pulse", "omega0": 1, "t0": 0.5},
+    "sech_squared": {"type": "sech_squared", "alpha": 1, "beta": 2},  # t0 defaults to 0.0
+    "sech_squared-real-degree": {"type": "sech_squared", "alpha": 0.25, "beta": 1.5, "t0": 0.5},
+}
+
+
+@pytest.mark.parametrize("profile", CATALOGUE_PROFILES.values(), ids=CATALOGUE_PROFILES.keys())
+def test_validate_family_and_params_are_the_profile_json(tmp_path, profile):
+    cfg = {"task": "validate", "profile": profile, "window": {"t_a": 0.2, "t_b": 1.2}}
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    doc = json.loads((out / "validate.json").read_text())
+    want = profile_from_json(profile).to_json()
+    assert doc["family"] == want.pop("type") == profile["type"]
+    assert doc["params"] == want
+    # an integer-valued number stays an integer, and a defaulted t0 is written
+    given = {k: v for k, v in profile.items() if k != "type"}
+    if profile["type"] == "sech_squared":
+        given = {"t0": 0.0, **given}
+    assert {k: (v, type(v)) for k, v in doc["params"].items()} == \
+        {k: (v, type(v)) for k, v in given.items()}
+
+
 def test_validate_without_closed_form_exits_1(tmp_path, capsys):
     cfg = {"task": "validate",
            "profile": {"type": "tabulated", "t": [0.0, 0.5, 1.0],

@@ -14,7 +14,7 @@ import oracles
 from conftest import PACKET
 from tdho import evolve
 from tdho.classical import solve_fundamental
-from tdho.errors import (DomainError, GridMismatch, GridTooNarrow,
+from tdho.errors import (CausticAtEndpoint, DomainError, GridMismatch, GridTooNarrow,
                          StabilityWarning, StepFailure)
 from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
                          crank_nicolson, max_slices, propagate_kernel,
@@ -68,6 +68,14 @@ def test_grids_refuse_non_finite_values():
     for t_b in (math.inf, math.nan):
         with pytest.raises(DomainError, match="no slice limit"):
             max_slices(p, t_b)
+
+
+@pytest.mark.parametrize("t_b", [0.5, 0.5 - 1e-12, 0.25, -1.0])
+def test_max_slices_refuses_a_window_that_ends_at_or_before_the_packet(t_b):
+    # the limit is proportional to t_b - t, so these once gave 0 or -1
+    p = PACKET.on_grid(uniform_grid(-8.0, 8.0, 256), t=0.5)
+    with pytest.raises(DomainError, match=f"need t_b after the packet's time t=0.5, got t_b={t_b}"):
+        max_slices(p, t_b)
 
 
 def test_narrow_grid_is_refused():
@@ -247,6 +255,36 @@ def test_coherent_state_recurrence_over_full_period():
         p = propagate_kernel(prof, p, (k + 1) * math.pi / 2.0)
     err = math.sqrt(np.trapezoid(np.abs(p.psi - (-start.psi)) ** 2, grid))
     assert err <= 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gaussian_route_is_exact_at_focal_points(k):
+    # the unit oscillator's state at T = k pi is (-i)^k psi0((-1)^k q): the
+    # thawed Gaussian divides by no v_b, so T = k pi is an ordinary time
+    g = GaussianState(0.5, 0.3, 0.7)
+    q = uniform_grid(-8.0, 8.0, 2048)
+    pair = solve_fundamental(Constant(1.0), 0.0, k * math.pi)
+    with pytest.raises(CausticAtEndpoint):
+        endpoint(pair)
+    got = propagate_kernel(Constant(1.0), g.on_grid(q), k * math.pi).psi
+    assert np.max(np.abs(got - (-1j) ** k * g.psi((-1) ** k * q))) <= 1e-12
+
+
+@pytest.mark.parametrize("profile,t_b,n_focal", [
+    (Constant(1.0), 0.7, 0), (Constant(1.0), 4.0, 1), (Constant(1.0), 7.7, 2),
+    (Constant(1.0), 11.0, 3), (Constant(2.0), 7.0, 4), (ExpDecay(2.0, 0.5), 2.5, 1),
+    (DELTA, 3.5, 1), (SechSquared(1.0, 1.0, 0.5), 1.0, 0), (FREE, 1.0, 0),
+])
+@pytest.mark.parametrize("mu", [1.0, 0.7])
+def test_gaussian_route_matches_the_kernel_integral_away_from_focal_points(profile, t_b, n_focal, mu):
+    q = uniform_grid(-8.0, 8.0, 2048)
+    g = GaussianState(0.5, 0.3, 0.7)
+    e = endpoint(solve_fundamental(profile, 0.0, t_b), mu)
+    assert e.n_focal == n_focal
+    want = oracles.gaussian_through_kernel(e.u_b, e.udot_b, e.v_b, e.vdot_b, e.pref,
+                                           g.qbar, g.kbar, g.sigma, q, mu)
+    got = propagate_kernel(profile, g.on_grid(q), t_b, mu=mu).psi
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # The kernel routes, Crank-Nicolson and the time-sliced product share no

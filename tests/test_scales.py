@@ -1,9 +1,10 @@
 """Every route refuses a scale that is not positive and finite.
 
-The mass mu, a solver's tol and a Gaussian's sigma go through one check,
-errors.check_positive, before any arithmetic, so a bad scale raises
-DomainError and never reaches numpy as inf or NaN (no RuntimeWarning
-escapes).  tests/test_kernel.py checks the Schrodinger residual's steps.
+The mass mu, a solver's tol, a Gaussian's sigma and Crank-Nicolson's step
+dt go through one check, errors.check_positive, before any arithmetic, so a
+bad scale raises DomainError and never reaches numpy as inf or NaN (no
+RuntimeWarning escapes).  tests/test_kernel.py checks the Schrodinger
+residual's steps.
 """
 
 import math
@@ -59,3 +60,11 @@ def test_the_solver_refuses_a_bad_tol(value):
 def test_a_gaussian_refuses_a_bad_sigma(value):
     with pytest.raises(DomainError, match=r"^sigma must be positive and finite, got"):
         GaussianState(sigma=value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", BAD_SCALES.values(), ids=BAD_SCALES.keys())
+def test_crank_nicolson_refuses_a_bad_dt(value):
+    # dt = inf once marched one step per segment with only a StabilityWarning
+    with pytest.raises(DomainError, match=r"^dt must be positive and finite, got"):
+        crank_nicolson(PROFILE, _packet(), 1.0, dt=value)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.special
 
 import oracles
 from tdho.errors import DomainError
-from tdho.specfun import LegendreDegree, bessel_j, gamma, legendre_p, legendre_p_dx
+from tdho.specfun import bessel_j, gamma, legendre_p, legendre_p_dx
 
 
 # ---------------------------------------------------------------------------
@@ -132,47 +133,53 @@ def test_bessel_domain_errors():
 # ---------------------------------------------------------------------------
 # Legendre / conical P
 
+def _lam_lam1(d):
+    """lambda(lambda+1): nu(nu+1) for a real degree, -(mu^2 + 1/4) for -1/2 + i mu."""
+    return -(d.imag ** 2 + 0.25) if isinstance(d, complex) else d * (d + 1.0)
+
+
 def test_degree_lambda_products():
-    assert LegendreDegree.real(2.0).lam_lam1 == 6.0
-    assert LegendreDegree.real(0.0).lam_lam1 == 0.0
-    d = LegendreDegree.conical(1.3)
-    assert d.lam_lam1 == pytest.approx(-(1.3 ** 2 + 0.25), rel=1e-15)
-
-
-@pytest.mark.parametrize("kind", ["Real", "CONICAL", "integer", ""])
-def test_degree_refuses_an_unknown_kind(kind):
-    with pytest.raises(DomainError, match="kind must be 'real' or 'conical'"):
-        LegendreDegree(kind, 2.0)
+    # about x = 1 the degree enters only through lambda(lambda+1), so nu and
+    # -1 - nu give the same bits (DLMF 14.9.5), as do -1/2 + i mu and its
+    # conjugate; the oracle takes lambda(lambda+1) itself
+    x = np.linspace(0.05, 1.0, 20)
+    assert np.array_equal(legendre_p(2.0, x), legendre_p(-3.0, x))
+    assert np.array_equal(legendre_p(complex(-0.5, 1.3), x), legendre_p(complex(-0.5, -1.3), x))
+    assert legendre_p(2.0, 0.5) == pytest.approx(oracles.legendre_p_series(6.0, 0.5), rel=1e-14)
+    assert legendre_p(complex(-0.5, 1.3), 0.5) == pytest.approx(
+        oracles.legendre_p_series(-(1.3 ** 2 + 0.25), 0.5), rel=1e-14)
+    # and past x = 0 through P(0) and P'(0) as well, to roundoff
+    x = np.linspace(-0.9, 0.0, 10)
+    assert legendre_p(2.0, x) == pytest.approx(legendre_p(-3.0, x), rel=1e-13, abs=1e-14)
 
 
 def test_legendre_pinned_identities():
-    assert legendre_p(LegendreDegree.real(2.7), 1.0) == 1.0
-    assert legendre_p(LegendreDegree.conical(1.0), 1.0) == 1.0
+    assert legendre_p(2.7, 1.0) == 1.0
+    assert legendre_p(complex(-0.5, 1.0), 1.0) == 1.0
     for x in (-0.5, 0.0, 0.7):
-        assert legendre_p(LegendreDegree.real(1.0), x) == pytest.approx(x, abs=1e-13)
-        assert legendre_p(LegendreDegree.real(0.0), x) == pytest.approx(1.0, rel=1e-13)
+        assert legendre_p(1.0, x) == pytest.approx(x, abs=1e-13)
+        assert legendre_p(0.0, x) == pytest.approx(1.0, rel=1e-13)
     # quadratic: P_2 = (3x^2 - 1)/2
     for x in (-0.8, -0.3, 0.4, 0.9):
-        assert legendre_p(LegendreDegree.real(2.0), x) == pytest.approx(
-            0.5 * (3 * x * x - 1), abs=1e-12)
+        assert legendre_p(2.0, x) == pytest.approx(0.5 * (3 * x * x - 1), abs=1e-12)
 
 
 def test_legendre_matches_series_oracle():
     rng = np.random.default_rng(20260816)
     for _ in range(200):
         x = rng.uniform(0.1, 1.0)
-        d = LegendreDegree.real(rng.uniform(0.0, 6.0))
-        want = oracles.legendre_p_series(d.lam_lam1, x)
+        d = rng.uniform(0.0, 6.0)
+        want = oracles.legendre_p_series(_lam_lam1(d), x)
         assert abs(legendre_p(d, x) - want) <= 1e-10 * max(1.0, abs(want))
-        d = LegendreDegree.conical(rng.uniform(0.0, 4.0))
-        want = oracles.legendre_p_series(d.lam_lam1, x)
+        d = complex(-0.5, rng.uniform(0.0, 4.0))
+        want = oracles.legendre_p_series(_lam_lam1(d), x)
         assert abs(legendre_p(d, x) - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def _legendre_ivp_continuation(d, x_targets):
     # independent check of the x <= 0 branch: integrate the Legendre ODE
     # leftward from x=0.5 where the series oracle is trustworthy
-    L = d.lam_lam1
+    L = _lam_lam1(d)
     y0 = [oracles.legendre_p_series(L, 0.5),
           (oracles.legendre_p_series(L, 0.5 + 5e-7)
            - oracles.legendre_p_series(L, 0.5 - 5e-7)) / 1e-6]
@@ -188,7 +195,7 @@ def _legendre_ivp_continuation(d, x_targets):
 
 def test_legendre_negative_x_branch():
     targets = [-0.05, -0.3, -0.6, -0.9]
-    for d in (LegendreDegree.real(1.7), LegendreDegree.conical(1.0)):
+    for d in (1.7, complex(-0.5, 1.0)):
         want = _legendre_ivp_continuation(d, targets)
         for x in targets:
             assert legendre_p(d, x) == pytest.approx(want[x], rel=2e-9, abs=2e-9)
@@ -198,8 +205,7 @@ def test_legendre_smooth_across_zero():
     # P(0) from the about-zero branch matches a cubic extrapolation of the
     # about-one branch; mismatch would mean the branches are misaligned
     h = 0.005
-    for d in (LegendreDegree.real(2.3), LegendreDegree.real(0.9),
-              LegendreDegree.conical(0.8), LegendreDegree.conical(2.0)):
+    for d in (2.3, 0.9, complex(-0.5, 0.8), complex(-0.5, 2.0)):
         extrap = (4 * legendre_p(d, h) - 6 * legendre_p(d, 2 * h)
                   + 4 * legendre_p(d, 3 * h) - legendre_p(d, 4 * h))
         assert abs(extrap - legendre_p(d, 0.0)) <= 1e-6
@@ -207,9 +213,8 @@ def test_legendre_smooth_across_zero():
 
 def test_legendre_ode_residual():
     h = 1e-4
-    for d in (LegendreDegree.real(0.9), LegendreDegree.real(3.4),
-              LegendreDegree.conical(0.5), LegendreDegree.conical(2.0)):
-        L = d.lam_lam1
+    for d in (0.9, 3.4, complex(-0.5, 0.5), complex(-0.5, 2.0)):
+        L = _lam_lam1(d)
         for x in (-0.9, -0.45, -0.1, 0.2, 0.55, 0.93):
             pm, p0, pp = (legendre_p(d, x - h), legendre_p(d, x),
                           legendre_p(d, x + h))
@@ -221,7 +226,7 @@ def test_legendre_ode_residual():
 
 def test_legendre_derivative_matches_finite_difference():
     h = 1e-6
-    for d in (LegendreDegree.real(1.8), LegendreDegree.conical(1.2)):
+    for d in (1.8, complex(-0.5, 1.2)):
         for x in (-0.7, -0.2, 0.3, 0.8):
             fd = (legendre_p(d, x + h) - legendre_p(d, x - h)) / (2 * h)
             assert legendre_p_dx(d, x) == pytest.approx(fd, rel=1e-7, abs=1e-7)
@@ -230,12 +235,12 @@ def test_legendre_derivative_matches_finite_difference():
 def test_legendre_derivative_pinned():
     # P_1' = 1, P_2' = 3x
     for x in (-0.5, 0.2, 0.9):
-        assert legendre_p_dx(LegendreDegree.real(1.0), x) == pytest.approx(1.0, rel=1e-10)
-        assert legendre_p_dx(LegendreDegree.real(2.0), x) == pytest.approx(3 * x, rel=1e-9)
+        assert legendre_p_dx(1.0, x) == pytest.approx(1.0, rel=1e-10)
+        assert legendre_p_dx(2.0, x) == pytest.approx(3 * x, rel=1e-9)
 
 
 def test_legendre_domain_errors():
-    d = LegendreDegree.real(1.0)
+    d = 1.0
     with pytest.raises(DomainError):
         legendre_p(d, 1.0 + 1e-12)
     with pytest.raises(DomainError):
@@ -247,20 +252,25 @@ def test_legendre_domain_errors():
 def test_conical_values_are_real_floats():
     for tau in (0.3, 1.0, 2.7):
         for x in (-0.9, -0.2, 0.4, 0.99):
-            v = legendre_p(LegendreDegree.conical(tau), x)
+            v = legendre_p(complex(-0.5, tau), x)
             assert isinstance(v, float) and math.isfinite(v)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_degree_refuses_non_finite_parameters(value):
-    with pytest.raises(DomainError, match="^degree must be finite$"):
-        LegendreDegree.real(value)
-    with pytest.raises(DomainError, match="^conical parameter must be finite$"):
-        LegendreDegree.conical(value)
+    refusal = r"^degree must be a finite real nu or -1/2 \+ i mu, got "
+    for degree in (value, complex(-0.5, value)):
+        for fn in (legendre_p, legendre_p_dx):
+            with pytest.raises(DomainError, match=refusal):
+                fn(degree, 0.5)
+    with pytest.raises(DomainError, match=f"got {value!r}"):
+        legendre_p(value, np.array([]))
 
 
-def test_degree_constructor_refuses_non_finite_parameters():
-    with pytest.raises(DomainError, match="^degree must be finite$"):
-        LegendreDegree("real", math.nan)
-    with pytest.raises(DomainError, match="^conical parameter must be finite$"):
-        LegendreDegree("conical", math.inf)
+@pytest.mark.parametrize("degree", [complex(2.0, 0.0), complex(0.0, 1.0), complex(-0.5 + 1e-16, 1.0),
+                                    complex(math.nan, 1.0)])
+def test_degree_refuses_a_complex_degree_off_the_conical_line(degree):
+    # a complex degree is conical, Re lambda = -1/2 exactly
+    for fn in (legendre_p, legendre_p_dx):
+        with pytest.raises(DomainError, match=re.escape(f"got {degree!r}")):
+            fn(degree, np.array([0.5, -0.5]))
