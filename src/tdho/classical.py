@@ -5,10 +5,12 @@ classical trajectory problem.  This module solves it:
 
   * solve_fundamental: the fundamental pair u, v with u(t_a)=1, u'(t_a)=0,
     v(t_a)=0, v'(t_a)=1, dense over the window, Wronskian u v' - u' v = 1.
-    Sixth-order Magnus steps, bisected in whole arrays, give both the dense
+    Sixth-order Magnus steps, refined in whole arrays, give both the dense
     pair and the focal count: the zeros of v are read off the signs of v at
-    the step ends.  Each delta impulse in omega^2 kicks f' by
-    -strength * f(t0) as a step of its own; it is never smeared into omega^2.
+    the step ends.  A rejected step is cut at once into the 2^k dyadic
+    sub-steps that its measured error (~ h^7) and omega h call for.  Each
+    delta impulse in omega^2 kicks f' by -strength * f(t0) as a step of its
+    own; it is never smeared into omega^2.
   * closed_form: the catalog of reference solutions for the five analytic
     families: f, f', a label and whether the form solves the equation; the
     family and its parameters are the profile's own (to_json).  Two entries
@@ -65,6 +67,7 @@ class ClosedFormSolution(SolutionCurve):
 _GAUSS = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])  # Gauss nodes, from a step's midpoint per unit length
 _INITIAL_STEPS = 8     # uniform steps per segment before bisection
 _MAX_STEPS = 1 << 18   # largest mesh solve_fundamental builds
+_MAX_SPLIT = 17        # most levels a rejected step skips: 2^17 sub-steps of two halves fill _MAX_STEPS
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,52 +171,82 @@ def _magnus(profile: FrequencyProfile, t0: np.ndarray, t1: np.ndarray) -> tuple[
     return mats.reshape(h.shape + (2, 2)), np.max(np.abs([wl, wm, wr]), axis=0)
 
 
+def _dyadic(t0: np.ndarray, t1: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^k sub-steps of each step t0 -> t1, from k rounds of the midpoints bisection takes.
+
+    The steps with k = 0 come first, in their order.
+    """
+    for _ in range(int(k.max(initial=0))):
+        split = k > 0
+        mid = 0.5 * (t0[split] + t1[split])
+        t0, t1 = np.concatenate([t0[~split], t0[split], mid]), np.concatenate([t1[~split], mid, t1[split]])
+        k = np.concatenate([k[~split], k[split] - 1, k[split] - 1])
+    return t0, t1
+
+
 def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
                       tol: float = 1e-10) -> FundamentalPair:
     """The fundamental pair on [t_a, t_b] from sixth-order Gauss Magnus steps.
 
     Each segment between jump events and breakpoints starts from
-    _INITIAL_STEPS uniform steps.  A step is bisected until its one-step and
-    two-half-step matrices differ by at most 63 tol h / (t_b - t_a) in each
-    entry (relative to entries above 1, so roundoff in omega-sized entries
-    passes), which bounds its halves' error by tol h / (t_b - t_a), and
-    omega h <= 1, so that no step holds two zeros of v; it then contributes
-    its two halves.  Each level is one _magnus call, the first for the
-    initial steps and their halves.  A kick [[1, 0], [-strength, 1]] is a
+    _INITIAL_STEPS uniform steps.  A step passes when its one-step and
+    two-half-step matrices differ by at most budget h in each entry, with
+    budget = 63 tol / (t_b - t_a) (relative to entries above 1, so roundoff
+    in omega-sized entries passes), which bounds its halves' error by
+    tol h / (t_b - t_a), and omega h <= 1, so that no step holds two zeros
+    of v; it then contributes its two halves.  A failing step is cut into
+    the 2^k sub-steps that k levels of bisection reach, with
+    k = ceil(max(log2(err / (budget h)) / 6, log2(omega h))) in
+    [1, _MAX_SPLIT], and 1 where err is not finite: err shrinks like h^7
+    against a budget like h.  So every node of plain bisection is a node
+    here.  Each level is one _magnus call, for the halves of every step and
+    the whole of each fresh sub-step.  A kick [[1, 0], [-strength, 1]] is a
     zero-length step.  One prefix product gives the state at the step ends,
     the pair's nodes; between them the state is a partial step from the node
     before.  Raises DomainError on a bad window (from profile.jump_events) or
-    a tol that is not positive and finite, StepFailure past _MAX_STEPS steps.
+    a tol that is not positive and finite, and StepFailure when the halves of
+    the initial steps, or the steps passed and the halves of the sub-steps
+    left (naming the worst step), would pass _MAX_STEPS.
     """
     check_positive("tol", tol)
     kicks = {e.time: e.strength for e in profile.jump_events(t_a, t_b)}
     boundaries = sorted({t_a, t_b, *kicks, *profile.breakpoints(t_a, t_b)})
     edges = [np.linspace(lo, hi, _INITIAL_STEPS + 1) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
     t0, t1 = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    no_mesh = f"no mesh of at most {_MAX_STEPS} steps meets tol={tol} on [{t_a}, {t_b}]"
+    if 2 * t0.size > _MAX_STEPS:
+        raise StepFailure(f"{no_mesh}: its {t0.size} initial steps alone are too many")
     budget = 63.0 * tol / (t_b - t_a)
     times = np.array(sorted(kicks))
     steps = [(times, times, np.array([[[1.0, 0.0], [-kicks[k], 1.0]] for k in times]).reshape(-1, 2, 2))]
     n_accepted = 0
-    full = None  # the whole steps, computed in level 1's call
-    with np.errstate(over="ignore", invalid="ignore"):  # steps still to be bisected may overflow
-        while t0.size:
-            h, n = t1 - t0, t0.size
-            if n_accepted + 2 * n > _MAX_STEPS:
-                raise StepFailure(f"no mesh of at most {_MAX_STEPS} steps meets tol={tol} on "
-                                  f"[{t_a}, {t_b}]; a step near t={float(t0[0])!r} fails")
+    full = np.empty((0, 2, 2))  # whole-step matrices of the leading steps; the rest are fresh
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # failing steps may overflow
+        while True:
+            h, n, m = t1 - t0, t0.size, len(full)
             mid = 0.5 * (t0 + t1)
-            if full is None:
-                halves, w2max = _magnus(profile, np.concatenate([t0, mid, t0]), np.concatenate([mid, t1, t1]))
-                full = halves[2 * n:]
-            else:
-                halves, w2max = _magnus(profile, np.concatenate([t0, mid]), np.concatenate([mid, t1]))
-            left, right = halves[:n], halves[n:2 * n]
+            mats, w2max = _magnus(profile, np.concatenate([t0, mid, t0[m:]]), np.concatenate([mid, t1, t1[m:]]))
+            left, right, full = mats[:n], mats[n:2 * n], np.concatenate([full, mats[2 * n:]])
             err = np.max(np.abs(full - right @ left) / np.maximum(1.0, np.abs(full)), axis=(1, 2))
-            ok = (err <= budget * h) & (h * np.sqrt(np.maximum(w2max[:n], w2max[n:2 * n])) <= 1.0)
+            wh = h * np.sqrt(np.maximum(w2max[:n], w2max[n:2 * n]))
+            ok = (err <= budget * h) & (wh <= 1.0)
             steps += [(t0[ok], mid[ok], left[ok]), (mid[ok], t1[ok], right[ok])]
             n_accepted += 2 * np.count_nonzero(ok)
-            t0, t1 = np.concatenate([t0[~ok], mid[~ok]]), np.concatenate([mid[~ok], t1[~ok]])
-            full = np.concatenate([left[~ok], right[~ok]])
+            bad = ~ok
+            # levels to skip: 2^k sub-steps cut err ~ h^7 against a budget ~ h by 2^(6k), omega h by 2^k
+            r = np.maximum(np.log2(err / (budget * h)) / 6.0, np.log2(wh))
+            k = np.where(np.isfinite(r), np.clip(np.ceil(r), 1, _MAX_SPLIT), 1).astype(int)[bad]
+            if n_accepted + np.sum(2 << k) > _MAX_STEPS:
+                w = int(np.argmax(r))  # a non-finite err counts as the worst
+                raise StepFailure(f"{no_mesh}; the worst step, from t={float(t0[w])!r} to t={float(t1[w])!r}, "
+                                  f"has error {err[w] / (budget * h[w]):.3g} times its budget and "
+                                  f"omega h = {wh[w]:.3g}")
+            if not k.size:
+                break
+            # a rejected step's halves, whose whole-step matrices are known, cut by the levels left to skip
+            skip = np.concatenate([k, k]) - 1
+            t0, t1 = _dyadic(np.concatenate([t0[bad], mid[bad]]), np.concatenate([mid[bad], t1[bad]]), skip)
+            full = np.concatenate([left[bad], right[bad]])[skip == 0]
         lo, hi, mats = (np.concatenate(x) for x in zip(*steps))
         order = np.lexsort((hi, lo))  # a kick precedes the step that starts at its time
         mats = mats[order]

@@ -111,6 +111,12 @@ def _legendre(degree: float | complex, x: float | np.ndarray, derivative: bool):
     return out if isinstance(x, np.ndarray) else float(out)
 
 
+def _unconverged(about: str, x: np.ndarray, live: np.ndarray) -> DomainError:
+    """The error for the points of x whose series is still live at _MAX_TERMS terms."""
+    return DomainError(f"legendre series about x={about} did not converge in {_MAX_TERMS} terms at "
+                       f"{np.count_nonzero(live)} of {x.size} points, the first x={float(x[live][0])!r}")
+
+
 def _about_one(L: float, x, derivative: bool):
     z = 0.5 * (1.0 - x)
     # P = F(-lam, lam+1; 1; z) and dP/dx = (L/2) F(1-lam, lam+2; 2; z): the
@@ -124,7 +130,7 @@ def _about_one(L: float, x, derivative: bool):
         live &= (abs(term) > 1e-17 * abs(total)) | (k <= 4)
         if not live.any():
             return 0.5 * L * total if derivative else total
-    raise DomainError(f"legendre series about x=1 did not converge (z={z})")
+    raise _unconverged("1", x, live)
 
 
 def _about_zero(L: float, p0: float, dp0: float, x, derivative: bool):
@@ -152,7 +158,7 @@ def _about_zero(L: float, p0: float, dp0: float, x, derivative: bool):
         if not live.any():
             break
     else:
-        raise DomainError(f"legendre series about x=0 did not converge (x={x})")
+        raise _unconverged("0", x, live)
     if derivative:
         # e_dsum is 0 at x = 0, where dE/dx = 0: any nonzero divisor will do
         return p0 * e_dsum / np.where(x == 0.0, 1.0, x) + dp0 * o_dsum

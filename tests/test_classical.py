@@ -9,8 +9,9 @@ import pytest
 
 import oracles
 from conftest import SUITE
+from tdho import classical
 from tdho.classical import (
-    _INITIAL_STEPS, _MAX_STEPS, FundamentalPair, SolutionCurve, _magnus, closed_form,
+    _INITIAL_STEPS, _MAX_SPLIT, _MAX_STEPS, FundamentalPair, SolutionCurve, _magnus, closed_form,
     pair_from_solution, solve_fundamental, spot_check_solution, verify_solution,
 )
 from tdho.errors import DegenerateSolution, DomainError, SolutionMismatch, StepFailure
@@ -138,6 +139,21 @@ def test_singular_profile_fails_within_a_bounded_mesh(expr):
     elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert elapsed < 10.0 and peak < 200e6, (elapsed, peak)
+
+
+@pytest.mark.parametrize("profile, why", [
+    # omega h = 1.25e8 on each initial step asks for 2^17 sub-steps apiece
+    (Constant(1e9), r"the worst step, from t=0\.0 to t=0\.125, .* omega h = 1\.25e\+08$"),
+    # 16,385 knots make 8 initial steps each, two halves apiece past 2^18
+    (Tabulated(np.linspace(0.0, 1.0, 16386), np.ones(16386)), r": its 131080 initial steps alone are too many$"),
+])
+def test_a_mesh_sized_past_the_cap_is_refused_before_it_is_built(profile, why):
+    tracemalloc.start()
+    with pytest.raises(StepFailure, match=why):
+        solve_fundamental(profile, 0.0, 1.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 50e6, peak
 
 
 def test_time_translation_covariance_for_autonomous_profile():
@@ -438,8 +454,13 @@ def test_overflowing_magnus_step_is_non_finite_in_both_forms():
     assert np.array_equal(got[0][finite], want[0][finite]) and np.array_equal(got[1], want[1])
 
 
-def _stacked_step_solve(profile, t_a, t_b, tol=1e-10):
-    """solve_fundamental's nodes and state, bisecting level by level on the oracle step."""
+def _stacked_step_solve(profile, t_a, t_b, tol=1e-10, plain=False):
+    """solve_fundamental's nodes and state, level by level on the oracle step.
+
+    Each level is one oracle call.  Each rejected step in turn is split
+    into solve_fundamental's 2^k dyadic sub-steps, or, with plain=True, into
+    its two halves: the one-level bisection whose mesh the sizing refines.
+    """
     kicks = {e.time: e.strength for e in profile.jump_events(t_a, t_b)}
     boundaries = sorted({t_a, t_b, *kicks, *profile.breakpoints(t_a, t_b)})
     edges = [np.linspace(lo, hi, _INITIAL_STEPS + 1) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
@@ -448,20 +469,35 @@ def _stacked_step_solve(profile, t_a, t_b, tol=1e-10):
     times = np.array(sorted(kicks))
     steps = [(times, times, np.array([[[1.0, 0.0], [-kicks[k], 1.0]] for k in times]).reshape(-1, 2, 2))]
     n_accepted = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        full = oracles._magnus(profile, t0, t1)[0]
+    full = np.empty((0, 2, 2))  # known whole-step matrices of the leading steps
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while t0.size:
-            h = t1 - t0
+            h, m = t1 - t0, len(full)
             assert n_accepted + 2 * h.size <= _MAX_STEPS
             mid = 0.5 * (t0 + t1)
-            halves, w2max = oracles._magnus(profile, np.concatenate([t0, mid]), np.concatenate([mid, t1]))
-            left, right = np.split(halves, 2)
+            mats, w2max = oracles._magnus(profile, np.concatenate([t0, mid, t0[m:]]),
+                                          np.concatenate([mid, t1, t1[m:]]))
+            left, right, fresh = np.split(mats, [h.size, 2 * h.size])
+            full = np.concatenate([full, fresh])
             err = np.max(np.abs(full - right @ left) / np.maximum(1.0, np.abs(full)), axis=(1, 2))
-            ok = (err <= budget * h) & (h * np.sqrt(np.maximum(*np.split(w2max, 2))) <= 1.0)
+            wh = h * np.sqrt(np.maximum(*np.split(w2max[:2 * h.size], 2)))
+            ok = (err <= budget * h) & (wh <= 1.0)
             steps += [(t0[ok], mid[ok], left[ok]), (mid[ok], t1[ok], right[ok])]
             n_accepted += 2 * np.count_nonzero(ok)
-            t0, t1 = np.concatenate([t0[~ok], mid[~ok]]), np.concatenate([mid[~ok], t1[~ok]])
-            full = np.concatenate([left[~ok], right[~ok]])
+            known, new = [], []
+            for i in np.flatnonzero(~ok):
+                r = np.maximum(np.log2(err[i] / (budget * h[i])) / 6.0, np.log2(wh[i]))
+                k = 1 if plain or not np.isfinite(r) else min(max(math.ceil(r), 1), _MAX_SPLIT)
+                if k == 1:
+                    known += [(t0[i], mid[i], left[i]), (mid[i], t1[i], right[i])]
+                    continue
+                ends = np.array([t0[i], t1[i]])
+                for _ in range(k):
+                    ends = np.insert(ends, np.arange(1, ends.size), 0.5 * (ends[:-1] + ends[1:]))
+                new += list(zip(ends[:-1], ends[1:]))
+            t0 = np.array([s[0] for s in known] + [s[0] for s in new])
+            t1 = np.array([s[1] for s in known] + [s[1] for s in new])
+            full = np.array([s[2] for s in known]).reshape(-1, 2, 2)
         lo, hi, mats = (np.concatenate(x) for x in zip(*steps))
         order = np.lexsort((hi, lo))
         mats = mats[order]
@@ -503,6 +539,24 @@ def test_solve_is_bit_identical_to_the_stacked_step_bisection(name):
     assert node_t.size > 16 * (1 + len(profile.breakpoints(t_a, t_b)))  # bisected past level 1
     ts = np.concatenate([node_t, np.linspace(t_a, t_b, 37)])
     assert np.array_equal(pair.state(ts), state(ts))
+
+
+@pytest.mark.parametrize("name", STACKED_SOLVES)
+def test_sized_mesh_refines_the_plain_bisection_in_fewer_step_calls(name, monkeypatch):
+    profile, t_a, t_b = STACKED_SOLVES[name]
+    calls = {classical: 0, oracles: 0}
+    for module in calls:
+        def counted(*args, module=module, step=module._magnus):
+            calls[module] += 1
+            return step(*args)
+        monkeypatch.setattr(module, "_magnus", counted)
+    plain_t, _, plain_state = _stacked_step_solve(profile, t_a, t_b, plain=True)
+    pair = solve_fundamental(profile, t_a, t_b)
+    sized, plain = calls[classical], calls[oracles]
+    assert np.isin(plain_t, pair.node_t).all()
+    want = plain_state(np.array([t_b]))[:, 0]
+    assert np.max(np.abs(pair.state(t_b) - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+    assert sized < plain if plain > 2 else sized <= plain, (sized, plain)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import scipy.integrate
 import scipy.special
 
 import oracles
+from tdho import specfun
 from tdho.errors import DomainError
 from tdho.specfun import bessel_j, gamma, legendre_p, legendre_p_dx
 
@@ -247,6 +248,21 @@ def test_legendre_domain_errors():
         legendre_p(d, -1.0)
     with pytest.raises(DomainError):
         legendre_p(d, -1.5)
+
+
+@pytest.mark.parametrize("about, converging, slow", [
+    ("0", [-0.1, -0.2, -0.3], -1.0 + np.geomspace(1e-8, 1e-2, 300)),  # about x = 0: near -1
+    ("1", [0.999, 0.99, 0.9], np.geomspace(1e-3, 1e-1, 300)),         # about x = 1: near 0
+])
+def test_unconverged_series_names_its_first_point_on_one_line(about, converging, slow, monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 20)
+    x = np.concatenate([converging, slow])
+    with pytest.raises(DomainError) as exc:
+        legendre_p(complex(-0.5, 1.0), x)
+    msg = str(exc.value)
+    assert "\n" not in msg and len(msg) < 160, msg
+    assert f"about x={about} " in msg and "300 of 303 points" in msg
+    assert msg.endswith(f"the first x={float(slow[0])!r}")
 
 
 def test_conical_values_are_real_floats():
