@@ -1,44 +1,40 @@
 """Wavepacket evolution: the kernel route and two independent checks.
 
 propagate_kernel applies the exact propagator as an integral operator,
+psi_out(q_b) = int K(q_b, t_b; q, t_a) psi(q) dq.  A Gaussian input skips
+the integral: Heller's thawed Gaussian (J. Chem. Phys. 62, 1544 (1975)) is
+exact for a quadratic Hamiltonian.  Its centre (q_t, p_t) and its width pair
+(Q, P) follow the classical flow [[u, v/mu], [mu u', v']], and the state
+picks up the phase (p_t q_t - p_0 q_0)/2; Q^{-1/2} is the principal root
+times kernel.maslov_sign.  Nothing divides by v_b, so the Gaussian route is
+valid on focal points too.
 
-    psi_out(q_b) = int K(q_b, t_b; q, t_a) psi(q) dq
-                 = P e^{i C q_b^2} int e^{i A q^2} e^{i B(q_b) q} psi(q) dq
+Any other input takes the paper's map to free motion: with
+-2 q q_b = (q_b - q)^2 - q^2 - q_b^2 the endpoint kernel factors as
 
-with A = mu u_b/(2 v_b), B = -mu q_b/v_b, C = mu vdot_b/(2 v_b) and P the
-prefactor kernel.endpoint computes, Maslov sign included.  A Gaussian input
-skips the integral: Heller's thawed Gaussian (J. Chem. Phys. 62, 1544
-(1975)) is exact for a quadratic Hamiltonian.  Its centre (q_t, p_t) and its
-width pair (Q, P) follow the classical flow [[u, v/mu], [mu u', v']], and the
-state picks up the phase (p_t q_t - p_0 q_0)/2; Q^{-1/2} is the principal
-root times kernel.maslov_sign.  Nothing divides by v_b, so the Gaussian
-route is valid on focal points too.  For everything else the oscillatory
-factor e^{iBq} is handled with a Filon-type rule: g(q) = psi(q) e^{iAq^2} is
-interpolated by piecewise cubics while the exponential is integrated
-exactly, giving a composite rule
+    K = s e^{i mu (v'_b - 1) q_b^2 / (2 v_b)} K_free(q_b - q; v_b) e^{i mu (u_b - 1) q^2 / (2 v_b)},
 
-    int g e^{iBq} dq  ~=  h W(theta) sum_n e^{i B q_n} g_n,   theta = B h,
+s = maslov_sign(n_focal) and K_free(.; tau) the free propagator of duration
+tau.  The free hop is a grid sum, Toeplitz in q_b - q, so one FFT linear
+convolution gives all q_b at once in O(n log n).  A Filon-type rule handles
+its oscillatory factor e^{-i mu q_b q / v_b}: the rest of the integrand is
+interpolated by piecewise cubics and the exponential integrated exactly,
+which scales each output by the interior weight W(theta), theta =
+-mu q_b h / v_b; W -> 1 as theta -> 0 (plain Riemann) and stays O(1)
+accurate for |theta| >> 1, where a naive rule aliases.  Boundary weight
+corrections are dropped: GridTooNarrow keeps the input below 1e-8 of its
+peak near the grid edges.
 
-whose interior weight W(theta) -> 1 as theta -> 0 (plain Riemann) and stays
-O(1) accurate for |theta| >> 1 where a naive rule aliases.  On the uniform
-grid the sums for all q_b at once form a chirp-z transform: Bluestein's
-identity q_b q = (q_b^2 + q^2 - (q_b - q)^2)/2 turns them into
-chirp x FFT convolution x chirp, O(n log n) in the grid size.  Boundary weight
-corrections are dropped: inputs must be negligible near the grid edges
-anyway (GridTooNarrow enforces it), so the missing corrections act on
-amplitudes below 1e-8.
-
-crank_nicolson marches i dpsi/dt = H(t) psi directly (unitary, O(dt^2),
-Dirichlet walls), one LAPACK tridiagonal solve per step.  It makes one march
-over the whole window, reading omega^2 at all the steps' midpoints in one
-call; the off-diagonals are rebuilt only when the step changes, the
-diagonals when the step or omega^2 changes.  A matrix that serves a run of
-steps is factored once (gttrf) and each step of the run solves with the
-factors (gttrs); a matrix that serves one step is factored and solved in one
-gtsv call.  time_sliced_oracle applies the short-time kernel composition
-that defines the path integral, with O(1/n) convergence.  The three routes
-share no mechanism, which is the point: agreement is evidence.  They share
-one input check.
+time_sliced_oracle composes the short-time kernels that define the path
+integral, O(1/n): per slice, a free hop of the slice's duration and the
+slice's potential phase.  crank_nicolson marches i dpsi/dt = H(t) psi
+(unitary, O(dt^2), Dirichlet walls) over the whole window, reading omega^2
+at every step's midpoint in one call.  Each run of steps with equal step and
+omega^2 factors its tridiagonal matrix once (gttrf) and solves each step
+with the factors (gttrs); a run of one step takes one gtsv call.  CN shares
+nothing with the other two routes; the Filon route and slicing share the
+free hop, and each has its own independent test reference.  Agreement is
+the evidence.  All three share one input check.
 """
 
 from __future__ import annotations
@@ -93,8 +89,9 @@ class GaussianState:
 class WavePacket:
     """State sampled on a uniform grid at one instant.
 
-    gaussian, when set, certifies that psi is exactly that Gaussian; the
-    kernel propagator then uses the thawed Gaussian instead of quadrature.
+    gaussian, when set, certifies that psi is exactly that Gaussian on q,
+    bit for bit (a tag that does not match raises DomainError); the kernel
+    propagator then uses the thawed Gaussian instead of quadrature.
     Propagation outputs never carry the tag.
     """
     q: np.ndarray
@@ -112,6 +109,8 @@ class WavePacket:
         d = np.diff(self.q)
         if not (np.isfinite(self.q).all() and d[0] > 0 and np.max(np.abs(d - d[0])) <= 1e-9 * d[0]):
             raise DomainError("grid must be finite, uniform and increasing")
+        if self.gaussian is not None and not np.array_equal(self.psi, self.gaussian.psi(self.q)):
+            raise DomainError(f"psi is not the tagged Gaussian {self.gaussian} on q")
 
     @property
     def dq(self) -> float:
@@ -149,6 +148,20 @@ def _check_packet(packet: WavePacket, mu: float) -> None:
             f"|psi| reaches {edge:.2e} of peak near the grid edge; "
             f"widen the window (limit {_EDGE_AMPLITUDE:.0e})")
     check_positive("mu", mu)
+
+
+def _free_hop(n: int, h: float, tau: float, mu: float):
+    """The free propagator of duration tau on an n-point grid of spacing h.
+
+    Returns x -> sum_m K_free(q_j - q_m; tau) x_m h for all j at once: the
+    sum is Toeplitz in j - m, so it is one FFT linear convolution with the
+    kernel's 2n - 1 samples, transformed here once.
+    """
+    kern = cmath.sqrt(mu / (2.0 * math.pi * 1j * tau)) * h \
+        * np.exp(0.5j * mu * (np.arange(1 - n, n) * h) ** 2 / tau)
+    m = fft.next_fast_len(2 * n - 1)  # circular wrap-around misses [n-1, 2n-1)
+    kern_hat = fft.fft(kern, m)
+    return lambda x: fft.ifft(fft.fft(x, m) * kern_hat)[n - 1:2 * n - 1]
 
 
 # cubic Lagrange coefficients on nodes u = -1, 0, 1, 2 (rows: powers u^0..u^3)
@@ -219,23 +232,12 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
         return WavePacket(q=q, psi=psi_out, t=t_b)
 
     e = endpoint(pair, mu)  # endpoint caustic check happens here
-    v_b, pref = e.v_b, e.pref
-    a_coef = 0.5 * mu * e.u_b / v_b
-    c_coef = 0.5 * mu * e.vdot_b / v_b
-
-    # On the uniform grid q_b q = (q_b^2 + q^2 - (q_b - q)^2) / 2 with
-    # q_b - q = h (j - m), so the Filon sum over e^{i beta q_b q} g(q),
-    # beta = -mu / v_b, is chirp x (FFT convolution with a chirp) x chirp
-    # (Bluestein's chirp-z identity): O(n log n) for all q_b at once.
-    beta = -mu / v_b
+    # chirp x free hop x chirp (module docstring), the hop weighted by Filon's W
     h = packet.dq
-    n = q.size
-    chirp = np.exp(0.5j * beta * q ** 2)
-    g_samples = packet.psi * np.exp(1j * a_coef * q ** 2) * chirp
-    kern = np.exp(-0.5j * beta * h * h * np.arange(1 - n, n) ** 2)
-    m = fft.next_fast_len(2 * n - 1)  # circular wrap-around misses [n-1, 2n-1)
-    sums = fft.ifft(fft.fft(g_samples, m) * fft.fft(kern, m))[n - 1:2 * n - 1] * chirp
-    psi_out = pref * np.exp(1j * c_coef * q ** 2) * h * _filon_weight(beta * q * h) * sums
+    hop = _free_hop(q.size, h, e.v_b, mu)
+    chirp_in = np.exp(0.5j * mu * (e.u_b - 1.0) / e.v_b * q ** 2)
+    psi_out = (maslov_sign(e.n_focal) * np.exp(0.5j * mu * (e.vdot_b - 1.0) / e.v_b * q ** 2)
+               * _filon_weight(-mu / e.v_b * q * h) * hop(packet.psi * chirp_in))
     return WavePacket(q=q, psi=psi_out, t=t_b)
 
 
@@ -278,59 +280,53 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
             "time step does not resolve the potential phase at the grid "
             "edges; results will be inaccurate (though not unstable)"))
 
-    # a step with its predecessor's (step, omega^2) reuses its matrix; a run
-    # of such steps factors it once (gttrf) and solves by gttrs, a matrix for
-    # one step takes gtsv, which is cheaper than gttrf + gttrs
-    fresh = np.append(True, (step_of[1:] != step_of[:-1]) | (w2s[1:] != w2s[:-1]))
-    solo = fresh & np.append(fresh[1:], True)
+    # a run is a maximal stretch of steps with equal (step, omega^2), so one
+    # matrix: a run of several steps factors it once (gttrf) and solves by
+    # gttrs, a run of one step takes gtsv, which is cheaper than gttrf + gttrs
+    runs = np.append(np.flatnonzero(np.append(
+        True, (step_of[1:] != step_of[:-1]) | (w2s[1:] != w2s[:-1]))), len(steps))
 
     dq2 = (q[1] - q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
     kin = 1.0 / (mu * dq2)
-    # I + i(step/2)H in solve_banded's layout: rows hold the super-, main and
-    # sub-diagonal
-    ab = np.zeros((3, q.size), dtype=complex)
-    # gtsv (the routine solve_banded picks for a (1, 1) band) and gttrf factor
-    # their input in place, so each factors a copy made into one buffer; the
-    # right-hand side is built in two more (fresh buffers cost page faults on
-    # every step at large n)
-    lu = np.empty_like(ab)
+    # each run builds I + i(step/2)H straight into the one band buffer that
+    # gtsv (the routine solve_banded picks for a (1, 1) band) or gttrf factors
+    # in place; rows hold the super-, main and sub-diagonal.  The right-hand
+    # side is built in two more (fresh buffers cost page faults on every step
+    # at large n)
+    lu = np.zeros((3, q.size), dtype=complex)
+    band = (lu[2, :-1], lu[1], lu[0, 1:])
     rhs, hop_psi = np.empty_like(packet.psi), np.empty_like(packet.psi)
-    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (ab,))
+    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (lu,))
     psi = packet.psi
-    step_prev = None
-    for k, (step, w2) in enumerate(zip(steps, w2s)):
-        if fresh[k]:
-            if step != step_prev:  # the off-diagonals change only with the step
-                half = 0.5j * step
-                hop = half * off
-                ab[0, 1:] = ab[2, :-1] = hop
-                ab[0, 1] = ab[2, -2] = 0.0  # these zeros decouple the Dirichlet walls exactly
-                step_prev = step
-            ih = half * (kin + 0.5 * mu * w2 * q2)
-            explicit = 1.0 - ih
-            ab[1] = 1.0 + ih
-            ab[1, 0] = ab[1, -1] = 1.0  # Dirichlet walls
-            lu[...] = ab
-            if not solo[k]:
-                *factors, info = gttrf(lu[2, :-1], lu[1], lu[0, 1:], overwrite_dl=True,
-                                       overwrite_d=True, overwrite_du=True)
-        # hop * psi once, its two shifted slices subtracted: each element sees
-        # explicit * psi - hop * psi_left - hop * psi_right in that order
-        np.multiply(hop, psi, out=hop_psi)
-        np.multiply(explicit, psi, out=rhs)
-        rhs[1:] -= hop_psi[:-1]
-        rhs[:-1] -= hop_psi[1:]
-        rhs[0] = rhs[-1] = 0.0  # Dirichlet walls
-        if solo[k]:
-            psi, info = gtsv(lu[2, :-1], lu[1], lu[0, 1:], rhs, overwrite_dl=True,
-                             overwrite_d=True, overwrite_du=True, overwrite_b=True)[3:]
-        else:
-            psi = gttrs(*factors, rhs, overwrite_b=True)[0]
-        if info:  # I + i(step/2)H with real H is never singular for finite input
-            raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[k])!r}")
-        if k in kicks:
-            psi = psi * np.exp(-0.5j * mu * kicks[k] * q2)
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        half = 0.5j * steps[lo]
+        hop = half * off
+        ih = half * (kin + 0.5 * mu * w2s[lo] * q2)
+        explicit = 1.0 - ih
+        lu[0, 1:] = lu[2, :-1] = hop
+        lu[0, 1] = lu[2, -2] = 0.0  # these zeros decouple the Dirichlet walls exactly
+        lu[1] = 1.0 + ih
+        lu[1, 0] = lu[1, -1] = 1.0  # Dirichlet walls
+        if hi - lo > 1:
+            *factors, info = gttrf(*band, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        for k in range(lo, hi):
+            # hop * psi once, its two shifted slices subtracted: each element
+            # sees explicit * psi - hop * psi_left - hop * psi_right in that order
+            np.multiply(hop, psi, out=hop_psi)
+            np.multiply(explicit, psi, out=rhs)
+            rhs[1:] -= hop_psi[:-1]
+            rhs[:-1] -= hop_psi[1:]
+            rhs[0] = rhs[-1] = 0.0  # Dirichlet walls
+            if hi - lo > 1:
+                psi = gttrs(*factors, rhs, overwrite_b=True)[0]
+            else:
+                psi, info = gtsv(*band, rhs, overwrite_dl=True, overwrite_d=True,
+                                 overwrite_du=True, overwrite_b=True)[3:]
+            if info:  # I + i(step/2)H with real H is never singular for finite input
+                raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[k])!r}")
+            if k in kicks:
+                psi = psi * np.exp(-0.5j * mu * kicks[k] * q2)
     return WavePacket(q=q, psi=psi, t=t_b)
 
 
@@ -359,9 +355,9 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     slice's right edge t_j (right Riemann), so the error is O(1/n).  An
     impulse at t0 applies its exact phase with the slice containing t0.
 
-    Each free hop is the grid sum psi(q) <- sum_m K_eps(q, q_m) psi(q_m) h,
-    evaluated as an FFT convolution (the sum is Toeplitz in q - q_m).  The
-    chirp K_eps must be resolved by the grid: its phase advances by
+    Each slice's free hop, psi(q) <- sum_m K_free(q - q_m; eps) psi(q_m) h,
+    is the one the Filon route takes (_free_hop).  The chirp K_free must be
+    resolved by the grid: its phase advances by
     mu L h / eps radians per sample at the largest separation L, and once
     that exceeds pi the aliased tails feed back coherently and grow
     exponentially with the slice count.  DomainError enforces the bound
@@ -386,11 +382,7 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
             f"> pi; use at most n_slices = {limit} "
             f"on this grid, or at least {math.ceil(mu * span ** 2 / (math.pi * eps)) + 1} points")
 
-    pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * eps))
-    offsets = np.arange(-(n - 1), n) * h
-    kern = pref * h * np.exp(0.5j * mu * offsets ** 2 / eps)
-    m = fft.next_fast_len(2 * n - 1)  # circular wrap-around misses [n-1, 2n-1)
-    kern_hat = fft.fft(kern, m)
+    hop = _free_hop(n, h, eps, mu)
 
     impulse_slice: dict[int, float] = {}
     for e in events:
@@ -407,7 +399,7 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     psi = packet.psi
     w2_prev = None
     for j, w2 in enumerate(w2s, 1):
-        psi = fft.ifft(fft.fft(psi, m) * kern_hat)[n - 1:2 * n - 1]
+        psi = hop(psi)
         if w2 != w2_prev:  # the potential phase changes only with omega^2
             np.exp(np.multiply(-0.5j * eps * mu * w2, q2, out=phase), out=phase)
             w2_prev = w2

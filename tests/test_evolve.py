@@ -55,6 +55,18 @@ def test_wavepacket_validation():
         uniform_grid(1.0, -1.0, 64)
 
 
+def test_wavepacket_refuses_a_gaussian_tag_that_does_not_match_psi():
+    # a mismatched tag would send propagate_kernel down the thawed-Gaussian
+    # route with the tag's state, ignoring psi
+    g = GaussianState(0.3, 0.2, 0.7)
+    q = uniform_grid(-8.0, 8.0, 256)
+    for psi in (GaussianState(0.3, 0.2, 0.71).psi(q), g.psi(q) * (1.0 + 1e-15), g.psi(q[::-1])):
+        with pytest.raises(DomainError, match="tagged Gaussian"):
+            WavePacket(q=q, psi=psi, t=0.0, gaussian=g)
+    assert WavePacket(q=q, psi=g.psi(q), t=0.0, gaussian=g).gaussian is g
+    assert g.on_grid(q).gaussian is g
+
+
 def test_grids_refuse_non_finite_values():
     # NaN compares False both ways, so it must fail each test, not pass it
     for q_min, q_max in ((-1e308, 1e308), (-math.inf, 1.0), (0.0, math.nan)):
@@ -188,20 +200,22 @@ TWO = (GaussianState(-0.8, 0.3, 0.6), GaussianState(0.9, -0.4, 0.65), 0.3 + 0.4j
 DELTA = DeltaPulse(1.0, 0.3)  # v zeros at t = 3.04, 6.18, 9.32
 
 
-@pytest.mark.parametrize("profile,t_b,n_focal", [
-    (Constant(1.0), 2.8, 0), (Constant(1.0), 3.5, 1), (Constant(1.0), 6.6, 2),
-    (DELTA, 2.6, 0), (DELTA, 3.5, 1), (DELTA, 6.6, 2),
-], ids=["constant-0", "constant-1", "constant-2", "delta-0", "delta-1", "delta-2"])
-def test_filon_fft_route_matches_per_row_sum(profile, t_b, n_focal):
+@pytest.mark.parametrize("profile,t_b,n_focal,mu", [
+    (Constant(1.0), 2.8, 0, 1.0), (Constant(1.0), 3.5, 1, 1.0), (Constant(1.0), 6.6, 2, 1.0),
+    (DELTA, 2.6, 0, 1.0), (DELTA, 3.5, 1, 1.0), (DELTA, 6.6, 2, 1.0),
+    (Constant(1.0), 2.9, 0, 0.5), (DELTA, 3.5, 1, 2.0),
+], ids=["constant-0", "constant-1", "constant-2", "delta-0", "delta-1", "delta-2",
+        "constant-0-mu0.5", "delta-1-mu2"])
+def test_filon_fft_route_matches_per_row_sum(profile, t_b, n_focal, mu):
     q = uniform_grid(-8.0, 8.0, 256)
     a, b, c = TWO
     p = WavePacket(q=q, psi=a.psi(q) + c * b.psi(q), t=0.0)
     d = kernel_robust(solve_fundamental(profile, 0.0, t_b), 0.0, 0.0).diagnostics
     assert d["interior_v_zeros"] == n_focal
-    # |theta| = |q_b h / v_b| passes 1 at the grid edges: both weight branches run
-    assert 8.0 * p.dq / abs(d["v_b"]) > 1.0
-    want = _per_row_filon(profile, p, t_b)
-    got = propagate_kernel(profile, p, t_b).psi
+    # |theta| = |mu q_b h / v_b| passes 1 at the grid edges: both weight branches run
+    assert mu * 8.0 * p.dq / abs(d["v_b"]) > 1.0
+    want = _per_row_filon(profile, p, t_b, mu)
+    got = propagate_kernel(profile, p, t_b, mu=mu).psi
     assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
@@ -654,15 +668,17 @@ def _sliced_reference(profile, packet, t_b, n_slices, mu=1.0):
     return psi
 
 
-@pytest.mark.parametrize("profile", [Constant(1.0), DeltaPulse(0.6, 0.5), ExpDecay(1.2, 0.9)],
-                         ids=["constant", "delta-pulse", "exp-decay"])
-def test_sliced_is_bit_identical_to_the_slice_by_slice_composition(profile):
+@pytest.mark.parametrize("profile, mu, n_slices", [
+    (Constant(1.0), 1.0, 8), (DeltaPulse(0.6, 0.5), 1.0, 8), (ExpDecay(1.2, 0.9), 1.0, 8),
+    (DeltaPulse(0.6, 0.5), 0.5, 8), (ExpDecay(1.2, 0.9), 2.0, 4),
+], ids=["constant", "delta-pulse", "exp-decay", "delta-pulse-mu0.5", "exp-decay-mu2"])
+def test_sliced_is_bit_identical_to_the_slice_by_slice_composition(profile, mu, n_slices):
     # the route multiplies its phases in place, never into the input, and
     # returns an array of its own
     p = PACKET.on_grid(uniform_grid(-8.0, 8.0, 2048))
     before = p.psi.copy()
-    out = time_sliced_oracle(profile, p, 1.0, 8)
-    assert np.array_equal(out.psi, _sliced_reference(profile, p, 1.0, 8))
+    out = time_sliced_oracle(profile, p, 1.0, n_slices, mu=mu)
+    assert np.array_equal(out.psi, _sliced_reference(profile, p, 1.0, n_slices, mu))
     assert np.array_equal(p.psi, before)
     assert out.psi.base is None
 
