@@ -132,6 +132,14 @@ def _validate_config(cfg: dict, task: str) -> str | None:
     return None
 
 
+def _integers(cfg: dict) -> None:
+    """Make the schema's integer keys ints in place: JSON Schema's "integer"
+    admits 256.0, which linspace and range refuse."""
+    for node, key in ((cfg, "n_samples"), (cfg, "n_slices"), (cfg.get("grid", {}), "n")):
+        if key in node:
+            node[key] = int(node[key])
+
+
 def _given(cfg: dict, *keys: str) -> dict:
     """The config's values for those keys it sets; the library call's own
     defaults cover the keys it omits."""
@@ -305,6 +313,7 @@ def main(argv=None) -> int:
     if msg is not None:
         print(msg, file=sys.stderr)
         return 1
+    _integers(cfg)
 
     out_dir = args.out or Path(os.environ.get("TDHO_OUT") or ".")
     try:

@@ -19,11 +19,12 @@ tau.  The free hop is a grid sum, Toeplitz in q_b - q, so one FFT linear
 convolution gives all q_b at once in O(n log n).  A Filon-type rule handles
 its oscillatory factor e^{-i mu q_b q / v_b}: the rest of the integrand is
 interpolated by piecewise cubics and the exponential integrated exactly,
-which scales each output by the interior weight W(theta), theta =
--mu q_b h / v_b; W -> 1 as theta -> 0 (plain Riemann) and stays O(1)
-accurate for |theta| >> 1, where a naive rule aliases.  Boundary weight
-corrections are dropped: GridTooNarrow keeps the input below 1e-8 of its
-peak near the grid edges.
+which scales each output by the interior weight W(theta) = (1 + theta^2/6)
+sinc^4(theta/2), theta = -mu q_b h / v_b, the cubic-order attenuation factor
+of Numerical Recipes section 13.9.  W -> 1 as theta -> 0 (plain Riemann) and
+stays O(1) accurate for |theta| >> 1, where a naive rule aliases.  Boundary
+weight corrections are dropped: GridTooNarrow keeps the input below 1e-8 of
+its peak near the grid edges.
 
 time_sliced_oracle composes the short-time kernels that define the path
 integral, O(1/n): per slice, a free hop of the slice's duration and the
@@ -81,17 +82,17 @@ class GaussianState:
                              + 1j * self.kbar * q)
 
     def on_grid(self, q: np.ndarray, t: float = 0.0) -> "WavePacket":
-        return WavePacket(q=np.asarray(q, dtype=float), psi=self.psi(q), t=t,
-                          gaussian=self)
+        return WavePacket(q=q, psi=self.psi(q), t=t, gaussian=self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WavePacket:
-    """State sampled on a uniform grid at one instant.
+    """State sampled on a uniform grid at one instant; immutable.
 
-    gaussian, when set, certifies that psi is exactly that Gaussian on q,
-    bit for bit (a tag that does not match raises DomainError); the kernel
-    propagator then uses the thawed Gaussian instead of quadrature.
+    q and psi are read-only copies of the arrays given.  gaussian, when set,
+    certifies that psi is exactly that Gaussian on q, bit for bit (a tag that
+    does not match raises DomainError), for the packet's whole life; the
+    kernel propagator then uses the thawed Gaussian instead of quadrature.
     Propagation outputs never carry the tag.
     """
     q: np.ndarray
@@ -100,8 +101,10 @@ class WavePacket:
     gaussian: GaussianState | None = None
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.psi = np.asarray(self.psi, dtype=complex)
+        for name, dtype in (("q", float), ("psi", complex)):
+            a = np.array(getattr(self, name), dtype=dtype)  # a copy
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if self.q.ndim != 1 or self.q.shape != self.psi.shape:
             raise DomainError("q and psi must be 1-d arrays of equal length")
         if self.q.size < 2 * _EDGE_BAND + 4:
@@ -164,44 +167,15 @@ def _free_hop(n: int, h: float, tau: float, mu: float):
     return lambda x: fft.ifft(fft.fft(x, m) * kern_hat)[n - 1:2 * n - 1]
 
 
-# cubic Lagrange coefficients on nodes u = -1, 0, 1, 2 (rows: powers u^0..u^3)
-_LAGRANGE = np.array([
-    [0.0, -1.0 / 3.0, 0.5, -1.0 / 6.0],   # node -1
-    [1.0, -0.5, -1.0, 0.5],               # node  0
-    [0.0, 1.0, 0.5, -0.5],                # node  1
-    [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0],    # node  2
-])
-_NODES = np.array([-1.0, 0.0, 1.0, 2.0])
-_SERIES_TERMS = 24  # 1/23! < 1e-22: the series is converged for |theta| <= 1
-
-
 def _filon_weight(theta: np.ndarray) -> np.ndarray:
-    """Interior sample weight W(theta), elementwise; W(0) = 1.
+    """W(theta) = (1 + theta^2/6) sinc^4(theta/2), the interior sample weight.
 
-    Built from the moments c_k(theta) = int_0^1 u^k e^{i theta u} du,
-    k = 0..3, of the cubic's Lagrange basis.
+    Numerical Recipes' cubic Filon attenuation factor (section 13.9),
+    (6 + theta^2)/(3 theta^4) (3 - 4 cos theta + cos 2 theta), with the
+    bracket written 8 sin^4(theta/2) so nothing cancels near 0; real, even,
+    and np.sinc makes W(0) = 1.
     """
-    theta = np.asarray(theta, dtype=float)
-    c = np.empty((4,) + theta.shape, dtype=complex)
-    small = np.abs(theta) <= 1.0
-    # series sum_j (i theta)^j / (j! (k+j+1)); upward recursion in 1/theta
-    # cancels badly here, the series does not
-    it = 1j * theta[small]
-    term = np.ones_like(it)  # (i theta)^j / j!
-    total = np.zeros((4,) + it.shape, dtype=complex)
-    for j in range(_SERIES_TERMS):
-        total += term / (np.arange(1.0, 5.0) + j)[:, None]
-        term = term * it / (j + 1)
-    c[:, small] = total
-    it = 1j * theta[~small]
-    e = np.exp(it)
-    ck = (e - 1.0) / it
-    c[0, ~small] = ck
-    for k in range(1, 4):
-        ck = (e - k * ck) / it
-        c[k, ~small] = ck
-    m = np.tensordot(_LAGRANGE, c, axes=1)  # M_r for r = -1, 0, 1, 2
-    return np.sum(m * np.exp(-1j * np.multiply.outer(_NODES, theta)), axis=0)
+    return (1.0 + theta * theta / 6.0) * np.sinc(theta / (2.0 * math.pi)) ** 4
 
 
 def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
@@ -364,8 +338,8 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     rather than returning garbage — refine the grid or lower n_slices.
     """
     _check_packet(packet, mu)
-    if n_slices < 1:
-        raise DomainError("n_slices must be >= 1")
+    if not (n_slices >= 1 and n_slices % 1 == 0):
+        raise DomainError(f"n_slices must be a whole number >= 1, got {n_slices!r}")
     events = profile.jump_events(packet.t, t_b)
     limit = max_slices(packet, t_b, mu)
     eps = (t_b - packet.t) / n_slices
@@ -406,7 +380,7 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
         psi *= phase
         if j in impulse_slice:
             psi *= np.exp(-0.5j * mu * impulse_slice[j] * q2)
-    return WavePacket(q=q, psi=psi.copy(), t=t_b)  # not a view pinning the 2n buffer
+    return WavePacket(q=q, psi=psi, t=t_b)
 
 
 def compare(p1: WavePacket, p2: WavePacket) -> dict:

@@ -661,6 +661,47 @@ def test_omitted_keys_take_the_library_defaults(tmp_path, cfg):
     assert written[0] == written[1] and written[0]
 
 
+def _integer_keys(node):
+    """Every property name the schema types as "integer"."""
+    if isinstance(node, list):
+        return set().union(*map(_integer_keys, node))
+    if not isinstance(node, dict):
+        return set()
+    own = {k for k, v in node.get("properties", {}).items() if v.get("type") == "integer"}
+    return own.union(*map(_integer_keys, node.values()))
+
+
+# JSON Schema's "integer" admits 256.0; each such value must run as its int
+INTEGRAL_FLOATS = [
+    (propagate_cfg(), {"grid": {"q_min": -6.0, "q_max": 6.0, "n": 256.0}}),
+    (propagate_cfg(method="time_sliced", n_slices=2), {"n_slices": 2.0}),
+    (TASK_CFGS[1], {"n_samples": 41.0}),
+    ({**TASK_CFGS[3], "n_samples": 16}, {"n_samples": 16.0}),
+    (compare_cfg(grid={"q_min": -6.0, "q_max": 6.0, "n": 256}),
+     {"grid": {"q_min": -6.0, "q_max": 6.0, "n": 256.0}, "n_slices": 2.0}),
+]
+
+
+def test_the_schema_has_no_integer_key_but_those_the_cli_makes_ints():
+    assert _integer_keys(cli._schema()) == {"n", "n_samples", "n_slices"}
+
+
+@pytest.mark.parametrize("cfg,over", INTEGRAL_FLOATS,
+                         ids=["grid-n", "n_slices", "classical-n_samples",
+                              "validate-n_samples", "compare"])
+def test_integral_floats_in_integer_keys_write_the_int_configs_bytes(tmp_path, cfg, over):
+    written = []
+    for name, c in (("int", cfg), ("float", {**cfg, **over})):
+        out = tmp_path / name
+        assert main([c["task"], "--config", str(write_cfg(tmp_path, c, f"{name}.json")),
+                     "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        manifest.pop("config_sha256")
+        written.append((files, manifest))
+    assert written[0] == written[1]
+
+
 def test_out_directory_that_cannot_be_created(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("a regular file")

@@ -67,6 +67,25 @@ def test_wavepacket_refuses_a_gaussian_tag_that_does_not_match_psi():
     assert g.on_grid(q).gaussian is g
 
 
+def test_wavepacket_is_immutable_so_its_tag_holds_for_its_whole_life():
+    # a tagged packet whose psi could change would send propagate_kernel down
+    # the thawed-Gaussian route with the tag's state, ignoring psi
+    q = uniform_grid(-8.0, 8.0, 256)
+    psi = GaussianState(0.3, 0.2, 0.7).psi(q)
+    p = WavePacket(q=q, psi=psi, t=0.0, gaussian=GaussianState(0.3, 0.2, 0.7))
+    other = GaussianState(-0.5, 0.0, 0.6).psi(q)
+    for name, value in (("psi", other), ("q", q), ("t", 1.0), ("gaussian", None)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    for a in (p.psi, p.q):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = a[::-1]
+    # the packet holds copies: the caller's arrays stay writable and apart
+    psi[:] = other
+    q[0] = -9.0
+    assert np.array_equal(p.psi, GaussianState(0.3, 0.2, 0.7).psi(p.q)) and p.q[0] == -8.0
+
+
 def test_grids_refuse_non_finite_values():
     # NaN compares False both ways, so it must fail each test, not pass it
     for q_min, q_max in ((-1e308, 1e308), (-math.inf, 1.0), (0.0, math.nan)):
@@ -212,7 +231,8 @@ def test_filon_fft_route_matches_per_row_sum(profile, t_b, n_focal, mu):
     p = WavePacket(q=q, psi=a.psi(q) + c * b.psi(q), t=0.0)
     d = kernel_robust(solve_fundamental(profile, 0.0, t_b), 0.0, 0.0).diagnostics
     assert d["interior_v_zeros"] == n_focal
-    # |theta| = |mu q_b h / v_b| passes 1 at the grid edges: both weight branches run
+    # |theta| = |mu q_b h / v_b| passes 1 at the grid edges: both branches of the
+    # reference's moments run
     assert mu * 8.0 * p.dq / abs(d["v_b"]) > 1.0
     want = _per_row_filon(profile, p, t_b, mu)
     got = propagate_kernel(profile, p, t_b, mu=mu).psi
@@ -250,10 +270,12 @@ def test_filon_weight_matches_quadrature_of_the_lagrange_basis():
         return complex(part(math.cos), part(math.sin))
 
     thetas = np.array([0.0, 1e-8, -1e-8, 0.999, -0.999, 1.001, -1.001,
-                       5.0, -5.0, 50.0, -50.0])
+                       5.0, -5.0, 50.0, -50.0, 2 * math.pi, -2 * math.pi,
+                       4 * math.pi, -4 * math.pi, 1e3, -1e3])
     got = _filon_weight(thetas)
-    assert got.shape == thetas.shape
+    assert got.shape == thetas.shape and got.dtype == np.float64
     assert got[0] == 1.0
+    assert np.array_equal(_filon_weight(-thetas), got)
     for theta, w in zip(thetas, got):
         assert abs(w - direct(theta)) <= 1e-13
 
@@ -641,6 +663,13 @@ def test_sliced_argument_validation():
         time_sliced_oracle(FREE, p, 1.0, n_slices=0)
     with pytest.raises(DomainError):
         time_sliced_oracle(FREE, p, 0.0, n_slices=4)
+    # a fractional count would run whole slices of (t_b - t)/n_slices past t_b
+    for bad in (40.5, 2.5, 0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="whole number"):
+            time_sliced_oracle(FREE, p, 1.0, n_slices=bad)
+    prof = ExpDecay(2.0, 0.5)
+    assert np.array_equal(time_sliced_oracle(prof, p, 1.0, n_slices=3.0).psi,
+                          time_sliced_oracle(prof, p, 1.0, n_slices=3).psi)
 
 
 def _sliced_reference(profile, packet, t_b, n_slices, mu=1.0):
