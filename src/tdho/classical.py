@@ -35,7 +35,7 @@ import numpy as np
 
 from . import specfun
 from .errors import (DegenerateSolution, DomainError, SolutionMismatch, StepFailure,
-                     check_positive)
+                     check_count, check_positive)
 from .freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
                            PowerLaw, SechSquared, Times)
 
@@ -376,7 +376,7 @@ class ResidualReport:
 
 
 _ROUNDOFF_FLOOR = 1e-12
-_SPOT_H = 1e-4  # spot_check_solution's difference step
+_SPOT_H = 1e-4  # spot_check_solution's difference step on windows of 20 _SPOT_H and more
 
 
 def _residuals(profile: FrequencyProfile, sol: SolutionCurve, ts: np.ndarray,
@@ -407,6 +407,7 @@ def verify_solution(profile: FrequencyProfile, sol: SolutionCurve,
     """
     a, b = window
     events = profile.jump_events(a, b)
+    n_samples = check_count("n_samples", n_samples)
     if not (0 < h < 0.25 * (b - a)):
         raise DomainError(f"step h={h} does not fit the window {window}")
     ts = np.linspace(a + h, b - h, n_samples)
@@ -447,16 +448,24 @@ def spot_check_solution(profile: FrequencyProfile, sol: SolutionCurve,
                         t_a: float, t_b: float, rel_tol: float = 1e-2) -> None:
     """Cheap residual probe at seven interior points.
 
-    The residual is that of verify_solution at the one step _SPOT_H, at
-    times at least 5 _SPOT_H from the window's ends and from its jump
-    events.  Raises SolutionMismatch when it exceeds rel_tol anywhere; used
-    as a guard before trusting a caller-provided solution.
+    The residual is that of verify_solution at the one step
+    h = min(_SPOT_H, (t_b - t_a)/20), at times at least 5h from the window's
+    ends and from its jump events.  Raises SolutionMismatch when it exceeds
+    rel_tol anywhere; used as a guard before trusting a caller-provided
+    solution.  The second difference's roundoff, about 4 eps / h^2, must
+    stay below rel_tol, so a window shorter than 40 sqrt(eps / rel_tol)
+    raises DomainError.
     """
     events = profile.jump_events(t_a, t_b)
-    ts = np.linspace(t_a + 5 * _SPOT_H, t_b - 5 * _SPOT_H, 7)
+    shortest = 40.0 * math.sqrt(np.finfo(float).eps / rel_tol)
+    if t_b - t_a < shortest:
+        raise DomainError(f"window [{t_a}, {t_b}] is too short for the residual probe "
+                          f"at rel_tol={rel_tol}; it needs a span of at least {shortest:.3e}")
+    h = min(_SPOT_H, (t_b - t_a) / 20.0)
+    ts = np.linspace(t_a + 5 * h, t_b - 5 * h, 7)
     for e in events:
-        ts = ts[np.abs(ts - e.time) > 5.0 * _SPOT_H]
-    res = _residuals(profile, sol, ts, (_SPOT_H,))[0]
+        ts = ts[np.abs(ts - e.time) > 5.0 * h]
+    res = _residuals(profile, sol, ts, (h,))[0]
     if res.size and res.max() > rel_tol:
         worst = int(np.argmax(res))
         raise SolutionMismatch("provided curve does not solve f'' + omega^2 f = 0",

@@ -8,9 +8,14 @@ every other omega^2 outside a profile's domain, so code that steps around
 a domain fault catches both with one clause.  check_positive() is the one
 test of a scale that must be positive and finite: the mass mu, a solver's
 tol, a Gaussian's sigma and the Schrodinger residual's difference steps.
+check_count() is the one test of a count: a grid's n, verify_solution's
+n_samples and time_sliced_oracle's n_slices, where an integral float counts
+as its int.
 """
 
 from __future__ import annotations
+
+from numbers import Real
 
 
 class TdhoError(Exception):
@@ -25,6 +30,14 @@ def check_positive(name: str, value: float) -> None:
     """Refuse value unless 0 < value < inf, naming it."""
     if not 0 < value < float("inf"):
         raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def check_count(name: str, value: float, least: int = 1) -> int:
+    """value as an int if it is a whole number >= least; else refuse it, naming it."""
+    if not (isinstance(value, Real) and not isinstance(value, bool)
+            and value >= least and value % 1 == 0):
+        raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
 
 
 class ParseError(TdhoError, ValueError):

@@ -30,12 +30,16 @@ time_sliced_oracle composes the short-time kernels that define the path
 integral, O(1/n): per slice, a free hop of the slice's duration and the
 slice's potential phase.  crank_nicolson marches i dpsi/dt = H(t) psi
 (unitary, O(dt^2), Dirichlet walls) over the whole window, reading omega^2
-at every step's midpoint in one call.  Each run of steps with equal step and
-omega^2 factors its tridiagonal matrix once (gttrf) and solves each step
-with the factors (gttrs); a run of one step takes one gtsv call.  CN shares
-nothing with the other two routes; the Filon route and slicing share the
-free hop, and each has its own independent test reference.  Agreement is
-the evidence.  All three share one input check.
+at every step's midpoint in one call.  Each step is the Cayley form of
+Goldberg, Schey and Schwartz (Am. J. Phys. 35, 177 (1967)),
+psi <- (I + iK)^{-1}(I - iK) psi = 2 (I + iK)^{-1} psi - psi with
+K = (step/2) H, on the interior points, so the walls stay exactly 0: one
+tridiagonal solve and one axpy, no right-hand side to build.  Each run of
+steps with equal step and omega^2 factors I + iK once (gttrf) and solves
+each step with the factors (gttrs); a run of one step takes one gtsv call.
+CN shares nothing with the other two routes; the Filon route and slicing
+share the free hop, and each has its own independent test reference.
+Agreement is the evidence.  All three share one input check.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from scipy.linalg import solve_banded  # noqa: F401  unused here; bench/tracing.
 
 from .classical import solve_fundamental
 from .errors import (DomainError, GridMismatch, GridTooNarrow, StabilityWarning,
-                     StepFailure, check_positive)
+                     StepFailure, check_count, check_positive)
 from .freq_profile import FrequencyProfile
 from .kernel import endpoint, maslov_sign
 
@@ -73,6 +77,9 @@ class GaussianState:
     sigma: float = 1.0
 
     def __post_init__(self):
+        for name, value in (("qbar", self.qbar), ("kbar", self.kbar)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         check_positive("sigma", self.sigma)
 
     def psi(self, q: np.ndarray) -> np.ndarray:
@@ -132,8 +139,9 @@ class WavePacket:
 
 
 def uniform_grid(q_min: float, q_max: float, n: int) -> np.ndarray:
-    if not (q_min < q_max and math.isfinite(q_max - q_min) and n >= 16):
-        raise DomainError(f"need q_min < q_max with a finite span and n >= 16, got {q_min}, {q_max}, {n}")
+    n = check_count("n", n, 16)
+    if not (q_min < q_max and math.isfinite(q_max - q_min)):
+        raise DomainError(f"need q_min < q_max with a finite span, got {q_min}, {q_max}")
     return np.linspace(q_min, q_max, n)
 
 
@@ -221,10 +229,12 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
 
     One march covers the window.  Its steps fit each segment between jump
     events, and each impulse of strength s applies the exact phase
-    exp(-i mu s q^2 / 2) after its segment's last step.  Consecutive steps
-    with equal step and omega^2 share one LAPACK factorization, bit for bit
-    the solve_banded result.  Walls are Dirichlet, so the grid must stay
-    wide enough that nothing reaches them.
+    exp(-i mu s q^2 / 2) after its segment's last step.  A step is the
+    Cayley form (Goldberg, Schey and Schwartz 1967) psi <- 2 A^{-1} psi - psi,
+    A = I + i(step/2)H, on the interior points; consecutive steps with equal
+    step and omega^2 share one LAPACK factorization of A.  Walls are
+    Dirichlet: the input's two wall values are dropped and the output's are
+    exactly 0, so the grid must stay wide enough that nothing reaches them.
     """
     _check_packet(packet, mu)
     check_positive("dt", dt)
@@ -263,45 +273,33 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     dq2 = (q[1] - q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
     kin = 1.0 / (mu * dq2)
-    # each run builds I + i(step/2)H straight into the one band buffer that
-    # gtsv (the routine solve_banded picks for a (1, 1) band) or gttrf factors
-    # in place; rows hold the super-, main and sub-diagonal.  The right-hand
-    # side is built in two more (fresh buffers cost page faults on every step
-    # at large n)
-    lu = np.zeros((3, q.size), dtype=complex)
+    # the march runs on the interior points: the walls stay 0 and are no rows
+    # of the band.  Each run builds A = I + i(step/2)H straight into the one
+    # band buffer that gtsv (the routine solve_banded picks for a (1, 1)
+    # band) or gttrf factors in place; rows hold the super-, main and
+    # sub-diagonal
+    q2_in = q2[1:-1]
+    lu = np.empty((3, q2_in.size), dtype=complex)
     band = (lu[2, :-1], lu[1], lu[0, 1:])
-    rhs, hop_psi = np.empty_like(packet.psi), np.empty_like(packet.psi)
     gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (lu,))
-    psi = packet.psi
+    psi = packet.psi[1:-1]
     for lo, hi in zip(runs[:-1], runs[1:]):
         half = 0.5j * steps[lo]
-        hop = half * off
-        ih = half * (kin + 0.5 * mu * w2s[lo] * q2)
-        explicit = 1.0 - ih
-        lu[0, 1:] = lu[2, :-1] = hop
-        lu[0, 1] = lu[2, -2] = 0.0  # these zeros decouple the Dirichlet walls exactly
-        lu[1] = 1.0 + ih
-        lu[1, 0] = lu[1, -1] = 1.0  # Dirichlet walls
+        lu[0] = lu[2] = half * off
+        lu[1] = 1.0 + half * (kin + 0.5 * mu * w2s[lo] * q2_in)
         if hi - lo > 1:
             *factors, info = gttrf(*band, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
         for k in range(lo, hi):
-            # hop * psi once, its two shifted slices subtracted: each element
-            # sees explicit * psi - hop * psi_left - hop * psi_right in that order
-            np.multiply(hop, psi, out=hop_psi)
-            np.multiply(explicit, psi, out=rhs)
-            rhs[1:] -= hop_psi[:-1]
-            rhs[:-1] -= hop_psi[1:]
-            rhs[0] = rhs[-1] = 0.0  # Dirichlet walls
             if hi - lo > 1:
-                psi = gttrs(*factors, rhs, overwrite_b=True)[0]
+                x = gttrs(*factors, psi)[0]
             else:
-                psi, info = gtsv(*band, rhs, overwrite_dl=True, overwrite_d=True,
-                                 overwrite_du=True, overwrite_b=True)[3:]
+                x, info = gtsv(*band, psi, overwrite_dl=True, overwrite_d=True, overwrite_du=True)[3:]
             if info:  # I + i(step/2)H with real H is never singular for finite input
                 raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[k])!r}")
+            psi = 2.0 * x - psi  # Cayley: A^{-1}(2I - A) psi
             if k in kicks:
-                psi = psi * np.exp(-0.5j * mu * kicks[k] * q2)
-    return WavePacket(q=q, psi=psi, t=t_b)
+                psi = psi * np.exp(-0.5j * mu * kicks[k] * q2_in)
+    return WavePacket(q=q, psi=np.pad(psi, 1), t=t_b)
 
 
 def max_slices(packet: WavePacket, t_b: float, mu: float = 1.0) -> int:
@@ -338,8 +336,7 @@ def time_sliced_oracle(profile: FrequencyProfile, packet: WavePacket, t_b: float
     rather than returning garbage — refine the grid or lower n_slices.
     """
     _check_packet(packet, mu)
-    if not (n_slices >= 1 and n_slices % 1 == 0):
-        raise DomainError(f"n_slices must be a whole number >= 1, got {n_slices!r}")
+    n_slices = check_count("n_slices", n_slices)
     events = profile.jump_events(packet.t, t_b)
     limit = max_slices(packet, t_b, mu)
     eps = (t_b - packet.t) / n_slices

@@ -334,6 +334,15 @@ def test_verify_solution_grades_wrong_frequency_fail():
     assert report.max_residual > 1.0  # O(1), not O(h^2)
 
 
+def test_verify_solution_takes_a_whole_float_count_as_its_int():
+    sol = closed_form(Constant(1.0))
+    assert verify_solution(Constant(1.0), sol, (0.0, 1.0), n_samples=16.0) \
+        == verify_solution(Constant(1.0), sol, (0.0, 1.0), n_samples=16)
+    for bad in (16.5, 0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"n_samples must be a whole number >= 1"):
+            verify_solution(Constant(1.0), sol, (0.0, 1.0), n_samples=bad)
+
+
 def test_spot_check_raises_on_wrong_solution():
     wrong = SolutionCurve(f=lambda t: np.cos(2.0 * t),
                           fdot=lambda t: -2.0 * np.sin(2.0 * t))
@@ -592,3 +601,39 @@ def test_spot_check_drops_probe_times_near_an_event():
     spot_check_solution(profile, sol, 0.0, 1.0)
     with pytest.raises(SolutionMismatch):
         spot_check_solution(Constant(1.0), sol, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("profile, span", [
+    (Constant(1.0), 5e-4), (ExpDecay(1.0, 1.0), 2e-4), (Constant(1.0), 2e-5),
+])
+def test_spot_check_probes_inside_a_short_window(profile, span):
+    # below 20 _SPOT_H the step shrinks with the window, so no probe time or
+    # difference point leaves it, and a true solution passes
+    from tdho.kernel import kernel_eq17, kernel_robust
+    pair = solve_fundamental(profile, 0.0, span)
+    sol = pair.combination(1.0, 0.3)
+    want = kernel_robust(pair, 0.1, 0.1).k
+    assert kernel_eq17(profile, sol, 0.0, span, 0.1, 0.1).k == pytest.approx(want, rel=1e-12)
+    assert pair_from_solution(sol, profile, 0.0, span).state(span) == pytest.approx(pair.state(span))
+    wrong = SolutionCurve(f=lambda t: np.cos(2.0 * t), fdot=lambda t: -2.0 * np.sin(2.0 * t))
+    with pytest.raises(SolutionMismatch):
+        spot_check_solution(profile, wrong, 0.0, span)
+
+
+def test_spot_check_refuses_a_window_its_roundoff_swamps(monkeypatch):
+    # the second difference's roundoff 4 eps / h^2 reaches rel_tol below a
+    # span of 40 sqrt(eps / rel_tol): 1.9e-5 at rel_tol = 1e-3
+    sol = closed_form(Constant(1.0))
+    with pytest.raises(DomainError, match=r"span of at least 1\.885e-05"):
+        spot_check_solution(Constant(1.0), sol, 0.0, 1e-5, rel_tol=1e-3)
+    with pytest.raises(DomainError, match=r"span of at least 5\.960e-06"):
+        pair_from_solution(sol, Constant(1.0), 0.0, 1e-6)
+    # a window of at least 20 _SPOT_H keeps the fixed step and probe times
+    seen = []
+    residuals = classical._residuals
+    monkeypatch.setattr(classical, "_residuals",
+                        lambda *args: seen.append(args[2:]) or residuals(*args))
+    spot_check_solution(Constant(1.0), sol, 0.0, 20 * classical._SPOT_H)
+    (ts, steps), = seen
+    assert steps == (classical._SPOT_H,)
+    assert np.array_equal(ts, np.linspace(5 * classical._SPOT_H, 15 * classical._SPOT_H, 7))

@@ -55,6 +55,24 @@ def test_wavepacket_validation():
         uniform_grid(1.0, -1.0, 64)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value", [("qbar", math.nan), ("kbar", math.inf),
+                                          ("kbar", -math.inf), ("qbar", -math.inf)])
+def test_gaussian_state_refuses_a_non_finite_centre_naming_the_field(field, value):
+    # a nan centre used to surface as "psi is not the tagged Gaussian", an
+    # infinite kbar as a RuntimeWarning from the phase
+    with pytest.raises(DomainError, match=f"{field} must be finite, got {value}"):
+        GaussianState(**{field: value}).on_grid(uniform_grid(-4.0, 4.0, 64))
+
+
+def test_uniform_grid_takes_a_whole_float_count_as_its_int():
+    assert np.array_equal(uniform_grid(-1.0, 1.0, 256.0), uniform_grid(-1.0, 1.0, 256))
+    assert np.array_equal(uniform_grid(-1.0, 1.0, np.int64(64)), uniform_grid(-1.0, 1.0, 64))
+    for bad in (256.5, 15.0, math.nan, math.inf, True, "256"):
+        with pytest.raises(DomainError, match=r"n must be a whole number >= 16"):
+            uniform_grid(-1.0, 1.0, bad)
+
+
 def test_wavepacket_refuses_a_gaussian_tag_that_does_not_match_psi():
     # a mismatched tag would send propagate_kernel down the thawed-Gaussian
     # route with the tag's state, ignoring psi
@@ -448,6 +466,33 @@ def _cn_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
     return psi
 
 
+def _cayley_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
+    """The Cayley march psi <- 2 A^{-1} psi - psi, A = I + i(step/2)H, on the
+    interior points, written step by step: every per-step term recomputed
+    and solve_banded called with its default checks; the walls are 0."""
+    q = packet.q[1:-1]
+    dq2 = (packet.q[1] - packet.q[0]) ** 2
+    off = -1.0 / (2.0 * mu * dq2)
+    kin = 1.0 / (mu * dq2)
+    strength = {e.time: e.strength for e in profile.jump_events(packet.t, t_b)}
+    cuts = [packet.t] + sorted(strength) + ([t_b] if t_b not in strength else [])
+    psi = packet.psi[1:-1].copy()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        n_steps = max(1, math.ceil((hi - lo) / dt))
+        step = (hi - lo) / n_steps
+        ab = np.zeros((3, q.size), dtype=complex)
+        ab[0, 1:] = ab[2, :-1] = 0.5j * step * off
+        t = lo
+        for _ in range(n_steps):
+            w2 = profile.smooth_omega_squared(t + 0.5 * step)
+            ab[1, :] = 1.0 + 0.5j * step * (kin + 0.5 * mu * w2 * q ** 2)
+            psi = 2.0 * solve_banded((1, 1), ab, psi) - psi
+            t += step
+        if hi in strength:
+            psi = psi * np.exp(-0.5j * mu * strength[hi] * q ** 2)
+    return np.concatenate(([0.0], psi, [0.0]))
+
+
 class TwoKicks(FrequencyProfile):
     """Impulses at 0.3004 and 0.55 with a different constant omega^2 on each
     side, so the three CN segments differ in length, step and diagonals."""
@@ -481,25 +526,34 @@ class Staircase(FrequencyProfile):
 FLATS_AND_RAMP = Tabulated([0.0, 0.3, 0.6, 1.0], [1.0, 1.0, 0.2, 0.2], interp="linear")
 
 
-@pytest.mark.parametrize("profile, n, mu", [
-    (Constant(1.0), 512, 1.0),
-    (DeltaPulse(0.8, 0.5), 512, 1.0),
-    (SechSquared(1.0, 1.0, 0.5), 512, 1.0),
-    (Constant(1.0), 256, 1.0),
-    (DeltaPulse(0.8, 0.5), 1024, 1.0),
-    (DeltaPulse(0.8, 0.5), 512, 0.5),
-    (ExpDecay(1.2, 0.9), 512, 1.0),    # omega^2 changes on every step
-    (TwoKicks(), 512, 1.0),
-    (Staircase(), 512, 1.0),
-    (Staircase(), 256, 0.5),
-    (FLATS_AND_RAMP, 512, 1.0),
+@pytest.mark.parametrize("profile, n, mu, dt", [
+    (Constant(1.0), 512, 1.0, 1e-3),
+    (DeltaPulse(0.8, 0.5), 512, 1.0, 1e-3),
+    (SechSquared(1.0, 1.0, 0.5), 512, 1.0, 1e-3),
+    (Constant(1.0), 256, 1.0, 1e-3),
+    (DeltaPulse(0.8, 0.5), 1024, 1.0, 1e-3),
+    (DeltaPulse(0.8, 0.5), 512, 0.5, 1e-3),
+    (ExpDecay(1.2, 0.9), 512, 1.0, 1e-3),    # omega^2 changes on every step
+    (TwoKicks(), 512, 1.0, 1e-3),
+    (Staircase(), 512, 1.0, 1e-3),
+    (Staircase(), 256, 0.5, 1e-3),
+    (FLATS_AND_RAMP, 512, 1.0, 1e-3),
+    # |i (step/2) off| >> 1, about 51 and 818: A is far from I
+    (FREE, 1024, 1.0, 0.05),
+    (FREE, 2048, 1.0, 0.2),
 ], ids=["constant", "delta-pulse", "sech-squared", "constant-n256",
         "delta-pulse-n1024", "delta-pulse-mu0.5", "exp-decay", "two-kicks",
-        "staircase", "staircase-n256-mu0.5", "tabulated-flats-and-ramp"])
-def test_cn_is_bit_identical_to_the_step_by_step_march(profile, n, mu):
+        "staircase", "staircase-n256-mu0.5", "tabulated-flats-and-ramp",
+        "free-dt0.05-n1024", "free-dt0.2-n2048"])
+def test_cn_is_bit_identical_to_the_step_by_step_march(profile, n, mu, dt):
+    # bit for bit the Cayley march, so the run factoring changes no bit; and
+    # within roundoff of the march that builds the explicit half by hand
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, n))
-    out = crank_nicolson(profile, p, 1.0, mu=mu, dt=1e-3)
-    assert np.array_equal(out.psi, _cn_reference(profile, p, 1.0, mu=mu, dt=1e-3))
+    out = crank_nicolson(profile, p, 1.0, mu=mu, dt=dt)
+    assert np.array_equal(out.psi, _cayley_reference(profile, p, 1.0, mu=mu, dt=dt))
+    assert out.psi[0] == out.psi[-1] == 0.0
+    want = _cn_reference(profile, p, 1.0, mu=mu, dt=dt)
+    assert np.linalg.norm(out.psi - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class CountingTwoKicks(TwoKicks):
@@ -556,7 +610,7 @@ def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
 
 
 def test_cn_leaves_the_input_packet_unchanged():
-    # the march writes its right-hand sides and solutions into reused buffers
+    # the first step hands LAPACK the input's own interior points
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
     before = p.psi.copy()
     out = crank_nicolson(Staircase(), p, 1.0, dt=1e-3)
