@@ -20,7 +20,8 @@ distinct bit pattern once; either way the bytes are those of one call per
 value.  Nothing timestamped, nothing random: reruns are byte-identical.  The
 argument parser is built once per process.
 
-Exit codes: 0 success; 1 error (unusable config, caustic, solver breakdown);
+Exit codes: 0 success; 1 error (unusable config, caustic, solver breakdown,
+an output number that is not finite, refused before any file is written);
 2 a graded check failed under --strict.
 """
 
@@ -38,8 +39,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .classical import closed_form, solve_fundamental, verify_solution
@@ -89,6 +88,29 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
+class _NonFiniteOutput(TdhoError):
+    """A number bound for an output file is not finite; no file is written."""
+
+
+def _encode(name: str, content) -> bytes:
+    """The bytes of output file name: content is (header, columns) for a .csv,
+    otherwise a JSON document.  A number that is not finite raises
+    _NonFiniteOutput naming the file and the column and row, or the JSON path,
+    so no file holds NaN or inf and every JSON file is strict JSON."""
+    if name.endswith(".csv"):
+        header, columns = content
+        for h, col in zip(header, columns):
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise _NonFiniteOutput(f"{name} column {h!r} row {bad[0] + 1}: "
+                                       f"{np.ravel(col)[bad[0]]} is not a finite number")
+        return _csv(header, columns)
+    found = _non_finite(content)
+    if found is not None:
+        raise _NonFiniteOutput(f"{name} at {_json_path(found[0])}: {found[1]} is not a finite number")
+    return _json_bytes(content)
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
@@ -99,13 +121,14 @@ def _json_path(parts) -> str:
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)
 
 
-def _non_finite(node, parts: tuple = ()) -> str | None:
-    """The error for node's first float that is not finite, or None: json reads
-    NaN, Infinity and overflowing literals such as 1e999 as floats."""
+def _non_finite(node, parts: tuple = ()) -> tuple | None:
+    """The path (keys and indices) and value of node's first float that is not
+    finite, or None: json reads NaN, Infinity and overflowing literals such as
+    1e999 as floats, and writes them as NaN and Infinity, which is not JSON."""
     if isinstance(node, float) and not np.isfinite(node):
-        key = [p for p in parts if isinstance(p, str)][-1]
-        return f"config error at {_json_path(parts)}: {node} in {key!r} is not a finite number"
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        return parts, node
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, (list, tuple)) else ()
     return next(filter(None, (_non_finite(v, (*parts, k)) for k, v in items)), None)
 
 
@@ -115,7 +138,17 @@ def _schema() -> dict:
 
 
 def _validate_config(cfg: dict, task: str) -> str | None:
-    """Schema-check cfg against the branch for task; returns an error string."""
+    """cfg's first error as a string, or None: a number that is not finite,
+    then the schema branch for task, then the checks the schema cannot state."""
+    found = _non_finite(cfg)
+    if found is not None:
+        parts, value = found
+        key = [p for p in parts if isinstance(p, str)][-1]
+        return f"config error at {_json_path(parts)}: {value} in {key!r} is not a finite number"
+    # local: only config checking needs jsonschema, which adds about 35 ms to a cold start
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
     schema = _schema()
     branch = next(b for b in schema["oneOf"]
                   if b["properties"]["task"]["const"] == task)
@@ -179,7 +212,7 @@ def _run_kernel(profile, cfg: dict):
         qb = np.tile(axis, g["n"])
     pair = solve_fundamental(profile, t_a, t_b, **_given(cfg, "tol"))
     k, modulus, phase, flag = kernel_batch(pair, qa, qb, **_given(cfg, "mu"))
-    out = {"kernel.csv": _csv(
+    out = {"kernel.csv": (
         ["q_a", "t_a", "q_b", "t_b", "re_k", "im_k", "abs_k", "phase", "caustic_flag"],
         [qa, t_a, qb, t_b, k.real, k.imag, modulus, phase, flag])}
     summary = {"n_rows": int(qa.size), "caustic_flag": bool(flag),
@@ -192,7 +225,7 @@ def _run_classical(profile, cfg: dict):
     pair = solve_fundamental(profile, t_a, t_b, **_given(cfg, "tol"))
     ts = np.linspace(t_a, t_b, cfg.get("n_samples", 201))
     u, ud, v, vd = pair.state(ts)
-    out = {"classical.csv": _csv(["t", "u", "udot", "v", "vdot"], [ts, u, ud, v, vd])}
+    out = {"classical.csv": (["t", "u", "udot", "v", "vdot"], [ts, u, ud, v, vd])}
     summary = {"wronskian_drift": float(pair.wronskian_drift),
                "event_times": [float(t) for t in pair.event_times]}
     return out, summary, None
@@ -201,7 +234,7 @@ def _run_classical(profile, cfg: dict):
 def _run_propagate(profile, cfg: dict):
     method = cfg["method"]
     result = _evolve(method, profile, _packet(cfg), cfg)
-    out = {"wavepacket.csv": _csv(
+    out = {"wavepacket.csv": (
         ["q", "re_psi", "im_psi", "abs_psi"],
         [result.q, result.psi.real, result.psi.imag, np.abs(result.psi)])}
     summary = {"method": method, "t_b": float(cfg["window"]["t_b"]), "norm": result.norm(),
@@ -227,7 +260,7 @@ def _run_validate(profile, cfg: dict):
         "report": {**dataclasses.asdict(report),
                    "slope": None if report.slope == float("inf") else report.slope},
     }
-    out = {"validate.json": _json_bytes(doc)}
+    out = {"validate.json": doc}
     summary = {"family": family, "passed": report.passed}
     strict_fail = None if report.passed else \
         f"closed form for {family!r} fails the residual check " \
@@ -254,7 +287,7 @@ def _run_compare(profile, cfg: dict):
     doc["max_l2_error"] = worst
     doc["tolerance"] = tolerance
     doc["passed"] = worst <= tolerance
-    out = {"compare.json": _json_bytes(doc)}
+    out = {"compare.json": doc}
     summary = {"max_l2_error": worst, "passed": doc["passed"]}
     strict_fail = None if doc["passed"] else \
         f"methods disagree: max L2 error {worst:.3e} > tolerance {tolerance:.1e}"
@@ -309,7 +342,7 @@ def main(argv=None) -> int:
               f"got {cfg.get('task')!r}" if isinstance(cfg, dict)
               else "config error: top level must be a JSON object", file=sys.stderr)
         return 1
-    msg = _non_finite(cfg) or _validate_config(cfg, args.command)
+    msg = _validate_config(cfg, args.command)
     if msg is not None:
         print(msg, file=sys.stderr)
         return 1
@@ -324,19 +357,19 @@ def main(argv=None) -> int:
 
     try:
         outputs, summary, strict_fail = _TASKS[args.command][0](profile_from_json(cfg["profile"]), cfg)
+        files = {name: _encode(name, content) for name, content in outputs.items()}
+        files["manifest.json"] = _encode("manifest.json", {
+            "command": args.command,
+            "version": __version__,
+            "config_sha256": hashlib.sha256(raw).hexdigest(),
+            "outputs": {name: hashlib.sha256(data).hexdigest() for name, data in files.items()},
+            "summary": summary,
+        })
     except TdhoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "config_sha256": hashlib.sha256(raw).hexdigest(),
-        "outputs": {name: hashlib.sha256(data).hexdigest()
-                    for name, data in outputs.items()},
-        "summary": summary,
-    }
-    for name, data in [*outputs.items(), ("manifest.json", _json_bytes(manifest))]:
+    for name, data in files.items():
         _write_atomic(out_dir / name, data)
         print(f"wrote {out_dir / name}")
 

@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cubature
-from scipy.optimize import brentq
 
 from .classical import (FundamentalPair, SolutionCurve, solve_fundamental,
                         spot_check_solution)
@@ -106,6 +104,7 @@ def _first_zero(fvals: np.ndarray, ts: np.ndarray,
     nodes = np.flatnonzero((fvals == 0.0) | (np.abs(fvals) < 1e-8 * np.max(np.abs(fvals))))
     first_node = nodes[0] if nodes.size else ts.size
     if flips.size and flips[0] < first_node:
+        from scipy.optimize import brentq  # local: only a refused zero needs it
         return float(brentq(f, ts[flips[0]], ts[flips[0] + 1], xtol=1e-14))
     return float(ts[first_node]) if nodes.size else None
 
@@ -124,6 +123,10 @@ def compute_W(f: Callable[[Times], Times], t_a: float, t_b: float,
     profile's jump times are the quadrature's known kinks, and its frequency
     scale sets the scan density.
     """
+    # local: no other route needs scipy.integrate, whose import (with the part
+    # of scipy.optimize it pulls in) adds about 0.1 s to a cold start
+    from scipy.integrate import cubature
+
     kinks = [e.time for e in profile.jump_events(t_a, t_b) if e.time < t_b]
     ts = _zero_scan_grid(profile, t_a, t_b)
     fvals = np.broadcast_to(f(ts), ts.shape)

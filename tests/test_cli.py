@@ -111,6 +111,34 @@ def test_console_script():
     assert project["scripts"] == {"tdho": "tdho.cli:main"}
 
 
+_IMPORT_PROBE = """
+import json, sys
+import tdho, tdho.cli
+cfg, out, *names = sys.argv[1:]
+loaded = lambda: sorted(m for m in names if m in sys.modules)
+at_import = loaded()
+assert tdho.cli.main(["classical", "--config", cfg, "--out", out]) == 0
+print(json.dumps([at_import, loaded()]))
+"""
+
+
+def test_import_and_a_classical_run_leave_quadrature_and_schema_modules_unloaded(tmp_path):
+    # scipy.integrate and scipy.optimize serve only compute_W, jsonschema only
+    # the config check: a fresh process shows what importing tdho loads
+    cfg = write_cfg(tmp_path, {"task": "classical",
+                               "profile": {"type": "constant", "omega0": 0.8},
+                               "window": {"t_a": 0.0, "t_b": 1.0}})
+    env = dict(os.environ, PYTHONPATH=str(Path(tdho.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(cfg), str(tmp_path / "out"),
+         "scipy.integrate", "scipy.optimize", "jsonschema"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_classical = json.loads(proc.stdout.splitlines()[-1])
+    assert at_import == []
+    assert after_classical == ["jsonschema"]
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["kernel", "--config", str(tmp_path / "nope.json")]) == 1
     assert "config error: cannot read" in capsys.readouterr().err
@@ -334,6 +362,34 @@ def test_kernel_focal_endpoint_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "focal point" in err
+
+
+def test_kernel_refuses_a_non_finite_value_before_writing(tmp_path, capsys):
+    # q_a = 1e200 overflows the quadratic form: the kernel comes out nan
+    cfg = kernel_cfg(points={"q_a": [0.0, 1e200], "q_b": [0.2, 0.5]})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: kernel.csv column 're_k' row 2: nan is not a finite number\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_propagate_refuses_a_nan_summary_before_writing(tmp_path, capsys):
+    # the README config with kbar = 100 on 256 points: the packet leaves the
+    # grid, its norm reads 0 and mean_q is 0/0
+    cfg = propagate_cfg(profile={"type": "sech_squared", "alpha": 1.0, "beta": 1.0, "t0": 0.5},
+                        window={"t_a": 0.0, "t_b": 1.0},
+                        state={"qbar": 0.0, "kbar": 100.0, "sigma": 0.7},
+                        grid={"q_min": -8.0, "q_max": 8.0, "n": 256})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        assert main(["propagate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: manifest.json at $.summary.mean_q: nan is not a finite number\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
 
 
 def test_classical_output(tmp_path):

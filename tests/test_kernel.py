@@ -1,9 +1,9 @@
 import cmath
-import importlib
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import brentq
 
 import oracles
@@ -15,8 +15,6 @@ from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
                                FrequencyProfile, JumpEvent, SechSquared)
 from tdho.kernel import (_zero_scan_grid, compute_W, kernel, kernel_batch,
                          kernel_eq17, kernel_robust, schrodinger_residual)
-
-kernel_module = importlib.import_module("tdho.kernel")  # tdho.kernel is also a function
 
 ONE = SolutionCurve(f=lambda t: 1.0, fdot=lambda t: 0.0, label="1")
 COS = SolutionCurve(f=np.cos, fdot=lambda t: -np.sin(t), label="cos")
@@ -55,11 +53,13 @@ def test_quadrature_refuses_at_the_earliest_zero(monkeypatch, f, want):
         calls.append(args[1:3])
         return brentq(*args, **kw)
 
-    monkeypatch.setattr(kernel_module, "brentq", counting_brentq)
+    # kernel imports brentq from scipy.optimize when it calls it
+    monkeypatch.setattr(scipy.optimize, "brentq", counting_brentq)
     with pytest.raises(CausticInWindow) as exc:
         compute_W(f, 0.0, 9.99, Constant(0.0))
     assert exc.value.t_zero == pytest.approx(want, abs=1e-12)
     assert len(calls) <= 1
+    assert bool(calls) == (want != _NODE)  # brentq runs for a flip before any zero node
 
 
 def test_quadrature_refuses_an_unconverged_W():
