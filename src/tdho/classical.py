@@ -80,8 +80,12 @@ class FundamentalPair:
     every step before it.  A kick at t0 is a zero-length step, so t0 appears
     twice: first with the state before the kick, then with the state after
     it.  Between nodes, state() takes a partial Magnus step from the node
-    before.  state() and focal_count() only read these arrays, so a pair is
-    safe to share between threads.
+    before.  The window's end needs no step: end is read from the last node,
+    which is the state after a kick at t_b, as state(t_b) picks.  state() and
+    focal_count() only read these arrays; end and wronskian_drift are each
+    computed on first use and then stored, and two threads that race there
+    compute and store the same value, so a pair is safe to share between
+    threads.
     """
     profile: FrequencyProfile
     t_a: float
@@ -129,6 +133,13 @@ class FundamentalPair:
         signs = np.sign(np.concatenate(([1.0], inner, [v_end])))
         signs = signs[signs != 0.0]
         return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+    @cached_property
+    def end(self) -> tuple[float, float, float, float, int]:
+        """u, u', v, v' at t_b, as state(t_b) gives them, and the number of
+        focal points in (t_a, t_b), as focal_count(t_b, v) gives it."""
+        (u, v), (ud, vd) = self.node_y[-1].tolist()
+        return u, ud, v, vd, self.focal_count(self.t_b, v)
 
     @cached_property
     def wronskian_drift(self) -> float:
@@ -189,7 +200,8 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     """The fundamental pair on [t_a, t_b] from sixth-order Gauss Magnus steps.
 
     Each segment between jump events and breakpoints starts from
-    _INITIAL_STEPS uniform steps.  A step passes when its one-step and
+    _INITIAL_STEPS uniform steps, np.linspace's nodes, built for every
+    segment in one broadcast.  A step passes when its one-step and
     two-half-step matrices differ by at most budget h in each entry, with
     budget = 63 tol / (t_b - t_a) (relative to entries above 1, so roundoff
     in omega-sized entries passes), which bounds its halves' error by
@@ -202,17 +214,21 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     here.  Each level is one _magnus call, for the halves of every step and
     the whole of each fresh sub-step.  A kick [[1, 0], [-strength, 1]] is a
     zero-length step.  One prefix product gives the state at the step ends,
-    the pair's nodes; between them the state is a partial step from the node
-    before.  Raises DomainError on a bad window (from profile.jump_events) or
-    a tol that is not positive and finite, and StepFailure when the halves of
-    the initial steps, or the steps passed and the halves of the sub-steps
-    left (naming the worst step), would pass _MAX_STEPS.
+    the pair's nodes, of which the last is the state at t_b; between them the
+    state is a partial step from the node before.  Raises DomainError on a
+    bad window (from profile.jump_events) or a tol that is not positive and
+    finite, and StepFailure when the halves of the initial steps, or the
+    steps passed and the halves of the sub-steps left (naming the worst
+    step), would pass _MAX_STEPS.
     """
     check_positive("tol", tol)
     kicks = {e.time: e.strength for e in profile.jump_events(t_a, t_b)}
     boundaries = sorted({t_a, t_b, *kicks, *profile.breakpoints(t_a, t_b)})
-    edges = [np.linspace(lo, hi, _INITIAL_STEPS + 1) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
-    t0, t1 = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    # every segment's np.linspace(lo, hi, _INITIAL_STEPS + 1) in one broadcast, bit for bit
+    ends = np.array(boundaries, dtype=float)[:, None]
+    edges = np.arange(_INITIAL_STEPS + 1.0) * ((ends[1:] - ends[:-1]) / _INITIAL_STEPS) + ends[:-1]
+    edges[:, -1:] = ends[1:]
+    t0, t1 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     no_mesh = f"no mesh of at most {_MAX_STEPS} steps meets tol={tol} on [{t_a}, {t_b}]"
     if 2 * t0.size > _MAX_STEPS:
         raise StepFailure(f"{no_mesh}: its {t0.size} initial steps alone are too many")
@@ -451,10 +467,13 @@ def spot_check_solution(profile: FrequencyProfile, sol: SolutionCurve,
     The residual is that of verify_solution at the one step
     h = min(_SPOT_H, (t_b - t_a)/20), at times at least 5h from the window's
     ends and from its jump events.  Raises SolutionMismatch when it exceeds
-    rel_tol anywhere; used as a guard before trusting a caller-provided
-    solution.  The second difference's roundoff, about 4 eps / h^2, must
-    stay below rel_tol, so a window shorter than 40 sqrt(eps / rel_tol)
-    raises DomainError.
+    rel_tol * max(1, |omega^2|) at any of them; used as a guard before
+    trusting a caller-provided solution.  f'' and omega^2 f are each about
+    omega^2 |f|, and the second difference's truncation error, about
+    omega^4 h^2 |f| / 12, would pass an unscaled rel_tol = 1e-3 on exact
+    solutions from omega = 35 on.  The second difference's roundoff, about
+    4 eps / h^2, must stay below rel_tol, so a window shorter than
+    40 sqrt(eps / rel_tol) raises DomainError.
     """
     events = profile.jump_events(t_a, t_b)
     shortest = 40.0 * math.sqrt(np.finfo(float).eps / rel_tol)
@@ -466,10 +485,12 @@ def spot_check_solution(profile: FrequencyProfile, sol: SolutionCurve,
     for e in events:
         ts = ts[np.abs(ts - e.time) > 5.0 * h]
     res = _residuals(profile, sol, ts, (h,))[0]
-    if res.size and res.max() > rel_tol:
-        worst = int(np.argmax(res))
-        raise SolutionMismatch("provided curve does not solve f'' + omega^2 f = 0",
-                               worst_t=float(ts[worst]), residual=float(res[worst]))
+    if res.size and res.max() > rel_tol:  # the scale is at least 1, so only then is omega^2 read
+        excess = res / np.maximum(1.0, np.abs(profile.smooth_omega_squared(ts)))
+        worst = int(np.argmax(excess))
+        if excess[worst] > rel_tol:
+            raise SolutionMismatch("provided curve does not solve f'' + omega^2 f = 0",
+                                   worst_t=float(ts[worst]), residual=float(res[worst]))
 
 
 def pair_from_solution(sol: SolutionCurve, profile: FrequencyProfile,

@@ -152,9 +152,19 @@ def _validate_config(cfg: dict, task: str) -> str | None:
     schema = _schema()
     branch = next(b for b in schema["oneOf"]
                   if b["properties"]["task"]["const"] == task)
-    doc = {**branch, "$defs": schema["$defs"]}  # a copy: the cached schema stays as parsed
+    # the profile branch its type names, so that an error names its key; for
+    # any other type, a schema that lists the known ones
+    kinds = {b["properties"]["type"]["const"]: b for b in schema["$defs"]["profile"]["oneOf"]}
+    kind = cfg["profile"].get("type") if isinstance(cfg.get("profile"), dict) else None
+    profile = kinds[kind] if isinstance(kind, str) and kind in kinds else \
+        {"type": "object", "required": ["type"], "properties": {"type": {"enum": list(kinds)}}}
+    # copies: the cached schema stays as parsed
+    doc = {**branch, "$defs": {**schema["$defs"], "profile": profile}}
     err = best_match(Draft202012Validator(doc).iter_errors(cfg))
     if err is not None:
+        if err.validator == "oneOf" and all(list(b) == ["required"] for b in err.validator_value):
+            keys = " or ".join(repr(k) for b in err.validator_value for k in b["required"])
+            return f"config error at {_json_path(err.absolute_path)}: needs exactly one of {keys}"
         return f"config error at {_json_path(err.absolute_path)}: {err.message}"
     if task == "kernel" and "points" in cfg:
         if len(cfg["points"]["q_a"]) != len(cfg["points"]["q_b"]):

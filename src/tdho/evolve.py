@@ -202,11 +202,11 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
         # psi0 = N exp(i A0 (q - qbar)^2 / 2 + i kbar q): (q_t, p_t) and (Q, P)
         # flow from (qbar, kbar) and (1, A0); Im Q has v's sign, so Q != 0
         g = packet.gaussian
-        u, ud, v, vd = (float(x) for x in pair.state(t_b))
+        u, ud, v, vd, n_focal = pair.end
         a0 = 0.5j / g.sigma ** 2
         big_q, big_p = u + v * a0 / mu, mu * ud + vd * a0
         q_t, p_t = u * g.qbar + v * g.kbar / mu, mu * ud * g.qbar + vd * g.kbar
-        amp = maslov_sign(pair.focal_count(t_b, v)) * (2.0 * math.pi * g.sigma ** 2) ** -0.25 \
+        amp = maslov_sign(n_focal) * (2.0 * math.pi * g.sigma ** 2) ** -0.25 \
             / cmath.sqrt(big_q)
         d = q - q_t
         psi_out = amp * np.exp(0.5j * (big_p / big_q) * d ** 2 + 1j * p_t * d

@@ -248,7 +248,7 @@ class Tabulated(FrequencyProfile):
         return value[()]
 
     def breakpoints(self, t_a: float, t_b: float) -> list[float]:
-        return [float(k) for k in self.t if t_a < k < t_b]
+        return self.t[(self.t > t_a) & (self.t < t_b)].tolist()
 
     def to_json(self) -> dict:
         return {"type": _KIND[type(self)], "t": self.t.tolist(),

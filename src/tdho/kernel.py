@@ -183,16 +183,19 @@ def endpoint(pair: FundamentalPair, mu: float = 1.0,
     n_focal is the number of focal points strictly inside (t_a, t_end).  The
     count is exact: it is read from the signs of v at the classical solver's
     step ends (FundamentalPair.focal_count), whose spacing stays well below
-    that of the zeros.
+    that of the zeros.  At the default t_end both the state and the count
+    are the pair's end, read from its last node and counted once per pair.
     """
     check_positive("mu", mu)
-    tb = pair.t_b if t_end is None else float(t_end)
-    u_b, ud_b, v_b, vd_b = (float(x) for x in pair.state(tb))
-    span = tb - pair.t_a
-    if abs(v_b) <= _ENDPOINT_CAUSTIC_REL * span:
+    if t_end is None:
+        tb, (u_b, ud_b, v_b, vd_b, n_focal) = pair.t_b, pair.end
+    else:
+        tb = float(t_end)
+        u_b, ud_b, v_b, vd_b = (float(x) for x in pair.state(tb))
+        n_focal = pair.focal_count(tb, v_b)
+    if abs(v_b) <= _ENDPOINT_CAUSTIC_REL * (tb - pair.t_a):
         raise CausticAtEndpoint(tb, v_b)
 
-    n_focal = pair.focal_count(tb, v_b)
     # the principal root carries e^{-i pi/4} for v_b > 0 and e^{+i pi/4} for
     # v_b < 0; the Maslov factor differs from it by maslov_sign
     return Endpoint(u_b, ud_b, v_b, vd_b, n_focal,

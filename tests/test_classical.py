@@ -637,3 +637,23 @@ def test_spot_check_refuses_a_window_its_roundoff_swamps(monkeypatch):
     (ts, steps), = seen
     assert steps == (classical._SPOT_H,)
     assert np.array_equal(ts, np.linspace(5 * classical._SPOT_H, 15 * classical._SPOT_H, 7))
+
+
+@pytest.mark.parametrize("omega", [35.0, 40.0, 100.0, 300.0, 1e3])
+def test_spot_check_passes_exact_solutions_at_high_frequency(omega):
+    # the truncation error of the second difference, about omega^4 h^2 / 12,
+    # passes rel_tol = 1e-3 from omega = 35 on; it is measured against omega^2
+    from tdho.kernel import kernel_eq17, kernel_robust
+    profile, t_b = Constant(omega), 1.0 / omega
+    spot_check_solution(profile, closed_form(profile), 0.0, t_b, rel_tol=1e-3)
+    pair = solve_fundamental(profile, 0.0, t_b)
+    want = kernel_robust(pair, 0.1, 0.1).k
+    assert kernel_eq17(profile, pair.combination(1.0, 0.0), 0.0, t_b, 0.1, 0.1).k == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 35.0, 100.0, 1e3])
+def test_spot_check_refuses_a_frequency_one_percent_off(omega):
+    w = 1.01 * omega
+    off = SolutionCurve(f=lambda t: np.cos(w * t), fdot=lambda t: -w * np.sin(w * t))
+    with pytest.raises(SolutionMismatch):
+        spot_check_solution(Constant(omega), off, 0.0, 1.0 / omega, rel_tol=1e-3)

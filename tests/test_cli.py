@@ -224,6 +224,28 @@ def test_kernel_needs_points_or_grid(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error at $")
 
 
+def test_kernel_without_points_or_grid_names_both_keys(tmp_path, capsys):
+    cfg = kernel_cfg()
+    del cfg["points"]
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == "config error at $: needs exactly one of 'points' or 'grid'\n"
+
+
+def test_profile_missing_a_key_names_it(tmp_path, capsys):
+    cfg = kernel_cfg(profile={"type": "constant"})
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == "config error at $.profile: 'omega0' is a required property\n"
+
+
+def test_unknown_profile_type_lists_the_known_ones(tmp_path, capsys):
+    cfg = kernel_cfg(profile={"type": "constnt", "omega0": 1.0})
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.profile.type: 'constnt' is not one of ")
+    for kind in cli._schema()["$defs"]["profile"]["oneOf"]:
+        assert repr(kind["properties"]["type"]["const"]) in err
+
+
 def test_points_length_mismatch(tmp_path, capsys):
     cfg = kernel_cfg(points={"q_a": [0.0, 1.0], "q_b": [0.5]})
     assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg))]) == 1

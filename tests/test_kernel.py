@@ -12,8 +12,9 @@ from tdho.classical import (FundamentalPair, SolutionCurve, closed_form,
 from tdho.errors import (CausticAtEndpoint, CausticInWindow, DomainError,
                          SolutionMismatch, StepFailure)
 from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
-                               FrequencyProfile, JumpEvent, SechSquared)
-from tdho.kernel import (_zero_scan_grid, compute_W, kernel, kernel_batch,
+                               FrequencyProfile, JumpEvent, PowerLaw, SechSquared,
+                               Tabulated)
+from tdho.kernel import (_zero_scan_grid, compute_W, endpoint, kernel, kernel_batch,
                          kernel_eq17, kernel_robust, schrodinger_residual)
 
 ONE = SolutionCurve(f=lambda t: 1.0, fdot=lambda t: 0.0, label="1")
@@ -351,6 +352,70 @@ def test_focal_count_of_hand_built_pair():
     pair = rotation_pair(40.0, 160)
     for t_end in (1.0, math.pi - 1e-3, math.pi + 1e-3, 20.0, 40.0):
         assert focal_count_at(pair, t_end) == math.floor(t_end / math.pi)
+
+
+def test_three_kernel_calls_read_the_end_without_state_and_count_focal_points_once(monkeypatch):
+    pair = solve_fundamental(Constant(2.0), 0.0, 5.0)
+    calls = []
+    for name in ("state", "focal_count"):
+        method = getattr(FundamentalPair, name)
+        monkeypatch.setattr(FundamentalPair, name,
+                            lambda self, *a, _m=method, _n=name: calls.append(_n) or _m(self, *a))
+    values = [kernel_robust(pair, qa, qb).k for qa, qb in ((0.1, 0.2), (-0.5, 1.0), (1.5, -0.3))]
+    assert calls == ["focal_count"]
+    assert all(np.isfinite(k) for k in values)
+
+
+# every family, on windows from t_a to up to t_a + 9 that pass 0 to 4 focal points and more
+END_PROFILES = {
+    "constant": (Constant(2.0), 0.0),
+    "exp-decay": (ExpDecay(3.0, 0.1), 0.0),
+    "power-law": (PowerLaw(1.5, 1.0, 0.5), 0.3),
+    "delta-pulse": (DeltaPulse(1.5, 0.5), 0.0),
+    "sech-squared": (SechSquared(3.0, 0.2, 4.0), 0.0),
+    "tabulated": (Tabulated(np.linspace(0.0, 10.0, 41), 4.0 + np.sin(np.linspace(0.0, 10.0, 41))), 0.0),
+    "expression": (Expression("4 + sin(t)"), 0.0),
+}
+
+
+def _end_the_long_way(pair):
+    """u, u', v, v' at t_b by state() and the focal count by focal_count()."""
+    u, ud, v, vd = (float(x) for x in pair.state(pair.t_b))
+    return u, ud, v, vd, pair.focal_count(pair.t_b, v)
+
+
+def _end_windows(name):
+    profile, t_a = END_PROFILES[name]
+    return [(profile, t_a, t_b) for t_b in t_a + np.linspace(0.35, 9.0, 25)]
+
+
+@pytest.mark.parametrize("name", [*END_PROFILES, "kick-at-t_b"])
+def test_endpoint_reads_the_end_as_state_and_focal_count_do(name):
+    windows = [(DeltaPulse(1.5, 0.5), 0.0, 0.5), (DeltaPulse(1.5, 2.0), 0.0, 2.0)] \
+        if name == "kick-at-t_b" else _end_windows(name)
+    seen = set()
+    for profile, t_a, t_b in windows:
+        pair = solve_fundamental(profile, t_a, t_b)
+        assert pair.end == _end_the_long_way(pair)
+        assert endpoint(pair, 1.3) == endpoint(pair, 1.3, t_end=pair.t_b)
+        seen.add(pair.end[4])
+    if name == "kick-at-t_b":  # the state after the kick, not before it
+        assert pair.node_t[-2] == pair.node_t[-1] == 2.0
+        assert pair.end[1] != pair.node_y[-2, 1, 0]
+    else:
+        assert {0, 1, 2, 3, 4} <= seen
+
+
+@pytest.mark.parametrize("name", [*END_PROFILES, "kick-at-t_b"])
+def test_thawed_gaussian_reads_the_end_as_state_and_focal_count_do(monkeypatch, name):
+    from tdho.evolve import GaussianState, propagate_kernel, uniform_grid
+    windows = [(DeltaPulse(1.5, 2.0), 0.0, 2.0)] if name == "kick-at-t_b" else _end_windows(name)[::4]
+    q = uniform_grid(-8.0, 8.0, 256)
+    packets = [GaussianState(0.3, -0.4, 0.7).on_grid(q, t=t_a) for _, t_a, _ in windows]
+    direct = [propagate_kernel(prof, p, t_b, mu=1.3).psi for (prof, _, t_b), p in zip(windows, packets)]
+    monkeypatch.setattr(FundamentalPair, "end", property(_end_the_long_way))
+    for (prof, _, t_b), p, psi in zip(windows, packets, direct):
+        assert np.array_equal(propagate_kernel(prof, p, t_b, mu=1.3).psi, psi)
 
 
 def test_eq17_detects_caustic_in_window():
