@@ -65,7 +65,7 @@ class ClosedFormSolution(SolutionCurve):
 
 
 _GAUSS = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])  # Gauss nodes, from a step's midpoint per unit length
-_INITIAL_STEPS = 8     # uniform steps per segment before bisection
+_INITIAL_STEPS = 8     # uniform steps per segment before bisection, fewer past 2^14 segments
 _MAX_STEPS = 1 << 18   # largest mesh solve_fundamental builds
 _MAX_SPLIT = 17        # most levels a rejected step skips: 2^17 sub-steps of two halves fill _MAX_STEPS
 
@@ -81,11 +81,10 @@ class FundamentalPair:
     twice: first with the state before the kick, then with the state after
     it.  Between nodes, state() takes a partial Magnus step from the node
     before.  The window's end needs no step: end is read from the last node,
-    which is the state after a kick at t_b, as state(t_b) picks.  state() and
-    focal_count() only read these arrays; end and wronskian_drift are each
-    computed on first use and then stored, and two threads that race there
-    compute and store the same value, so a pair is safe to share between
-    threads.
+    which is the state after a kick at t_b, as state(t_b) picks.  state() only
+    reads these arrays; end and wronskian_drift are each computed on first use
+    and then stored, and two threads that race there compute and store the
+    same value, so a pair is safe to share between threads.
     """
     profile: FrequencyProfile
     t_a: float
@@ -120,26 +119,22 @@ class FundamentalPair:
 
         return SolutionCurve(f, fdot, f"{f_a}*u + {fdot_a}*v")
 
-    def focal_count(self, t_end: float, v_end: float) -> int:
-        """Number of zeros of v in the open interval (t_a, t_end).
-
-        v_end = v(t_end).  Counts sign changes of v along the nodes before
-        t_end, starting from v > 0 just after t_a (v' = 1 there) and ending
-        at v_end.  Exact whenever no node interval holds two zeros: zeros of
-        v between impulses lie at least pi / max(omega) apart, and
-        solve_fundamental's node intervals keep omega h <= 1/2.
-        """
-        inner = self.node_y[1:np.searchsorted(self.node_t, t_end, side="left"), 0, 1]
-        signs = np.sign(np.concatenate(([1.0], inner, [v_end])))
-        signs = signs[signs != 0.0]
-        return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
     @cached_property
     def end(self) -> tuple[float, float, float, float, int]:
         """u, u', v, v' at t_b, as state(t_b) gives them, and the number of
-        focal points in (t_a, t_b), as focal_count(t_b, v) gives it."""
+        focal points, the zeros of v in the open interval (t_a, t_b).
+
+        The count is the number of sign changes of v along the nodes,
+        starting from v > 0 just after t_a (v' = 1 there); a kick leaves v
+        as it is.  It is exact whenever no node interval holds two zeros:
+        zeros of v between impulses lie at least pi / max(omega) apart, and
+        solve_fundamental's node intervals keep omega h <= 1/2.
+        """
         (u, v), (ud, vd) = self.node_y[-1].tolist()
-        return u, ud, v, vd, self.focal_count(self.t_b, v)
+        signs = np.sign(self.node_y[:, 0, 1])
+        signs[0] = 1.0  # v(t_a) = 0, and v > 0 just after
+        signs = signs[signs != 0.0]
+        return u, ud, v, vd, int(np.count_nonzero(signs[1:] != signs[:-1]))
 
     @cached_property
     def wronskian_drift(self) -> float:
@@ -201,7 +196,9 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
 
     Each segment between jump events and breakpoints starts from
     _INITIAL_STEPS uniform steps, np.linspace's nodes, built for every
-    segment in one broadcast.  A step passes when its one-step and
+    segment in one broadcast; past 2^14 segments, as in a long table, each
+    starts from as many steps as keep the halves of all within _MAX_STEPS,
+    and at least one.  A step passes when its one-step and
     two-half-step matrices differ by at most budget h in each entry, with
     budget = 63 tol / (t_b - t_a) (relative to entries above 1, so roundoff
     in omega-sized entries passes), which bounds its halves' error by
@@ -224,9 +221,10 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     check_positive("tol", tol)
     kicks = {e.time: e.strength for e in profile.jump_events(t_a, t_b)}
     boundaries = sorted({t_a, t_b, *kicks, *profile.breakpoints(t_a, t_b)})
-    # every segment's np.linspace(lo, hi, _INITIAL_STEPS + 1) in one broadcast, bit for bit
+    # every segment's np.linspace(lo, hi, per_segment + 1) in one broadcast, bit for bit
     ends = np.array(boundaries, dtype=float)[:, None]
-    edges = np.arange(_INITIAL_STEPS + 1.0) * ((ends[1:] - ends[:-1]) / _INITIAL_STEPS) + ends[:-1]
+    per_segment = max(1, min(_INITIAL_STEPS, _MAX_STEPS // (2 * (len(ends) - 1))))
+    edges = np.arange(per_segment + 1.0) * ((ends[1:] - ends[:-1]) / per_segment) + ends[:-1]
     edges[:, -1:] = ends[1:]
     t0, t1 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     no_mesh = f"no mesh of at most {_MAX_STEPS} steps meets tol={tol} on [{t_a}, {t_b}]"
@@ -396,8 +394,8 @@ _SPOT_H = 1e-4  # spot_check_solution's difference step on windows of 20 _SPOT_H
 
 
 def _residuals(profile: FrequencyProfile, sol: SolutionCurve, ts: np.ndarray,
-               steps: tuple[float, ...]) -> np.ndarray:
-    """|f''_h + omega^2(t) f| / max(1, |f|) at ts, one row per step h.
+               steps: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """|f''_h + omega^2(t) f| / max(1, |f|) at ts, one row per step h, and omega^2(ts).
 
     f''_h is the central second difference with step h.  sol.f is called
     once, on ts and all its shifted copies together.
@@ -407,7 +405,8 @@ def _residuals(profile: FrequencyProfile, sol: SolutionCurve, ts: np.ndarray,
     fv = np.broadcast_to(sol.f(grid), grid.shape)
     f0, fm, fp = fv[0], fv[1:k + 1], fv[k + 1:]
     second = (fp - 2.0 * f0 + fm) / (hs * hs)
-    return np.abs(second + profile.smooth_omega_squared(ts) * f0) / np.maximum(1.0, np.abs(f0))
+    w2 = profile.smooth_omega_squared(ts)
+    return np.abs(second + w2 * f0) / np.maximum(1.0, np.abs(f0)), w2
 
 
 def verify_solution(profile: FrequencyProfile, sol: SolutionCurve,
@@ -432,7 +431,7 @@ def verify_solution(profile: FrequencyProfile, sol: SolutionCurve,
     if ts.size == 0:
         raise DomainError("no sample points left after excluding event neighborhoods")
 
-    res = _residuals(profile, sol, ts, (h, 0.5 * h))
+    res = _residuals(profile, sol, ts, (h, 0.5 * h))[0]
     worst = int(np.argmax(res[0]))
     r1, worst_t, r2 = float(res[0, worst]), float(ts[worst]), float(np.max(res[1]))
     floor_hit = r1 <= _ROUNDOFF_FLOOR
@@ -484,13 +483,12 @@ def spot_check_solution(profile: FrequencyProfile, sol: SolutionCurve,
     ts = np.linspace(t_a + 5 * h, t_b - 5 * h, 7)
     for e in events:
         ts = ts[np.abs(ts - e.time) > 5.0 * h]
-    res = _residuals(profile, sol, ts, (h,))[0]
-    if res.size and res.max() > rel_tol:  # the scale is at least 1, so only then is omega^2 read
-        excess = res / np.maximum(1.0, np.abs(profile.smooth_omega_squared(ts)))
+    res, w2 = _residuals(profile, sol, ts, (h,))
+    excess = res[0] / np.maximum(1.0, np.abs(w2))
+    if excess.size and excess.max() > rel_tol:
         worst = int(np.argmax(excess))
-        if excess[worst] > rel_tol:
-            raise SolutionMismatch("provided curve does not solve f'' + omega^2 f = 0",
-                                   worst_t=float(ts[worst]), residual=float(res[worst]))
+        raise SolutionMismatch("provided curve does not solve f'' + omega^2 f = 0",
+                               worst_t=float(ts[worst]), residual=float(res[0, worst]))
 
 
 def pair_from_solution(sol: SolutionCurve, profile: FrequencyProfile,

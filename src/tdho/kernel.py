@@ -4,10 +4,11 @@ Two equivalent routes to K(q_b, t_b; q_a, t_a):
 
   * kernel_eq17 — the solution-scaled form.  Any classical solution f with no
     zeros in the window works; it needs the accumulated quadrature
-    W = int dt / f(t)^2 over the window.  Algebraically the result is
-    independent of which f is used (the combination f_a f_b W and the
-    boundary ratios conspire), which compare-against-kernel_robust tests
-    exercise numerically.
+    W = int dt / f(t)^2 over the window, which gives the fundamental pair's
+    end, v_b = f_a f_b W and the rest (kernel_eq17's docstring), and then
+    the endpoint form below.  Algebraically the result is independent of
+    which f is used, which compare-against-kernel_robust tests exercise
+    numerically.
   * kernel_robust — the endpoint form in terms of the fundamental pair:
 
         K = e^{-i pi/4 - i n pi/2} sqrt(mu / (2 pi |v_b|)) *
@@ -150,7 +151,10 @@ def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
 
     sol is first spot-probed against the classical equation at relative
     tolerance 1e-3 (SolutionMismatch otherwise).  A zero of sol in the window
-    raises CausticInWindow; use kernel_robust to cross a focal point.
+    raises CausticInWindow; use kernel_robust to cross a focal point.  The
+    paper's map v(t) = f_a f(t) int_{t_a}^t ds / f^2, u = (f - f'_a v) / f_a
+    gives the fundamental pair's end from f's ends and W, with no focal point,
+    and the endpoint form takes it from there.
     """
     check_positive("mu", mu)
     spot_check_solution(profile, sol, t_a, t_b, rel_tol=1e-3)
@@ -158,48 +162,43 @@ def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
     ends = np.array([t_a, t_b])
     f_a, f_b = np.broadcast_to(sol.f(ends), (2,)).tolist()
     fd_a, fd_b = np.broadcast_to(sol.fdot(ends), (2,)).tolist()
-
-    quad_part = 0.5 * mu * (fd_b / f_b * q_b ** 2 - fd_a / f_a * q_a ** 2)
-    quad_part += 0.5 * mu / w * (q_b / f_b - q_a / f_a) ** 2
-    # f has no zeros, so f_a f_b W = v_b > 0: no focal point, base -pi/4
-    pref = cmath.sqrt(mu / (2.0 * math.pi * 1j * (f_a * f_b * w)))
-    return KernelValue(k=pref * cmath.exp(1j * quad_part), modulus=abs(pref),
-                       phase=-math.pi / 4.0 + quad_part,
-                       diagnostics={"W": w, "W_abserr": w_err,
-                                    "f_a": f_a, "f_b": f_b,
-                                    "fdot_a": fd_a, "fdot_b": fd_b})
+    v_b, vd_b = f_a * f_b * w, f_a * (fd_b * w + 1.0 / f_b)
+    e = _endpoint(t_a, t_b, ((f_b - fd_a * v_b) / f_a, (fd_b - fd_a * vd_b) / f_a, v_b, vd_b, 0), mu)
+    return _kernel(e, q_a, q_b, mu, {"W": w, "W_abserr": w_err, "f_a": f_a, "f_b": f_b,
+                                     "fdot_a": fd_a, "fdot_b": fd_b})
 
 
-def endpoint(pair: FundamentalPair, mu: float = 1.0,
-             t_end: float | None = None) -> Endpoint:
-    """The window's endpoint data at t_end, with its focal count and prefactor.
+def endpoint(pair: FundamentalPair, mu: float = 1.0) -> Endpoint:
+    """The window's endpoint data, pair.end (computed once per pair), with its prefactor.
 
-    t_end defaults to the pair's right endpoint; any time inside the pair's
-    window works, which makes finite-difference probes in t_b cheap.  Raises
-    CausticAtEndpoint when |v(t_end)| is at most 1e-12 of the window span
-    (focal point: the kernel is a delta function there).  This includes
-    t_end = t_a, where v = 0 and the kernel is delta(q_b - q_a).
-
-    n_focal is the number of focal points strictly inside (t_a, t_end).  The
-    count is exact: it is read from the signs of v at the classical solver's
-    step ends (FundamentalPair.focal_count), whose spacing stays well below
-    that of the zeros.  At the default t_end both the state and the count
-    are the pair's end, read from its last node and counted once per pair.
+    n_focal is exact: it is read from the signs of v at the classical
+    solver's step ends, whose spacing stays well below that of the zeros.
+    Raises CausticAtEndpoint when |v_b| is at most 1e-12 of the window span
+    (focal point: the kernel is a delta function there).
     """
     check_positive("mu", mu)
-    if t_end is None:
-        tb, (u_b, ud_b, v_b, vd_b, n_focal) = pair.t_b, pair.end
-    else:
-        tb = float(t_end)
-        u_b, ud_b, v_b, vd_b = (float(x) for x in pair.state(tb))
-        n_focal = pair.focal_count(tb, v_b)
-    if abs(v_b) <= _ENDPOINT_CAUSTIC_REL * (tb - pair.t_a):
-        raise CausticAtEndpoint(tb, v_b)
+    return _endpoint(pair.t_a, pair.t_b, pair.end, mu)
 
+
+def _endpoint(t_a: float, t_b: float, end: tuple[float, float, float, float, int],
+              mu: float) -> Endpoint:
+    """Endpoint from end = (u_b, u'_b, v_b, v'_b, n_focal): the caustic refusal and the prefactor."""
+    v_b, n_focal = end[2], end[4]
+    if abs(v_b) <= _ENDPOINT_CAUSTIC_REL * (t_b - t_a):
+        raise CausticAtEndpoint(t_b, v_b)
     # the principal root carries e^{-i pi/4} for v_b > 0 and e^{+i pi/4} for
     # v_b < 0; the Maslov factor differs from it by maslov_sign
-    return Endpoint(u_b, ud_b, v_b, vd_b, n_focal,
-                    maslov_sign(n_focal) * cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b)))
+    return Endpoint(*end, maslov_sign(n_focal) * cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b)))
+
+
+def _kernel(e: Endpoint, q_a: float | np.ndarray, q_b: float | np.ndarray, mu: float,
+            diagnostics: dict) -> KernelValue:
+    """The endpoint form at (q_a, q_b), with its unwrapped phase (module docstring)."""
+    quad_part = 0.5 * mu / e.v_b * (e.vdot_b * q_b ** 2 + e.u_b * q_a ** 2
+                                    - 2.0 * q_a * q_b)
+    return KernelValue(k=e.pref * np.exp(1j * quad_part), modulus=abs(e.pref),
+                       phase=-math.pi / 4.0 - e.n_focal * math.pi / 2.0 + quad_part,
+                       caustic_flag=e.n_focal > 0, diagnostics=diagnostics)
 
 
 def maslov_sign(n_focal: int) -> float:
@@ -210,23 +209,17 @@ def maslov_sign(n_focal: int) -> float:
 
 
 def kernel_robust(pair: FundamentalPair, q_a: float | np.ndarray,
-                  q_b: float | np.ndarray, mu: float = 1.0,
-                  t_end: float | None = None) -> KernelValue:
+                  q_b: float | np.ndarray, mu: float = 1.0) -> KernelValue:
     """Endpoint kernel form from the fundamental pair; valid across caustics.
 
     q_a and q_b are scalars or arrays of one broadcastable shape; k and phase
-    take that shape.  t_end and the CausticAtEndpoint refusal are as in
-    endpoint().  diagnostics["interior_v_zeros"] is the focal count n_focal.
+    take that shape.  The CausticAtEndpoint refusal is as in endpoint().
+    diagnostics["interior_v_zeros"] is the focal count n_focal.
     """
-    e = endpoint(pair, mu, t_end)
-    quad_part = 0.5 * mu / e.v_b * (e.vdot_b * q_b ** 2 + e.u_b * q_a ** 2
-                                    - 2.0 * q_a * q_b)
-    return KernelValue(k=e.pref * np.exp(1j * quad_part), modulus=abs(e.pref),
-                       phase=-math.pi / 4.0 - e.n_focal * math.pi / 2.0 + quad_part,
-                       caustic_flag=e.n_focal > 0,
-                       diagnostics={"u_b": e.u_b, "udot_b": e.udot_b,
-                                    "v_b": e.v_b, "vdot_b": e.vdot_b,
-                                    "interior_v_zeros": e.n_focal})
+    e = endpoint(pair, mu)
+    return _kernel(e, q_a, q_b, mu, {"u_b": e.u_b, "udot_b": e.udot_b,
+                                     "v_b": e.v_b, "vdot_b": e.vdot_b,
+                                     "interior_v_zeros": e.n_focal})
 
 
 def kernel(profile: FrequencyProfile, t_a: float, t_b: float,
@@ -262,22 +255,22 @@ def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,
         | i dK/dt_b + (1/2mu) d^2K/dq_b^2 - (mu/2) omega^2(t_b) q_b^2 K | / |K|
 
     evaluated at one step size; an exact kernel leaves an O(h^2) remainder,
-    so halving h_t and h_q should shrink the result fourfold.  Keep t_b away
-    from jump events (the t-derivative straddles the kick otherwise).
+    so halving h_t and h_q should shrink the result fourfold.  The windows
+    [t_a, t_b - h_t], [t_a, t_b] and [t_a, t_b + h_t] are each solved and
+    read at their end.  A jump event in (t_b - h_t, t_b + h_t], one the
+    t-derivative would straddle, raises DomainError.
     """
     check_positive("h_t", h_t)
     check_positive("h_q", h_q)
-    pair = solve_fundamental(profile, t_a, t_b + h_t, _RESIDUAL_TOL)
-    for e in pair.event_times:
-        if abs(e - t_b) <= h_t:
-            raise DomainError(f"t_b within h_t of jump event at {e}")
-
-    def K(qb: float, te: float) -> complex:
-        return kernel_robust(pair, q_a, qb, mu, t_end=te).k
-
-    k0 = K(q_b, t_b)
-    dt = (K(q_b, t_b + h_t) - K(q_b, t_b - h_t)) / (2.0 * h_t)
-    d2q = (K(q_b + h_q, t_b) - 2.0 * k0 + K(q_b - h_q, t_b)) / (h_q * h_q)
+    pair = solve_fundamental(profile, t_a, t_b, _RESIDUAL_TOL)
+    kicks = profile.jump_events(t_b - h_t, t_b + h_t)
+    if kicks:
+        raise DomainError(f"jump event at {kicks[0].time} in (t_b - h_t, t_b + h_t] = "
+                          f"({t_b - h_t}, {t_b + h_t}]: the t-derivative would straddle it")
+    before, after = (solve_fundamental(profile, t_a, t_b + s, _RESIDUAL_TOL) for s in (-h_t, h_t))
+    km, k0, kp = kernel_robust(pair, q_a, q_b + np.array([-h_q, 0.0, h_q]), mu).k
+    dt = (kernel_robust(after, q_a, q_b, mu).k - kernel_robust(before, q_a, q_b, mu).k) / (2.0 * h_t)
+    d2q = (kp - 2.0 * k0 + km) / (h_q * h_q)
     w2 = profile.smooth_omega_squared(t_b)
     defect = 1j * dt + d2q / (2.0 * mu) - 0.5 * mu * w2 * q_b ** 2 * k0
     return abs(defect) / abs(k0)

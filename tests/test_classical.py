@@ -19,6 +19,7 @@ from tdho.freq_profile import (
     Constant, DeltaPulse, ExpDecay, Expression, FrequencyProfile, JumpEvent,
     PowerLaw, SechSquared, Tabulated,
 )
+from tdho.kernel import kernel_robust
 
 
 def test_constant_frequency_pinned_values():
@@ -144,8 +145,8 @@ def test_singular_profile_fails_within_a_bounded_mesh(expr):
 @pytest.mark.parametrize("profile, why", [
     # omega h = 1.25e8 on each initial step asks for 2^17 sub-steps apiece
     (Constant(1e9), r"the worst step, from t=0\.0 to t=0\.125, .* omega h = 1\.25e\+08$"),
-    # 16,385 knots make 8 initial steps each, two halves apiece past 2^18
-    (Tabulated(np.linspace(0.0, 1.0, 16386), np.ones(16386)), r": its 131080 initial steps alone are too many$"),
+    # 131,073 knot intervals take one initial step each, whose halves pass 2^18
+    (Tabulated(np.linspace(0.0, 1.0, 131074), np.ones(131074)), r": its 131073 initial steps alone are too many$"),
 ])
 def test_a_mesh_sized_past_the_cap_is_refused_before_it_is_built(profile, why):
     tracemalloc.start()
@@ -154,6 +155,17 @@ def test_a_mesh_sized_past_the_cap_is_refused_before_it_is_built(profile, why):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 50e6, peak
+
+
+def test_a_table_of_20000_intervals_solves():
+    # past 2^14 segments each starts from fewer than 8 steps: 20,000 knot
+    # intervals start from 6 each, and the result is the formula's own
+    ts = np.linspace(0.0, 10.0, 20001)
+    table = solve_fundamental(Tabulated(ts, 2.0 + np.sin(ts)), 0.0, 10.0)
+    formula = solve_fundamental(Expression("2 + sin(t)"), 0.0, 10.0)
+    assert table.end[4] == formula.end[4] == 4
+    got, want = kernel_robust(table, 0.3, -0.2).k, kernel_robust(formula, 0.3, -0.2).k
+    assert abs(got - want) <= 1e-10 * abs(want)  # the solves' tol
 
 
 def test_time_translation_covariance_for_autonomous_profile():
@@ -188,7 +200,7 @@ def test_wronskian_drift_on_long_caustic_free_power_law_window():
                     beta=-0.383590810088119)
     pair = solve_fundamental(prof, 0.2984347397385992, 1.6572102618789633)
     assert pair.wronskian_drift <= 1e-9
-    assert pair.focal_count(pair.t_b, float(pair.state(pair.t_b)[2])) == 0
+    assert pair.end[4] == 0
 
 
 def test_wronskian_drift_on_tabulated_window_split_at_knots():

@@ -1,5 +1,8 @@
 import cmath
+import importlib
 import math
+from dataclasses import astuple
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -77,6 +80,20 @@ def test_eq17_steps_around_a_non_finite_expression_end():
     got = kernel_eq17(profile, pair.combination(1.0, 0.0), 0.0, 1.0, 0.1, 0.2).k
     want = kernel_robust(pair, 0.1, 0.2).k
     assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("profile, t_b", [(SechSquared(1.0, 1.0, 0.5), 1.0), (ExpDecay(2.0, 0.5), 0.5)])
+def test_eq17_maps_its_curve_to_the_pairs_end(monkeypatch, profile, t_b):
+    # v = f_a f int ds / f^2 and u = (f - f'_a v) / f_a, for the zero-free
+    # f = u + 0.5 v, give back the solved pair's end to W's rtol
+    kernel_module = importlib.import_module("tdho.kernel")  # tdho.kernel is the function
+    seen, form = [], kernel_module._kernel
+    monkeypatch.setattr(kernel_module, "_kernel", lambda e, *a: seen.append(e) or form(e, *a))
+    pair = solve_fundamental(profile, 0.0, t_b)
+    kernel_eq17(profile, pair.combination(1.0, 0.5), 0.0, t_b, 0.3, -0.2)
+    (e,) = seen
+    assert e.n_focal == 0
+    assert np.max(np.abs(np.array(astuple(e)[:4]) - pair.end[:4])) <= 1e-9
 
 
 @pytest.mark.parametrize("h_t, h_q", [(0.0, 1e-2), (-1e-2, 1e-2), (math.inf, 1e-2),
@@ -213,7 +230,7 @@ def test_caustic_at_endpoint_refuses():
     assert exc.value.t_b == pytest.approx(math.pi)
     assert abs(exc.value.v_b) < 1e-12 * math.pi
     # just short of the focal time it still evaluates
-    kv = kernel_robust(pair, 0.3, 0.4, t_end=math.pi - 1e-3)
+    kv = kernel_robust(rotation_pair(math.pi - 1e-3, 16), 0.3, 0.4)
     assert math.isfinite(kv.modulus)
 
 
@@ -224,23 +241,6 @@ def test_focal_endpoint_refuses_at_the_default_tol(k):
     with pytest.raises(CausticAtEndpoint) as exc:
         kernel(Constant(1.0), 0.0, k * math.pi, 0.3, -0.2)
     assert abs(exc.value.v_b) < 1e-15
-
-
-def test_kernel_at_window_start_is_a_caustic():
-    # v(t_a) = 0: the kernel there is delta(q_b - q_a), not a finite value
-    pair = solve_fundamental(Constant(1.0), 0.0, 1.0)
-    with pytest.raises(CausticAtEndpoint) as exc:
-        kernel_robust(pair, 0.3, 0.4, t_end=0.0)
-    assert exc.value.t_b == 0.0
-    assert exc.value.v_b == 0.0
-
-
-def test_kernel_refuses_a_nan_end_time():
-    # NaN passes no comparison, so it must fail the window test rather than
-    # be clipped to t_b and return the t_b kernel
-    pair = solve_fundamental(Constant(1.0), 0.0, 2.0)
-    with pytest.raises(DomainError):
-        kernel_robust(pair, 0.3, 0.2, t_end=math.nan)
 
 
 @pytest.mark.parametrize("t_b", [1.0, 3.0, 6.0])
@@ -264,8 +264,13 @@ def zeros_after(v0: float, vd0: float, w: float, tau: float) -> int:
     return math.floor((w * tau + phi) / math.pi) - math.floor(phi / math.pi)
 
 
-def focal_count_at(pair, t_end):
-    return kernel_robust(pair, 0.3, -0.2, t_end=t_end).diagnostics["interior_v_zeros"]
+def focal_count(pair):
+    return kernel_robust(pair, 0.3, -0.2).diagnostics["interior_v_zeros"]
+
+
+def focal_count_at(profile, t_end):
+    """The focal count of the window [0, t_end], solved afresh."""
+    return focal_count(solve_fundamental(profile, 0.0, t_end))
 
 
 @pytest.mark.parametrize("omega, want", [(50.0, 159), (400.0, 1273)])
@@ -279,21 +284,21 @@ def test_focal_count_at_high_frequency(omega, want):
 def test_focal_count_is_tolerance_independent(tol):
     omega, T = 23.0, 10.0
     pair = solve_fundamental(Constant(omega), 0.0, T, tol)
-    assert focal_count_at(pair, T) == math.floor(omega * T / math.pi)
+    assert focal_count(pair) == math.floor(omega * T / math.pi)
 
 
 def test_focal_count_inside_the_window():
     omega = 3.0
-    pair = solve_fundamental(Constant(omega), 0.0, 6.0)
+    profile = Constant(omega)
     for k in (1, 2, 5):
         zero = k * math.pi / omega
-        assert focal_count_at(pair, zero - 1e-6) == k - 1
-        assert focal_count_at(pair, zero + 1e-6) == k
-    ts = pair.node_t
-    # node times themselves, midpoints between nodes, and the first step
+        assert focal_count_at(profile, zero - 1e-6) == k - 1
+        assert focal_count_at(profile, zero + 1e-6) == k
+    ts = solve_fundamental(profile, 0.0, 6.0).node_t
+    # windows ending at the nodes of a longer window, between them, and in its first step
     for t_end in np.concatenate([ts[1:-1], 0.5 * (ts[:-1] + ts[1:]), [0.5 * ts[1]]]):
         if abs(math.remainder(omega * t_end, math.pi)) > 1e-9:
-            assert focal_count_at(pair, t_end) == math.floor(omega * t_end / math.pi), t_end
+            assert focal_count_at(profile, t_end) == math.floor(omega * t_end / math.pi), t_end
 
 
 class KickedConstant(FrequencyProfile):
@@ -319,8 +324,7 @@ class KickedConstant(FrequencyProfile):
 ], ids=["kick-between-zeros", "delta-pulse"])
 def test_focal_count_across_an_impulse(profile, w, before):
     t0, T = 1.5, 6.0
-    pair = solve_fundamental(profile, 0.0, T)
-    assert pair.event_times == (t0,)
+    assert solve_fundamental(profile, 0.0, T).event_times == (t0,)
     v0, vd0, n0 = before(t0)
     s = profile.jump_events(0.0, T)[0].strength
     for t_end in np.linspace(0.05, T, 240):
@@ -328,7 +332,7 @@ def test_focal_count_across_an_impulse(profile, w, before):
             want = math.floor(w * t_end / math.pi) if n0 else 0
         else:
             want = n0 + zeros_after(v0, vd0 - s * v0, w, t_end - t0)
-        assert focal_count_at(pair, t_end) == want, t_end
+        assert focal_count_at(profile, t_end) == want, t_end
     assert want == 6  # the sweep has passed six zeros by t = T
 
 
@@ -344,25 +348,27 @@ def test_focal_count_of_pair_from_solution():
     ts = np.linspace(0.0, T, 41)
     assert np.array_equal(pair.state(ts), solved.state(ts))
     for t_end in (1.0, 1.1, 2.0, 2.2, T):
-        assert focal_count_at(pair, t_end) == math.floor(omega * t_end / math.pi)
+        pair = pair_from_solution(sol, Constant(omega), 0.0, t_end)
+        assert focal_count(pair) == math.floor(omega * t_end / math.pi)
 
 
 def test_focal_count_of_hand_built_pair():
-    # node spacing 0.25 keeps omega h <= 1/2, so no interval holds two zeros
-    pair = rotation_pair(40.0, 160)
+    # node spacing at most 0.25 keeps omega h <= 1/2, so no interval holds two zeros
     for t_end in (1.0, math.pi - 1e-3, math.pi + 1e-3, 20.0, 40.0):
-        assert focal_count_at(pair, t_end) == math.floor(t_end / math.pi)
+        pair = rotation_pair(t_end, math.ceil(4.0 * t_end))
+        assert focal_count(pair) == math.floor(t_end / math.pi)
 
 
 def test_three_kernel_calls_read_the_end_without_state_and_count_focal_points_once(monkeypatch):
     pair = solve_fundamental(Constant(2.0), 0.0, 5.0)
     calls = []
-    for name in ("state", "focal_count"):
-        method = getattr(FundamentalPair, name)
-        monkeypatch.setattr(FundamentalPair, name,
-                            lambda self, *a, _m=method, _n=name: calls.append(_n) or _m(self, *a))
+    state, end = FundamentalPair.state, FundamentalPair.end.func
+    monkeypatch.setattr(FundamentalPair, "state", lambda self, t: calls.append("state") or state(self, t))
+    counting_end = cached_property(lambda self: calls.append("end") or end(self))
+    counting_end.__set_name__(FundamentalPair, "end")
+    monkeypatch.setattr(FundamentalPair, "end", counting_end)
     values = [kernel_robust(pair, qa, qb).k for qa, qb in ((0.1, 0.2), (-0.5, 1.0), (1.5, -0.3))]
-    assert calls == ["focal_count"]
+    assert calls == ["end"]
     assert all(np.isfinite(k) for k in values)
 
 
@@ -379,9 +385,12 @@ END_PROFILES = {
 
 
 def _end_the_long_way(pair):
-    """u, u', v, v' at t_b by state() and the focal count by focal_count()."""
+    """u, u', v, v' at t_b by state(), and the focal count as the sign changes
+    of v at 4001 times from t_a to t_b, also by state()."""
     u, ud, v, vd = (float(x) for x in pair.state(pair.t_b))
-    return u, ud, v, vd, pair.focal_count(pair.t_b, v)
+    signs = np.sign(pair.state(np.linspace(pair.t_a, pair.t_b, 4001))[2, 1:])
+    signs = signs[signs != 0.0]
+    return u, ud, v, vd, int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def _end_windows(name):
@@ -397,7 +406,7 @@ def test_endpoint_reads_the_end_as_state_and_focal_count_do(name):
     for profile, t_a, t_b in windows:
         pair = solve_fundamental(profile, t_a, t_b)
         assert pair.end == _end_the_long_way(pair)
-        assert endpoint(pair, 1.3) == endpoint(pair, 1.3, t_end=pair.t_b)
+        assert astuple(endpoint(pair, 1.3))[:5] == pair.end
         seen.add(pair.end[4])
     if name == "kick-at-t_b":  # the state after the kick, not before it
         assert pair.node_t[-2] == pair.node_t[-1] == 2.0
@@ -439,14 +448,6 @@ def test_mu_must_be_positive():
         kernel_robust(pair, 0.0, 0.5, mu=-1.0)
 
 
-def test_robust_evaluates_at_interior_times():
-    prof = SechSquared(1.0, 1.0, 0.5)
-    pair = solve_fundamental(prof, 0.0, 1.0)
-    direct = kernel(prof, 0.0, 0.6, 0.2, -0.1)
-    via_t_end = kernel_robust(pair, 0.2, -0.1, t_end=0.6)
-    assert abs(via_t_end.k - direct.k) <= 1e-9 * abs(direct.k)
-
-
 def test_kernel_batch_matches_scalar_loop():
     pair = solve_fundamental(ExpDecay(1.0, 1.0), 0.0, 1.0)
     rng = np.random.default_rng(9)
@@ -478,5 +479,16 @@ def test_schrodinger_residual_is_second_order():
 
 
 def test_schrodinger_residual_guards_jump_events():
-    with pytest.raises(DomainError):
-        schrodinger_residual(DeltaPulse(0.6, 0.5), 0.0, 0.505, 0.1, 0.2, h_t=1e-2)
+    # at 0.49 the stencil's right end is the kick: 0.49 + 1e-2 is 0.5, though
+    # 0.5 - 0.49 is a little more than 1e-2
+    for t_b in (0.505, 0.5, 0.49):
+        with pytest.raises(DomainError, match=r"^jump event at 0\.5 in \(t_b - h_t, t_b \+ h_t\]"):
+            schrodinger_residual(DeltaPulse(0.6, 0.5), 0.0, t_b, 0.1, 0.2, h_t=1e-2)
+
+
+def test_schrodinger_residual_takes_a_kick_at_the_stencils_left_end():
+    # 0.51 - 1e-2 is 0.5: the window ending there holds the state after the
+    # kick, so all three times lie on one smooth branch
+    r1 = schrodinger_residual(DeltaPulse(0.6, 0.5), 0.0, 0.51, 0.1, 0.2, h_t=1e-2, h_q=1e-2)
+    r2 = schrodinger_residual(DeltaPulse(0.6, 0.5), 0.0, 0.51, 0.1, 0.2, h_t=5e-3, h_q=5e-3)
+    assert math.log2(r1 / r2) == pytest.approx(2.0, abs=0.2)

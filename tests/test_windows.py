@@ -17,7 +17,7 @@ from tdho.errors import DomainError
 from tdho.evolve import (crank_nicolson, propagate_kernel, time_sliced_oracle,
                          uniform_grid)
 from tdho.freq_profile import Constant
-from tdho.kernel import compute_W, kernel, kernel_eq17
+from tdho.kernel import compute_W, kernel, kernel_eq17, schrodinger_residual
 
 PROFILE = Constant(1.0)
 COS = closed_form(PROFILE)
@@ -35,6 +35,7 @@ ROUTES = {
     "spot_check_solution": lambda a, b: spot_check_solution(PROFILE, ONE, a, b),
     "compute_W": lambda a, b: compute_W(COS.f, a, b, PROFILE),
     "kernel_eq17": lambda a, b: kernel_eq17(PROFILE, COS, a, b, 0.1, 0.2),
+    "schrodinger_residual": lambda a, b: schrodinger_residual(PROFILE, a, b, 0.1, 0.2),
     "pair_from_solution": lambda a, b: pair_from_solution(COS, PROFILE, a, b),
     "propagate_kernel": lambda a, b: propagate_kernel(PROFILE, _packet(a), b),
     "crank_nicolson": lambda a, b: crank_nicolson(PROFILE, _packet(a), b),
