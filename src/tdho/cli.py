@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .classical import closed_form, solve_fundamental, verify_solution
-from .errors import DomainError, TdhoError
+from .errors import DomainError, TdhoError, check_count
 from .evolve import (GaussianState, compare, crank_nicolson, max_slices,
                      propagate_kernel, time_sliced_oracle, uniform_grid)
 from .freq_profile import profile_from_json
@@ -175,14 +175,6 @@ def _validate_config(cfg: dict, task: str) -> str | None:
     return None
 
 
-def _integers(cfg: dict) -> None:
-    """Make the schema's integer keys ints in place: JSON Schema's "integer"
-    admits 256.0, which linspace and range refuse."""
-    for node, key in ((cfg, "n_samples"), (cfg, "n_slices"), (cfg.get("grid", {}), "n")):
-        if key in node:
-            node[key] = int(node[key])
-
-
 def _given(cfg: dict, *keys: str) -> dict:
     """The config's values for those keys it sets; the library call's own
     defaults cover the keys it omits."""
@@ -218,8 +210,8 @@ def _run_kernel(profile, cfg: dict):
     else:
         g = cfg["grid"]
         axis = uniform_grid(g["q_min"], g["q_max"], g["n"])
-        qa = np.repeat(axis, g["n"])
-        qb = np.tile(axis, g["n"])
+        qa = np.repeat(axis, axis.size)
+        qb = np.tile(axis, axis.size)
     pair = solve_fundamental(profile, t_a, t_b, **_given(cfg, "tol"))
     k, modulus, phase, flag = kernel_batch(pair, qa, qb, **_given(cfg, "mu"))
     out = {"kernel.csv": (
@@ -233,7 +225,7 @@ def _run_kernel(profile, cfg: dict):
 def _run_classical(profile, cfg: dict):
     t_a, t_b = cfg["window"]["t_a"], cfg["window"]["t_b"]
     pair = solve_fundamental(profile, t_a, t_b, **_given(cfg, "tol"))
-    ts = np.linspace(t_a, t_b, cfg.get("n_samples", 201))
+    ts = np.linspace(t_a, t_b, check_count("n_samples", cfg.get("n_samples", 201)))
     u, ud, v, vd = pair.state(ts)
     out = {"classical.csv": (["t", "u", "udot", "v", "vdot"], [ts, u, ud, v, vd])}
     summary = {"wronskian_drift": float(pair.wronskian_drift),
@@ -356,7 +348,6 @@ def main(argv=None) -> int:
     if msg is not None:
         print(msg, file=sys.stderr)
         return 1
-    _integers(cfg)
 
     out_dir = args.out or Path(os.environ.get("TDHO_OUT") or ".")
     try:

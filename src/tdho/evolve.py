@@ -58,7 +58,7 @@ from .classical import solve_fundamental
 from .errors import (DomainError, GridMismatch, GridTooNarrow, StabilityWarning,
                      StepFailure, check_count, check_positive)
 from .freq_profile import FrequencyProfile
-from .kernel import endpoint, maslov_sign
+from .kernel import _refuse_focal_end, maslov_sign
 
 __all__ = [
     "WavePacket", "GaussianState", "propagate_kernel", "crank_nicolson",
@@ -197,12 +197,12 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     _check_packet(packet, mu)
     pair = solve_fundamental(profile, packet.t, t_b, tol)
     q = packet.q
+    u, ud, v, vd, n_focal = pair.end
 
     if packet.gaussian is not None:
         # psi0 = N exp(i A0 (q - qbar)^2 / 2 + i kbar q): (q_t, p_t) and (Q, P)
         # flow from (qbar, kbar) and (1, A0); Im Q has v's sign, so Q != 0
         g = packet.gaussian
-        u, ud, v, vd, n_focal = pair.end
         a0 = 0.5j / g.sigma ** 2
         big_q, big_p = u + v * a0 / mu, mu * ud + vd * a0
         q_t, p_t = u * g.qbar + v * g.kbar / mu, mu * ud * g.qbar + vd * g.kbar
@@ -213,13 +213,13 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
                                + 0.5j * (p_t * q_t + g.kbar * g.qbar))
         return WavePacket(q=q, psi=psi_out, t=t_b)
 
-    e = endpoint(pair, mu)  # endpoint caustic check happens here
+    _refuse_focal_end(pair.t_a, pair.t_b, v)
     # chirp x free hop x chirp (module docstring), the hop weighted by Filon's W
     h = packet.dq
-    hop = _free_hop(q.size, h, e.v_b, mu)
-    chirp_in = np.exp(0.5j * mu * (e.u_b - 1.0) / e.v_b * q ** 2)
-    psi_out = (maslov_sign(e.n_focal) * np.exp(0.5j * mu * (e.vdot_b - 1.0) / e.v_b * q ** 2)
-               * _filon_weight(-mu / e.v_b * q * h) * hop(packet.psi * chirp_in))
+    hop = _free_hop(q.size, h, v, mu)
+    chirp_in = np.exp(0.5j * mu * (u - 1.0) / v * q ** 2)
+    psi_out = (maslov_sign(n_focal) * np.exp(0.5j * mu * (vd - 1.0) / v * q ** 2)
+               * _filon_weight(-mu / v * q * h) * hop(packet.psi * chirp_in))
     return WavePacket(q=q, psi=psi_out, t=t_b)
 
 

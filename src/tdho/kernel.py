@@ -22,7 +22,7 @@ Maslov convention: n is the number of focal points (interior zeros of v)
 strictly inside the window, counted exactly from the classical solver's
 steps.  Each one adds -pi/2 to the prefactor's phase (Horvathy, Int. J.
 Theor. Phys. 18, 245 (1979); Rezende, J. Math. Phys. 25, 3264 (1984)).
-endpoint() computes it as the principal root sqrt(mu / (2 pi i v_b)) times a
+_kernel computes it as the principal root sqrt(mu / (2 pi i v_b)) times a
 sign s = maslov_sign(n): -1 when n mod 4 is 1 or 2 and +1 otherwise;
 caustic-free windows get s = 1 and the principal branch.  The prefactor is
 right on either side of a focal point.
@@ -48,7 +48,7 @@ from .errors import (CausticAtEndpoint, CausticInWindow, DomainError, StepFailur
 from .freq_profile import FrequencyProfile, Times
 
 __all__ = [
-    "KernelValue", "Endpoint", "endpoint", "maslov_sign", "compute_W", "kernel_eq17",
+    "KernelValue", "maslov_sign", "compute_W", "kernel_eq17",
     "kernel_robust", "kernel", "kernel_batch", "schrodinger_residual",
 ]
 
@@ -64,22 +64,6 @@ class KernelValue:
     phase: float               # unwrapped, see module docstring
     caustic_flag: bool = False  # informational: n_focal > 0
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    """A window's classical endpoint data, from which every kernel route reads.
-
-    u_b, udot_b, v_b, vdot_b are the fundamental pair at the window's end,
-    n_focal the number of focal points strictly inside the window, and pref
-    the kernel prefactor e^{-i pi/4 - i n_focal pi/2} sqrt(mu / (2 pi |v_b|)).
-    """
-    u_b: float
-    udot_b: float
-    v_b: float
-    vdot_b: float
-    n_focal: int
-    pref: complex
 
 
 def _zero_scan_grid(profile: FrequencyProfile, t_a: float, t_b: float) -> np.ndarray:
@@ -163,42 +147,32 @@ def kernel_eq17(profile: FrequencyProfile, sol: SolutionCurve,
     f_a, f_b = np.broadcast_to(sol.f(ends), (2,)).tolist()
     fd_a, fd_b = np.broadcast_to(sol.fdot(ends), (2,)).tolist()
     v_b, vd_b = f_a * f_b * w, f_a * (fd_b * w + 1.0 / f_b)
-    e = _endpoint(t_a, t_b, ((f_b - fd_a * v_b) / f_a, (fd_b - fd_a * vd_b) / f_a, v_b, vd_b, 0), mu)
-    return _kernel(e, q_a, q_b, mu, {"W": w, "W_abserr": w_err, "f_a": f_a, "f_b": f_b,
-                                     "fdot_a": fd_a, "fdot_b": fd_b})
+    end = ((f_b - fd_a * v_b) / f_a, (fd_b - fd_a * vd_b) / f_a, v_b, vd_b, 0)
+    return _kernel(t_a, t_b, end, q_a, q_b, mu, {"W": w, "W_abserr": w_err, "f_a": f_a,
+                                                 "f_b": f_b, "fdot_a": fd_a, "fdot_b": fd_b})
 
 
-def endpoint(pair: FundamentalPair, mu: float = 1.0) -> Endpoint:
-    """The window's endpoint data, pair.end (computed once per pair), with its prefactor.
-
-    n_focal is exact: it is read from the signs of v at the classical
-    solver's step ends, whose spacing stays well below that of the zeros.
-    Raises CausticAtEndpoint when |v_b| is at most 1e-12 of the window span
-    (focal point: the kernel is a delta function there).
-    """
-    check_positive("mu", mu)
-    return _endpoint(pair.t_a, pair.t_b, pair.end, mu)
-
-
-def _endpoint(t_a: float, t_b: float, end: tuple[float, float, float, float, int],
-              mu: float) -> Endpoint:
-    """Endpoint from end = (u_b, u'_b, v_b, v'_b, n_focal): the caustic refusal and the prefactor."""
-    v_b, n_focal = end[2], end[4]
+def _refuse_focal_end(t_a: float, t_b: float, v_b: float) -> None:
+    """Raise CausticAtEndpoint when |v_b| is at most 1e-12 of the window span
+    (focal point: the kernel is a delta function there)."""
     if abs(v_b) <= _ENDPOINT_CAUSTIC_REL * (t_b - t_a):
         raise CausticAtEndpoint(t_b, v_b)
+
+
+def _kernel(t_a: float, t_b: float, end: tuple[float, float, float, float, int],
+            q_a: float | np.ndarray, q_b: float | np.ndarray, mu: float,
+            diagnostics: dict) -> KernelValue:
+    """The endpoint form at (q_a, q_b) from end = (u_b, u'_b, v_b, v'_b, n_focal),
+    with its prefactor and unwrapped phase (module docstring)."""
+    u_b, udot_b, v_b, vdot_b, n_focal = end
+    _refuse_focal_end(t_a, t_b, v_b)
     # the principal root carries e^{-i pi/4} for v_b > 0 and e^{+i pi/4} for
     # v_b < 0; the Maslov factor differs from it by maslov_sign
-    return Endpoint(*end, maslov_sign(n_focal) * cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b)))
-
-
-def _kernel(e: Endpoint, q_a: float | np.ndarray, q_b: float | np.ndarray, mu: float,
-            diagnostics: dict) -> KernelValue:
-    """The endpoint form at (q_a, q_b), with its unwrapped phase (module docstring)."""
-    quad_part = 0.5 * mu / e.v_b * (e.vdot_b * q_b ** 2 + e.u_b * q_a ** 2
-                                    - 2.0 * q_a * q_b)
-    return KernelValue(k=e.pref * np.exp(1j * quad_part), modulus=abs(e.pref),
-                       phase=-math.pi / 4.0 - e.n_focal * math.pi / 2.0 + quad_part,
-                       caustic_flag=e.n_focal > 0, diagnostics=diagnostics)
+    pref = maslov_sign(n_focal) * cmath.sqrt(mu / (2.0 * math.pi * 1j * v_b))
+    quad_part = 0.5 * mu / v_b * (vdot_b * q_b ** 2 + u_b * q_a ** 2 - 2.0 * q_a * q_b)
+    return KernelValue(k=pref * np.exp(1j * quad_part), modulus=abs(pref),
+                       phase=-math.pi / 4.0 - n_focal * math.pi / 2.0 + quad_part,
+                       caustic_flag=n_focal > 0, diagnostics=diagnostics)
 
 
 def maslov_sign(n_focal: int) -> float:
@@ -213,13 +187,16 @@ def kernel_robust(pair: FundamentalPair, q_a: float | np.ndarray,
     """Endpoint kernel form from the fundamental pair; valid across caustics.
 
     q_a and q_b are scalars or arrays of one broadcastable shape; k and phase
-    take that shape.  The CausticAtEndpoint refusal is as in endpoint().
-    diagnostics["interior_v_zeros"] is the focal count n_focal.
+    take that shape.  The form reads pair.end, u_b, u'_b, v_b, v'_b and the
+    focal count n_focal, which is exact: it is read from the signs of v at
+    the classical solver's step ends, whose spacing stays well below that of
+    the zeros.  diagnostics holds pair.end by name, n_focal as
+    "interior_v_zeros".  Raises CausticAtEndpoint when |v_b| is at most 1e-12
+    of the window span (focal point: the kernel is a delta function there).
     """
-    e = endpoint(pair, mu)
-    return _kernel(e, q_a, q_b, mu, {"u_b": e.u_b, "udot_b": e.udot_b,
-                                     "v_b": e.v_b, "vdot_b": e.vdot_b,
-                                     "interior_v_zeros": e.n_focal})
+    check_positive("mu", mu)
+    return _kernel(pair.t_a, pair.t_b, pair.end, q_a, q_b, mu,
+                   dict(zip(("u_b", "udot_b", "v_b", "vdot_b", "interior_v_zeros"), pair.end)))
 
 
 def kernel(profile: FrequencyProfile, t_a: float, t_b: float,
@@ -257,12 +234,18 @@ def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,
     evaluated at one step size; an exact kernel leaves an O(h^2) remainder,
     so halving h_t and h_q should shrink the result fourfold.  The windows
     [t_a, t_b - h_t], [t_a, t_b] and [t_a, t_b + h_t] are each solved and
-    read at their end.  A jump event in (t_b - h_t, t_b + h_t], one the
-    t-derivative would straddle, raises DomainError.
+    read at their end.  DomainError refuses an h_t that leaves
+    [t_a, t_b - h_t] empty or is below the float spacing at t_b, and a jump
+    event in (t_b - h_t, t_b + h_t], one the t-derivative would straddle.
     """
     check_positive("h_t", h_t)
     check_positive("h_q", h_q)
     pair = solve_fundamental(profile, t_a, t_b, _RESIDUAL_TOL)
+    if not t_a < t_b - h_t:
+        raise DomainError(f"h_t = {h_t!r} leaves [t_a, t_b - h_t] empty on the window [{t_a}, {t_b}]")
+    if h_t < math.ulp(t_b):
+        raise DomainError(f"h_t = {h_t!r} is below the float spacing {math.ulp(t_b):.3e} "
+                          f"at t_b on the window [{t_a}, {t_b}]")
     kicks = profile.jump_events(t_b - h_t, t_b + h_t)
     if kicks:
         raise DomainError(f"jump event at {kicks[0].time} in (t_b - h_t, t_b + h_t] = "

@@ -21,7 +21,7 @@ from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
                          time_sliced_oracle, uniform_grid)
 from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
                                JumpEvent, SechSquared, Tabulated)
-from tdho.kernel import compute_W, endpoint, kernel_robust
+from tdho.kernel import compute_W, kernel_robust
 
 FREE = Constant(0.0)
 
@@ -314,12 +314,15 @@ def test_coherent_state_recurrence_over_full_period():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gaussian_route_is_exact_at_focal_points(k):
     # the unit oscillator's state at T = k pi is (-i)^k psi0((-1)^k q): the
-    # thawed Gaussian divides by no v_b, so T = k pi is an ordinary time
+    # thawed Gaussian divides by no v_b, so T = k pi is an ordinary time,
+    # while the endpoint form and the Filon route both refuse it
     g = GaussianState(0.5, 0.3, 0.7)
     q = uniform_grid(-8.0, 8.0, 2048)
     pair = solve_fundamental(Constant(1.0), 0.0, k * math.pi)
     with pytest.raises(CausticAtEndpoint):
-        endpoint(pair)
+        kernel_robust(pair, 0.1, 0.2)
+    with pytest.raises(CausticAtEndpoint):
+        propagate_kernel(Constant(1.0), WavePacket(q=q, psi=g.psi(q), t=0.0), k * math.pi)
     got = propagate_kernel(Constant(1.0), g.on_grid(q), k * math.pi).psi
     assert np.max(np.abs(got - (-1j) ** k * g.psi((-1) ** k * q))) <= 1e-12
 
@@ -333,9 +336,11 @@ def test_gaussian_route_is_exact_at_focal_points(k):
 def test_gaussian_route_matches_the_kernel_integral_away_from_focal_points(profile, t_b, n_focal, mu):
     q = uniform_grid(-8.0, 8.0, 2048)
     g = GaussianState(0.5, 0.3, 0.7)
-    e = endpoint(solve_fundamental(profile, 0.0, t_b), mu)
-    assert e.n_focal == n_focal
-    want = oracles.gaussian_through_kernel(e.u_b, e.udot_b, e.v_b, e.vdot_b, e.pref,
+    pair = solve_fundamental(profile, 0.0, t_b)
+    u_b, udot_b, v_b, vdot_b, n_b = pair.end
+    assert n_b == n_focal
+    pref = kernel_robust(pair, 0.0, 0.0, mu).k  # the kernel at q_a = q_b = 0 is its prefactor
+    want = oracles.gaussian_through_kernel(u_b, udot_b, v_b, vdot_b, pref,
                                            g.qbar, g.kbar, g.sigma, q, mu)
     got = propagate_kernel(profile, g.on_grid(q), t_b, mu=mu).psi
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -349,7 +354,7 @@ def test_three_routes_agree_across_focal_points(t_b, n_focal):
     prof = Constant(2.0)
     q = uniform_grid(-8.0, 8.0, 2048)
     p = GaussianState(0.5, 0.3, 0.7).on_grid(q)
-    assert endpoint(solve_fundamental(prof, 0.0, t_b)).n_focal == n_focal
+    assert solve_fundamental(prof, 0.0, t_b).end[4] == n_focal
     rk = propagate_kernel(prof, p, t_b)
     quad = propagate_kernel(prof, WavePacket(q=q, psi=p.psi, t=0.0), t_b)
     assert compare(quad, rk)["l2_error"] <= 1e-7
@@ -367,7 +372,7 @@ def test_semigroup_across_a_focal_point(profile, t_mid, t_end, counts):
     q = uniform_grid(-8.0, 8.0, 1024)
     p0 = GaussianState(0.5, 0.3, 0.7).on_grid(q)
     for (lo, hi), n_focal in zip(((0.0, t_mid), (t_mid, t_end), (0.0, t_end)), counts):
-        assert endpoint(solve_fundamental(profile, lo, hi)).n_focal == n_focal
+        assert solve_fundamental(profile, lo, hi).end[4] == n_focal
     mid = propagate_kernel(profile, p0, t_mid)  # untagged: the second hop is the Filon route
     two_hops = propagate_kernel(profile, mid, t_end)
     assert compare(two_hops, propagate_kernel(profile, p0, t_end))["l2_error"] <= 1e-6

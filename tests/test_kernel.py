@@ -1,7 +1,6 @@
 import cmath
 import importlib
 import math
-from dataclasses import astuple
 from functools import cached_property
 
 import numpy as np
@@ -17,8 +16,8 @@ from tdho.errors import (CausticAtEndpoint, CausticInWindow, DomainError,
 from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
                                FrequencyProfile, JumpEvent, PowerLaw, SechSquared,
                                Tabulated)
-from tdho.kernel import (_zero_scan_grid, compute_W, endpoint, kernel, kernel_batch,
-                         kernel_eq17, kernel_robust, schrodinger_residual)
+from tdho.kernel import (_zero_scan_grid, compute_W, kernel, kernel_batch, kernel_eq17,
+                         kernel_robust, schrodinger_residual)
 
 ONE = SolutionCurve(f=lambda t: 1.0, fdot=lambda t: 0.0, label="1")
 COS = SolutionCurve(f=np.cos, fdot=lambda t: -np.sin(t), label="cos")
@@ -88,12 +87,13 @@ def test_eq17_maps_its_curve_to_the_pairs_end(monkeypatch, profile, t_b):
     # f = u + 0.5 v, give back the solved pair's end to W's rtol
     kernel_module = importlib.import_module("tdho.kernel")  # tdho.kernel is the function
     seen, form = [], kernel_module._kernel
-    monkeypatch.setattr(kernel_module, "_kernel", lambda e, *a: seen.append(e) or form(e, *a))
+    monkeypatch.setattr(kernel_module, "_kernel",
+                        lambda t_a, t_b, end, *a: seen.append(end) or form(t_a, t_b, end, *a))
     pair = solve_fundamental(profile, 0.0, t_b)
     kernel_eq17(profile, pair.combination(1.0, 0.5), 0.0, t_b, 0.3, -0.2)
-    (e,) = seen
-    assert e.n_focal == 0
-    assert np.max(np.abs(np.array(astuple(e)[:4]) - pair.end[:4])) <= 1e-9
+    (end,) = seen
+    assert end[4] == 0
+    assert np.max(np.abs(np.array(end[:4]) - pair.end[:4])) <= 1e-9
 
 
 @pytest.mark.parametrize("h_t, h_q", [(0.0, 1e-2), (-1e-2, 1e-2), (math.inf, 1e-2),
@@ -101,6 +101,21 @@ def test_eq17_maps_its_curve_to_the_pairs_end(monkeypatch, profile, t_b):
 def test_schrodinger_residual_refuses_bad_steps(h_t, h_q):
     with pytest.raises(DomainError, match=r"^h_[tq] must be positive and finite, got"):
         schrodinger_residual(Constant(1.0), 0.0, 1.0, 0.1, 0.2, h_t=h_t, h_q=h_q)
+
+
+def test_schrodinger_residual_refuses_a_step_longer_than_the_window():
+    # the [t_a, t_b - h_t] solve would be reversed: the refusal names h_t and
+    # the caller's window, not [0.0, -0.005]
+    with pytest.raises(DomainError, match=r"^h_t = 0\.01 leaves \[t_a, t_b - h_t\] empty "
+                                          r"on the window \[0\.0, 0\.005\]$"):
+        schrodinger_residual(Constant(1.0), 0.0, 0.005, 0.1, 0.2)
+
+
+def test_schrodinger_residual_refuses_a_step_below_the_float_spacing_at_t_b():
+    # t_b - h_t and t_b + h_t both round to t_b = 1e10 + 1, whose spacing is 2^-19
+    with pytest.raises(DomainError, match=r"^h_t = 1e-07 is below the float spacing 1\.907e-06 "
+                                          r"at t_b on the window \[10000000000\.0, 10000000001\.0\]$"):
+        schrodinger_residual(Constant(1.0), 1e10, 1e10 + 1.0, 0.1, 0.2, h_t=1e-7)
 
 
 def test_free_kernel_both_routes():
@@ -406,7 +421,8 @@ def test_endpoint_reads_the_end_as_state_and_focal_count_do(name):
     for profile, t_a, t_b in windows:
         pair = solve_fundamental(profile, t_a, t_b)
         assert pair.end == _end_the_long_way(pair)
-        assert astuple(endpoint(pair, 1.3))[:5] == pair.end
+        diagnostics = kernel_robust(pair, 0.3, -0.2, 1.3).diagnostics
+        assert tuple(diagnostics.values()) == pair.end
         seen.add(pair.end[4])
     if name == "kick-at-t_b":  # the state after the kick, not before it
         assert pair.node_t[-2] == pair.node_t[-1] == 2.0

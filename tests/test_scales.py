@@ -17,7 +17,7 @@ from tdho.errors import DomainError
 from tdho.evolve import (GaussianState, crank_nicolson, max_slices,
                          propagate_kernel, time_sliced_oracle, uniform_grid)
 from tdho.freq_profile import Constant
-from tdho.kernel import endpoint, kernel, kernel_eq17
+from tdho.kernel import kernel, kernel_eq17, kernel_robust
 
 PROFILE = Constant(1.0)
 COS = closed_form(PROFILE)
@@ -30,7 +30,7 @@ def _packet():
 MU_ROUTES = {
     "kernel": lambda mu: kernel(PROFILE, 0.0, 1.0, 0.1, 0.2, mu=mu),
     "kernel_eq17": lambda mu: kernel_eq17(PROFILE, COS, 0.0, 1.0, 0.1, 0.2, mu=mu),
-    "endpoint": lambda mu: endpoint(solve_fundamental(PROFILE, 0.0, 1.0), mu=mu),
+    "kernel_robust": lambda mu: kernel_robust(solve_fundamental(PROFILE, 0.0, 1.0), 0.1, 0.2, mu=mu),
     "propagate_kernel": lambda mu: propagate_kernel(PROFILE, _packet(), 1.0, mu=mu),
     "crank_nicolson": lambda mu: crank_nicolson(PROFILE, _packet(), 1.0, mu=mu),
     "time_sliced_oracle": lambda mu: time_sliced_oracle(PROFILE, _packet(), 1.0, 2, mu=mu),
