@@ -209,22 +209,26 @@ class SechSquared(FrequencyProfile):
         return self.alpha ** 2 * omega_expr.sech(self.beta * (t - self.t0)) ** 2
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Tabulated(FrequencyProfile):
-    """Sampled omega^2 on a strictly increasing time grid.
+    """Sampled omega^2 on a strictly increasing time grid; immutable.
 
-    interp: "cubic" (default) or "linear".  Interpolation reproduces the
-    samples exactly at the nodes; evaluation outside [t[0], t[-1]] raises
-    DomainError rather than extrapolating.
+    t and omega2 are read-only copies of the arrays given, so the spline
+    built from them once stays theirs.  interp: "cubic" (default) or
+    "linear".  Interpolation reproduces the samples exactly at the nodes;
+    evaluation outside [t[0], t[-1]] raises DomainError rather than
+    extrapolating.  A profile equals only itself.
     """
     t: np.ndarray
     omega2: np.ndarray
     interp: str = "cubic"
-    _spline: object = field(init=False, default=None, repr=False, compare=False)
+    _spline: object = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.omega2 = np.asarray(self.omega2, dtype=float)
+        for name in ("t", "omega2"):
+            a = np.array(getattr(self, name), dtype=float)  # a copy
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if self.t.ndim != 1 or self.t.shape != self.omega2.shape:
             raise DomainError("t and omega2 must be 1-d arrays of equal length")
         if len(self.t) < 2:
@@ -238,7 +242,7 @@ class Tabulated(FrequencyProfile):
         if self.interp == "cubic" and len(self.t) >= 3:
             from scipy.interpolate import CubicSpline
             bc = "not-a-knot" if len(self.t) >= 4 else "natural"
-            self._spline = CubicSpline(self.t, self.omega2, bc_type=bc)
+            object.__setattr__(self, "_spline", CubicSpline(self.t, self.omega2, bc_type=bc))
 
     def omega_squared(self, t: Times) -> Times:
         outside = (t < self.t[0]) | (t > self.t[-1])
@@ -255,14 +259,14 @@ class Tabulated(FrequencyProfile):
                 "omega2": self.omega2.tolist(), "interp": self.interp}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Expression(FrequencyProfile):
     """omega^2(t) given by a parsed expression in t (constants already inlined)."""
     node: ExprNode
 
     def __post_init__(self):
         if isinstance(self.node, str):
-            self.node = omega_expr.parse(self.node)
+            object.__setattr__(self, "node", omega_expr.parse(self.node))
 
     def omega_squared(self, t: Times) -> Times:
         return omega_expr.evaluate(self.node, t)
@@ -305,7 +309,7 @@ def profile_from_json(data: dict) -> FrequencyProfile:
     extra = {k: v for k, v in data.items() if k != "type"}
     try:
         if cls is Tabulated:
-            return Tabulated(np.asarray(extra.pop("t")), np.asarray(extra.pop("omega2")), **extra)
+            return Tabulated(extra.pop("t"), extra.pop("omega2"), **extra)
         if cls is Expression:
             return _parsed(extra.pop("expr"), **extra)
         return cls(**extra)

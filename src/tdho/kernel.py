@@ -246,13 +246,16 @@ def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,
     if h_t < math.ulp(t_b):
         raise DomainError(f"h_t = {h_t!r} is below the float spacing {math.ulp(t_b):.3e} "
                           f"at t_b on the window [{t_a}, {t_b}]")
-    kicks = profile.jump_events(t_b - h_t, t_b + h_t)
+    t_lo, t_hi = t_b - h_t, t_b + h_t
+    kicks = profile.jump_events(t_lo, t_hi)
     if kicks:
         raise DomainError(f"jump event at {kicks[0].time} in (t_b - h_t, t_b + h_t] = "
-                          f"({t_b - h_t}, {t_b + h_t}]: the t-derivative would straddle it")
-    before, after = (solve_fundamental(profile, t_a, t_b + s, _RESIDUAL_TOL) for s in (-h_t, h_t))
+                          f"({t_lo}, {t_hi}]: the t-derivative would straddle it")
+    before, after = (solve_fundamental(profile, t_a, t, _RESIDUAL_TOL) for t in (t_lo, t_hi))
     km, k0, kp = kernel_robust(pair, q_a, q_b + np.array([-h_q, 0.0, h_q]), mu).k
-    dt = (kernel_robust(after, q_a, q_b, mu).k - kernel_robust(before, q_a, q_b, mu).k) / (2.0 * h_t)
+    # divided by the span of the two times as rounded, which near t_b's float
+    # spacing is not 2 h_t
+    dt = (kernel_robust(after, q_a, q_b, mu).k - kernel_robust(before, q_a, q_b, mu).k) / (t_hi - t_lo)
     d2q = (kp - 2.0 * k0 + km) / (h_q * h_q)
     w2 = profile.smooth_omega_squared(t_b)
     defect = 1j * dt + d2q / (2.0 * mu) - 0.5 * mu * w2 * q_b ** 2 * k0

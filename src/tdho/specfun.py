@@ -11,18 +11,20 @@ real-valued on (-1, 1) even though the degree is complex.
 Method selection
 ----------------
 The Legendre functions are summed here because scipy.special.hyp2f1 rejects
-the complex parameters of the conical case.  For x > 0, legendre_p sums the
-Gauss hypergeometric series about x = 1 in the variable (1 - x)/2, and
-legendre_p_dx the series of its derivative (DLMF 15.5.1), whose term ratio
-is the same with the index shifted by one; one loop sums both.  For
-x <= 0 that series converges too slowly, so the function is continued through
-x = 0 with the pair of quadratically transformed series in x^2 (the even/odd
-solutions of the Legendre equation), joined with the exact values of P and
-dP/dx at 0 built from gamma factors.  Both series have real coefficients
-driven only by lambda*(lambda+1), so the conical case never leaves real
-arithmetic.  An array is summed in one loop over the terms; each point stops
-adding terms where it alone would, so a float and an array give the same
-bits.  Intended accuracy 1e-10 relative for |x| <= 0.99; the x -> -1
+the complex parameters of the conical case.  Every value is built from one
+Gauss series F(a, b; c; w) (DLMF 15.2.1), whose (a + k)(b + k) is a real
+quadratic in k driven only by lambda*(lambda+1), so the conical case never
+leaves real arithmetic.  For x > 0 that series is taken about x = 1 in
+w = (1 - x)/2.  For x <= 0 it converges too slowly, so the function is
+continued through x = 0 with the even/odd solutions of the Legendre equation,
+quadratically transformed series in w = x^2, joined with the exact values of
+P and dP/dx at 0 built from gamma factors.  legendre_p_dx writes each
+derivative as such series too, through d/dw F(a, b; c; w) = (ab/c)
+F(a+1, b+1; c+1; w) (DLMF 15.5.1) and d/dx [x F(a, b; 3/2; x^2)] =
+F(a, b; 1/2; x^2), so each value and each derivative is one or two series.
+An array is summed in one loop over the terms; each point stops adding
+terms where it alone would, so a float and an array give the same bits.
+Intended accuracy 1e-10 relative for |x| <= 0.99; the x -> -1
 endpoint is logarithmically singular and out of scope.
 """
 
@@ -106,60 +108,37 @@ def _legendre(degree: float | complex, x: float | np.ndarray, derivative: bool):
         raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
     out = np.empty(xs.shape)
     right = xs > 0.0
-    out[right] = _about_one(L, xs[right], derivative)
-    out[~right] = _about_zero(L, p0, dp0, xs[~right], derivative)
+    x1, x0 = xs[right], xs[~right]
+    z, x2 = 0.5 * (1.0 - x1), x0 * x0
+    # about x = 1: P = F(-lam, lam+1; 1; z), dP/dx = (L/2) F(1-lam, lam+2; 2; z);
+    # about x = 0: P = p0 E + dp0 O with E = F(-lam/2, (lam+1)/2; 1/2; x^2) and
+    # O = x F((1-lam)/2, lam/2+1; 3/2; x^2), whose derivatives are DLMF 15.5.1
+    # for E and d/dx [x F(a, b; 3/2; x^2)] = F(a, b; 1/2; x^2) for O
+    if derivative:
+        out[right] = 0.5 * L * _series(3.0, 2.0 - L, 2.0, z, "1", x1)
+        out[~right] = (-L * p0 * x0 * _series(2.5, 1.5 - 0.25 * L, 1.5, x2, "0", x0)
+                       + dp0 * _series(1.5, 0.25 * (2.0 - L), 0.5, x2, "0", x0))
+    else:
+        out[right] = _series(1.0, -L, 1.0, z, "1", x1)
+        out[~right] = (p0 * _series(0.5, -0.25 * L, 0.5, x2, "0", x0)
+                       + dp0 * x0 * _series(1.5, 0.25 * (2.0 - L), 1.5, x2, "0", x0))
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _unconverged(about: str, x: np.ndarray, live: np.ndarray) -> DomainError:
-    """The error for the points of x whose series is still live at _MAX_TERMS terms."""
-    return DomainError(f"legendre series about x={about} did not converge in {_MAX_TERMS} terms at "
-                       f"{np.count_nonzero(live)} of {x.size} points, the first x={float(x[live][0])!r}")
+def _series(p: float, q: float, c: float, w: np.ndarray, about: str, x: np.ndarray) -> np.ndarray:
+    """The Gauss series F(a, b; c; w) whose (a + k)(b + k) is k^2 + p k + q.
 
-
-def _about_one(L: float, x, derivative: bool):
-    z = 0.5 * (1.0 - x)
-    # P = F(-lam, lam+1; 1; z) and dP/dx = (L/2) F(1-lam, lam+2; 2; z): the
-    # term ratio of the second is that of the first with k shifted by s = 1
-    s = int(derivative)
+    Term k+1 is term k times (k^2 + p k + q) w / ((k + c)(k + 1)).  Each point
+    of w stops adding terms once a term past the fifth falls below 1e-17 of
+    its sum; about and x name the expansion and the points in the error.
+    """
     term = total = 1.0
-    live = True  # per point of z: still adding terms
+    live = True  # per point of w: still adding terms
     for k in range(_MAX_TERMS):
-        term *= ((k + s) * (k + s + 1.0) - L) * z / ((k + s + 1.0) * (k + 1.0))
+        term *= (k * k + p * k + q) * w / ((k + c) * (k + 1.0))
         total += term * live
         live &= (abs(term) > 1e-17 * abs(total)) | (k <= 4)
         if not live.any():
-            return 0.5 * L * total if derivative else total
-    raise _unconverged("1", x, live)
-
-
-def _about_zero(L: float, p0: float, dp0: float, x, derivative: bool):
-    x2 = x * x
-    # even solution E = F(-lam/2, (lam+1)/2; 1/2; x^2)
-    # odd solution  O = x F((1-lam)/2, lam/2+1; 3/2; x^2)
-    # iteration k turns term k into term k+1, i.e. the coefficient of x^(2k+2)
-    e_term = e_sum = 1.0
-    e_dsum = 0.0   # dE/dx, with one power of x divided out at the end
-    o_term = o_sum = 1.0
-    o_dsum = 1.0   # dO/dx = sum (2k+1) o_k x^(2k)
-    live = True    # per point of x: still adding terms
-    for k in range(_MAX_TERMS):
-        e_num = k * k + 0.5 * k - 0.25 * L
-        o_num = k * k + 1.5 * k + 0.25 * (2.0 - L)
-        e_term *= e_num * x2 / ((k + 0.5) * (k + 1.0))
-        o_term *= o_num * x2 / ((k + 1.5) * (k + 1.0))
-        e_sum += e_term * live
-        o_sum += o_term * live
-        e_dsum += 2.0 * (k + 1.0) * e_term * live
-        o_dsum += (2.0 * k + 3.0) * o_term * live
-        # the 1e-300 only keeps o_sum = 0 from stalling the test
-        live &= ((abs(e_term) > 1e-17 * abs(e_sum))
-                 | (abs(o_term) > 1e-17 * (abs(o_sum) + 1e-300)) | (k <= 4))
-        if not live.any():
-            break
-    else:
-        raise _unconverged("0", x, live)
-    if derivative:
-        # e_dsum is 0 at x = 0, where dE/dx = 0: any nonzero divisor will do
-        return p0 * e_dsum / np.where(x == 0.0, 1.0, x) + dp0 * o_dsum
-    return p0 * e_sum + dp0 * x * o_sum
+            return total
+    raise DomainError(f"legendre series about x={about} did not converge in {_MAX_TERMS} terms at "
+                      f"{np.count_nonzero(live)} of {x.size} points, the first x={float(x[live][0])!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -227,6 +228,30 @@ def test_tabulated_spline_is_not_a_field_callers_set():
         Tabulated(np.array([0.0, 1.0]), np.array([1.0, 2.0]), _spline=3)
     # a two-sample cubic profile interpolates linearly
     assert Tabulated(np.array([0.0, 1.0]), np.array([1.0, 2.0])).omega_squared(0.5) == 1.5
+
+
+def test_tabulated_and_expression_are_immutable_so_the_spline_stays_their_samples():
+    # a reassigned or rewritten omega2 would leave the spline built from the
+    # old samples: omega_squared would read 1.0 while to_json read 4.0
+    t, w2 = np.linspace(0.0, 1.0, 5), np.ones(5)
+    tab = Tabulated(t, w2)
+    for name, value in (("t", t), ("omega2", np.full(5, 4.0)), ("interp", "linear")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tab, name, value)
+    for a in (tab.t, tab.omega2):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = 9.0
+    # the profile holds copies: the caller's arrays stay writable and apart
+    w2[:] = 4.0
+    t[0] = -1.0
+    assert tab.omega_squared(0.5) == 1.0 and tab.t[0] == 0.0
+    assert tab.to_json()["omega2"] == [1.0] * 5 and tab.to_json()["t"][0] == 0.0
+    # equality is identity: comparing the arrays element-wise would raise
+    assert tab == tab and tab != Tabulated(tab.t, tab.omega2)
+    expr = Expression("1+t^2")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        expr.node = omega_expr.parse("4")
+    assert expr == Expression("1+t^2")
 
 
 def test_sech_squared_far_from_well():

@@ -118,6 +118,15 @@ def test_schrodinger_residual_refuses_a_step_below_the_float_spacing_at_t_b():
         schrodinger_residual(Constant(1.0), 1e10, 1e10 + 1.0, 0.1, 0.2, h_t=1e-7)
 
 
+def test_schrodinger_residual_divides_by_the_rounded_span():
+    # a few float spacings (2^-19) from t_b, t_b + h_t - (t_b - h_t) is not
+    # 2 h_t: at 3e-6 it is 7.6e-6, and dividing by 6e-6 gave 0.11
+    r = [schrodinger_residual(Constant(1.0), 1e10, 1e10 + 1.0, 0.3, 0.7, h_t=h_t)
+         for h_t in (2e-6, 3e-6, 5e-6, 1e-5)]
+    assert max(r) <= 1e-4, r
+    assert max(r) <= 1.01 * min(r), r
+
+
 def test_free_kernel_both_routes():
     want = oracles.free_kernel(1.0, 1.0, 0.0, 1.0)
 

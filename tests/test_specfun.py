@@ -240,6 +240,16 @@ def test_legendre_derivative_pinned():
         assert legendre_p_dx(2.0, x) == pytest.approx(3 * x, rel=1e-9)
 
 
+@pytest.mark.parametrize("nu", [0.3, -0.7, -0.25, 1.5, 3.7, 5.2])
+def test_legendre_derivative_satisfies_the_degree_recurrence(nu):
+    # (1 - x^2) P'_nu = (nu + 1)(x P_nu - P_{nu+1}) (DLMF 14.10.5) on both
+    # sides of x = 0, to 1e-12: the finite-difference check above is 1e-7
+    x = np.linspace(-0.95, 0.999, 2001)
+    lhs = (1.0 - x * x) * legendre_p_dx(nu, x)
+    rhs = (nu + 1.0) * (x * legendre_p(nu, x) - legendre_p(nu + 1.0, x))
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs)))
+
+
 def test_legendre_domain_errors():
     d = 1.0
     with pytest.raises(DomainError):
