@@ -391,11 +391,12 @@ class ResidualReport:
 
 _ROUNDOFF_FLOOR = 1e-12
 _SPOT_H = 1e-4  # spot_check_solution's difference step on windows of 20 _SPOT_H and more
+_SPOT_OMEGA_H = 1e-2  # and its largest omega h: a truncation error of (omega h)^2/12 < 1e-5
 
 
-def _residuals(profile: FrequencyProfile, sol: SolutionCurve, ts: np.ndarray,
-               steps: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """|f''_h + omega^2(t) f| / max(1, |f|) at ts, one row per step h, and omega^2(ts).
+def _residuals(w2: np.ndarray, sol: SolutionCurve, ts: np.ndarray,
+               steps: tuple[float, ...]) -> np.ndarray:
+    """|f''_h + omega^2(t) f| / max(1, |f|) at ts, one row per step h; w2 is omega^2(ts).
 
     f''_h is the central second difference with step h.  sol.f is called
     once, on ts and all its shifted copies together.
@@ -405,8 +406,7 @@ def _residuals(profile: FrequencyProfile, sol: SolutionCurve, ts: np.ndarray,
     fv = np.broadcast_to(sol.f(grid), grid.shape)
     f0, fm, fp = fv[0], fv[1:k + 1], fv[k + 1:]
     second = (fp - 2.0 * f0 + fm) / (hs * hs)
-    w2 = profile.smooth_omega_squared(ts)
-    return np.abs(second + w2 * f0) / np.maximum(1.0, np.abs(f0)), w2
+    return np.abs(second + w2 * f0) / np.maximum(1.0, np.abs(f0))
 
 
 def verify_solution(profile: FrequencyProfile, sol: SolutionCurve,
@@ -431,7 +431,7 @@ def verify_solution(profile: FrequencyProfile, sol: SolutionCurve,
     if ts.size == 0:
         raise DomainError("no sample points left after excluding event neighborhoods")
 
-    res = _residuals(profile, sol, ts, (h, 0.5 * h))[0]
+    res = _residuals(profile.smooth_omega_squared(ts), sol, ts, (h, 0.5 * h))
     worst = int(np.argmax(res[0]))
     r1, worst_t, r2 = float(res[0, worst]), float(ts[worst]), float(np.max(res[1]))
     floor_hit = r1 <= _ROUNDOFF_FLOOR
@@ -464,15 +464,18 @@ def spot_check_solution(profile: FrequencyProfile, sol: SolutionCurve,
     """Cheap residual probe at seven interior points.
 
     The residual is that of verify_solution at the one step
-    h = min(_SPOT_H, (t_b - t_a)/20), at times at least 5h from the window's
-    ends and from its jump events.  Raises SolutionMismatch when it exceeds
-    rel_tol * max(1, |omega^2|) at any of them; used as a guard before
-    trusting a caller-provided solution.  f'' and omega^2 f are each about
-    omega^2 |f|, and the second difference's truncation error, about
-    omega^4 h^2 |f| / 12, would pass an unscaled rel_tol = 1e-3 on exact
-    solutions from omega = 35 on.  The second difference's roundoff, about
-    4 eps / h^2, must stay below rel_tol, so a window shorter than
-    40 sqrt(eps / rel_tol) raises DomainError.
+    h = min(_SPOT_H, (t_b - t_a)/20, _SPOT_OMEGA_H/omega_max), at times at
+    least 5 min(_SPOT_H, (t_b - t_a)/20) from the window's ends and from its
+    jump events; omega_max is the largest |omega^2|^(1/2) at those times.
+    Raises SolutionMismatch when it exceeds rel_tol * max(1, |omega^2|) at
+    any of them; used as a guard before trusting a caller-provided solution.
+    f'' and omega^2 f are each about omega^2 |f|, and the second
+    difference's truncation error, about omega^4 h^2 |f| / 12, would pass an
+    unscaled rel_tol = 1e-3 on exact solutions from omega = 35 on; scaled,
+    it is (omega h)^2 / 12, which the cap on omega h keeps below 1e-5 at
+    every frequency.  The second difference's roundoff, about 4 eps / h^2,
+    must stay below rel_tol, so a window shorter than 40 sqrt(eps / rel_tol)
+    raises DomainError; under the cap it is 4 eps / (omega h)^2 of omega^2.
     """
     events = profile.jump_events(t_a, t_b)
     shortest = 40.0 * math.sqrt(np.finfo(float).eps / rel_tol)
@@ -483,7 +486,11 @@ def spot_check_solution(profile: FrequencyProfile, sol: SolutionCurve,
     ts = np.linspace(t_a + 5 * h, t_b - 5 * h, 7)
     for e in events:
         ts = ts[np.abs(ts - e.time) > 5.0 * h]
-    res, w2 = _residuals(profile, sol, ts, (h,))
+    w2 = profile.smooth_omega_squared(ts)
+    omega_max = math.sqrt(float(np.max(np.abs(w2), initial=0.0)))
+    if omega_max * h > _SPOT_OMEGA_H:
+        h = _SPOT_OMEGA_H / omega_max
+    res = _residuals(w2, sol, ts, (h,))
     excess = res[0] / np.maximum(1.0, np.abs(w2))
     if excess.size and excess.max() > rel_tol:
         worst = int(np.argmax(excess))

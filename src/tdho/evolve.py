@@ -34,9 +34,12 @@ at every step's midpoint in one call.  Each step is the Cayley form of
 Goldberg, Schey and Schwartz (Am. J. Phys. 35, 177 (1967)),
 psi <- (I + iK)^{-1}(I - iK) psi = 2 (I + iK)^{-1} psi - psi with
 K = (step/2) H, on the interior points, so the walls stay exactly 0: one
-tridiagonal solve and one axpy, no right-hand side to build.  Each run of
-steps with equal step and omega^2 factors I + iK once (gttrf) and solves
-each step with the factors (gttrs); a run of one step takes one gtsv call.
+tridiagonal solve and one axpy, no right-hand side to build.  A run of one
+step (omega^2 changing on every step) takes one LAPACK gtsv call.  A longer
+run of equal step and omega^2 factors I + iK once (gttrf): I + iK is
+symmetric, so without a row interchange it is L D L^T, and each step is a
+unit-lower BLAS tbsv sweep, a multiply by 2/D and a unit-upper sweep; a
+factorization that interchanged rows (omega^2 < 0 only) solves by gttrs.
 CN shares nothing with the other two routes; the Filon route and slicing
 share the free hop, and each has its own independent test reference.
 Agreement is the evidence.  All three share one input check.
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.linalg import solve_banded  # noqa: F401  unused here; bench/tracing.py patches it (ROADMAP item 5)
 
 from .classical import solve_fundamental
@@ -232,7 +235,8 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     exp(-i mu s q^2 / 2) after its segment's last step.  A step is the
     Cayley form (Goldberg, Schey and Schwartz 1967) psi <- 2 A^{-1} psi - psi,
     A = I + i(step/2)H, on the interior points; consecutive steps with equal
-    step and omega^2 share one LAPACK factorization of A.  Walls are
+    step and omega^2 share one LAPACK factorization A = L D L^T and solve by
+    two unit-bidiagonal BLAS sweeps, 2 A^{-1} = L^{-T} (2/D) L^{-1}.  Walls are
     Dirichlet: the input's two wall values are dropped and the output's are
     exactly 0, so the grid must stay wide enough that nothing reaches them.
     """
@@ -265,8 +269,12 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
             "edges; results will be inaccurate (though not unstable)"))
 
     # a run is a maximal stretch of steps with equal (step, omega^2), so one
-    # matrix: a run of several steps factors it once (gttrf) and solves by
-    # gttrs, a run of one step takes gtsv, which is cheaper than gttrf + gttrs
+    # matrix A: a run of one step takes gtsv, which is cheaper than
+    # factoring; a longer run factors A once (gttrf).  With no row
+    # interchange (always at omega^2 >= 0, where A is strictly diagonally
+    # dominant) the factors are A = L D L^T, L unit lower bidiagonal with
+    # gttrf's multipliers dl, and every pivot has Re d >= 1, so |2/d| <= 2;
+    # after an interchange each step takes gttrs
     runs = np.append(np.flatnonzero(np.append(
         True, (step_of[1:] != step_of[:-1]) | (w2s[1:] != w2s[:-1]))), len(steps))
 
@@ -281,24 +289,42 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     q2_in = q2[1:-1]
     lu = np.empty((3, q2_in.size), dtype=complex)
     band = (lu[2, :-1], lu[1], lu[0, 1:])
+    # BLAS band storage of both unit sweeps in one Fortran-order array (a C
+    # array would be copied on every call): row 0 is L^T's superdiagonal,
+    # row 1 L's subdiagonal, and neither sweep reads its diagonal row
+    unit = np.zeros((2, q2_in.size), dtype=complex, order="F")
+    rows = np.arange(1, q2_in.size + 1)  # gttrf's ipiv when nothing is interchanged
     gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (lu,))
-    psi = packet.psi[1:-1]
+    tbsv, = get_blas_funcs(("tbsv",), (lu,))
+    psi = packet.psi[1:-1].copy()
     for lo, hi in zip(runs[:-1], runs[1:]):
         half = 0.5j * steps[lo]
         lu[0] = lu[2] = half * off
         lu[1] = 1.0 + half * (kin + 0.5 * mu * w2s[lo] * q2_in)
-        if hi - lo > 1:
+        swept = False
+        if hi - lo == 1:
+            x, info = gtsv(*band, psi, overwrite_dl=True, overwrite_d=True, overwrite_du=True)[3:]
+        else:
             *factors, info = gttrf(*band, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+            dl, d, _, _, ipiv = factors
+            swept = np.array_equal(ipiv, rows)
+        if info:  # I + i(step/2)H with real H is never singular for finite input
+            raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[lo])!r}")
+        if swept:
+            unit[0, 1:] = unit[1, :-1] = dl
+            scale = 2.0 / d
         for k in range(lo, hi):
-            if hi - lo > 1:
-                x = gttrs(*factors, psi)[0]
+            if swept:  # psi <- L^{-T} (2/D) L^{-1} psi - psi
+                x = tbsv(1, unit, psi, lower=1, diag=1)
+                x *= scale
+                tbsv(1, unit, x, diag=1, overwrite_x=1)
+                np.subtract(x, psi, out=psi)
             else:
-                x, info = gtsv(*band, psi, overwrite_dl=True, overwrite_d=True, overwrite_du=True)[3:]
-            if info:  # I + i(step/2)H with real H is never singular for finite input
-                raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[k])!r}")
-            psi = 2.0 * x - psi  # Cayley: A^{-1}(2I - A) psi
+                if hi - lo > 1:
+                    x = gttrs(*factors, psi)[0]
+                psi = 2.0 * x - psi  # Cayley: A^{-1}(2I - A) psi
             if k in kicks:
-                psi = psi * np.exp(-0.5j * mu * kicks[k] * q2_in)
+                psi *= np.exp(-0.5j * mu * kicks[k] * q2_in)
     return WavePacket(q=q, psi=np.pad(psi, 1), t=t_b)
 
 

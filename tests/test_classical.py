@@ -663,7 +663,19 @@ def test_spot_check_passes_exact_solutions_at_high_frequency(omega):
     assert kernel_eq17(profile, pair.combination(1.0, 0.0), 0.0, t_b, 0.1, 0.1).k == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("omega", [0.5, 1.0, 35.0, 100.0, 1e3])
+@pytest.mark.parametrize("omega", [2e3, 1e4])
+def test_spot_check_caps_omega_h_so_exact_solutions_pass_at_any_frequency(omega):
+    # on [0, 3/omega] the step span/20 gives omega h = 0.15, whose truncation
+    # error (omega h)^2 / 12 = 1.9e-3 of omega^2 refused this exact solution
+    from tdho.kernel import kernel, kernel_eq17
+    profile, t_b = Constant(omega), 3.0 / omega
+    sol = SolutionCurve(f=lambda t: np.cos(omega * t - 1.5),
+                        fdot=lambda t: -omega * np.sin(omega * t - 1.5))
+    want = kernel(profile, 0.0, t_b, 0.1, 0.1).k
+    assert kernel_eq17(profile, sol, 0.0, t_b, 0.1, 0.1).k == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 35.0, 100.0, 1e3, 2e3, 1e4])
 def test_spot_check_refuses_a_frequency_one_percent_off(omega):
     w = 1.01 * omega
     off = SolutionCurve(f=lambda t: np.cos(w * t), fdot=lambda t: -w * np.sin(w * t))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import fft
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
+from scipy.linalg import blas, lapack, solve_banded
 
 import oracles
 from conftest import PACKET
@@ -19,8 +19,8 @@ from tdho.errors import (CausticAtEndpoint, DomainError, GridMismatch, GridTooNa
 from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
                          crank_nicolson, max_slices, propagate_kernel,
                          time_sliced_oracle, uniform_grid)
-from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, FrequencyProfile,
-                               JumpEvent, SechSquared, Tabulated)
+from tdho.freq_profile import (Constant, DeltaPulse, ExpDecay, Expression,
+                               FrequencyProfile, JumpEvent, SechSquared, Tabulated)
 from tdho.kernel import compute_W, kernel_robust
 
 FREE = Constant(0.0)
@@ -474,27 +474,50 @@ def _cn_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
 def _cayley_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
     """The Cayley march psi <- 2 A^{-1} psi - psi, A = I + i(step/2)H, on the
     interior points, written step by step: every per-step term recomputed
-    and solve_banded called with its default checks; the walls are 0."""
+    and A solved anew at every step by the kernel the march picks for that
+    step's run of equal (step, omega^2).  A step alone in its run takes
+    solve_banded (gtsv); a step of a longer run factors A with gttrf, then
+    takes the unit sweeps of A = L D L^T, or gttrs after a row interchange.
+    The walls are 0."""
     q = packet.q[1:-1]
     dq2 = (packet.q[1] - packet.q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
     kin = 1.0 / (mu * dq2)
     strength = {e.time: e.strength for e in profile.jump_events(packet.t, t_b)}
     cuts = [packet.t] + sorted(strength) + ([t_b] if t_b not in strength else [])
-    psi = packet.psi[1:-1].copy()
+    schedule = []  # (step, omega^2 at its midpoint, kick after it or None)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         n_steps = max(1, math.ceil((hi - lo) / dt))
         step = (hi - lo) / n_steps
-        ab = np.zeros((3, q.size), dtype=complex)
-        ab[0, 1:] = ab[2, :-1] = 0.5j * step * off
         t = lo
-        for _ in range(n_steps):
-            w2 = profile.smooth_omega_squared(t + 0.5 * step)
-            ab[1, :] = 1.0 + 0.5j * step * (kin + 0.5 * mu * w2 * q ** 2)
-            psi = 2.0 * solve_banded((1, 1), ab, psi) - psi
+        for i in range(n_steps):
+            kick = strength.get(hi) if i == n_steps - 1 else None
+            schedule.append((step, profile.smooth_omega_squared(t + 0.5 * step), kick))
             t += step
-        if hi in strength:
-            psi = psi * np.exp(-0.5j * mu * strength[hi] * q ** 2)
+    keys = [entry[:2] for entry in schedule]
+    psi = packet.psi[1:-1].copy()
+    for k, (step, w2, kick) in enumerate(schedule):
+        sub = np.full(q.size - 1, 0.5j * step * off)
+        diag = 1.0 + 0.5j * step * (kin + 0.5 * mu * w2 * q ** 2)
+        alone_in_its_run = keys[k] not in keys[max(k - 1, 0):k] + keys[k + 1:k + 2]
+        if alone_in_its_run:
+            ab = np.zeros((3, q.size), dtype=complex)
+            ab[0, 1:] = ab[2, :-1] = sub
+            ab[1] = diag
+            twice = 2.0 * solve_banded((1, 1), ab, psi)
+        else:
+            dl, d, du, du2, ipiv, info = lapack.zgttrf(sub, diag, sub)
+            assert info == 0
+            if np.array_equal(ipiv, np.arange(1, q.size + 1)):
+                lower, upper = np.zeros((2, 2, q.size), dtype=complex)
+                lower[1, :-1] = upper[0, 1:] = dl
+                y = blas.ztbsv(1, lower, psi, lower=1, diag=1)
+                twice = blas.ztbsv(1, upper, y * (2.0 / d), diag=1)
+            else:
+                twice = 2.0 * lapack.zgttrs(dl, d, du, du2, ipiv, psi)[0]
+        psi = twice - psi
+        if kick is not None:
+            psi = psi * np.exp(-0.5j * mu * kick * q ** 2)
     return np.concatenate(([0.0], psi, [0.0]))
 
 
@@ -572,33 +595,41 @@ class CountingTwoKicks(TwoKicks):
         return super().smooth_omega_squared(t)
 
 
-def _count_lapack_calls(monkeypatch, fail=None):
-    """Patch evolve's LAPACK lookup; returns the list of lookups and a
-    Counter of the calls of every routine it hands out.  The routine named
-    fail reports info = 1 after doing its work."""
-    lookups, calls, lookup = [], Counter(), evolve.get_lapack_funcs
+def _count_solver_calls(monkeypatch, fail=None):
+    """Patch evolve's LAPACK and BLAS lookups; returns the list of lookups, a
+    Counter of the calls of every routine they hand out and the ipiv of
+    every gttrf call.  The routine named fail reports info = 1 after doing
+    its work."""
+    lookups, calls, pivots = [], Counter(), []
 
     def wrap(name, func):
         def counted(*args, **kwargs):
             calls[name] += 1
             out = func(*args, **kwargs)
+            if name == "gttrf":
+                pivots.append(out[4])
             return out[:-1] + (1,) if name == fail else out
         return counted
 
-    def counting_lookup(names, arrays):
-        lookups.append(names)
-        return [wrap(name, f) for name, f in zip(names, lookup(names, arrays))]
+    def counting(lookup):
+        def counting_lookup(names, arrays):
+            lookups.append(names)
+            return [wrap(name, f) for name, f in zip(names, lookup(names, arrays))]
+        return counting_lookup
 
-    monkeypatch.setattr(evolve, "get_lapack_funcs", counting_lookup)
-    return lookups, calls
+    for attr in ("get_lapack_funcs", "get_blas_funcs"):
+        monkeypatch.setattr(evolve, attr, counting(getattr(evolve, attr)))
+    return lookups, calls, pivots
 
 
 def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
-    # one lookup and one omega^2 read per run; a matrix is factored once per
-    # run of equal steps (TwoKicks: one per segment; Staircase: the kick at
-    # 0.5 sits inside a run, its three one-step runs take gtsv) and never
-    # when omega^2 changes on every step (ExpDecay: gtsv throughout)
-    lookups, calls = _count_lapack_calls(monkeypatch)
+    # one lookup of each library and one omega^2 read per march; a matrix is
+    # factored once per run of equal steps (TwoKicks: one per segment;
+    # Staircase: the kick at 0.5 sits inside a run, its three one-step runs
+    # take gtsv, and its run at omega^2 = -0.5 interchanges no rows either)
+    # and never when omega^2 changes on every step (ExpDecay: gtsv
+    # throughout); every step of a factored run is two tbsv sweeps
+    lookups, calls, pivots = _count_solver_calls(monkeypatch)
     two_kicks = CountingTwoKicks()
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
     cuts = (0.0, 0.3004, 0.55, 1.0)
@@ -609,9 +640,35 @@ def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
         lookups.clear()
         calls.clear()
         crank_nicolson(prof, p, 1.0, dt=1e-3)
-        assert lookups == [("gtsv", "gttrf", "gttrs")]
-        assert calls == Counter(gttrf=gttrf, gttrs=total - gtsv, gtsv=gtsv)
+        assert lookups == [("gtsv", "gttrf", "gttrs"), ("tbsv",)]
+        assert calls == Counter(gttrf=gttrf, tbsv=2 * (total - gtsv), gtsv=gtsv)
     assert two_kicks.shapes == [(n_steps,)]
+    assert len(pivots) == 8 and all(np.array_equal(ipiv, np.arange(1, 255)) for ipiv in pivots)
+
+
+def test_cn_solves_by_gttrs_after_a_row_interchange(monkeypatch):
+    # omega^2 = -4 with dt = 0.1 on [-8, 8]: gttrf interchanges rows, so
+    # each of the run's 10 steps takes gttrs, still bit for bit the march
+    _, calls, pivots = _count_solver_calls(monkeypatch)
+    profile = Expression("-4")
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 512))
+    with pytest.warns(StabilityWarning):
+        out = crank_nicolson(profile, p, 1.0, dt=0.1)
+    (ipiv,) = pivots
+    assert not np.array_equal(ipiv, np.arange(1, 511))
+    assert calls == Counter(gttrf=1, gttrs=10)
+    assert np.array_equal(out.psi, _cayley_reference(profile, p, 1.0, dt=0.1))
+
+
+def test_cn_long_swept_march_keeps_the_norm_and_the_reference():
+    # 5000 swept steps at n = 1024: the roundoff of the 2/d scaling does not
+    # build up, in the discrete norm or against the explicit-RHS march
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 1024))
+    out = crank_nicolson(Constant(1.0), p, 5.0, dt=1e-3)
+    norm = np.linalg.norm(p.psi)
+    assert abs(np.linalg.norm(out.psi) - norm) <= 1e-12 * norm
+    want = _cn_reference(Constant(1.0), p, 5.0)
+    assert np.linalg.norm(out.psi - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_cn_leaves_the_input_packet_unchanged():
@@ -631,7 +688,7 @@ def test_cn_leaves_the_input_packet_unchanged():
     ("gttrf", Staircase(), 0.2, 0.202),
 ])
 def test_cn_refuses_a_failed_factorization_naming_t(monkeypatch, routine, profile, t_a, t_fail):
-    _count_lapack_calls(monkeypatch, fail=routine)
+    _count_solver_calls(monkeypatch, fail=routine)
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256), t=t_a)
     with pytest.raises(StepFailure, match=r"info=1\) at t=") as exc:
         crank_nicolson(profile, p, 1.0, dt=1e-3)
