@@ -348,8 +348,8 @@ def closed_form(profile: FrequencyProfile) -> ClosedFormSolution | None:
                  "solver for anything quantitative.")
 
     if isinstance(profile, SechSquared):
-        al, be, t0 = profile.alpha, profile.beta, profile.t0
-        # lambda(lambda+1) = -alpha^2: conical -1/2 + i mu from alpha = 1/2 on
+        al, be, t0 = abs(profile.alpha), profile.beta, profile.t0
+        # lambda(lambda+1) = -alpha^2, so only |alpha| counts: conical -1/2 + i mu from |alpha| = 1/2 on
         degree = complex(-0.5, math.sqrt(al * al - 0.25)) if al >= 0.5 else \
             -0.5 - math.sqrt(0.25 - al * al)
 

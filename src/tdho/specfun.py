@@ -11,26 +11,27 @@ real-valued on (-1, 1) even though the degree is complex.
 Method selection
 ----------------
 The Legendre functions are summed here because scipy.special.hyp2f1 rejects
-the complex parameters of the conical case.  Every value is built from one
-Gauss series F(a, b; c; w) (DLMF 15.2.1), whose (a + k)(b + k) is a real
-quadratic in k driven only by lambda*(lambda+1), so the conical case never
-leaves real arithmetic.  For x > 0 that series is taken about x = 1 in
-w = (1 - x)/2.  For x <= 0 it converges too slowly, so the function is
-continued through x = 0 with the even/odd solutions of the Legendre equation,
-quadratically transformed series in w = x^2, joined with the exact values of
-P and dP/dx at 0 built from gamma factors.  legendre_p_dx writes each
-derivative as such series too, through d/dw F(a, b; c; w) = (ab/c)
-F(a+1, b+1; c+1; w) (DLMF 15.5.1) and d/dx [x F(a, b; 3/2; x^2)] =
-F(a, b; 1/2; x^2), so each value and each derivative is one or two series.
-An array is summed in one loop over the terms; each point stops adding
-terms where it alone would, so a float and an array give the same bits.
-Intended accuracy 1e-10 relative for |x| <= 0.99; the x -> -1
-endpoint is logarithmically singular and out of scope.
+the complex parameters of the conical case.  With a = -lambda, b = lambda + 1,
+(a + k)(b + k) = k^2 + k - lambda(lambda+1) is real, so no series leaves real
+arithmetic.  About x = 1, P is F(a, b; 1; z) in z = (1 - x)/2 (DLMF 15.2.1),
+and dP/dx the series of its derivative (DLMF 15.5.1).  About x = -1, P is the
+logarithmic series in w = (1 + x)/2 for c = a + b (DLMF 15.8.10), and dP/dx
+that series differentiated in w.  It serves x <= 0 when lambda(lambda+1) > 0,
+where the series about x = 1 alternates, and x <= -0.8 otherwise; an integer
+degree's series about x = 1 ends, so it serves every x.  Each value is thus
+one series, converging at least like 0.9^k.  An array is summed in one loop
+over the terms; each point stops adding terms where it alone would, so a float
+and an array give the same bits.  Accuracy on [-1 + 1e-12, 1] is 1e-13 of
+max(1, |P|) for real degrees up to 6 and conical mu up to 4.  Past them it
+falls: near x = 0 both series alternate with terms that grow with a real
+degree (1e-11 at 12.3, 1e-7 at 20.4), and about x = -1, 1/(G(a) G(b)) ~
+e^(pi mu)/(2 pi) scales the rounding (4e-12 at mu = 8, 1.5e-7 at 16).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -65,26 +66,18 @@ def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _degree_terms(degree: float | complex) -> tuple[float, float, float]:
-    """lambda(lambda+1), P(0) and P'(0) of a degree lambda.
+    """lambda(lambda+1), 1/(G(a) G(b)) and psi(a) + psi(b), with a = -lambda and b = lambda+1.
 
-    A real degree nu takes the gamma-factor values of DLMF 14.5.1-2; a
-    complex one must be conical, -1/2 + i mu, whose gamma arguments come in
-    conjugate pairs, so both products are |.|^2 and stay real.
+    All three are real, as a complex degree must be conical, -1/2 + i mu, with a and b conjugate.
+    psi takes complex arguments, as scipy's real psi loses digits next to its poles; an integer gives 0 and nan.
     """
     conical = isinstance(degree, complex)
     lam = complex(degree) if conical else float(degree)
     if not cmath.isfinite(lam) or (conical and lam.real != -0.5):
         raise DomainError(f"degree must be a finite real nu or -1/2 + i mu, got {degree!r}")
-    lam_lam1 = (lam * (lam + 1.0)).real
-    root_pi = math.sqrt(math.pi)
-    if conical:
-        g_even = special.gamma(complex(0.75, 0.5 * lam.imag))
-        g_odd = special.gamma(complex(0.25, 0.5 * lam.imag))
-        return (lam_lam1, root_pi / (g_even.real ** 2 + g_even.imag ** 2),
-                -2.0 * root_pi / (g_odd.real ** 2 + g_odd.imag ** 2))
-    return (lam_lam1,
-            root_pi * special.rgamma(0.5 * lam + 1.0) * special.rgamma(0.5 - 0.5 * lam),
-            -2.0 * root_pi * special.rgamma(0.5 * lam + 0.5) * special.rgamma(-0.5 * lam))
+    a, b = complex(-lam), complex(lam + 1.0)
+    return ((lam * (lam + 1.0)).real, (special.rgamma(a) * special.rgamma(b)).real,
+            (special.psi(a) + special.psi(b)).real)
 
 
 _MAX_TERMS = 200000
@@ -101,44 +94,50 @@ def legendre_p_dx(degree: float | complex, x: float | np.ndarray) -> float | np.
 
 
 def _legendre(degree: float | complex, x: float | np.ndarray, derivative: bool):
-    L, p0, dp0 = _degree_terms(degree)
+    L, C, S = _degree_terms(degree)
     xs = np.asarray(x, dtype=float)
     bad = xs[~((-1.0 < xs) & (xs <= 1.0))]
     if bad.size:
         raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
     out = np.empty(xs.shape)
-    right = xs > 0.0
-    x1, x0 = xs[right], xs[~right]
-    z, x2 = 0.5 * (1.0 - x1), x0 * x0
+    left = xs <= ((0.0 if L > 0.0 else -0.8) if math.isfinite(S) else -1.0)  # about x = -1
+    z, w = 0.5 * (1.0 - xs[~left]), 0.5 * (1.0 + xs[left])
     # about x = 1: P = F(-lam, lam+1; 1; z), dP/dx = (L/2) F(1-lam, lam+2; 2; z);
-    # about x = 0: P = p0 E + dp0 O with E = F(-lam/2, (lam+1)/2; 1/2; x^2) and
-    # O = x F((1-lam)/2, lam/2+1; 3/2; x^2), whose derivatives are DLMF 15.5.1
-    # for E and d/dx [x F(a, b; 3/2; x^2)] = F(a, b; 1/2; x^2) for O
+    # about x = -1: P = C sum_k t_k (h_k - ln w), dP/dx = (C/2w) sum_k t_k (k (h_k - ln w) - 1)
     if derivative:
-        out[right] = 0.5 * L * _series(3.0, 2.0 - L, 2.0, z, "1", x1)
-        out[~right] = (-L * p0 * x0 * _series(2.5, 1.5 - 0.25 * L, 1.5, x2, "0", x0)
-                       + dp0 * _series(1.5, 0.25 * (2.0 - L), 0.5, x2, "0", x0))
+        out[~left] = 0.5 * L * _sum(_gauss(3.0, 2.0 - L, 2.0, z), "1", xs[~left])
+        out[left] = 0.5 * C / w * _sum(_log_terms(L, S, w, True), "-1", xs[left])
     else:
-        out[right] = _series(1.0, -L, 1.0, z, "1", x1)
-        out[~right] = (p0 * _series(0.5, -0.25 * L, 0.5, x2, "0", x0)
-                       + dp0 * x0 * _series(1.5, 0.25 * (2.0 - L), 1.5, x2, "0", x0))
+        out[~left] = _sum(_gauss(1.0, -L, 1.0, z), "1", xs[~left])
+        out[left] = C * _sum(_log_terms(L, S, w, False), "-1", xs[left])
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _series(p: float, q: float, c: float, w: np.ndarray, about: str, x: np.ndarray) -> np.ndarray:
-    """The Gauss series F(a, b; c; w) whose (a + k)(b + k) is k^2 + p k + q.
+def _gauss(p: float, q: float, c: float, w: np.ndarray):
+    """The terms of the Gauss series F(a, b; c; w) whose (a + k)(b + k) is k^2 + p k + q."""
+    term = 1.0
+    for k in itertools.count():
+        yield term
+        term = term * ((k * k + p * k + q) * w / ((k + c) * (k + 1.0)))
 
-    Term k+1 is term k times (k^2 + p k + q) w / ((k + c)(k + 1)).  Each point
-    of w stops adding terms once a term past the fifth falls below 1e-17 of
-    its sum; about and x name the expansion and the points in the error.
-    """
-    term = total = 1.0
-    live = True  # per point of w: still adding terms
-    for k in range(_MAX_TERMS):
-        term *= (k * k + p * k + q) * w / ((k + c) * (k + 1.0))
+
+def _log_terms(L: float, S: float, w: np.ndarray, derivative: bool):
+    """The terms t_k (h_k - ln w) of F(a, b; a + b; 1 - w) / C (DLMF 15.8.10), or those of its w d/dw."""
+    g = -2.0 * np.euler_gamma - S - np.log(w)  # h_k - ln w, h_k = 2 psi(k+1) - psi(a+k) - psi(b+k)
+    for k, t in enumerate(_gauss(1.0, -L, 1.0, w)):
+        yield t * (k * g - 1.0) if derivative else t * g
+        g = g + 2.0 / (k + 1.0) - (2.0 * k + 1.0) / (k * k + k - L)
+
+
+def _sum(terms, about: str, x: np.ndarray) -> np.ndarray:
+    """Sum terms at each point of x until one past the sixth falls below 1e-17 of its sum."""
+    total, live, k = next(terms), np.ones(x.shape, bool), 0  # live per point of x: still adding terms
+    while live.any():
+        if k == _MAX_TERMS:
+            raise DomainError(f"legendre series about x={about} did not converge in {k} terms at "
+                              f"{np.count_nonzero(live)} of {x.size} points, the first x={float(x[live][0])!r}")
+        term = next(terms)
         total += term * live
         live &= (abs(term) > 1e-17 * abs(total)) | (k <= 4)
-        if not live.any():
-            return total
-    raise DomainError(f"legendre series about x={about} did not converge in {_MAX_TERMS} terms at "
-                      f"{np.count_nonzero(live)} of {x.size} points, the first x={float(x[live][0])!r}")
+        k += 1
+    return total

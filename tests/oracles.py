@@ -58,6 +58,37 @@ def legendre_p_series(lam_lam1: float, x: float, terms: int = 40) -> float:
     return math.fsum(vals)
 
 
+def legendre_p_near_minus_one(lam_lam1: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """P and (1 + x) dP/dx at the points x of (-1, -1/2], by the Legendre equation in s = ln((1 + x)/2).
+
+    In w = (1 + x)/2 the equation is w(1 - w) P'' + (1 - 2w) P' + L P = 0,
+    and in s = ln w it is P_ss = w (P_s - L P) / (1 - w): its right side dies
+    like e^s, so P tends to A + B s, the logarithm at x = -1, and DOP853
+    follows it to x = -1 + 1e-12 in a few dozen steps.  It starts at x = -1/2
+    from the series about x = 1 in z = 3/4, summed to 400 terms with fsum,
+    and from that series differentiated term by term.  (1 + x) dP/dx is P_s,
+    which stays well conditioned where P has no logarithm (an integer degree).
+    """
+    import scipy.integrate
+    z, t, vals, dvals = 0.75, 1.0, [1.0], []
+    for k in range(400):
+        t *= (k * (k + 1.0) - lam_lam1) * z / ((k + 1.0) ** 2)
+        vals.append(t)
+        dvals.append((k + 1.0) * t / z)
+    # P_s = w dP/dw = -w dP/dz, with w = 1/4 at x = -1/2
+    y0 = [math.fsum(vals), -0.25 * math.fsum(dvals)]
+    s, at = np.unique(np.log(0.5 * (1.0 + np.asarray(x, dtype=float))), return_inverse=True)
+
+    def rhs(s, y):
+        w = math.exp(s)
+        return [y[1], w * (y[1] - lam_lam1 * y[0]) / (1.0 - w)]
+
+    sol = scipy.integrate.solve_ivp(rhs, (math.log(0.25), s[0]), y0, method="DOP853",
+                                    t_eval=s[::-1], rtol=3e-14, atol=1e-15)
+    p, p_s = sol.y[:, ::-1][:, at]
+    return p, p_s
+
+
 # ---------------------------------------------------------------------------
 # reference propagators
 

@@ -523,6 +523,21 @@ def test_validate_family_and_params_are_the_profile_json(tmp_path, profile):
         {k: (v, type(v)) for k, v in given.items()}
 
 
+def test_validate_sech_squared_reads_only_the_size_of_alpha(tmp_path, capsys):
+    # omega^2 = alpha^2 sech^2(beta (t - t0)) and the degree of the closed form
+    # depend on alpha^2 only, so a negative alpha, which the schema accepts,
+    # gives the report of its positive twin
+    reports = []
+    for alpha in (1, -1):
+        cfg = {"task": "validate", "profile": {"type": "sech_squared", "alpha": alpha, "beta": 1, "t0": 0.5},
+               "window": {"t_a": 0.0, "t_b": 1.0}}
+        out = tmp_path / f"alpha{alpha}"
+        assert main(["validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        reports.append(json.loads((out / "validate.json").read_text())["report"])
+    assert reports[0] == reports[1]
+
+
 def test_validate_without_closed_form_exits_1(tmp_path, capsys):
     cfg = {"task": "validate",
            "profile": {"type": "tabulated", "t": [0.0, 0.5, 1.0],

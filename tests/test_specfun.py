@@ -149,9 +149,12 @@ def test_degree_lambda_products():
     assert legendre_p(2.0, 0.5) == pytest.approx(oracles.legendre_p_series(6.0, 0.5), rel=1e-14)
     assert legendre_p(complex(-0.5, 1.3), 0.5) == pytest.approx(
         oracles.legendre_p_series(-(1.3 ** 2 + 0.25), 0.5), rel=1e-14)
-    # and past x = 0 through P(0) and P'(0) as well, to roundoff
+    # and past x = 0: an integer degree's series about x = 1 serves every x, and
+    # about x = -1 nu and -1 - nu swap a = -nu and b = nu + 1, which leaves
+    # 1/(G(a) G(b)) and psi(a) + psi(b) alone, so they agree to roundoff
     x = np.linspace(-0.9, 0.0, 10)
-    assert legendre_p(2.0, x) == pytest.approx(legendre_p(-3.0, x), rel=1e-13, abs=1e-14)
+    assert np.array_equal(legendre_p(2.0, x), legendre_p(-3.0, x))
+    assert legendre_p(1.7, x) == pytest.approx(legendre_p(-2.7, x), rel=1e-13, abs=1e-14)
 
 
 def test_legendre_pinned_identities():
@@ -202,14 +205,16 @@ def test_legendre_negative_x_branch():
             assert legendre_p(d, x) == pytest.approx(want[x], rel=2e-9, abs=2e-9)
 
 
-def test_legendre_smooth_across_zero():
-    # P(0) from the about-zero branch matches a cubic extrapolation of the
-    # about-one branch; mismatch would mean the branches are misaligned
-    h = 0.005
-    for d in (2.3, 0.9, complex(-0.5, 0.8), complex(-0.5, 2.0)):
-        extrap = (4 * legendre_p(d, h) - 6 * legendre_p(d, 2 * h)
-                  + 4 * legendre_p(d, 3 * h) - legendre_p(d, 4 * h))
-        assert abs(extrap - legendre_p(d, 0.0)) <= 1e-6
+@pytest.mark.parametrize("d, seam", [(2.3, 0.0), (0.9, 0.0), (5.2, 0.0), (2.0 + 1e-7, 0.0), (-0.3, -0.8),
+                                     (-0.75, -0.8), (complex(-0.5, 0.8), -0.8), (complex(-0.5, 4.0), -0.8)])
+def test_legendre_continuous_across_each_seam(d, seam):
+    # the series about x = -1 ends at x = 0 when lambda(lambda+1) > 0 and at
+    # x = -0.8 otherwise; the series about x = 1 takes the next float up, so
+    # a mismatch of the branches shows as a jump in P or dP/dx there
+    x = np.array([seam, np.nextafter(seam, 1.0)])
+    for fn in (legendre_p, legendre_p_dx):
+        left, right = fn(d, x)
+        assert abs(left - right) <= 1e-13 * max(1.0, abs(left)), fn
 
 
 def test_legendre_ode_residual():
@@ -250,6 +255,49 @@ def test_legendre_derivative_satisfies_the_degree_recurrence(nu):
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
+# degrees on both sides of lambda(lambda+1) = 0, next to the integer 2 and at
+# it, and conical; the series about x = -1 takes near-integer degrees through
+# psi next to its poles
+NEAR_MINUS_ONE_DEGREES = [0.3, 1.7, 5.2, -0.3, -0.75, 2.0 - 1e-7, 2.0 + 1e-7, 2.0 - 1e-12, 2.0 + 1e-12, 3.0,
+                          complex(-0.5, 0.5), complex(-0.5, 1.3), complex(-0.5, 4.0)]
+NEAR_MINUS_ONE = np.concatenate([-1.0 + np.geomspace(1e-12, 0.5, 40, endpoint=False),
+                                 np.linspace(-0.5, 1.0, 31)])
+
+
+@pytest.mark.parametrize("d", NEAR_MINUS_ONE_DEGREES, ids=repr)
+def test_legendre_bounded_cost_down_to_minus_one(d, monkeypatch):
+    # every series converges at least like 0.9^k: the one about x = -1 serves
+    # (1 + x)/2 <= 1/2, and the one about x = 1 serves (1 - x)/2 <= 0.9 and has
+    # terms of one sign there, so 400 terms reach 1e-17 of the sum even for
+    # conical mu = 4 (357 terms), at any x down to -1 + 1e-12
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 400)
+    for fn in (legendre_p, legendre_p_dx):
+        assert np.all(np.isfinite(fn(d, NEAR_MINUS_ONE)))
+
+
+@pytest.mark.parametrize("d", NEAR_MINUS_ONE_DEGREES, ids=repr)
+def test_legendre_near_minus_one_matches_the_ode_oracle(d):
+    # the oracle integrates the Legendre equation in ln((1 + x)/2) from x = -1/2;
+    # the derivative is compared as (1 + x) dP/dx, which the logarithm keeps O(P)
+    x = NEAR_MINUS_ONE[NEAR_MINUS_ONE <= -0.5]
+    want, want_s = oracles.legendre_p_near_minus_one(_lam_lam1(d), x)
+    scale = np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(legendre_p(d, x) - want) <= 1e-12 * scale)
+    assert np.all(np.abs((1.0 + x) * legendre_p_dx(d, x) - want_s) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.3, 2.0, 3.9])
+def test_conical_keeps_the_series_about_one_down_to_minus_0_8(mu):
+    # the series about x = -1 carries 1/(G(a) G(b)) = cosh(pi mu)/pi times the
+    # rounding, about 3e-11 near x = 0 at mu = 3.9; the series about x = 1 has
+    # terms of one sign for a conical degree, so 400 of them summed by fsum are
+    # a reference down to x = -0.8, where (1 - x)/2 = 0.9
+    d = complex(-0.5, mu)
+    for x in np.linspace(-0.8, 0.0, 17):
+        want = oracles.legendre_p_series(_lam_lam1(d), x, terms=400)
+        assert abs(legendre_p(d, x) - want) <= 1e-13 * max(1.0, abs(want)), x
+
+
 def test_legendre_domain_errors():
     d = 1.0
     with pytest.raises(DomainError):
@@ -260,12 +308,12 @@ def test_legendre_domain_errors():
         legendre_p(d, -1.5)
 
 
-@pytest.mark.parametrize("about, converging, slow", [
-    ("0", [-0.1, -0.2, -0.3], -1.0 + np.geomspace(1e-8, 1e-2, 300)),  # about x = 0: near -1
-    ("1", [0.999, 0.99, 0.9], np.geomspace(1e-3, 1e-1, 300)),         # about x = 1: near 0
+@pytest.mark.parametrize("about, cap, converging, slow", [
+    ("-1", 8, [-1.0 + 1e-12, -1.0 + 1e-9, -1.0 + 1e-6], -0.8 - np.geomspace(1e-3, 1e-1, 300)),  # near x = -0.8
+    ("1", 20, [0.999, 0.99, 0.9], np.geomspace(1e-3, 1e-1, 300)),                              # near x = 0
 ])
-def test_unconverged_series_names_its_first_point_on_one_line(about, converging, slow, monkeypatch):
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 20)
+def test_unconverged_series_names_its_first_point_on_one_line(about, cap, converging, slow, monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", cap)
     x = np.concatenate([converging, slow])
     with pytest.raises(DomainError) as exc:
         legendre_p(complex(-0.5, 1.0), x)
