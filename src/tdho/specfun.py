@@ -1,31 +1,29 @@
 """Special functions needed by the closed-form solution catalog.
 
-Only what the catalog uses, nothing more: the gamma function and Bessel J of
-real order nu >= 0 (both from scipy.special), and Legendre P on (-1, 1] of a
-degree lambda given as one number: a float nu, or a complex -1/2 + i*mu for
-the conical case (DLMF 14.20); any other degree raises DomainError.
-bessel_j, legendre_p and legendre_p_dx take x as a float or an ndarray and
-return a real float or an array of x's shape; the conical case is
-real-valued on (-1, 1) even though the degree is complex.
+Only what the catalog uses: gamma and Bessel J of real order nu >= 0 (from
+scipy.special), and Legendre P on (-1, 1] of a degree given as a float nu or,
+in the conical case (DLMF 14.20), a complex -1/2 + i*mu, at most _MAX_TERMS
+in size; any other degree raises DomainError.  bessel_j, legendre_p and
+legendre_p_dx take x as a float or an ndarray and return a real float or an
+array of x's shape.
 
 Method selection
 ----------------
 The Legendre functions are summed here because scipy.special.hyp2f1 rejects
-the complex parameters of the conical case.  With a = -lambda, b = lambda + 1,
-(a + k)(b + k) = k^2 + k - lambda(lambda+1) is real, so no series leaves real
-arithmetic.  About x = 1, P is F(a, b; 1; z) in z = (1 - x)/2 (DLMF 15.2.1),
-and dP/dx the series of its derivative (DLMF 15.5.1).  About x = -1, P is the
-logarithmic series in w = (1 + x)/2 for c = a + b (DLMF 15.8.10), and dP/dx
-that series differentiated in w.  It serves x <= 0 when lambda(lambda+1) > 0,
-where the series about x = 1 alternates, and x <= -0.8 otherwise; an integer
-degree's series about x = 1 ends, so it serves every x.  Each value is thus
-one series, converging at least like 0.9^k.  An array is summed in one loop
-over the terms; each point stops adding terms where it alone would, so a float
-and an array give the same bits.  Accuracy on [-1 + 1e-12, 1] is 1e-13 of
-max(1, |P|) for real degrees up to 6 and conical mu up to 4.  Past them it
-falls: near x = 0 both series alternate with terms that grow with a real
-degree (1e-11 at 12.3, 1e-7 at 20.4), and about x = -1, 1/(G(a) G(b)) ~
-e^(pi mu)/(2 pi) scales the rounding (4e-12 at mu = 8, 1.5e-7 at 16).
+the complex parameters of the conical case.  With a = -lambda, b = lambda + 1
+and L = lambda(lambda+1), (a + k)(b + k) = k^2 + k - L is real, so no series
+leaves real arithmetic.  P is F(a, b; 1; z) about x = 1, z = (1 - x)/2 (DLMF
+15.2.1), and the logarithmic series for c = a + b about x = -1, w = (1 + x)/2
+(DLMF 15.8.10); dP/dx is each differentiated.  The latter serves x <= 0 if
+L > 0, where the former alternates, and w <= min(1/10, 2/|L|) if L < 0, as
+1/(G(a) G(b)) ~ e^(pi mu)/(2 pi) scales its rounding (the former then takes
+some 20|L| terms).  Both lose digits near x = 0 as a real degree grows, so
+past 2 x <= 0 is reached from [0, 2) by the recurrence in the degree (DLMF
+14.10.3); an integer below 2 ends its series about x = 1, which serves all x.
+One loop over the terms sums an array; each point stops where it alone would,
+so a float and an array give the same bits.  On [-1 + 1e-12, 0] the error is
+below 1e-13 of max(1, |P|) for real degrees up to 30 and conical mu up to 16;
+at x > 0 a real degree past 8 loses digits near 0 (1e-7 at 20.4).
 """
 
 from __future__ import annotations
@@ -40,13 +38,11 @@ from scipy import special
 from .errors import DomainError
 
 __all__ = ["gamma", "bessel_j", "legendre_p", "legendre_p_dx"]
+_MAX_TERMS = 200000  # terms of one Legendre series at a point, and steps of the recurrence
 
 
 def gamma(z):
-    """Gamma function (scipy.special.gamma).
-
-    Real in, real out (inf at the poles 0, -1, -2, ...); complex in, complex out.
-    """
+    """scipy.special.gamma: real in, real out (inf at the poles 0, -1, -2, ...); complex in, complex out."""
     if isinstance(z, complex):
         return complex(special.gamma(z))
     x = float(z)
@@ -68,19 +64,16 @@ def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
 def _degree_terms(degree: float | complex) -> tuple[float, float, float]:
     """lambda(lambda+1), 1/(G(a) G(b)) and psi(a) + psi(b), with a = -lambda and b = lambda+1.
 
-    All three are real, as a complex degree must be conical, -1/2 + i mu, with a and b conjugate.
-    psi takes complex arguments, as scipy's real psi loses digits next to its poles; an integer gives 0 and nan.
+    All are real, as a complex degree must be conical, -1/2 + i mu.  psi takes complex arguments, as scipy's
+    real psi loses digits next to its poles; an integer degree gives 0 and nan.
     """
     conical = isinstance(degree, complex)
     lam = complex(degree) if conical else float(degree)
-    if not cmath.isfinite(lam) or (conical and lam.real != -0.5):
-        raise DomainError(f"degree must be a finite real nu or -1/2 + i mu, got {degree!r}")
+    if not cmath.isfinite(lam) or (conical and lam.real != -0.5) or abs(lam) > _MAX_TERMS:
+        raise DomainError(f"degree must be a finite real nu or -1/2 + i mu, got {degree!r}, of size <= {_MAX_TERMS}")
     a, b = complex(-lam), complex(lam + 1.0)
     return ((lam * (lam + 1.0)).real, (special.rgamma(a) * special.rgamma(b)).real,
             (special.psi(a) + special.psi(b)).real)
-
-
-_MAX_TERMS = 200000
 
 
 def legendre_p(degree: float | complex, x: float | np.ndarray) -> float | np.ndarray:
@@ -99,17 +92,24 @@ def _legendre(degree: float | complex, x: float | np.ndarray, derivative: bool):
     bad = xs[~((-1.0 < xs) & (xs <= 1.0))]
     if bad.size:
         raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
-    out = np.empty(xs.shape)
-    left = xs <= ((0.0 if L > 0.0 else -0.8) if math.isfinite(S) else -1.0)  # about x = -1
+    nu = -1.0 if isinstance(degree, complex) else max(float(degree), -1.0 - float(degree))
+    # x <= seam about x = -1, or by the recurrence for nu >= 2; x > seam about x = 1
+    seam = (0.0 if L > 0.0 else 2.0 * min(0.1, -2.0 / L) - 1.0) if nu >= 2.0 or math.isfinite(S) else -1.0
+    left, out = xs <= seam, np.empty(xs.shape)
     z, w = 0.5 * (1.0 - xs[~left]), 0.5 * (1.0 + xs[left])
     # about x = 1: P = F(-lam, lam+1; 1; z), dP/dx = (L/2) F(1-lam, lam+2; 2; z);
     # about x = -1: P = C sum_k t_k (h_k - ln w), dP/dx = (C/2w) sum_k t_k (k (h_k - ln w) - 1)
-    if derivative:
-        out[~left] = 0.5 * L * _sum(_gauss(3.0, 2.0 - L, 2.0, z), "1", xs[~left])
-        out[left] = 0.5 * C / w * _sum(_log_terms(L, S, w, True), "-1", xs[left])
+    p, q, c, scale = (3.0, 2.0 - L, 2.0, 0.5 * L) if derivative else (1.0, -L, 1.0, 1.0)
+    out[~left] = scale * _sum(_gauss(p, q, c, z), "1", xs[~left]) if scale else 0.0
+    if nu >= 2.0:  # from the degrees n - 1, n in [0, 2) by DLMF 14.10.3 and its x-derivative, all exact
+        n0, x0 = nu - math.floor(nu) + 1.0, xs[left]
+        p0, p1, d0, d1 = (_legendre(m, x0, d) for d in (False, True) for m in (n0 - 1.0, n0))
+        for n in n0 + np.arange(math.floor(nu) - 1.0):
+            p0, p1, d0, d1 = (p1, ((2.0 * n + 1.0) * x0 * p1 - n * p0) / (n + 1.0),
+                              d1, ((2.0 * n + 1.0) * (p1 + x0 * d1) - n * d0) / (n + 1.0))
+        out[left] = d1 if derivative else p1
     else:
-        out[~left] = _sum(_gauss(1.0, -L, 1.0, z), "1", xs[~left])
-        out[left] = C * _sum(_log_terms(L, S, w, False), "-1", xs[left])
+        out[left] = (0.5 * C / w if derivative else C) * _sum(_log_terms(L, S, w, derivative), "-1", xs[left])
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -89,6 +89,30 @@ def legendre_p_near_minus_one(lam_lam1: float, x) -> tuple[np.ndarray, np.ndarra
     return p, p_s
 
 
+def legendre_p_mehler(nu: float, x: float) -> float:
+    """P_nu(x) for a real degree nu and x in (-1, 1) by the Mehler-Dirichlet integral (DLMF 14.12.1).
+
+    With x = cos(theta), P_nu = (sqrt 2/pi) int_0^theta cos((nu + 1/2) phi) /
+    sqrt(cos phi - cos theta) dphi.  phi = theta (1 - s^2) removes the inverse
+    square root at phi = theta, and cos phi - cos theta is taken as the product
+    2 sin((theta + phi)/2) sin(theta s^2/2), so quad meets a smooth integrand.
+    Its accuracy does not depend on the degree, unlike any series in x; away
+    from x = -1, where the integrand peaks, it is about 1e-15.
+    """
+    import scipy.integrate
+    th = math.acos(x)
+
+    def f(s):
+        if s == 0.0:
+            return 2.0 * math.sqrt(th / math.sin(th))
+        phi = th * (1.0 - s * s)
+        return 2.0 * th * s * math.cos((nu + 0.5) * phi) / math.sqrt(
+            2.0 * math.sin(0.5 * (th + phi)) * math.sin(0.5 * th * s * s))
+
+    v, _ = scipy.integrate.quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
+    return math.sqrt(2.0) / math.pi * v
+
+
 # ---------------------------------------------------------------------------
 # reference propagators
 

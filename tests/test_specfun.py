@@ -149,9 +149,9 @@ def test_degree_lambda_products():
     assert legendre_p(2.0, 0.5) == pytest.approx(oracles.legendre_p_series(6.0, 0.5), rel=1e-14)
     assert legendre_p(complex(-0.5, 1.3), 0.5) == pytest.approx(
         oracles.legendre_p_series(-(1.3 ** 2 + 0.25), 0.5), rel=1e-14)
-    # and past x = 0: an integer degree's series about x = 1 serves every x, and
-    # about x = -1 nu and -1 - nu swap a = -nu and b = nu + 1, which leaves
-    # 1/(G(a) G(b)) and psi(a) + psi(b) alone, so they agree to roundoff
+    # and past x = 0: from degree 2 on, nu and -1 - nu take the recurrence from
+    # the same degrees, and about x = -1 they swap a = -nu and b = nu + 1, which
+    # leaves 1/(G(a) G(b)) and psi(a) + psi(b) alone, so they agree to roundoff
     x = np.linspace(-0.9, 0.0, 10)
     assert np.array_equal(legendre_p(2.0, x), legendre_p(-3.0, x))
     assert legendre_p(1.7, x) == pytest.approx(legendre_p(-2.7, x), rel=1e-13, abs=1e-14)
@@ -205,12 +205,20 @@ def test_legendre_negative_x_branch():
             assert legendre_p(d, x) == pytest.approx(want[x], rel=2e-9, abs=2e-9)
 
 
+def _conical_seam(mu):
+    """Where the series about x = -1 hands a conical degree over: (1 + x)/2 = min(1/10, 2/|lambda(lambda+1)|)."""
+    return 2.0 * min(0.1, -2.0 / specfun._degree_terms(complex(-0.5, mu))[0]) - 1.0
+
+
 @pytest.mark.parametrize("d, seam", [(2.3, 0.0), (0.9, 0.0), (5.2, 0.0), (2.0 + 1e-7, 0.0), (-0.3, -0.8),
-                                     (-0.75, -0.8), (complex(-0.5, 0.8), -0.8), (complex(-0.5, 4.0), -0.8)])
+                                     (-0.75, -0.8), (complex(-0.5, 0.8), -0.8), (complex(-0.5, 4.0), -0.8),
+                                     (complex(-0.5, 12.0), _conical_seam(12.0)),
+                                     (complex(-0.5, 16.0), _conical_seam(16.0))])
 def test_legendre_continuous_across_each_seam(d, seam):
-    # the series about x = -1 ends at x = 0 when lambda(lambda+1) > 0 and at
-    # x = -0.8 otherwise; the series about x = 1 takes the next float up, so
-    # a mismatch of the branches shows as a jump in P or dP/dx there
+    # x <= 0 is summed about x = -1 when lambda(lambda+1) > 0, or carried by the
+    # recurrence in the degree from 2 on, and (1 + x)/2 <= min(1/10, 2/|lambda(lambda+1)|)
+    # otherwise; the series about x = 1 takes the next float up, so a mismatch
+    # of the branches shows as a jump in P or dP/dx there
     x = np.array([seam, np.nextafter(seam, 1.0)])
     for fn in (legendre_p, legendre_p_dx):
         left, right = fn(d, x)
@@ -258,7 +266,7 @@ def test_legendre_derivative_satisfies_the_degree_recurrence(nu):
 # degrees on both sides of lambda(lambda+1) = 0, next to the integer 2 and at
 # it, and conical; the series about x = -1 takes near-integer degrees through
 # psi next to its poles
-NEAR_MINUS_ONE_DEGREES = [0.3, 1.7, 5.2, -0.3, -0.75, 2.0 - 1e-7, 2.0 + 1e-7, 2.0 - 1e-12, 2.0 + 1e-12, 3.0,
+NEAR_MINUS_ONE_DEGREES = [0.3, 1.7, 5.2, -0.3, -0.75, 2.0 - 1e-7, 2.0 + 1e-7, 2.0 - 1e-12, 2.0 + 1e-12, 0.0, 3.0,
                           complex(-0.5, 0.5), complex(-0.5, 1.3), complex(-0.5, 4.0)]
 NEAR_MINUS_ONE = np.concatenate([-1.0 + np.geomspace(1e-12, 0.5, 40, endpoint=False),
                                  np.linspace(-0.5, 1.0, 31)])
@@ -296,6 +304,46 @@ def test_conical_keeps_the_series_about_one_down_to_minus_0_8(mu):
     for x in np.linspace(-0.8, 0.0, 17):
         want = oracles.legendre_p_series(_lam_lam1(d), x, terms=400)
         assert abs(legendre_p(d, x) - want) <= 1e-13 * max(1.0, abs(want)), x
+
+
+@pytest.mark.parametrize("mu", [8.0, 12.0, 16.0])
+def test_conical_seam_moves_toward_minus_one_as_mu_grows(mu):
+    # past mu = 4 the series about x = -1 would carry cosh(pi mu)/pi times its
+    # rounding to (1 + x)/2 = 1/10 (1.5e-7 at mu = 16), so it hands over at
+    # 2/|lambda(lambda+1)|; the series about x = 1 stays one-signed there, and
+    # summed by fsum to well past its last digit it is the reference either side
+    d, seam = complex(-0.5, mu), _conical_seam(mu)
+    for f in (0.5, 0.9, 1.0, 1.1, 2.0, 5.0):
+        x = -1.0 + f * (1.0 + seam)
+        want = oracles.legendre_p_series(_lam_lam1(d), x, terms=int(120.0 / (f * (1.0 + seam))))
+        assert abs(legendre_p(d, x) - want) <= 1e-13 * max(1.0, abs(want)), f
+
+
+@pytest.mark.parametrize("n", [2.0, 3.0, 10.0, 20.0, -21.0])
+def test_integer_degree_has_parity_down_to_minus_one(n):
+    # P_n(-x) = (-1)^n P_n(x) and P_n'(-x) = (-1)^(n+1) P_n'(x); the series about
+    # x = 1 has terms up to C(n,k) C(n+k,k) z^k (5e13 at n = 20, z -> 1), so x <= 0
+    # is carried by the recurrence in the degree and must match x > 0 close to 1
+    m = n if n >= 0 else -1.0 - n
+    x = np.array([-0.9, -0.99, -0.999, -1.0 + 1e-12])
+    sign = -1.0 if m % 2 else 1.0
+    for fn, s in ((legendre_p, sign), (legendre_p_dx, -sign)):
+        want = s * fn(n, -x)
+        assert np.all(np.abs(fn(n, x) - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), fn
+    assert legendre_p(n, -1.0 + 1e-12) == pytest.approx(sign, abs=m * (m + 1.0) * 1e-12)
+
+
+@pytest.mark.parametrize("nu", [10.0, 12.3, 20.4, -21.4, 25.3])
+def test_large_real_degree_matches_mehler_dirichlet_at_negative_x(nu):
+    # both series lose digits near x = 0 as the degree grows (each about 1e-10
+    # at 20.4); the recurrence in the degree does not.  dP/dx is checked through
+    # (1 - x^2) P'_nu = (nu + 1)(x P_nu - P_{nu+1}) (DLMF 14.10.5) on the oracle
+    x = np.linspace(-0.95, 0.0, 20)
+    p = np.array([oracles.legendre_p_mehler(nu, v) for v in x])
+    p1 = np.array([oracles.legendre_p_mehler(nu + 1.0, v) for v in x])
+    dp = (nu + 1.0) * (x * p - p1) / (1.0 - x * x)
+    assert np.all(np.abs(legendre_p(nu, x) - p) <= 1e-13 * np.maximum(1.0, np.abs(p)))
+    assert np.all(np.abs(legendre_p_dx(nu, x) - dp) <= 3e-13 * np.maximum(1.0, np.abs(dp)))
 
 
 def test_legendre_domain_errors():
@@ -339,6 +387,15 @@ def test_degree_refuses_non_finite_parameters(value):
                 fn(degree, 0.5)
     with pytest.raises(DomainError, match=f"got {value!r}"):
         legendre_p(value, np.array([]))
+
+
+def test_degree_refuses_more_recurrence_steps_than_the_term_cap(monkeypatch):
+    # a real degree reaches x <= 0 in about |degree| steps of the recurrence
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 50)
+    assert math.isfinite(legendre_p(50.0, -0.5)) and math.isfinite(legendre_p_dx(-50.0, -0.5))
+    for degree in (50.5, -51.5, complex(-0.5, 50.0)):
+        with pytest.raises(DomainError, match=re.escape(f"got {degree!r}, of size <= 50")):
+            legendre_p(degree, -0.5)
 
 
 @pytest.mark.parametrize("degree", [complex(2.0, 0.0), complex(0.0, 1.0), complex(-0.5 + 1e-16, 1.0),
