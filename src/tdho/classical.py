@@ -138,9 +138,10 @@ class FundamentalPair:
 
     @cached_property
     def wronskian_drift(self) -> float:
-        """max |u v' - u' v - 1| over 100 uniform sample times."""
+        """max |u v' - u' v - 1| / (|u v'| + |u' v|) over 100 uniform sample times: relative, as the
+        products' rounding alone is eps |u v'|, which grows like e^(2 k t) on omega^2 = -k^2."""
         u, ud, v, vd = self.state(np.linspace(self.t_a, self.t_b, 100))
-        return float(np.max(np.abs(u * vd - ud * v - 1.0)))
+        return float(np.max(np.abs(u * vd - ud * v - 1.0) / (np.abs(u * vd) + np.abs(ud * v))))
 
 
 def _magnus(profile: FrequencyProfile, t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,17 +13,17 @@ The Legendre functions are summed here because scipy.special.hyp2f1 rejects
 the complex parameters of the conical case.  With a = -lambda, b = lambda + 1
 and L = lambda(lambda+1), (a + k)(b + k) = k^2 + k - L is real, so no series
 leaves real arithmetic.  P is F(a, b; 1; z) about x = 1, z = (1 - x)/2 (DLMF
-15.2.1), and the logarithmic series for c = a + b about x = -1, w = (1 + x)/2
-(DLMF 15.8.10); dP/dx is each differentiated.  The latter serves x <= 0 if
-L > 0, where the former alternates, and w <= min(1/10, 2/|L|) if L < 0, as
-1/(G(a) G(b)) ~ e^(pi mu)/(2 pi) scales its rounding (the former then takes
-some 20|L| terms).  Both lose digits near x = 0 as a real degree grows, so
-past 2 x <= 0 is reached from [0, 2) by the recurrence in the degree (DLMF
-14.10.3); an integer below 2 ends its series about x = 1, which serves all x.
+15.2.1), or the logarithmic series for c = a + b about x = -1, w = (1 + x)/2
+(DLMF 15.8.10); dP/dx is each differentiated.  Both lose digits near x = 0 as
+a real degree grows, so nu = max(lambda, -1 - lambda) from 2 on takes the
+recurrence in the degree (DLMF 14.10.3) from nu - floor(nu) + {0, 1} at every
+x; an integer below 2 takes its terminating series about x = 1 at every x.
+Any other degree takes the series about x = -1 at x <= 0 if L > 0, where the
+other alternates, and at w <= min(1/10, 2/|L|) if L < 0, as 1/(G(a) G(b)) ~
+e^(pi mu)/(2 pi) scales its rounding, and the series about x = 1 elsewhere.
 One loop over the terms sums an array; each point stops where it alone would,
-so a float and an array give the same bits.  On [-1 + 1e-12, 0] the error is
-below 1e-13 of max(1, |P|) for real degrees up to 30 and conical mu up to 16;
-at x > 0 a real degree past 8 loses digits near 0 (1e-7 at 20.4).
+so a float and an array give the same bits.  On [-1 + 1e-12, 1] P and dP/dx
+are within 1e-13 of max(1, |value|), real degrees to 30 and conical mu to 16.
 """
 
 from __future__ import annotations
@@ -93,23 +93,23 @@ def _legendre(degree: float | complex, x: float | np.ndarray, derivative: bool):
     if bad.size:
         raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
     nu = -1.0 if isinstance(degree, complex) else max(float(degree), -1.0 - float(degree))
-    # x <= seam about x = -1, or by the recurrence for nu >= 2; x > seam about x = 1
-    seam = (0.0 if L > 0.0 else 2.0 * min(0.1, -2.0 / L) - 1.0) if nu >= 2.0 or math.isfinite(S) else -1.0
+    if nu >= 2.0:  # from the degrees n - 1, n in [0, 2) by DLMF 14.10.3 and its x-derivative, all exact
+        n0 = nu - math.floor(nu) + 1.0
+        p0, p1, d0, d1 = (_legendre(m, xs, d) for d in (False, True) for m in (n0 - 1.0, n0))
+        for n in n0 + np.arange(math.floor(nu) - 1.0):
+            p0, p1, d0, d1 = (p1, ((2.0 * n + 1.0) * xs * p1 - n * p0) / (n + 1.0),
+                              d1, ((2.0 * n + 1.0) * (p1 + xs * d1) - n * d0) / (n + 1.0))
+        out = np.asarray(d1 if derivative else p1)
+        return out if isinstance(x, np.ndarray) else float(out)
+    # x <= seam about x = -1, x > seam about x = 1
+    seam = (0.0 if L > 0.0 else 2.0 * min(0.1, -2.0 / L) - 1.0) if math.isfinite(S) else -1.0
     left, out = xs <= seam, np.empty(xs.shape)
     z, w = 0.5 * (1.0 - xs[~left]), 0.5 * (1.0 + xs[left])
     # about x = 1: P = F(-lam, lam+1; 1; z), dP/dx = (L/2) F(1-lam, lam+2; 2; z);
     # about x = -1: P = C sum_k t_k (h_k - ln w), dP/dx = (C/2w) sum_k t_k (k (h_k - ln w) - 1)
     p, q, c, scale = (3.0, 2.0 - L, 2.0, 0.5 * L) if derivative else (1.0, -L, 1.0, 1.0)
     out[~left] = scale * _sum(_gauss(p, q, c, z), "1", xs[~left]) if scale else 0.0
-    if nu >= 2.0:  # from the degrees n - 1, n in [0, 2) by DLMF 14.10.3 and its x-derivative, all exact
-        n0, x0 = nu - math.floor(nu) + 1.0, xs[left]
-        p0, p1, d0, d1 = (_legendre(m, x0, d) for d in (False, True) for m in (n0 - 1.0, n0))
-        for n in n0 + np.arange(math.floor(nu) - 1.0):
-            p0, p1, d0, d1 = (p1, ((2.0 * n + 1.0) * x0 * p1 - n * p0) / (n + 1.0),
-                              d1, ((2.0 * n + 1.0) * (p1 + x0 * d1) - n * d0) / (n + 1.0))
-        out[left] = d1 if derivative else p1
-    else:
-        out[left] = (0.5 * C / w if derivative else C) * _sum(_log_terms(L, S, w, derivative), "-1", xs[left])
+    out[left] = (0.5 * C / w if derivative else C) * _sum(_log_terms(L, S, w, derivative), "-1", xs[left])
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -165,6 +165,34 @@ def gaussian_through_kernel(u_b: float, udot_b: float, v_b: float, vdot_b: float
     return amp * np.exp(1j * 0.5 * mu * vdot_b / v_b * np.asarray(q) ** 2 + c0 - b ** 2 / (4.0 * a))
 
 
+def invariant_phase(omega2, t_a: float, t_b: float, kicks=()):
+    """u, u', v, v' at t_b and the phase theta_b of z = u + i Omega v, Omega = 1,
+    by DOP853 on (Re z, Im z, Re z', Im z', theta) at rtol 1e-12.
+
+    rho = |z| solves the Ermakov-Pinney equation rho'' + omega^2 rho =
+    Omega^2 / rho^3 and never vanishes, and theta = arg z obeys theta' =
+    Omega / rho^2 (Pinney, Proc. Amer. Math. Soc. 1, 681 (1950); Lewis and
+    Riesenfeld, J. Math. Phys. 10, 1458 (1969)).  v = rho_a rho sin(theta) /
+    Omega, so v vanishes where theta passes a multiple of pi: the focal count
+    on (t_a, t_b) is floor(theta_b / pi), with no sign scan.  omega2 is a float
+    function of a float t; kicks lists (t0, s) with t_a < t0 < t_b, each
+    f' -> f' - s f, so a kick of strength 0 only restarts the solve (at a knot).
+    """
+    import scipy.integrate
+    y, lo = np.array([1.0, 0.0, 0.0, 1.0, 0.0]), t_a
+    for hi, s in sorted(kicks) + [(t_b, 0.0)]:
+        left = math.nextafter(hi, -math.inf)  # each segment sees omega^2 left of its end
+
+        def rhs(t, y, left=left):
+            w2 = omega2(min(t, left))
+            return [y[2], y[3], -w2 * y[0], -w2 * y[1], 1.0 / (y[0] * y[0] + y[1] * y[1])]
+
+        y = scipy.integrate.solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+        y[2:4] -= s * y[:2]
+        lo = hi
+    return y[0], y[2], y[1], y[3], y[4]
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Magnus step, as tdho.classical computed it with stacked commutators
 

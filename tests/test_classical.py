@@ -194,6 +194,18 @@ def test_wronskian_drift_across_suite():
         assert pair.wronskian_drift <= 1e-9, profile
 
 
+@pytest.mark.parametrize("omega2, t_b", [(-1600.0, 1.0), (-64.0, 3.0), (1.0, 10.0)])
+def test_wronskian_drift_is_relative_to_the_products(omega2, t_b):
+    # on omega^2 = -k^2, u v' and u' v grow like cosh^2(k t), and their rounding
+    # alone made the absolute |u v' - u' v - 1| read 2.3e18 at k = 40, though v_b
+    # is right to 2e-15; on omega^2 = 1 the products sum to 1 and both read the same
+    pair = solve_fundamental(Expression(str(omega2)), 0.0, t_b)
+    k = math.sqrt(abs(omega2))
+    want = math.sinh(k * t_b) / k if omega2 < 0 else math.sin(k * t_b) / k
+    assert pair.end[2] == pytest.approx(want, rel=1e-14)
+    assert pair.wronskian_drift <= 1e-14
+
+
 def test_wronskian_drift_on_long_caustic_free_power_law_window():
     # a window where an RK45 solve at tol 1e-10 drifted by 1.24e-9
     prof = PowerLaw(omega0=1.1255948094804742, alpha=1.3855371824046459,

@@ -5,6 +5,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.optimize
 from scipy.optimize import brentq
 
@@ -280,6 +281,38 @@ def test_inverted_oscillator_matches_closed_form(t_b):
     want = cmath.sqrt(1.0 / (2.0 * math.pi * 1j * v)) * np.exp(
         0.5j / v * (u * q_b ** 2 + u * q_a ** 2 - 2.0 * q_a * q_b))
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+_TABLE_T = np.linspace(0.0, 8.0, 17)
+_TABLE_SPLINE = scipy.interpolate.CubicSpline(_TABLE_T, 2.0 + np.sin(_TABLE_T), bc_type="not-a-knot")
+# profile, t_b, omega^2 as plain Python, kicks (t0, s) and the relative kernel
+# error an earlier scratch probe of this oracle found (the table's own: 3e-12 here)
+INVARIANT_PHASE_CASES = {
+    "exp-decay": (ExpDecay(2.0, 0.5), 8.0, lambda t: 4.0 * math.exp(-0.5 * t), (), 6.6e-12),
+    "delta-pulse": (DeltaPulse(1.2, 1.0), 9.0, lambda t: 1.2 ** 4 if t >= 1.0 else 0.0, [(1.0, 1.44)], 1.5e-12),
+    "sech-squared": (SechSquared(3.0, 1.0, 2.0), 4.0, lambda t: 9.0 / math.cosh(t - 2.0) ** 2, (), 6.8e-12),
+    "negative-omega2": (Expression("-1 + 3*sin(5*t)"), 6.0, lambda t: -1.0 + 3.0 * math.sin(5.0 * t), (), 5.2e-12),
+    "power-law": (PowerLaw(1.0, 1.0, 1.0), 9.0, lambda t: t, (), 8e-11),
+    "constant": (Constant(20.0), 3.0, lambda t: 400.0, (), 5.2e-10),
+    "tabulated": (Tabulated(_TABLE_T, 2.0 + np.sin(_TABLE_T)), 8.0, lambda t: float(_TABLE_SPLINE(t)),
+                  [(t, 0.0) for t in _TABLE_T[1:-1]], 3e-12),
+}
+
+
+@pytest.mark.parametrize("name", INVARIANT_PHASE_CASES)
+def test_kernel_matches_the_invariant_phase_oracle(name):
+    # the oracle's pair and focal count come from DOP853 on z = u + i v, not
+    # from the Magnus solve or its sign scan: v vanishes where theta = arg z
+    # passes a multiple of pi, so the count is floor(theta_b / pi)
+    profile, t_b, omega2, kicks, err = INVARIANT_PHASE_CASES[name]
+    u, ud, v, vd, theta = oracles.invariant_phase(omega2, 0.0, t_b, kicks)
+    n = math.floor(theta / math.pi)
+    pair = solve_fundamental(profile, 0.0, t_b)
+    assert pair.end[4] == n
+    q_a, q_b = np.array([0.3, 1.1, -0.7]), np.array([-0.2, 0.4, 0.9])
+    want = np.exp(1j * (-math.pi / 4.0 - n * math.pi / 2.0 + (u * q_a ** 2 - 2.0 * q_a * q_b + vd * q_b ** 2)
+                        / (2.0 * v))) / math.sqrt(2.0 * math.pi * abs(v))
+    assert np.max(np.abs(kernel_robust(pair, q_a, q_b).k - want) / np.abs(want)) <= 10.0 * err
 
 
 def zeros_after(v0: float, vd0: float, w: float, tau: float) -> int:

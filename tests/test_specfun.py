@@ -142,16 +142,16 @@ def _lam_lam1(d):
 def test_degree_lambda_products():
     # about x = 1 the degree enters only through lambda(lambda+1), so nu and
     # -1 - nu give the same bits (DLMF 14.9.5), as do -1/2 + i mu and its
-    # conjugate; the oracle takes lambda(lambda+1) itself
+    # conjugate; the oracle takes lambda(lambda+1) itself.  From degree 2 on,
+    # nu and -1 - nu take the recurrence from the same degrees, at every x
     x = np.linspace(0.05, 1.0, 20)
     assert np.array_equal(legendre_p(2.0, x), legendre_p(-3.0, x))
     assert np.array_equal(legendre_p(complex(-0.5, 1.3), x), legendre_p(complex(-0.5, -1.3), x))
     assert legendre_p(2.0, 0.5) == pytest.approx(oracles.legendre_p_series(6.0, 0.5), rel=1e-14)
     assert legendre_p(complex(-0.5, 1.3), 0.5) == pytest.approx(
         oracles.legendre_p_series(-(1.3 ** 2 + 0.25), 0.5), rel=1e-14)
-    # and past x = 0: from degree 2 on, nu and -1 - nu take the recurrence from
-    # the same degrees, and about x = -1 they swap a = -nu and b = nu + 1, which
-    # leaves 1/(G(a) G(b)) and psi(a) + psi(b) alone, so they agree to roundoff
+    # and past x = 0, about x = -1, nu and -1 - nu swap a = -nu and b = nu + 1,
+    # which leaves 1/(G(a) G(b)) and psi(a) + psi(b) alone, so they agree to roundoff
     x = np.linspace(-0.9, 0.0, 10)
     assert np.array_equal(legendre_p(2.0, x), legendre_p(-3.0, x))
     assert legendre_p(1.7, x) == pytest.approx(legendre_p(-2.7, x), rel=1e-13, abs=1e-14)
@@ -215,10 +215,11 @@ def _conical_seam(mu):
                                      (complex(-0.5, 12.0), _conical_seam(12.0)),
                                      (complex(-0.5, 16.0), _conical_seam(16.0))])
 def test_legendre_continuous_across_each_seam(d, seam):
-    # x <= 0 is summed about x = -1 when lambda(lambda+1) > 0, or carried by the
-    # recurrence in the degree from 2 on, and (1 + x)/2 <= min(1/10, 2/|lambda(lambda+1)|)
-    # otherwise; the series about x = 1 takes the next float up, so a mismatch
-    # of the branches shows as a jump in P or dP/dx there
+    # x <= 0 is summed about x = -1 when lambda(lambda+1) > 0, and (1 + x)/2 <=
+    # min(1/10, 2/|lambda(lambda+1)|) otherwise; the series about x = 1 takes the
+    # next float up, so a mismatch of the branches shows as a jump in P or dP/dx
+    # there.  A degree from 2 on is carried at every x by the recurrence in the
+    # degree from two degrees in [0, 2), and so meets their seam at x = 0
     x = np.array([seam, np.nextafter(seam, 1.0)])
     for fn in (legendre_p, legendre_p_dx):
         left, right = fn(d, x)
@@ -322,8 +323,8 @@ def test_conical_seam_moves_toward_minus_one_as_mu_grows(mu):
 @pytest.mark.parametrize("n", [2.0, 3.0, 10.0, 20.0, -21.0])
 def test_integer_degree_has_parity_down_to_minus_one(n):
     # P_n(-x) = (-1)^n P_n(x) and P_n'(-x) = (-1)^(n+1) P_n'(x); the series about
-    # x = 1 has terms up to C(n,k) C(n+k,k) z^k (5e13 at n = 20, z -> 1), so x <= 0
-    # is carried by the recurrence in the degree and must match x > 0 close to 1
+    # x = 1 has terms up to C(n,k) C(n+k,k) z^k (5e13 at n = 20, z -> 1), so from
+    # n = 2 on every x is carried by the recurrence in the degree from P_0 and P_1
     m = n if n >= 0 else -1.0 - n
     x = np.array([-0.9, -0.99, -0.999, -1.0 + 1e-12])
     sign = -1.0 if m % 2 else 1.0
@@ -333,12 +334,13 @@ def test_integer_degree_has_parity_down_to_minus_one(n):
     assert legendre_p(n, -1.0 + 1e-12) == pytest.approx(sign, abs=m * (m + 1.0) * 1e-12)
 
 
-@pytest.mark.parametrize("nu", [10.0, 12.3, 20.4, -21.4, 25.3])
-def test_large_real_degree_matches_mehler_dirichlet_at_negative_x(nu):
-    # both series lose digits near x = 0 as the degree grows (each about 1e-10
-    # at 20.4); the recurrence in the degree does not.  dP/dx is checked through
+@pytest.mark.parametrize("nu", [2.5, 8.3, 10.0, 12.3, 20.4, -21.4, 25.3, 30.0])
+def test_large_real_degree_matches_mehler_dirichlet(nu):
+    # both series lose digits near x = 0 as the degree grows (the one about
+    # x = 1 by 2.3e-4 at 25.3 and 6.6e-2 at 30 on these x > 0); the recurrence
+    # in the degree does not, on either side.  dP/dx is checked through
     # (1 - x^2) P'_nu = (nu + 1)(x P_nu - P_{nu+1}) (DLMF 14.10.5) on the oracle
-    x = np.linspace(-0.95, 0.0, 20)
+    x = np.linspace(-0.95, 0.95, 39)
     p = np.array([oracles.legendre_p_mehler(nu, v) for v in x])
     p1 = np.array([oracles.legendre_p_mehler(nu + 1.0, v) for v in x])
     dp = (nu + 1.0) * (x * p - p1) / (1.0 - x * x)
@@ -390,7 +392,7 @@ def test_degree_refuses_non_finite_parameters(value):
 
 
 def test_degree_refuses_more_recurrence_steps_than_the_term_cap(monkeypatch):
-    # a real degree reaches x <= 0 in about |degree| steps of the recurrence
+    # a real degree from 2 on takes about |degree| steps of the recurrence, at every x
     monkeypatch.setattr(specfun, "_MAX_TERMS", 50)
     assert math.isfinite(legendre_p(50.0, -0.5)) and math.isfinite(legendre_p_dx(-50.0, -0.5))
     for degree in (50.5, -51.5, complex(-0.5, 50.0)):
