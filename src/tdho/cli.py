@@ -14,10 +14,13 @@ A numeric key the config omits takes the default of the library call it feeds.
 Outputs land in --out (default: $TDHO_OUT, then the working directory):
 data as CSV with %.17g floats and %d integers or JSON with sorted keys, plus
 manifest.json recording the config hash and per-file hashes.  CSV rows are
-formatted in blocks, one %-format call each, and a float column with at most
-half its values distinct (a grid axis, a broadcast modulus) formats each
-distinct bit pattern once; either way the bytes are those of one call per
-value.  Nothing timestamped, nothing random: reruns are byte-identical.  The
+built in blocks, each one byte matrix.  Its floats are formatted in numpy: each
+is scaled to its 17 significant digits by Dekker's exact product with a table
+of 10^s, and only a value that is not finite, lies outside [1e-280, 1e280] or
+may be a rounding tie takes Python's '%.17g', so every field holds the bytes
+of '%.17g' of its value.  A float column with at most half its values
+distinct (a grid axis, a broadcast modulus) formats each distinct bit pattern
+once.  Nothing timestamped, nothing random: reruns are byte-identical.  The
 argument parser is built once per process.
 
 Exit codes: 0 success; 1 error (unusable config, caustic, solver breakdown,
@@ -49,39 +52,160 @@ from .freq_profile import profile_from_json
 from .kernel import kernel_batch
 
 _BLOCK_ROWS = 4096
+_WIDTH = 24  # the longest '%.17g' of a float64, as '-2.2250738585072014e-308'
+_S0, _S1 = -266, 299  # 10^s for s = 16 - e, e = floor(log10 |x|) +- 1 for |x| in [1e-280, 1e280]
 
 
-def _format(row: str, arrays) -> str:
-    """row %-formatted on each row of the 1-d arrays, one call per _BLOCK_ROWS rows."""
-    parts = []
-    for start in range(0, arrays[0].size, _BLOCK_ROWS):
-        block = [a[start:start + _BLOCK_ROWS].tolist() for a in arrays]
-        parts.append((row * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block))))
-    return "".join(parts)
+@functools.cache
+def _tables():
+    """The tables of _fields, built on first use.  pow10[:, s - _S0] is 10^s
+    as hi + lo, hi the nearest double, with Dekker's halves of hi: hi, its
+    head, its tail, lo.  ascii4[g] is the ASCII of g in 0000 to 9999 as one
+    uint32, zeros4[g] its count of trailing zeros (4 for 0).  layouts[k] is,
+    for each output byte, its byte in a value's 32-byte source row, and
+    k = 425 sign + keys[e + 300] + significant digits for exponent e."""
+    hi, lo = [], []
+    for s in range(_S0, _S1):
+        if s >= 0:
+            hi.append(float(10**s))
+            lo.append(float(10**s - int(hi[-1])))
+        else:  # int true division rounds correctly
+            hi.append(1 / 10**-s)
+            m, q = hi[-1].as_integer_ratio()
+            lo.append((q - m * 10**-s) / (q * 10**-s))
+    hi = np.array(hi)
+    c = 134217729.0 * hi  # 2^27 + 1
+    head = c - (c - hi)
+    g = np.arange(10000)
+    digits = (g[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    zeros4 = np.select([g % 10**k == 0 for k in (4, 3, 2, 1)], [4, 3, 2, 1], 0).astype(np.uint8)
+    # a source row: bytes 0-19 the 17 digits as '000' and four groups of 4
+    # (so byte 0 is '0'), 20-23 the exponent as 4 digits, then '-.e+' and NUL
+    layouts = []
+    for neg, eclass, nsig in itertools.product((0, 1), range(25), range(1, 18)):
+        digits_at = [3 + j for j in range(nsig)]
+        if eclass < 21:  # fixed form, exponent eclass - 4 in [-4, 16]
+            e = eclass - 4
+            body = [0, 25] + [0] * (-e - 1) + digits_at if e < 0 else \
+                [3 + j for j in range(e + 1)] + ([25] + digits_at[e + 1:] if nsig > e + 1 else [])
+        else:  # exponent form: classes e+XX, e+XXX, e-XX, e-XXX
+            minus, three = divmod(eclass - 21, 2)
+            body = digits_at[:1] + ([25] + digits_at[1:] if nsig > 1 else []) + \
+                [26, 24 if minus else 27] + [21, 22, 23][1 - three:]
+        field = [24] * neg + body
+        layouts.append(field + [28] * (_WIDTH - len(field)))
+    e = np.arange(-300, 300)  # the exponent class: e + 4 for the fixed form, 21-24 as above
+    eclass = np.where((e >= -4) & (e < 17), e + 4, 21 + 2 * (e < 0) + (abs(e) >= 100))
+    return (np.stack([hi, head, hi - head, np.array(lo)]), digits.view(np.uint32)[:, 0], zeros4,
+            np.array(layouts, dtype=np.intp), 17 * eclass - 1)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, pow10: np.ndarray):
+    """a 10^(16 - e) as p + r, p = fl(a hi) and r its error plus a lo, to
+    within about 1e-14: Dekker's exact product of a and hi."""
+    h, h1, h2, lo = np.take(pow10, 16 - _S0 - e, axis=1)
+    c = 134217729.0 * a
+    a1 = c - (c - a)
+    a2 = a - a1
+    p = a * h
+    return p, (((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo
+
+
+def _format_each(x: np.ndarray) -> np.ndarray:
+    """'%.17g' of each value of x, one call each, as NUL-padded rows of _WIDTH bytes."""
+    return np.array(["%.17g" % v for v in x.tolist()], dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+
+
+def _fields(x: np.ndarray) -> np.ndarray:
+    """The bytes of '%.17g' % v for each v of the float64 array x, as NUL-padded
+    rows of _WIDTH bytes.  |v| in [1e-280, 1e280] is scaled to the 17-digit
+    integer n = round(|v| 10^(16 - e)), e = floor(log10 |v|) moved by one
+    where log10 rounded across a power of ten or n reached 10^17, and 0 is n = 0;
+    a layout per sign, exponent class and count of significant digits then
+    gathers sign, digits, point and exponent.  The other values, and those
+    whose scaled fraction lies within 1e-9 of a tie, take _format_each."""
+    pow10, ascii4, zeros4, layouts, keys = _tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, r = _scaled(a, e, pow10)
+    shift = ((p - 1e17) + r >= 0.0).astype(np.int64) - ((p - 1e16) + r < 0.0)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        e[moved] += shift[moved]
+        p[moved], r[moved] = _scaled(a[moved], e[moved], pow10)
+    k = np.floor(r)
+    frac = r - k
+    slow = np.flatnonzero(~(fast | zero) | (abs(frac - 0.5) < 1e-9))
+    n = p.astype(np.int64) + k.astype(np.int64) + (frac > 0.5)
+    carry = n == 10**17
+    n[carry] = 10**16
+    n[zero] = 0
+    e += carry
+    top, low = np.divmod(n, 10**8)
+    first, mid = np.divmod(top, 10**8)
+    groups = [*np.divmod(mid, 10000), *np.divmod(low, 10000)]
+    src = np.empty((x.size, 8), np.uint32)
+    for j, g in enumerate([first, *groups, abs(e)]):
+        src[:, j] = ascii4[g]
+    src[:, 6] = np.frombuffer(b"-.e+", np.uint32)[0]
+    src[:, 7] = 0
+    g1, g2, g3, g4 = groups
+    nsig = 17 - (zeros4[g4] + (g4 == 0) * (zeros4[g3] + (g3 == 0) * (zeros4[g2] + (g2 == 0) * zeros4[g1])))
+    at = layouts[keys[e + 300] + nsig + 425 * np.signbit(x)]
+    at += np.arange(0, 32 * x.size, 32)[:, None]
+    out = np.take(src.view(np.uint8), at)
+    if slow.size:
+        out[slow] = _format_each(x[slow])
+    return out
 
 
 def _csv(header: list[str], columns) -> bytes:
     """Rows of the 1-d array columns, a scalar column repeating on every row:
-    ints and bools as %d, others as %.17g, one %-format call per _BLOCK_ROWS rows.
+    ints and bools as %d, others as %.17g.  Each _BLOCK_ROWS rows are one byte
+    matrix, its float columns from one _fields call, its NUL padding dropped.
     A float column with at most half its values distinct formats each distinct
-    bit pattern once (so -0.0 stays apart from 0.0) and its rows take those
-    strings with %s."""
-    fields, arrays = [], []
-    for col in columns:
+    bit pattern once (so -0.0 stays apart from 0.0) and its rows gather those
+    fields."""
+    n = max(np.size(c) for c in columns if np.ndim(c))
+    # a row: text, column, text, ..., column, text; a column is its (n, width)
+    # fields or the index of its float array
+    row, text, floats = [], b"", []
+    for i, col in enumerate(columns):
+        text += b"," if i else b""
         if not np.ndim(col):
-            fields.append(("%d" if isinstance(col, (int, np.integer, np.bool_)) else "%.17g") % col)
+            text += (("%d" if isinstance(col, (int, np.integer, np.bool_)) else "%.17g") % col).encode()
             continue
-        fmt = "%d" if col.dtype.kind in "biu" else "%.17g"
-        if fmt == "%.17g":
-            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            # a %s row costs about a sixth of a %.17g one, so mostly distinct columns skip it
-            if 2 * bits.size <= col.size:
-                distinct = _format("%.17g\n", [bits.view(np.float64)]).split("\n")[:-1]
-                fmt, col = "%s", np.array(distinct, dtype=object)[inverse]
-        fields.append(fmt)
-        arrays.append(col)
-    row = ",".join(fields) + "\n"
-    return (",".join(header) + "\n" + _format(row, arrays)).encode()
+        row.append(text)
+        text = b""
+        if col.dtype.kind in "biu":
+            digits = (col.astype(np.uint8) if col.dtype.kind == "b" else col).astype("S")
+            row.append(digits.view(np.uint8).reshape(n, digits.itemsize))
+            continue
+        bits = np.sort(col.view(np.int64))
+        bits = np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
+        if 2 * bits.size <= n:
+            row.append(_fields(bits.view(np.float64))[np.searchsorted(bits, col.view(np.int64))])
+        else:
+            row.append(len(floats))
+            floats.append(col)
+    row.append(text + b"\n")
+    width = sum(len(s) if isinstance(s, bytes) else _WIDTH if isinstance(s, int) else s.shape[1] for s in row)
+    parts = [(",".join(header) + "\n").encode()]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, min(n, start + _BLOCK_ROWS))
+        m = block.stop - start
+        if floats:
+            fields = _fields(np.concatenate([c[block] for c in floats])).reshape(len(floats), m, _WIDTH)
+        out, at = np.empty((m, width), np.uint8), 0
+        for s in row:
+            s = np.frombuffer(s, np.uint8) if isinstance(s, bytes) else fields[s] if isinstance(s, int) else s[block]
+            out[:, at:at + s.shape[-1]] = s
+            at += s.shape[-1]
+        parts.append(out[out != 0].tobytes())
+    return b"".join(parts)
 
 
 def _json_bytes(obj) -> bytes:

@@ -61,16 +61,12 @@ def bessel_j(nu: float, x: float | np.ndarray) -> float | np.ndarray:
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _degree_terms(degree: float | complex) -> tuple[float, float, float]:
+def _degree_terms(lam: float | complex) -> tuple[float, float, float]:
     """lambda(lambda+1), 1/(G(a) G(b)) and psi(a) + psi(b), with a = -lambda and b = lambda+1.
 
-    All are real, as a complex degree must be conical, -1/2 + i mu.  psi takes complex arguments, as scipy's
-    real psi loses digits next to its poles; an integer degree gives 0 and nan.
+    All are real, as a degree _legendre accepts that is complex is conical, -1/2 + i mu.  psi takes complex
+    arguments, as scipy's real psi loses digits next to its poles; an integer degree gives 0 and nan.
     """
-    conical = isinstance(degree, complex)
-    lam = complex(degree) if conical else float(degree)
-    if not cmath.isfinite(lam) or (conical and lam.real != -0.5) or abs(lam) > _MAX_TERMS:
-        raise DomainError(f"degree must be a finite real nu or -1/2 + i mu, got {degree!r}, of size <= {_MAX_TERMS}")
     a, b = complex(-lam), complex(lam + 1.0)
     return ((lam * (lam + 1.0)).real, (special.rgamma(a) * special.rgamma(b)).real,
             (special.psi(a) + special.psi(b)).real)
@@ -87,20 +83,26 @@ def legendre_p_dx(degree: float | complex, x: float | np.ndarray) -> float | np.
 
 
 def _legendre(degree: float | complex, x: float | np.ndarray, derivative: bool):
-    L, C, S = _degree_terms(degree)
+    conical = isinstance(degree, complex)
+    lam = complex(degree) if conical else float(degree)
+    if not cmath.isfinite(lam) or (conical and lam.real != -0.5) or abs(lam) > _MAX_TERMS:
+        raise DomainError(f"degree must be a finite real nu or -1/2 + i mu, got {degree!r}, of size <= {_MAX_TERMS}")
     xs = np.asarray(x, dtype=float)
     bad = xs[~((-1.0 < xs) & (xs <= 1.0))]
     if bad.size:
         raise DomainError(f"argument must lie in (-1, 1], got x={bad[0]}")
-    nu = -1.0 if isinstance(degree, complex) else max(float(degree), -1.0 - float(degree))
+    nu = -1.0 if conical else max(lam, -1.0 - lam)
     if nu >= 2.0:  # from the degrees n - 1, n in [0, 2) by DLMF 14.10.3 and its x-derivative, all exact
         n0 = nu - math.floor(nu) + 1.0
-        p0, p1, d0, d1 = (_legendre(m, xs, d) for d in (False, True) for m in (n0 - 1.0, n0))
+        p0, p1 = (_legendre(m, xs, False) for m in (n0 - 1.0, n0))
+        d0, d1 = (_legendre(m, xs, True) for m in (n0 - 1.0, n0)) if derivative else (None, None)
         for n in n0 + np.arange(math.floor(nu) - 1.0):
-            p0, p1, d0, d1 = (p1, ((2.0 * n + 1.0) * xs * p1 - n * p0) / (n + 1.0),
-                              d1, ((2.0 * n + 1.0) * (p1 + xs * d1) - n * d0) / (n + 1.0))
+            if derivative:
+                d0, d1 = d1, ((2.0 * n + 1.0) * (p1 + xs * d1) - n * d0) / (n + 1.0)
+            p0, p1 = p1, ((2.0 * n + 1.0) * xs * p1 - n * p0) / (n + 1.0)
         out = np.asarray(d1 if derivative else p1)
         return out if isinstance(x, np.ndarray) else float(out)
+    L, C, S = _degree_terms(lam)
     # x <= seam about x = -1, x > seam about x = 1
     seam = (0.0 if L > 0.0 else 2.0 * min(0.1, -2.0 / L) - 1.0) if math.isfinite(S) else -1.0
     left, out = xs <= seam, np.empty(xs.shape)

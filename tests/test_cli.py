@@ -700,6 +700,61 @@ def test_first_run_in_a_process_writes_the_bytes_of_later_runs(tmp_path):
     assert b"\n0,0,0,1," in (tmp_path / "fresh" / "kernel.csv").read_bytes()
 
 
+def formatter_cases():
+    """Values whose '%.17g' bytes _fields must reproduce, by class."""
+    rng = np.random.default_rng(34)
+
+    def doubles(exponent, mantissa):
+        sign = rng.integers(0, 2, exponent.size, dtype=np.uint64) << np.uint64(63)
+        return (sign | exponent.astype(np.uint64) << np.uint64(52) | mantissa).view(np.float64)
+
+    normal = doubles(rng.integers(1, 2047, 40000), rng.integers(0, 2**52, 40000, dtype=np.uint64))
+    subnormal = doubles(np.zeros(2000, np.int64), rng.integers(1, 2**52, 2000, dtype=np.uint64))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    # the doubles nearest 9.99999999999999995 10^k, halfway between 10^(k+1)
+    # and the 17-digit value below it: some round up to 10^(k+1)
+    round_up = np.array([float(f"9.99999999999999995e{k}") for k in range(-300, 300, 7)] + [9.9999999999999999e22])
+    return {
+        "normal": normal,
+        "subnormal": np.concatenate([subnormal, [5e-324, -5e-324, 2.2250738585072009e-308]]),
+        "zero": np.array([0.0, -0.0]),
+        "powers of ten and neighbours": np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]),
+        "integers to 2^53": np.concatenate([rng.integers(0, 2**53, 20000).astype(float), [2.0**53, 2.0**53 - 1]]),
+        "quarter-integer ties": rng.integers(4 * 10**15, 9 * 10**15, 4000) / 4,
+        "fixed/exponent switches": np.concatenate([switches, np.nextafter(switches, 0),
+                                                   np.nextafter(switches, np.inf), -switches]),
+        "round up to a power of ten": np.concatenate([round_up, np.nextafter(round_up, np.inf)]),
+        "not finite": np.array([np.inf, -np.inf, *NANS]),
+    }
+
+
+@pytest.mark.parametrize("case", list(formatter_cases()))
+def test_fields_are_the_bytes_of_format_17g(case):
+    x = formatter_cases()[case]
+    fields = cli._fields(x)
+    assert fields.shape == (x.size, cli._WIDTH)
+    want = [format(v, ".17g").encode() for v in x.tolist()]
+    assert [f.tobytes().rstrip(b"\0") for f in fields] == want
+
+
+def test_kernel_and_classical_csv_take_no_per_value_fallback(tmp_path, monkeypatch):
+    # every value of these CSVs is finite, in [1e-280, 1e280] or 0, and no tie:
+    # the per-value rule is the formatter's fallback, so a fast path switched
+    # off would still write the right bytes, only slowly
+    fallback = []
+    format_each = cli._format_each
+    monkeypatch.setattr(cli, "_format_each", lambda x: fallback.extend(x.tolist()) or format_each(x))
+    profile = {"type": "exp_decay", "omega0": 1.0, "alpha": 0.5}
+    for cfg in ({"task": "kernel", "profile": profile, "window": {"t_a": 0.0, "t_b": 1.0},
+                 "grid": {"q_min": -2.0, "q_max": 2.0, "n": 65}},
+                {"task": "classical", "profile": profile, "window": {"t_a": 0.0, "t_b": 2.0},
+                 "n_samples": cli._BLOCK_ROWS + 1}):
+        assert main([cfg["task"], "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    assert fallback == []
+    assert cli._fields(np.array([np.inf, 0.0])).shape == (2, cli._WIDTH) and fallback == [np.inf]
+
+
 TASK_CFGS = [
     kernel_cfg(),
     {"task": "classical", "profile": {"type": "exp_decay", "omega0": 1.0, "alpha": 1.0},

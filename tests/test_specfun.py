@@ -264,6 +264,31 @@ def test_legendre_derivative_satisfies_the_degree_recurrence(nu):
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
+@pytest.mark.parametrize("nu", [2.0, 2.5, 8.3, 25.3, -21.4, 30.0])
+def test_degree_from_2_on_sums_only_the_series_it_returns(nu, monkeypatch):
+    # the recurrence in the degree starts from nu0 - 1 and nu0 in [0, 2): P
+    # sums their P series, once on each side of the seam, and dP/dx adds their
+    # dP/dx series (but for degree 0, whose dP/dx is 0).  Both carry the bits
+    # of DLMF 14.10.3 and its x-derivative run here from those start values
+    x = np.linspace(-0.99, 0.99, 41)
+    calls = []
+    sum_terms = specfun._sum
+    monkeypatch.setattr(specfun, "_sum", lambda *args: calls.append(args[1]) or sum_terms(*args))
+    p = legendre_p(nu, x)
+    assert sorted(calls) == ["-1", "-1", "1", "1"]
+    calls.clear()
+    d = legendre_p_dx(nu, x)
+    top = max(nu, -1.0 - nu)
+    assert len(calls) == (7 if top.is_integer() else 8)
+    nu0 = top - math.floor(top) + 1.0
+    p0, p1 = legendre_p(nu0 - 1.0, x), legendre_p(nu0, x)
+    d0, d1 = legendre_p_dx(nu0 - 1.0, x), legendre_p_dx(nu0, x)
+    for n in nu0 + np.arange(math.floor(top) - 1.0):
+        p0, p1, d0, d1 = (p1, ((2.0 * n + 1.0) * x * p1 - n * p0) / (n + 1.0),
+                          d1, ((2.0 * n + 1.0) * (p1 + x * d1) - n * d0) / (n + 1.0))
+    assert np.array_equal(p, p1) and np.array_equal(d, d1)
+
+
 # degrees on both sides of lambda(lambda+1) = 0, next to the integer 2 and at
 # it, and conical; the series about x = -1 takes near-integer degrees through
 # psi next to its poles
