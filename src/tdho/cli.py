@@ -18,10 +18,11 @@ built in blocks, each one byte matrix.  Its floats are formatted in numpy: each
 is scaled to its 17 significant digits by Dekker's exact product with a table
 of 10^s, and only a value that is not finite, lies outside [1e-280, 1e280] or
 may be a rounding tie takes Python's '%.17g', so every field holds the bytes
-of '%.17g' of its value.  A float column with at most half its values
-distinct (a grid axis, a broadcast modulus) formats each distinct bit pattern
-once.  Nothing timestamped, nothing random: reruns are byte-identical.  The
-argument parser is built once per process.
+of '%.17g' of its value.  Columns broadcast together by numpy's rules, one
+row per element in C order, and each is formatted once per value it stores (a
+scalar, a grid axis, a broadcast modulus once per block).  Nothing
+timestamped, nothing random: reruns are byte-identical.  The argument parser
+is built once per process.
 
 Exit codes: 0 success; 1 error (unusable config, caustic, solver breakdown,
 an output number that is not finite, refused before any file is written);
@@ -36,6 +37,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -163,47 +165,31 @@ def _fields(x: np.ndarray) -> np.ndarray:
 
 
 def _csv(header: list[str], columns) -> bytes:
-    """Rows of the 1-d array columns, a scalar column repeating on every row:
-    ints and bools as %d, others as %.17g.  Each _BLOCK_ROWS rows are one byte
-    matrix, its float columns from one _fields call, its NUL padding dropped.
-    A float column with at most half its values distinct formats each distinct
-    bit pattern once (so -0.0 stays apart from 0.0) and its rows gather those
-    fields."""
-    n = max(np.size(c) for c in columns if np.ndim(c))
-    # a row: text, column, text, ..., column, text; a column is its (n, width)
-    # fields or the index of its float array
-    row, text, floats = [], b"", []
-    for i, col in enumerate(columns):
-        text += b"," if i else b""
-        if not np.ndim(col):
-            text += (("%d" if isinstance(col, (int, np.integer, np.bool_)) else "%.17g") % col).encode()
-            continue
-        row.append(text)
-        text = b""
-        if col.dtype.kind in "biu":
-            digits = (col.astype(np.uint8) if col.dtype.kind == "b" else col).astype("S")
-            row.append(digits.view(np.uint8).reshape(n, digits.itemsize))
-            continue
-        bits = np.sort(col.view(np.int64))
-        bits = np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
-        if 2 * bits.size <= n:
-            row.append(_fields(bits.view(np.float64))[np.searchsorted(bits, col.view(np.int64))])
-        else:
-            row.append(len(floats))
-            floats.append(col)
-    row.append(text + b"\n")
-    width = sum(len(s) if isinstance(s, bytes) else _WIDTH if isinstance(s, int) else s.shape[1] for s in row)
+    """One row per element, in C order, of the shape the columns broadcast to:
+    ints and bools as %d, floats as %.17g.  Each column is formatted once per
+    value it stores: it is broadcast to that shape and cut to one entry along
+    every stride-0 axis, so a scalar, a grid axis or a constant column reaches
+    _fields once per block and its byte rows are broadcast into the block.  A
+    block is max(1, _BLOCK_ROWS // inner size) slices of the leading axis: one
+    byte matrix, its floats from one _fields call, its NUL padding dropped."""
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
+    comma, newline = np.frombuffer(b",\n", np.uint8).reshape(2, *[1] * len(shape), 1)
     parts = [(",".join(header) + "\n").encode()]
-    for start in range(0, n, _BLOCK_ROWS):
-        block = slice(start, min(n, start + _BLOCK_ROWS))
-        m = block.stop - start
-        if floats:
-            fields = _fields(np.concatenate([c[block] for c in floats])).reshape(len(floats), m, _WIDTH)
-        out, at = np.empty((m, width), np.uint8), 0
-        for s in row:
-            s = np.frombuffer(s, np.uint8) if isinstance(s, bytes) else fields[s] if isinstance(s, int) else s[block]
-            out[:, at:at + s.shape[-1]] = s
-            at += s.shape[-1]
+    for start in range(0, shape[0], step):
+        stored = [c[tuple(slice(None) if s else slice(1) for s in c.strides)]
+                  for c in (np.broadcast_to(c, shape)[start:start + step] for c in columns)]
+        floats = [c for c in stored if c.dtype.kind == "f"]
+        fields = iter(np.split(_fields(np.concatenate([c.ravel() for c in floats])),
+                               np.cumsum([c.size for c in floats])[:-1]))
+        cols = []
+        for c in stored:
+            f = next(fields) if c.dtype.kind == "f" else \
+                (c.astype(np.uint8) if c.dtype.kind == "b" else c).astype("S").view(np.uint8)
+            cols += [f.reshape(*c.shape, -1), comma]
+        block = (min(step, shape[0] - start), *shape[1:])
+        out = np.concatenate([np.broadcast_to(f, (*block, f.shape[-1]))
+                              for f in cols[:-1] + [newline]], axis=-1)
         parts.append(out[out != 0].tobytes())
     return b"".join(parts)
 
@@ -223,11 +209,12 @@ def _encode(name: str, content) -> bytes:
     so no file holds NaN or inf and every JSON file is strict JSON."""
     if name.endswith(".csv"):
         header, columns = content
-        for h, col in zip(header, columns):
+        shape = np.broadcast_shapes(*map(np.shape, columns))
+        for h, col in zip(header, (np.broadcast_to(c, shape) for c in columns)):
             bad = np.flatnonzero(~np.isfinite(col))
             if bad.size:
                 raise _NonFiniteOutput(f"{name} column {h!r} row {bad[0] + 1}: "
-                                       f"{np.ravel(col)[bad[0]]} is not a finite number")
+                                       f"{col.flat[bad[0]]} is not a finite number")
         return _csv(header, columns)
     found = _non_finite(content)
     if found is not None:
@@ -334,8 +321,7 @@ def _run_kernel(profile, cfg: dict):
     else:
         g = cfg["grid"]
         axis = uniform_grid(g["q_min"], g["q_max"], g["n"])
-        qa = np.repeat(axis, axis.size)
-        qb = np.tile(axis, axis.size)
+        qa, qb = np.broadcast_arrays(axis[:, None], axis)
     pair = solve_fundamental(profile, t_a, t_b, **_given(cfg, "tol"))
     k, modulus, phase, flag = kernel_batch(pair, qa, qb, **_given(cfg, "mu"))
     out = {"kernel.csv": (
@@ -459,7 +445,11 @@ def main(argv=None) -> int:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = json.loads(raw)
+        # an integer int64 cannot hold reads as float(s), not as a numpy object;
+        # past the float range that is inf, refused below (the length test
+        # keeps int() off the thousands of digits it refuses)
+        cfg = json.loads(raw, parse_int=lambda s: int(s) if len(s) <= 20 and -2**63 <= int(s) < 2**63
+                         else float(s))
     except json.JSONDecodeError as exc:
         print(f"config error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
         return 1

@@ -212,14 +212,15 @@ def kernel_batch(pair: FundamentalPair, q_a: np.ndarray, q_b: np.ndarray,
     """Vectorized endpoint form over paired endpoint arrays.
 
     Returns (k, modulus, phase, caustic_flag); the pair is solved once and
-    the per-point work is elementwise arithmetic.
+    the per-point work is elementwise arithmetic.  modulus holds the one |K|
+    of every pair, broadcast to q_a's shape and read-only.
     """
     qa = np.asarray(q_a, dtype=float)
     qb = np.asarray(q_b, dtype=float)
     if qa.shape != qb.shape:
         raise DomainError(f"q_a shape {qa.shape} != q_b shape {qb.shape}")
     kv = kernel_robust(pair, qa, qb, mu)
-    return kv.k, np.full_like(qa, kv.modulus), kv.phase, kv.caustic_flag
+    return kv.k, np.broadcast_to(kv.modulus, qa.shape), kv.phase, kv.caustic_flag
 
 
 def schrodinger_residual(profile: FrequencyProfile, t_a: float, t_b: float,

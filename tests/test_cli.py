@@ -191,6 +191,8 @@ def test_non_finite_constant_is_named(tmp_path, capsys):
 
 
 _KERNEL_GRID = {"q_min": -1.0, "q_max": 1.0, "n": 16}
+# past the 4300 digits Python's int() converts
+_DIGITS_5001 = "1" + "0" * 5000
 
 
 @pytest.mark.parametrize("cfg, path", [
@@ -200,11 +202,18 @@ _KERNEL_GRID = {"q_min": -1.0, "q_max": 1.0, "n": 16}
     (propagate_cfg(method="crank_nicolson", window={"t_a": 0.0, "t_b": math.inf}), "$.window.t_b"),
     (propagate_cfg(method="time_sliced", window={"t_a": 0.0, "t_b": math.inf}), "$.window.t_b"),
     (kernel_cfg(window={"t_a": 0.0, "t_b": "1e999"}), "$.window.t_b"),  # json reads it as inf
-], ids=["mu-inf", "q_min-minus-inf", "q_a-nan", "cn-t_b-inf", "sliced-t_b-inf", "t_b-1e999"])
+    # an integer no float holds reads as inf
+    (kernel_cfg(window={"t_a": 0, "t_b": 10**400}), "$.window.t_b"),
+    (kernel_cfg(points={"q_a": [10**400], "q_b": [0.5]}), "$.points.q_a[0]"),
+    (kernel_cfg(profile={"type": "constant", "omega0": 10**400}), "$.profile.omega0"),
+    (kernel_cfg(window={"t_a": 0, "t_b": _DIGITS_5001}), "$.window.t_b"),
+], ids=["mu-inf", "q_min-minus-inf", "q_a-nan", "cn-t_b-inf", "sliced-t_b-inf", "t_b-1e999",
+        "t_b-10^400", "q_a-10^400", "omega0-10^400", "t_b-10^5000"])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, cfg, path):
     cfg = {k: v for k, v in cfg.items() if v is not None}
     path_cfg = tmp_path / "cfg.json"
-    path_cfg.write_text(json.dumps(cfg).replace('"1e999"', "1e999"))
+    text = json.dumps(cfg).replace('"1e999"', "1e999")
+    path_cfg.write_text(text.replace(f'"{_DIGITS_5001}"', _DIGITS_5001))
     out = tmp_path / "out"
     assert main([cfg["task"], "--config", str(path_cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error at {path}: ")
@@ -631,28 +640,40 @@ NANS = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(
 REPEATED = np.array([-0.0, 0.0, np.inf, -np.inf, *NANS, 5e-324, -5e-324, 2.5e-309, 1e300, 0.1])
 
 
-@pytest.mark.parametrize("n", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
-def test_csv_matches_the_per_value_rule(n):
+def csv_cases(n):
+    """Columns that broadcast together: n rows of 1-d columns with scalars, or
+    for n = 70 a 70 x 70 grid, whose 4,900 rows cross a block boundary that
+    70 does not divide.  _csv formats each column once per value it stores."""
     rng = np.random.default_rng(n)
     special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, 0.1]
+    if n == 70:
+        axis = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        axis[:len(special)] = special
+        grid = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+        header = ["a_col", "i_scalar", "a_row", "f_scalar", "grid", "b_scalar", "b_row",
+                  "i_col", "np_f_scalar", "repeated", "constant"]
+        return header, [axis[:, None], 7, axis[::-1], 0.1, grid, True,
+                        np.broadcast_to(rng.random(n) < 0.5, (n, n)),
+                        rng.integers(-2**62, 2**62, (n, 1)), np.float64(-0.0),
+                        np.broadcast_to(np.resize(REPEATED, n), (n, n)),
+                        np.broadcast_to(-0.0, (n, n))]
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     floats[:len(special)] = special[:n]
     ints = rng.integers(-2**62, 2**62, n)
     bools = rng.random(n) < 0.5
-    # float columns with at most half their bit patterns distinct, which _csv
-    # formats once per pattern, and one just over half
     repeated = REPEATED[rng.permutation(np.arange(n) % REPEATED.size)]
-    half = np.resize(rng.standard_normal(max(1, n // 2)), n)
-    over_half = np.resize(rng.standard_normal(n // 2 + 1), n)
-    single = np.full(n, -0.0)
-    if n > 1:
-        shares = [np.unique(c.view(np.int64)).size / n for c in (repeated, half, single, over_half)]
-        assert [s <= 0.5 for s in shares] == [True, True, True, False]
     header = ["f", "i_scalar", "i", "f_scalar", "b", "b_scalar", "np_f_scalar", "g",
-              "repeated", "half", "single", "over_half"]
-    columns = [floats, 7, ints, 0.1, bools, True, np.float64(-0.0), floats[::-1],
-               repeated, half, single, over_half]
-    rows = [[c[i] if np.ndim(c) else c for c in columns] for i in range(n)]
+              "repeated", "constant"]
+    return header, [floats, 7, ints, 0.1, bools, True, np.float64(-0.0), floats[::-1],
+                    repeated, np.broadcast_to(-0.0, n)]
+
+
+@pytest.mark.parametrize("n", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 70])
+def test_csv_matches_the_per_value_rule(n):
+    header, columns = csv_cases(n)
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    flat = [np.broadcast_to(c, shape).ravel() for c in columns]
+    rows = [[c[i] for c in flat] for i in range(math.prod(shape))]
     assert cli._csv(header, columns) == per_value_csv(header, rows)
 
 
@@ -755,6 +776,30 @@ def test_kernel_and_classical_csv_take_no_per_value_fallback(tmp_path, monkeypat
     assert cli._fields(np.array([np.inf, 0.0])).shape == (2, cli._WIDTH) and fallback == [np.inf]
 
 
+def test_kernel_grid_formats_each_stored_value_once(tmp_path, monkeypatch):
+    # re_k, im_k and the phase hold a value per row; q_a, q_b, t_a, t_b and
+    # abs_k are broadcast, so each block formats only the values they store:
+    # any of them built per row again adds 70^2 values and breaks the bound
+    sizes = []
+    fields = cli._fields
+    monkeypatch.setattr(cli, "_fields", lambda x: sizes.append(x.size) or fields(x))
+    cfg = kernel_cfg(grid={"q_min": -3.0, "q_max": 3.0, "n": 70})
+    del cfg["points"]
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    blocks = -(-70 // (cli._BLOCK_ROWS // 70))
+    assert len(sizes) == blocks and 3 * 70**2 < sum(sizes) < 4 * 70**2
+
+
+def test_a_non_finite_grid_value_names_its_csv_row():
+    axis = np.linspace(-3.0, 3.0, 70)
+    axis[3] = np.nan
+    qa, qb = np.broadcast_arrays(axis[:, None], axis)
+    for header, columns, row in ((["q_a", "q_b"], [qa, qb], 211), (["q_b", "q_a"], [qb, qa], 4),
+                                 (["q_a", "q_b"], [axis[:, None], axis], 211)):
+        with pytest.raises(cli._NonFiniteOutput, match=f"column '{header[0]}' row {row}: nan "):
+            cli._encode("kernel.csv", (header, columns))
+
+
 TASK_CFGS = [
     kernel_cfg(),
     {"task": "classical", "profile": {"type": "exp_decay", "omega0": 1.0, "alpha": 1.0},
@@ -848,6 +893,19 @@ def test_integral_floats_in_integer_keys_write_the_int_configs_bytes(tmp_path, c
         manifest.pop("config_sha256")
         written.append((files, manifest))
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("task", ["kernel", "classical"])
+def test_integers_past_int64_read_as_floats(tmp_path, capsys, task):
+    # numpy stored a JSON 10^20 as an object and failed on it; as a float it runs
+    cfg = {"task": task, "profile": {"type": "constant", "omega0": 1e-6},
+           "window": {"t_a": 10**20, "t_b": 100000000000001000000}}
+    if task == "kernel":
+        cfg["points"] = {"q_a": [0.0], "q_b": [0.5]}
+    assert main([task, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(tmp_path / f"{task}.csv")
+    assert rows[0][header.index("t_a" if task == "kernel" else "t")] == "1e+20"
 
 
 def test_out_directory_that_cannot_be_created(tmp_path, capsys):

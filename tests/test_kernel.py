@@ -522,6 +522,16 @@ def test_kernel_batch_matches_scalar_loop():
         kernel_batch(pair, qa, qb[:3])
 
 
+def test_kernel_batch_modulus_is_a_read_only_broadcast_of_one_value():
+    pair = solve_fundamental(ExpDecay(1.0, 1.0), 0.0, 1.0)
+    axis = np.linspace(-2.0, 2.0, 7)
+    qa, qb = np.broadcast_arrays(axis[:, None], axis)
+    _, modulus, _, _ = kernel_batch(pair, qa, qb)
+    assert modulus.shape == (7, 7) and modulus.strides == (0, 0)
+    assert not modulus.flags.writeable
+    assert np.all(modulus == kernel_robust(pair, qa, qb).modulus)
+
+
 def test_schrodinger_residual_free_kernel():
     res = schrodinger_residual(Constant(0.0), 0.0, 1.0, 0.3, 0.7,
                                h_t=1e-3, h_q=1e-3)
