@@ -207,10 +207,13 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     of v; it then contributes its two halves.  A failing step is cut into
     the 2^k sub-steps that k levels of bisection reach, with
     k = ceil(max(log2(err / (budget h)) / 6, log2(omega h))) in
-    [1, _MAX_SPLIT], and 1 where err is not finite: err shrinks like h^7
-    against a budget like h.  So every node of plain bisection is a node
-    here.  Each level is one _magnus call, for the halves of every step and
-    the whole of each fresh sub-step.  A kick [[1, 0], [-strength, 1]] is a
+    [1, _MAX_SPLIT]: err shrinks like h^7 against a budget like h.  A step
+    with omega h > 1 whose two matrices differ by more than 1 (or by nan)
+    lies outside the Magnus series' range, where err measures no h^7 term,
+    so its k is ceil(log2(omega h)) alone; a k that is not finite is 1.
+    So every node of plain bisection is a node here.  Each level is one
+    _magnus call, for the halves of every step and the whole of each fresh
+    sub-step.  A kick [[1, 0], [-strength, 1]] is a
     zero-length step.  One prefix product gives the state at the step ends,
     the pair's nodes, of which the last is the state at t_b; between them the
     state is a partial step from the node before.  Raises DomainError on a
@@ -248,9 +251,12 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
             steps += [(t0[ok], mid[ok], left[ok]), (mid[ok], t1[ok], right[ok])]
             n_accepted += 2 * np.count_nonzero(ok)
             bad = ~ok
-            # levels to skip: 2^k sub-steps cut err ~ h^7 against a budget ~ h by 2^(6k), omega h by 2^k
+            # levels to skip: 2^k sub-steps cut err ~ h^7 against a budget ~ h by 2^(6k), omega h by 2^k;
+            # a step with omega h > 1 whose halves differ by more than 1 is outside that
+            # model (its Magnus series diverges), so omega h alone sizes it
             r = np.maximum(np.log2(err / (budget * h)) / 6.0, np.log2(wh))
-            k = np.where(np.isfinite(r), np.clip(np.ceil(r), 1, _MAX_SPLIT), 1).astype(int)[bad]
+            levels = np.where((err <= 1.0) | (wh <= 1.0), r, np.log2(wh))
+            k = np.where(np.isfinite(levels), np.clip(np.ceil(levels), 1, _MAX_SPLIT), 1).astype(int)[bad]
             if n_accepted + np.sum(2 << k) > _MAX_STEPS:
                 w = int(np.argmax(r))  # a non-finite err counts as the worst
                 raise StepFailure(f"{no_mesh}; the worst step, from t={float(t0[w])!r} to t={float(t1[w])!r}, "

@@ -25,8 +25,8 @@ timestamped, nothing random: reruns are byte-identical.  The argument parser
 is built once per process.
 
 Exit codes: 0 success; 1 error (unusable config, caustic, solver breakdown,
-an output number that is not finite, refused before any file is written);
-2 a graded check failed under --strict.
+an output number that is not finite, a run out of memory, each refused
+before any file is written); 2 a graded check failed under --strict.
 """
 
 from __future__ import annotations
@@ -482,6 +482,9 @@ def main(argv=None) -> int:
         })
     except TdhoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's ArrayMemoryError too: a count or grid too large to hold
+        print(f"error: {args.command} ran out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 1
 
     for name, data in files.items():

@@ -40,6 +40,8 @@ run of equal step and omega^2 factors I + iK once (gttrf): I + iK is
 symmetric, so without a row interchange it is L D L^T, and each step is a
 unit-lower BLAS tbsv sweep, a multiply by 2/D and a unit-upper sweep; a
 factorization that interchanged rows (omega^2 < 0 only) solves by gttrs.
+Every solve writes into one buffer, and kicks end stretches of a run rather
+than being looked up at each step, so a step is its arithmetic alone.
 CN shares nothing with the other two routes; the Filon route and slicing
 share the free hop, and each has its own independent test reference.
 Agreement is the evidence.  All three share one input check.
@@ -236,9 +238,12 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     Cayley form (Goldberg, Schey and Schwartz 1967) psi <- 2 A^{-1} psi - psi,
     A = I + i(step/2)H, on the interior points; consecutive steps with equal
     step and omega^2 share one LAPACK factorization A = L D L^T and solve by
-    two unit-bidiagonal BLAS sweeps, 2 A^{-1} = L^{-T} (2/D) L^{-1}.  Walls are
-    Dirichlet: the input's two wall values are dropped and the output's are
-    exactly 0, so the grid must stay wide enough that nothing reaches them.
+    two unit-bidiagonal BLAS sweeps, 2 A^{-1} = L^{-T} (2/D) L^{-1}.  The
+    steps of a run are marched in stretches that end at its kicks, and each
+    solve writes into one buffer the march owns, so a step allocates nothing
+    and tests nothing.  Walls are Dirichlet: the input's two wall values are
+    dropped and the output's are exactly 0, so the grid must stay wide
+    enough that nothing reaches them.
     """
     _check_packet(packet, mu)
     check_positive("dt", dt)
@@ -277,6 +282,10 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     # after an interchange each step takes gttrs
     runs = np.append(np.flatnonzero(np.append(
         True, (step_of[1:] != step_of[:-1]) | (w2s[1:] != w2s[:-1]))), len(steps))
+    run_end = dict(zip(runs[:-1].tolist(), runs[1:].tolist()))
+    # the march walks stretches: a run cut after each of its kicks, so no
+    # step tests for a kick and a kick inside a run costs no second gttrf
+    cuts = sorted(run_end.keys() | {k + 1 for k in kicks} | {len(steps)})
 
     dq2 = (q[1] - q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
@@ -289,6 +298,7 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     q2_in = q2[1:-1]
     lu = np.empty((3, q2_in.size), dtype=complex)
     band = (lu[2, :-1], lu[1], lu[0, 1:])
+    h_diag = np.empty(q2_in.size)
     # BLAS band storage of both unit sweeps in one Fortran-order array (a C
     # array would be copied on every call): row 0 is L^T's superdiagonal,
     # row 1 L's subdiagonal, and neither sweep reads its diagonal row
@@ -297,34 +307,53 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (lu,))
     tbsv, = get_blas_funcs(("tbsv",), (lu,))
     psi = packet.psi[1:-1].copy()
-    for lo, hi in zip(runs[:-1], runs[1:]):
-        half = 0.5j * steps[lo]
-        lu[0] = lu[2] = half * off
-        lu[1] = 1.0 + half * (kin + 0.5 * mu * w2s[lo] * q2_in)
-        swept = False
-        if hi - lo == 1:
-            x, info = gtsv(*band, psi, overwrite_dl=True, overwrite_d=True, overwrite_du=True)[3:]
-        else:
-            *factors, info = gttrf(*band, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-            dl, d, _, _, ipiv = factors
-            swept = np.array_equal(ipiv, rows)
-        if info:  # I + i(step/2)H with real H is never singular for finite input
-            raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[lo])!r}")
-        if swept:
-            unit[0, 1:] = unit[1, :-1] = dl
-            scale = 2.0 / d
-        for k in range(lo, hi):
-            if swept:  # psi <- L^{-T} (2/D) L^{-1} psi - psi
-                x = tbsv(1, unit, psi, lower=1, diag=1)
-                x *= scale
-                tbsv(1, unit, x, diag=1, overwrite_x=1)
+    # every solve overwrites x, a copy of psi: psi <- 2 A^{-1} psi - psi needs
+    # both.  The f2py calls in the loops are positional, since a keyword
+    # dict is parsed on every call: gtsv(dl, d, du, b, overwrite_dl,
+    # overwrite_d, overwrite_du, overwrite_b), gttrs(dl, d, du, du2, ipiv, b,
+    # trans, overwrite_b) and tbsv(k, a, x, incx, offx, lower, trans, diag,
+    # overwrite_x)
+    x = np.empty_like(psi)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo in run_end:  # a run starts: build and factor its A
+            half = 0.5j * steps[lo]
+            lu[0] = lu[2] = half * off
+            # 1 + half (kin + (mu/2) omega^2 q^2) in place, in the step-by-step
+            # march's operand order, so no bit changes
+            np.multiply(0.5 * mu * w2s[lo], q2_in, out=h_diag)
+            h_diag += kin
+            np.multiply(half, h_diag, out=lu[1])
+            lu[1] += 1.0
+            if run_end[lo] - lo > 1:
+                *factors, info = gttrf(*band, 1, 1, 1)
+            else:  # the run's one step solves here and ends below
+                factors = None
+                np.copyto(x, psi)
+                info = gtsv(*band, x, 1, 1, 1, 1)[4]
+            if info:  # I + i(step/2)H with real H is never singular for finite input
+                raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[lo])!r}")
+            swept = factors is not None and np.array_equal(factors[4], rows)
+            if swept:
+                unit[0, 1:] = unit[1, :-1] = factors[0]
+                scale = 2.0 / factors[1]
+        if swept:  # psi <- L^{-T} (2/D) L^{-1} psi - psi
+            for _ in range(hi - lo):
+                np.copyto(x, psi)
+                tbsv(1, unit, x, 1, 0, 1, 0, 1, 1)
+                np.multiply(x, scale, out=x)
+                tbsv(1, unit, x, 1, 0, 0, 0, 1, 1)
                 np.subtract(x, psi, out=psi)
-            else:
-                if hi - lo > 1:
-                    x = gttrs(*factors, psi)[0]
-                psi = 2.0 * x - psi  # Cayley: A^{-1}(2I - A) psi
-            if k in kicks:
-                psi *= np.exp(-0.5j * mu * kicks[k] * q2_in)
+        elif factors is None:  # Cayley: A^{-1}(2I - A) psi = 2x - psi
+            np.multiply(2.0, x, out=x)
+            np.subtract(x, psi, out=psi)
+        else:
+            for _ in range(hi - lo):
+                np.copyto(x, psi)
+                gttrs(*factors, x, "N", 1)
+                np.multiply(2.0, x, out=x)
+                np.subtract(x, psi, out=psi)
+        if hi - 1 in kicks:
+            psi *= np.exp(-0.5j * mu * kicks[hi - 1] * q2_in)
     return WavePacket(q=q, psi=np.pad(psi, 1), t=t_b)
 
 

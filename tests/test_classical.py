@@ -157,6 +157,41 @@ def test_a_mesh_sized_past_the_cap_is_refused_before_it_is_built(profile, why):
     assert peak < 50e6, peak
 
 
+# omega h reaches 20-56 on these windows' initial steps, outside the Magnus
+# series' range: a step's one-step and two-half-step matrices differ by O(1),
+# by 1e17 and more, or by nan, which read as an h^7 error once asked for up
+# to 2^17 sub-steps of one step (132,877 nodes at alpha 40, StepFailure on the
+# rest).  Each window with the node count of the solve that sizes such a
+# step by omega h alone
+MODERATE_FREQUENCY = {
+    "sech-squared-40": (SechSquared(40.0, 1.0, 0.0), -3.0, 3.0, 2813),
+    "sech-squared-50": (SechSquared(50.0, 1.0, 0.0), -3.0, 3.0, 4065),
+    "sech-squared-100": (SechSquared(100.0, 1.0, 0.0), -3.0, 3.0, 8081),
+    "sine-modulated": (Expression("2500*(1+0.5*sin(3*t))"), 0.0, 6.0, 7571),
+    "gaussian-pulse": (Expression("2500*exp(-t^2)"), 0.0, 6.0, 1895),
+}
+
+
+@pytest.mark.parametrize("name", MODERATE_FREQUENCY)
+def test_a_diverged_magnus_step_is_cut_by_omega_h_alone(name):
+    profile, t_a, t_b, nodes = MODERATE_FREQUENCY[name]
+    pair = solve_fundamental(profile, t_a, t_b)
+    assert nodes / 1.5 <= pair.node_t.size <= 1.5 * nodes
+
+
+def test_sech_squared_50_matches_the_invariant_phase_oracle():
+    # 46 focal points on [-3, 3]; the pair in units where omega_a = omega_b
+    # = 50 sech 3 makes every entry of the transfer matrix order one
+    u, ud, v, vd, theta = oracles.invariant_phase(lambda t: 2500.0 / math.cosh(t) ** 2, -3.0, 3.0)
+    pair = solve_fundamental(SechSquared(50.0, 1.0, 0.0), -3.0, 3.0)
+    got_u, got_ud, got_v, got_vd, n_focal = pair.end
+    assert n_focal == math.floor(theta / math.pi) == 46
+    omega = 50.0 / math.cosh(3.0)
+    scale = np.diag([1.0, 1.0 / omega])
+    diff = scale @ np.array([[got_u - u, got_v - v], [got_ud - ud, got_vd - vd]]) @ np.diag([1.0, omega])
+    assert np.max(np.abs(diff)) <= 1e-9
+
+
 def test_a_table_of_20000_intervals_solves():
     # past 2^14 segments each starts from fewer than 8 steps: 20,000 knot
     # intervals start from 6 each, and the result is the formula's own

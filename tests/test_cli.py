@@ -908,6 +908,29 @@ def test_integers_past_int64_read_as_floats(tmp_path, capsys, task):
     assert rows[0][header.index("t_a" if task == "kernel" else "t")] == "1e+20"
 
 
+@pytest.mark.parametrize("target, cfg, exc", [
+    # "n": 10^11 passes the schema and check_count, and np.linspace then
+    # asks for 745 GiB; the stand-in raises numpy's error for that request
+    ("uniform_grid", kernel_cfg(points=None, grid={"q_min": -3.0, "q_max": 3.0, "n": 100000000000}),
+     np._core._exceptions._ArrayMemoryError((100000000000,), np.dtype(float))),
+    ("kernel_batch", kernel_cfg(), MemoryError()),
+])
+def test_a_run_out_of_memory_exits_1_naming_the_task(tmp_path, capsys, monkeypatch, target, cfg, exc):
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    out = tmp_path / "out"
+    assert main(["kernel", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: kernel ran out of memory: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert str(exc) in captured.err
+    assert list(out.iterdir()) == []
+
+
 def test_out_directory_that_cannot_be_created(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("a regular file")

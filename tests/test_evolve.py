@@ -569,10 +569,15 @@ FLATS_AND_RAMP = Tabulated([0.0, 0.3, 0.6, 1.0], [1.0, 1.0, 0.2, 0.2], interp="l
     # |i (step/2) off| >> 1, about 51 and 818: A is far from I
     (FREE, 1024, 1.0, 0.05),
     (FREE, 2048, 1.0, 0.2),
+    (FREE, 512, 1.0, 2.0),                  # t_b - t_a < dt: a march of one gtsv step
+    (FREE, 512, 1.0, 0.5),                  # one run of exactly two swept steps
+    (DeltaPulse(0.8, 1.0), 512, 1.0, 1e-3),  # the kick at t_b, after the march's last step
+    (Staircase(), 32, 1.0, 1e-3),
 ], ids=["constant", "delta-pulse", "sech-squared", "constant-n256",
         "delta-pulse-n1024", "delta-pulse-mu0.5", "exp-decay", "two-kicks",
         "staircase", "staircase-n256-mu0.5", "tabulated-flats-and-ramp",
-        "free-dt0.05-n1024", "free-dt0.2-n2048"])
+        "free-dt0.05-n1024", "free-dt0.2-n2048", "one-step", "two-step-run",
+        "kick-at-t_b", "staircase-n32"])
 def test_cn_is_bit_identical_to_the_step_by_step_march(profile, n, mu, dt):
     # bit for bit the Cayley march, so the run factoring changes no bit; and
     # within roundoff of the march that builds the explicit half by hand
