@@ -21,17 +21,25 @@ may be a rounding tie takes Python's '%.17g', so every field holds the bytes
 of '%.17g' of its value.  Columns broadcast together by numpy's rules, one
 row per element in C order, and each is formatted once per value it stores (a
 scalar, a grid axis, a broadcast modulus once per block).  Nothing
-timestamped, nothing random: reruns are byte-identical.  The argument parser
-is built once per process.
+timestamped, nothing random: reruns are byte-identical.  A rerun rewrites
+only the files whose bytes changed: a file that already holds its bytes is
+left alone, inode and mtime too, because a rename over an existing file makes
+ext4 (auto_da_alloc) start writing the new data back inside the rename.  A
+file that changes is written to <name>.tmp and moved over <name> by
+os.replace, so no reader sees it half written.  The argument parser is built
+once per process, and the schema validator once per task and profile type.
 
 Exit codes: 0 success; 1 error (unusable config, caustic, solver breakdown,
 an output number that is not finite, a run out of memory, each refused
-before any file is written); 2 a graded check failed under --strict.
+before any file is written; or an output file that cannot be written, which
+stops the run with its <name>.tmp removed); 2 a graded check failed under
+--strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -54,6 +62,7 @@ from .freq_profile import profile_from_json
 from .kernel import kernel_batch
 
 _BLOCK_ROWS = 4096
+_CHUNK = 1 << 20  # bytes of an existing output file read per compare
 _WIDTH = 24  # the longest '%.17g' of a float64, as '-2.2250738585072014e-308'
 _S0, _S1 = -266, 299  # 10^s for s = 16 - e, e = floor(log10 |x|) +- 1 for |x| in [1e-280, 1e280]
 
@@ -222,10 +231,32 @@ def _encode(name: str, content) -> bytes:
     return _json_bytes(content)
 
 
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether the file at path holds exactly data: its size, then its bytes
+    a chunk at a time (bytes slices compare in C; a chunk bounds the memory
+    held).  Any OSError, such as no file there, reads as no."""
+    try:
+        with open(path, "rb") as f:
+            return os.fstat(f.fileno()).st_size == len(data) and \
+                all(f.read(_CHUNK) == data[start:start + _CHUNK] for start in range(0, len(data), _CHUNK))
+    except OSError:
+        return False
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data to path through path.tmp and os.replace, unless the file
+    there already holds it (see the module docstring).  A failed write
+    removes path.tmp and raises its OSError."""
+    if _holds(path, data):
+        return
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _json_path(parts) -> str:
@@ -248,6 +279,29 @@ def _schema() -> dict:
     return json.loads(resources.files("tdho").joinpath("config_schema.json").read_text())
 
 
+@functools.cache
+def _profile_kinds() -> dict:
+    """Each profile type's branch of the schema, by its type name."""
+    return {b["properties"]["type"]["const"]: b for b in _schema()["$defs"]["profile"]["oneOf"]}
+
+
+@functools.cache
+def _validator(task: str, kind: str | None):
+    """The validator of task's schema branch with the profile branch kind
+    names, so that an error names its key; for kind None (any type the schema
+    does not know), a profile schema that lists the known ones.  Built once
+    per task and kind."""
+    from jsonschema import Draft202012Validator
+
+    schema = _schema()
+    branch = next(b for b in schema["oneOf"] if b["properties"]["task"]["const"] == task)
+    kinds = _profile_kinds()
+    profile = kinds[kind] if kind is not None else \
+        {"type": "object", "required": ["type"], "properties": {"type": {"enum": list(kinds)}}}
+    # copies: the cached schema stays as parsed
+    return Draft202012Validator({**branch, "$defs": {**schema["$defs"], "profile": profile}})
+
+
 def _validate_config(cfg: dict, task: str) -> str | None:
     """cfg's first error as a string, or None: a number that is not finite,
     then the schema branch for task, then the checks the schema cannot state."""
@@ -257,21 +311,11 @@ def _validate_config(cfg: dict, task: str) -> str | None:
         key = [p for p in parts if isinstance(p, str)][-1]
         return f"config error at {_json_path(parts)}: {value} in {key!r} is not a finite number"
     # local: only config checking needs jsonschema, which adds about 35 ms to a cold start
-    from jsonschema import Draft202012Validator
     from jsonschema.exceptions import best_match
 
-    schema = _schema()
-    branch = next(b for b in schema["oneOf"]
-                  if b["properties"]["task"]["const"] == task)
-    # the profile branch its type names, so that an error names its key; for
-    # any other type, a schema that lists the known ones
-    kinds = {b["properties"]["type"]["const"]: b for b in schema["$defs"]["profile"]["oneOf"]}
     kind = cfg["profile"].get("type") if isinstance(cfg.get("profile"), dict) else None
-    profile = kinds[kind] if isinstance(kind, str) and kind in kinds else \
-        {"type": "object", "required": ["type"], "properties": {"type": {"enum": list(kinds)}}}
-    # copies: the cached schema stays as parsed
-    doc = {**branch, "$defs": {**schema["$defs"], "profile": profile}}
-    err = best_match(Draft202012Validator(doc).iter_errors(cfg))
+    known = isinstance(kind, str) and kind in _profile_kinds()
+    err = best_match(_validator(task, kind if known else None).iter_errors(cfg))
     if err is not None:
         if err.validator == "oneOf" and all(list(b) == ["required"] for b in err.validator_value):
             keys = " or ".join(repr(k) for b in err.validator_value for k in b["required"])
@@ -488,7 +532,11 @@ def main(argv=None) -> int:
         return 1
 
     for name, data in files.items():
-        _write_atomic(out_dir / name, data)
+        try:
+            _write_atomic(out_dir / name, data)
+        except OSError as exc:
+            print(f"error: cannot write {out_dir / name}: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {out_dir / name}")
 
     if args.strict and strict_fail is not None:

@@ -828,6 +828,102 @@ def test_reruns_are_byte_identical(tmp_path, cfg):
         assert (a / n).read_bytes() == (b / n).read_bytes()
 
 
+def _stats(out):
+    return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("cfg", TASK_CFGS, ids=TASK_IDS)
+def test_a_rerun_into_the_same_out_leaves_every_file_alone(tmp_path, capsys, cfg):
+    # the same bytes, inode and mtime: no file was written again or renamed over
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        assert main([cfg["task"], "--config", str(cfg_path), "--out", str(out)]) == 0
+        runs.append((_stats(out), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert "manifest.json" in runs[0][0] and not list(out.glob("*.tmp"))
+
+
+def _spoil_flip(path):
+    # one byte past the first chunk the compare reads
+    data = bytearray(path.read_bytes())
+    at = cli._CHUNK + 1000
+    assert len(data) > at
+    data[at] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _spoil_truncate(path):
+    path.write_bytes(path.read_bytes()[: cli._CHUNK // 2])
+
+
+@pytest.mark.parametrize("spoil", [_spoil_flip, _spoil_truncate], ids=["flipped", "truncated"])
+def test_a_rerun_rewrites_a_file_whose_bytes_differ(tmp_path, spoil):
+    cfg = kernel_cfg(grid={"q_min": -3.0, "q_max": 3.0, "n": 100})
+    del cfg["points"]
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["kernel", "--config", str(cfg_path), "--out", str(out)]) == 0
+    before = _stats(out)
+    spoil(out / "kernel.csv")
+    ino = (out / "kernel.csv").stat().st_ino
+    assert main(["kernel", "--config", str(cfg_path), "--out", str(out)]) == 0
+    after = _stats(out)
+    # kernel.csv came back through kernel.csv.tmp and os.replace; the manifest was left alone
+    assert after["kernel.csv"][0] == before["kernel.csv"][0]
+    assert after["kernel.csv"][1] != ino
+    assert after["manifest.json"] == before["manifest.json"]
+    manifest = json.loads(after["manifest.json"][0])
+    assert hashlib.sha256(after["kernel.csv"][0]).hexdigest() == manifest["outputs"]["kernel.csv"]
+    assert not list(out.glob("*.tmp"))
+
+
+def test_a_file_that_holds_other_bytes_of_the_same_size_is_rewritten(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"abc")
+    cli._write_atomic(path, b"abd")
+    assert path.read_bytes() == b"abd"
+    cli._write_atomic(path, b"")
+    assert path.read_bytes() == b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
+
+
+def _disk_full(self, data):
+    # half the bytes reach the file, then the disk is full
+    with open(self, "wb") as f:
+        f.write(data[: len(data) // 2])
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("blocked", ["directory", "disk full"])
+def test_an_output_that_cannot_be_written_exits_1_without_a_tmp_file(tmp_path, capsys, monkeypatch, blocked):
+    cfg_path = write_cfg(tmp_path, kernel_cfg())
+    out = tmp_path / "out"
+    if blocked == "directory":
+        (out / "kernel.csv").mkdir(parents=True)
+    else:
+        monkeypatch.setattr(Path, "write_bytes", _disk_full)
+    assert main(["kernel", "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out / 'kernel.csv'}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert sorted(p.name for p in out.iterdir()) == (["kernel.csv"] if blocked == "directory" else [])
+
+
+def test_one_validator_per_task_and_profile_type(tmp_path, capsys):
+    cli._validator.cache_clear()
+    cfgs = [kernel_cfg(), kernel_cfg(profile={"type": "constant", "omega0": 0.3}),
+            kernel_cfg(profile={"type": "nope"}), kernel_cfg(profile={"type": "other"}),
+            kernel_cfg(profile={"type": ["constant"]})]
+    for i, cfg in enumerate(cfgs):
+        main(["kernel", "--config", str(write_cfg(tmp_path, cfg, f"{i}.json")), "--out", str(tmp_path)])
+    # constant, and one shared entry for every type the schema does not know
+    assert cli._validator.cache_info().currsize == 2
+    assert capsys.readouterr().err.count("config error at $.profile.type: ") == 3
+
+
 # each optional config key a subcommand hands to the library, and the call whose default it takes
 LIBRARY_KEYS = {
     "kernel": {"tol": solve_fundamental, "mu": kernel_batch},
