@@ -528,6 +528,8 @@ def _stacked_step_solve(profile, t_a, t_b, tol=1e-10, plain=False):
     Each level is one oracle call.  Each rejected step in turn is split
     into solve_fundamental's 2^k dyadic sub-steps, or, with plain=True, into
     its two halves: the one-level bisection whose mesh the sizing refines.
+    Sub-steps past the cap raise StepFailure naming the level's worst step,
+    the first largest r among all its steps.
     """
     kicks = {e.time: e.strength for e in profile.jump_events(t_a, t_b)}
     boundaries = sorted({t_a, t_b, *kicks, *profile.breakpoints(t_a, t_b)})
@@ -552,10 +554,19 @@ def _stacked_step_solve(profile, t_a, t_b, tol=1e-10, plain=False):
             ok = (err <= budget * h) & (wh <= 1.0)
             steps += [(t0[ok], mid[ok], left[ok]), (mid[ok], t1[ok], right[ok])]
             n_accepted += 2 * np.count_nonzero(ok)
-            known, new = [], []
+            r = np.maximum(np.log2(err / (budget * h)) / 6.0, np.log2(wh))
+            sized = []
             for i in np.flatnonzero(~ok):
-                r = np.maximum(np.log2(err[i] / (budget * h[i])) / 6.0, np.log2(wh[i]))
-                k = 1 if plain or not np.isfinite(r) else min(max(math.ceil(r), 1), _MAX_SPLIT)
+                # a diverged step (omega h > 1, halves more than 1 apart) is sized by omega h alone
+                levels = r[i] if err[i] <= 1.0 or wh[i] <= 1.0 else np.log2(wh[i])
+                k = 1 if plain or not np.isfinite(levels) else min(max(math.ceil(levels), 1), _MAX_SPLIT)
+                sized.append((i, k))
+            if n_accepted + sum(2 << k for _, k in sized) > _MAX_STEPS:
+                w = int(np.argmax(r))
+                raise StepFailure(f"the worst step, from t={float(t0[w])!r} to t={float(t1[w])!r}, has error "
+                                  f"{err[w] / (budget * h[w]):.3g} times its budget and omega h = {wh[w]:.3g}")
+            known, new = [], []
+            for i, k in sized:
                 if k == 1:
                     known += [(t0[i], mid[i], left[i]), (mid[i], t1[i], right[i])]
                     continue
@@ -607,6 +618,95 @@ def test_solve_is_bit_identical_to_the_stacked_step_bisection(name):
     assert node_t.size > 16 * (1 + len(profile.breakpoints(t_a, t_b)))  # bisected past level 1
     ts = np.concatenate([node_t, np.linspace(t_a, t_b, 37)])
     assert np.array_equal(pair.state(ts), state(ts))
+
+
+# windows like the bench's requests: each family over 3-4 focal points, solved in 2-3 levels
+BENCH_LIKE_SOLVES = {
+    "constant": (Constant(2.0), 0.0, 6.5),
+    "exp-decay": (ExpDecay(4.0, 0.3), 0.0, 4.0),
+    "power-law": (PowerLaw(2.0, 1.0, 1.0), 0.2, 4.0),
+    "delta-pulse": (DeltaPulse(1.5, 1.0), 0.0, 6.0),
+    "sech-squared": (SechSquared(4.0, 0.5, 2.0), 0.0, 4.2),
+    "tabulated-breakpoints": (Tabulated(np.linspace(0.0, 6.0, 13),
+                                        6.0 + 2.0 * np.sin(np.linspace(0.0, 6.0, 13))), 0.0, 5.3),
+    "expression": (Expression("9 + 4*sin(t)"), 0.0, 4.0),
+}
+
+
+def _count_steps(monkeypatch) -> dict:
+    """A count of classical._magnus calls, the levels of a solve, from now on."""
+    calls = {"magnus": 0}
+
+    def counted(*args, step=_magnus):
+        calls["magnus"] += 1
+        return step(*args)
+    monkeypatch.setattr(classical, "_magnus", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", [*BENCH_LIKE_SOLVES, "kick-at-t_b"])
+def test_solve_and_state_are_bit_identical_to_the_stacked_steps_on_bench_like_windows(name, monkeypatch):
+    profile, t_a, t_b = BENCH_LIKE_SOLVES.get(name, (DeltaPulse(1.5, 4.0), 0.0, 4.0))
+    node_t, node_y, state = _stacked_step_solve(profile, t_a, t_b)
+    calls = _count_steps(monkeypatch)
+    pair = solve_fundamental(profile, t_a, t_b)
+    assert np.array_equal(pair.node_t, node_t) and np.array_equal(pair.node_y, node_y)
+    if name == "kick-at-t_b":  # the last two nodes are t_b, before and after the kick
+        assert pair.event_times == (t_b,) and np.array_equal(node_t[-2:], [t_b, t_b])
+    else:
+        assert pair.end[4] in (3, 4) and calls["magnus"] in (2, 3), (pair.end[4], calls)
+    ts = np.linspace(t_a, t_b, 30)
+    for t in (t_a, 0.5 * (t_a + t_b), t_b, float(node_t[len(node_t) // 2])):  # 0-d: shape (4,)
+        got = pair.state(t)
+        assert got.shape == (4,) and np.array_equal(got, state(np.array([t]))[:, 0])
+    for t in (np.concatenate([node_t, ts]), ts.reshape(5, 6)):  # 1-d and 2-d
+        assert np.array_equal(pair.state(t), state(t.ravel()).reshape((4,) + t.shape))
+
+
+def test_a_refused_solve_names_the_step_the_stacked_steps_name():
+    # omega h = 3750 on the initial steps: each is cut into 2^12 sub-steps,
+    # whose halves then ask for more than _MAX_STEPS; sizing only the rejected
+    # steps must name the same worst step as sizing them all
+    profile = ExpDecay(3e4, 1.0)
+    with pytest.raises(StepFailure) as want:
+        _stacked_step_solve(profile, 0.0, 1.0)
+    with pytest.raises(StepFailure) as got:
+        solve_fundamental(profile, 0.0, 1.0)
+    assert str(got.value) == f"no mesh of at most {_MAX_STEPS} steps meets tol=1e-10 on [0.0, 1.0]; {want.value}"
+    assert "from t=0.0 to t=3.0517578125e-05," in str(want.value)
+
+
+@pytest.mark.parametrize("name", BENCH_LIKE_SOLVES)
+def test_every_omega2_read_goes_through_smooth_omega_squared_once_a_level(name, monkeypatch):
+    profile, t_a, t_b = BENCH_LIKE_SOLVES[name]
+    reads = {"smooth": 0, "bypass": 0, "inside": 0}
+
+    def smooth(self, t, read=FrequencyProfile.smooth_omega_squared):
+        reads["smooth"] += 1
+        reads["inside"] += 1
+        try:
+            return read(self, t)
+        finally:
+            reads["inside"] -= 1
+
+    def direct(read):
+        def spy(self, t):
+            reads["bypass"] += not reads["inside"]
+            return read(self, t)
+        return spy
+
+    monkeypatch.setattr(FrequencyProfile, "smooth_omega_squared", smooth)
+    for meth in ("omega_squared", "_smooth"):
+        monkeypatch.setattr(type(profile), meth, direct(getattr(type(profile), meth)))
+    calls = _count_steps(monkeypatch)
+    pair = solve_fundamental(profile, t_a, t_b)
+    assert reads["smooth"] == calls["magnus"] >= 2 and reads["bypass"] == 0, (reads, calls)
+    solve_reads = reads["smooth"]
+    pair.state(pair.node_t)  # every time a node: no partial step, no read
+    assert reads["smooth"] == solve_reads
+    pair.state(np.linspace(t_a, t_b, 30).reshape(3, 10))  # partial steps: one read
+    pair.state(t_a + (t_b - t_a) / 3.0)  # no dyadic mesh holds a third of the window
+    assert reads["smooth"] == calls["magnus"] == solve_reads + 2 and reads["bypass"] == 0, (reads, calls)
 
 
 @pytest.mark.parametrize("name", STACKED_SOLVES)

@@ -66,6 +66,17 @@ def propagate_cfg(**over):
     return cfg
 
 
+def readme_compare_cfg():
+    """The README's propagate config as a compare: 2048 points on [-8, 8], n_slices left out."""
+    cfg = propagate_cfg(profile={"type": "sech_squared", "alpha": 1.0, "beta": 1.0, "t0": 0.5},
+                        window={"t_a": 0.0, "t_b": 1.0},
+                        state={"qbar": 0.0, "kbar": 1.0, "sigma": 0.7},
+                        grid={"q_min": -8.0, "q_max": 8.0, "n": 2048})
+    del cfg["method"]
+    cfg["task"] = "compare"
+    return cfg
+
+
 def compare_cfg(**over):
     cfg = {
         "task": "compare",
@@ -564,12 +575,17 @@ def test_compare_output(tmp_path):
     assert main(["compare", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
     doc = json.loads((out / "compare.json").read_text())
     assert set(doc["norms"]) == {"kernel", "crank_nicolson", "time_sliced"}
-    for key in ("kernel_vs_crank_nicolson", "kernel_vs_time_sliced",
-                "crank_nicolson_vs_time_sliced"):
-        block = doc[key]
-        assert block["l2_error"] <= doc["max_l2_error"]
-        assert block["norm_ratio"] == pytest.approx(1.0, abs=1e-6)
-        assert len(block["overlap"]) == 2
+    assert doc["n_slices"] == [2, 1]
+    # slicing is graded as 2 psi_2 - psi_1; the raw 2-slice run is reported, not graded
+    graded = ("kernel_vs_crank_nicolson", "kernel_vs_time_sliced_extrapolated",
+              "crank_nicolson_vs_time_sliced_extrapolated")
+    raw = ("kernel_vs_time_sliced", "crank_nicolson_vs_time_sliced")
+    for key in graded + raw:
+        assert len(doc[key]["overlap"]) == 2
+    for key in ("kernel_vs_crank_nicolson",) + raw:  # the unitary runs
+        assert doc[key]["norm_ratio"] == pytest.approx(1.0, abs=1e-6)
+    assert doc["max_l2_error"] == max(doc[key]["l2_error"] for key in graded)
+    assert doc["kernel_vs_time_sliced_extrapolated"]["l2_error"] < doc["kernel_vs_time_sliced"]["l2_error"]
     assert doc["tolerance"] == 0.05
     assert doc["passed"] is True
 
@@ -585,17 +601,13 @@ def test_compare_strict_failure_exits_2(tmp_path, capsys):
     assert "methods disagree" in err
     doc = json.loads((out / "compare.json").read_text())
     assert doc["passed"] is False
+    assert doc["n_slices"] == [1, 0]  # one slice: the raw run is graded
+    assert doc["kernel_vs_time_sliced_extrapolated"] == doc["kernel_vs_time_sliced"]
 
 
 def test_compare_on_readme_grid_defaults_to_resolved_slices(tmp_path):
-    # the README's propagate config as a compare: 2048 points on [-8, 8]
-    # resolve at most 25 slices at t = 1, so the default drops below 128
-    cfg = propagate_cfg(profile={"type": "sech_squared", "alpha": 1.0, "beta": 1.0, "t0": 0.5},
-                        window={"t_a": 0.0, "t_b": 1.0},
-                        state={"qbar": 0.0, "kbar": 1.0, "sigma": 0.7},
-                        grid={"q_min": -8.0, "q_max": 8.0, "n": 2048})
-    del cfg["method"]
-    cfg["task"] = "compare"
+    # 2048 points on [-8, 8] resolve at most 25 slices at t = 1, so the default drops below 128
+    cfg = readme_compare_cfg()
     out = tmp_path / "out"
     assert main(["compare", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
     doc = json.loads((out / "compare.json").read_text())
@@ -608,6 +620,20 @@ def test_compare_on_readme_grid_defaults_to_resolved_slices(tmp_path):
                      "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "default" / "wavepacket.csv").read_bytes() == \
         (tmp_path / "explicit" / "wavepacket.csv").read_bytes()
+
+
+def test_the_readme_compare_config_passes_its_own_check(tmp_path, capsys):
+    # the README grid resolves 25 slices; compare grades 2 psi_24 - psi_12,
+    # 5.5e-4 from the kernel route, where the raw 24 slices are 1.5e-2 off
+    cfg = readme_compare_cfg()
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out), "--strict"]) == 0
+    assert "strict:" not in capsys.readouterr().err
+    doc = json.loads((out / "compare.json").read_text())
+    assert doc["passed"] is True and doc["tolerance"] == 1e-3
+    assert doc["n_slices"] == [24, 12]
+    assert doc["max_l2_error"] <= 6e-4
+    assert doc["kernel_vs_time_sliced"]["l2_error"] > 1e-2
 
 
 def test_default_slices_stay_128_where_the_grid_resolves_them(tmp_path):
