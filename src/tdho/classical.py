@@ -236,10 +236,10 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     lies outside the Magnus series' range, where err measures no h^7 term,
     so its k is ceil(log2(omega h)) alone; a k that is not finite is 1.
     So every node of plain bisection is a node here.  Each level is one
-    _magnus call, for the halves of every step and the whole of each fresh
-    sub-step, then the step test and the sizing of the rejected steps
-    alone: about 100 numpy calls, 60-100 us on a shared 2-vCPU VM up to a
-    hundred steps.  A level whose steps all pass ends the loop unmasked.
+    _magnus call, for the halves and the whole of every step it tests, then
+    the step test and the sizing of the rejected steps alone: about 100
+    numpy calls, 60-100 us on a shared 2-vCPU VM up to a hundred steps.
+    A level whose steps all pass ends the loop unmasked.
     A kick [[1, 0], [-strength, 1]] is a zero-length step.  One prefix product gives the state at the step ends,
     the pair's nodes, of which the last is the state at t_b; between them the
     state is a partial step from the node before.  Raises DomainError on a
@@ -264,15 +264,14 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     if kicks:
         times = np.array(sorted(kicks))
         steps.append((times, times, np.array([[[1.0, 0.0], [-kicks[k], 1.0]] for k in times])))
-    n_accepted, m = 0, 0  # the first m steps' whole-step matrices are known (full); the rest are fresh
+    n_accepted = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # failing steps may overflow
         while True:
             h, n = t1 - t0, t0.size
             mid = 0.5 * (t0 + t1)
-            mats, w2max = _magnus(profile, np.concatenate([t0, mid, t0[m:]]), np.concatenate([mid, t1, t1[m:]]))
-            left, right = mats[:n], mats[n:2 * n]
-            full = np.concatenate([full, mats[2 * n:]]) if m else mats[2 * n:]
-            err = (np.abs(full - right @ left) / np.maximum(1.0, np.abs(full))).max(axis=(1, 2))
+            mats, w2max = _magnus(profile, np.concatenate([t0, mid, t0]), np.concatenate([mid, t1, t1]))
+            left, right, whole = mats[:n], mats[n:2 * n], mats[2 * n:]
+            err = (np.abs(whole - right @ left) / np.maximum(1.0, np.abs(whole))).max(axis=(1, 2))
             wh = h * np.sqrt(np.maximum(w2max[:n], w2max[n:2 * n]))
             bh = budget * h
             ok = (err <= bh) & (wh <= 1.0)
@@ -283,7 +282,7 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
                 steps += [(t0[ok], mid[ok], left[ok]), (mid[ok], t1[ok], right[ok])]
                 n_accepted += 2 * int(np.count_nonzero(ok))
                 bad = ~ok
-                t0, t1, mid, left, right, err, wh, bh = (x[bad] for x in (t0, t1, mid, left, right, err, wh, bh))
+                t0, t1, err, wh, bh = (x[bad] for x in (t0, t1, err, wh, bh))
             # levels to skip: 2^k sub-steps cut err ~ h^7 against a budget ~ h by 2^(6k), omega h by 2^k;
             # a step with omega h > 1 whose halves differ by more than 1 is outside that
             # model (its Magnus series diverges), so omega h alone sizes it
@@ -297,14 +296,7 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
                 raise StepFailure(f"{_no_mesh(tol, t_a, t_b)}; the worst step, from t={float(t0[w])!r} "
                                   f"to t={float(t1[w])!r}, has error {err[w] / bh[w]:.3g} times its budget "
                                   f"and omega h = {wh[w]:.3g}")
-            # a rejected step's halves, whose whole-step matrices are known, cut by the levels left to skip
-            t0, t1, full = np.concatenate([t0, mid]), np.concatenate([mid, t1]), np.concatenate([left, right])
-            k -= 1
-            if k.any():
-                skip = np.concatenate([k, k])
-                t0, t1 = _dyadic(t0, t1, skip)
-                full = full[skip == 0]
-            m = len(full)
+            t0, t1 = _dyadic(t0, t1, k)
         lo, hi, mats = (np.concatenate(x) for x in zip(*steps))
         order = np.lexsort((hi, lo))  # a kick precedes the step that starts at its time
         node_t = np.empty(len(order) + 1)

@@ -10,12 +10,18 @@ test of a scale that must be positive and finite: the mass mu, a solver's
 tol, a Gaussian's sigma and the Schrodinger residual's difference steps.
 check_count() is the one test of a count: a grid's n, verify_solution's
 n_samples and time_sliced_oracle's n_slices, where an integral float counts
-as its int.
+as its int.  MAX_COUNT bounds every count, and crank_nicolson's steps per
+segment, before anything is allocated.
 """
 
 from __future__ import annotations
 
 from numbers import Real
+
+import numpy as np
+
+# the length of the largest complex128 array an index can address
+MAX_COUNT = np.iinfo(np.intp).max // 16
 
 
 class TdhoError(Exception):
@@ -33,10 +39,13 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_count(name: str, value: float, least: int = 1) -> int:
-    """value as an int if it is a whole number >= least; else refuse it, naming it."""
+    """value as an int if it is a whole number in [least, MAX_COUNT]; else refuse it, naming it."""
     if not (isinstance(value, Real) and not isinstance(value, bool)
             and value >= least and value % 1 == 0):
         raise DomainError(f"{name} must be a whole number >= {least}, got {value!r}")
+    if value > MAX_COUNT:
+        raise DomainError(f"{name} must be at most {MAX_COUNT}, the longest array an index "
+                          f"addresses, got {value!r}")
     return int(value)
 
 

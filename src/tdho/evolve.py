@@ -40,8 +40,8 @@ run of equal step and omega^2 factors I + iK once (gttrf): I + iK is
 symmetric, so without a row interchange it is L D L^T, and each step is a
 unit-lower BLAS tbsv sweep, a multiply by 2/D and a unit-upper sweep; a
 factorization that interchanged rows (omega^2 < 0 only) solves by gttrs.
-Every solve writes into one buffer, and kicks end stretches of a run rather
-than being looked up at each step, so a step is its arithmetic alone.
+Every solve writes into one buffer, and a kick ends its run rather than
+being looked up at each step, so a step is its arithmetic alone.
 CN shares nothing with the other two routes; the Filon route and slicing
 share the free hop, and each has its own independent test reference.
 Agreement is the evidence.  All three share one input check.
@@ -60,7 +60,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.linalg import solve_banded  # noqa: F401  unused here; bench/tracing.py patches it (ROADMAP item 5)
 
 from .classical import solve_fundamental
-from .errors import (DomainError, GridMismatch, GridTooNarrow, StabilityWarning,
+from .errors import (MAX_COUNT, DomainError, GridMismatch, GridTooNarrow, StabilityWarning,
                      StepFailure, check_count, check_positive)
 from .freq_profile import FrequencyProfile
 from .kernel import _refuse_focal_end, maslov_sign
@@ -236,14 +236,15 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     events, and each impulse of strength s applies the exact phase
     exp(-i mu s q^2 / 2) after its segment's last step.  A step is the
     Cayley form (Goldberg, Schey and Schwartz 1967) psi <- 2 A^{-1} psi - psi,
-    A = I + i(step/2)H, on the interior points; consecutive steps with equal
-    step and omega^2 share one LAPACK factorization A = L D L^T and solve by
-    two unit-bidiagonal BLAS sweeps, 2 A^{-1} = L^{-T} (2/D) L^{-1}.  The
-    steps of a run are marched in stretches that end at its kicks, and each
-    solve writes into one buffer the march owns, so a step allocates nothing
-    and tests nothing.  Walls are Dirichlet: the input's two wall values are
-    dropped and the output's are exactly 0, so the grid must stay wide
-    enough that nothing reaches them.
+    A = I + i(step/2)H, on the interior points; a run of consecutive steps
+    with equal step and omega^2, which a kick ends, shares one LAPACK
+    factorization A = L D L^T and solves by two unit-bidiagonal BLAS sweeps,
+    2 A^{-1} = L^{-T} (2/D) L^{-1}.  Each solve writes into one buffer the
+    march owns, so a step allocates nothing and tests nothing.  Walls are
+    Dirichlet: the input's two wall values are dropped and the output's are
+    exactly 0, so the grid must stay wide enough that nothing reaches them.
+    A dt that needs more steps on a segment than an array can hold
+    (errors.MAX_COUNT) raises DomainError.
     """
     _check_packet(packet, mu)
     check_positive("dt", dt)
@@ -255,7 +256,11 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     # call at the same midpoints
     steps, starts, kicks = [], [], {}  # kicks: step index -> strength after it
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        n_steps = max(1, math.ceil((hi - lo) / dt))
+        count = (hi - lo) / dt
+        if not count <= MAX_COUNT:  # inf or nan too
+            raise DomainError(f"dt={dt!r} needs {count:.3g} steps on [{lo!r}, {hi!r}], "
+                              f"more than the {MAX_COUNT} an array can hold")
+        n_steps = max(1, math.ceil(count))
         step = (hi - lo) / n_steps
         steps += [step] * n_steps
         starts.append(np.add.accumulate(np.concatenate(([lo], np.full(n_steps - 1, step)))))
@@ -274,18 +279,14 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
             "edges; results will be inaccurate (though not unstable)"))
 
     # a run is a maximal stretch of steps with equal (step, omega^2), so one
-    # matrix A: a run of one step takes gtsv, which is cheaper than
-    # factoring; a longer run factors A once (gttrf).  With no row
-    # interchange (always at omega^2 >= 0, where A is strictly diagonally
+    # matrix A, that a kick also ends: a run of one step takes gtsv, which is
+    # cheaper than factoring; a longer run factors A once (gttrf).  With no
+    # row interchange (always at omega^2 >= 0, where A is strictly diagonally
     # dominant) the factors are A = L D L^T, L unit lower bidiagonal with
     # gttrf's multipliers dl, and every pivot has Re d >= 1, so |2/d| <= 2;
     # after an interchange each step takes gttrs
-    runs = np.append(np.flatnonzero(np.append(
-        True, (step_of[1:] != step_of[:-1]) | (w2s[1:] != w2s[:-1]))), len(steps))
-    run_end = dict(zip(runs[:-1].tolist(), runs[1:].tolist()))
-    # the march walks stretches: a run cut after each of its kicks, so no
-    # step tests for a kick and a kick inside a run costs no second gttrf
-    cuts = sorted(run_end.keys() | {k + 1 for k in kicks} | {len(steps)})
+    change = np.flatnonzero((step_of[1:] != step_of[:-1]) | (w2s[1:] != w2s[:-1])) + 1
+    runs = sorted({0, len(steps), *(k + 1 for k in kicks), *change.tolist()})
 
     dq2 = (q[1] - q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
@@ -314,38 +315,34 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     # trans, overwrite_b) and tbsv(k, a, x, incx, offx, lower, trans, diag,
     # overwrite_x)
     x = np.empty_like(psi)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if lo in run_end:  # a run starts: build and factor its A
-            half = 0.5j * steps[lo]
-            lu[0] = lu[2] = half * off
-            # 1 + half (kin + (mu/2) omega^2 q^2) in place, in the step-by-step
-            # march's operand order, so no bit changes
-            np.multiply(0.5 * mu * w2s[lo], q2_in, out=h_diag)
-            h_diag += kin
-            np.multiply(half, h_diag, out=lu[1])
-            lu[1] += 1.0
-            if run_end[lo] - lo > 1:
-                *factors, info = gttrf(*band, 1, 1, 1)
-            else:  # the run's one step solves here and ends below
-                factors = None
-                np.copyto(x, psi)
-                info = gtsv(*band, x, 1, 1, 1, 1)[4]
-            if info:  # I + i(step/2)H with real H is never singular for finite input
-                raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[lo])!r}")
-            swept = factors is not None and np.array_equal(factors[4], rows)
-            if swept:
-                unit[0, 1:] = unit[1, :-1] = factors[0]
-                scale = 2.0 / factors[1]
-        if swept:  # psi <- L^{-T} (2/D) L^{-1} psi - psi
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        half = 0.5j * steps[lo]
+        lu[0] = lu[2] = half * off
+        # 1 + half (kin + (mu/2) omega^2 q^2) in place, in the step-by-step
+        # march's operand order, so no bit changes
+        np.multiply(0.5 * mu * w2s[lo], q2_in, out=h_diag)
+        h_diag += kin
+        np.multiply(half, h_diag, out=lu[1])
+        lu[1] += 1.0
+        if hi - lo == 1:
+            np.copyto(x, psi)
+            info = gtsv(*band, x, 1, 1, 1, 1)[4]
+        else:
+            *factors, info = gttrf(*band, 1, 1, 1)
+        if info:  # I + i(step/2)H with real H is never singular for finite input
+            raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[lo])!r}")
+        if hi - lo == 1:  # Cayley: A^{-1}(2I - A) psi = 2x - psi
+            np.multiply(2.0, x, out=x)
+            np.subtract(x, psi, out=psi)
+        elif np.array_equal(factors[4], rows):  # psi <- L^{-T} (2/D) L^{-1} psi - psi
+            unit[0, 1:] = unit[1, :-1] = factors[0]
+            scale = 2.0 / factors[1]
             for _ in range(hi - lo):
                 np.copyto(x, psi)
                 tbsv(1, unit, x, 1, 0, 1, 0, 1, 1)
                 np.multiply(x, scale, out=x)
                 tbsv(1, unit, x, 1, 0, 0, 0, 1, 1)
                 np.subtract(x, psi, out=psi)
-        elif factors is None:  # Cayley: A^{-1}(2I - A) psi = 2x - psi
-            np.multiply(2.0, x, out=x)
-            np.subtract(x, psi, out=psi)
         else:
             for _ in range(hi - lo):
                 np.copyto(x, psi)

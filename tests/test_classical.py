@@ -14,7 +14,7 @@ from tdho.classical import (
     _INITIAL_STEPS, _MAX_SPLIT, _MAX_STEPS, FundamentalPair, SolutionCurve, _magnus, closed_form,
     pair_from_solution, solve_fundamental, spot_check_solution, verify_solution,
 )
-from tdho.errors import DegenerateSolution, DomainError, SolutionMismatch, StepFailure
+from tdho.errors import MAX_COUNT, DegenerateSolution, DomainError, SolutionMismatch, StepFailure
 from tdho.freq_profile import (
     Constant, DeltaPulse, ExpDecay, Expression, FrequencyProfile, JumpEvent,
     PowerLaw, SechSquared, Tabulated,
@@ -400,6 +400,9 @@ def test_verify_solution_takes_a_whole_float_count_as_its_int():
     for bad in (16.5, 0, math.nan, math.inf):
         with pytest.raises(DomainError, match=r"n_samples must be a whole number >= 1"):
             verify_solution(Constant(1.0), sol, (0.0, 1.0), n_samples=bad)
+    # numpy's "array is too big" ValueError before the bound
+    with pytest.raises(DomainError, match=f"n_samples must be at most {MAX_COUNT}, "):
+        verify_solution(Constant(1.0), sol, (0.0, 1.0), n_samples=9 * 10 ** 18)
 
 
 def test_spot_check_raises_on_wrong_solution():
@@ -609,9 +612,11 @@ STACKED_SOLVES = {
 }
 
 
-@pytest.mark.parametrize("name", STACKED_SOLVES)
+# the moderate-frequency windows take the dyadic skips and the steps sized
+# by omega h alone
+@pytest.mark.parametrize("name", [*STACKED_SOLVES, *MODERATE_FREQUENCY])
 def test_solve_is_bit_identical_to_the_stacked_step_bisection(name):
-    profile, t_a, t_b = STACKED_SOLVES[name]
+    profile, t_a, t_b = STACKED_SOLVES[name] if name in STACKED_SOLVES else MODERATE_FREQUENCY[name][:3]
     node_t, node_y, state = _stacked_step_solve(profile, t_a, t_b)
     pair = solve_fundamental(profile, t_a, t_b)
     assert np.array_equal(pair.node_t, node_t) and np.array_equal(pair.node_y, node_y)

@@ -1053,6 +1053,34 @@ def test_a_run_out_of_memory_exits_1_naming_the_task(tmp_path, capsys, monkeypat
     assert list(out.iterdir()) == []
 
 
+def _samples_cfg(task):
+    return {"task": task, "profile": {"type": "constant", "omega0": 0.8},
+            "window": {"t_a": 0.0, "t_b": 1.0}, "n_samples": 9000000000000000000}
+
+
+@pytest.mark.parametrize("cfg, why", [
+    (propagate_cfg(method="crank_nicolson", dt=1e-320), "dt=1e-320 needs inf steps"),
+    (propagate_cfg(method="crank_nicolson", dt=1e-300), "dt=1e-300 needs 5e+299 steps on [0.0, 0.5]"),
+    (compare_cfg(dt=1e-300), "dt=1e-300 needs 5e+299 steps"),
+    (kernel_cfg(points=None, grid={"q_min": -3.0, "q_max": 3.0, "n": 9000000000000000000}),
+     "n must be at most"),
+    (_samples_cfg("classical"), "n_samples must be at most"),
+    (_samples_cfg("validate"), "n_samples must be at most"),
+], ids=["propagate-dt1e-320", "propagate-dt1e-300", "compare-dt1e-300", "kernel-grid-n",
+        "classical-n_samples", "validate-n_samples"])
+def test_a_count_or_dt_past_the_longest_array_exits_1_before_writing(tmp_path, capsys, cfg, why):
+    # these raised OverflowError from math.ceil or from a list of 10^300 steps,
+    # or numpy's "array is too big" ValueError, none of them a TdhoError
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    out = tmp_path / "out"
+    assert main([cfg["task"], "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert why in captured.err and "Traceback" not in captured.err
+    assert list(out.iterdir()) == []
+
+
 def test_out_directory_that_cannot_be_created(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("a regular file")

@@ -14,7 +14,7 @@ import oracles
 from conftest import PACKET
 from tdho import evolve
 from tdho.classical import solve_fundamental
-from tdho.errors import (CausticAtEndpoint, DomainError, GridMismatch, GridTooNarrow,
+from tdho.errors import (MAX_COUNT, CausticAtEndpoint, DomainError, GridMismatch, GridTooNarrow,
                          StabilityWarning, StepFailure)
 from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
                          crank_nicolson, max_slices, propagate_kernel,
@@ -71,6 +71,10 @@ def test_uniform_grid_takes_a_whole_float_count_as_its_int():
     for bad in (256.5, 15.0, math.nan, math.inf, True, "256"):
         with pytest.raises(DomainError, match=r"n must be a whole number >= 16"):
             uniform_grid(-1.0, 1.0, bad)
+    # numpy's "array is too big" ValueError, or an allocation, before the bound
+    for big in (9 * 10 ** 18, MAX_COUNT + 1, 1e300):
+        with pytest.raises(DomainError, match=f"n must be at most {MAX_COUNT}, .* got {re.escape(repr(big))}"):
+            uniform_grid(-1.0, 1.0, big)
 
 
 def test_wavepacket_refuses_a_gaussian_tag_that_does_not_match_psi():
@@ -475,10 +479,10 @@ def _cayley_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
     """The Cayley march psi <- 2 A^{-1} psi - psi, A = I + i(step/2)H, on the
     interior points, written step by step: every per-step term recomputed
     and A solved anew at every step by the kernel the march picks for that
-    step's run of equal (step, omega^2).  A step alone in its run takes
-    solve_banded (gtsv); a step of a longer run factors A with gttrf, then
-    takes the unit sweeps of A = L D L^T, or gttrs after a row interchange.
-    The walls are 0."""
+    step's run of equal (step, omega^2), which a kick ends.  A step alone in
+    its run takes solve_banded (gtsv); a step of a longer run factors A with
+    gttrf, then takes the unit sweeps of A = L D L^T, or gttrs after a row
+    interchange.  The walls are 0."""
     q = packet.q[1:-1]
     dq2 = (packet.q[1] - packet.q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
@@ -499,7 +503,9 @@ def _cayley_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
     for k, (step, w2, kick) in enumerate(schedule):
         sub = np.full(q.size - 1, 0.5j * step * off)
         diag = 1.0 + 0.5j * step * (kin + 0.5 * mu * w2 * q ** 2)
-        alone_in_its_run = keys[k] not in keys[max(k - 1, 0):k] + keys[k + 1:k + 2]
+        before = keys[k - 1:k] if k and schedule[k - 1][2] is None else []
+        after = keys[k + 1:k + 2] if kick is None else []
+        alone_in_its_run = keys[k] not in before + after
         if alone_in_its_run:
             ab = np.zeros((3, q.size), dtype=complex)
             ab[0, 1:] = ab[2, :-1] = sub
@@ -535,15 +541,29 @@ class TwoKicks(FrequencyProfile):
 
 class Staircase(FrequencyProfile):
     """Piecewise-constant omega^2 with its edges on the dt = 1e-3 step
-    boundaries of [0, 1]: runs of 200, 1, 1, 2, 1 and 495 equal CN steps
-    side by side, with a kick at 0.5 inside the 495 (the steps on both sides
-    of it are equal), then a run of 2 and one of 298 at negative omega^2."""
+    boundaries of [0, 1]: runs of 200, 1, 1, 2 and 1 equal CN steps side by
+    side, then 495 equal steps that a kick at 0.5 cuts into runs of 295 and
+    200 (the steps on both sides of it are equal), then a run of 2 and one
+    of 298 at negative omega^2."""
 
     EDGES = (0.2, 0.201, 0.202, 0.204, 0.205, 0.7, 0.702)
     VALUES = (1.0, 0.5, 2.0, 0.25, 1.5, 0.75, 0.0, -0.5)
 
     def omega_squared(self, t):
         return np.select([t < e for e in self.EDGES], self.VALUES[:-1], self.VALUES[-1])[()]
+
+    def jump_events(self, t_a, t_b):
+        super().jump_events(t_a, t_b)
+        return [JumpEvent(0.5, 0.4)] if t_a < 0.5 <= t_b else []
+
+
+class KickMidRun(FrequencyProfile):
+    """omega^2 = 2 on [0.499, 0.501) and 1 elsewhere, with a kick at 0.5: on
+    [0, 1] at dt = 1e-3 the kick cuts the two equal CN steps at omega^2 = 2
+    into two one-step runs, between runs of 499 steps."""
+
+    def omega_squared(self, t):
+        return np.where((0.499 <= t) & (t < 0.501), 2.0, 1.0)[()]
 
     def jump_events(self, t_a, t_b):
         super().jump_events(t_a, t_b)
@@ -573,11 +593,12 @@ FLATS_AND_RAMP = Tabulated([0.0, 0.3, 0.6, 1.0], [1.0, 1.0, 0.2, 0.2], interp="l
     (FREE, 512, 1.0, 0.5),                  # one run of exactly two swept steps
     (DeltaPulse(0.8, 1.0), 512, 1.0, 1e-3),  # the kick at t_b, after the march's last step
     (Staircase(), 32, 1.0, 1e-3),
+    (KickMidRun(), 512, 1.0, 1e-3),
 ], ids=["constant", "delta-pulse", "sech-squared", "constant-n256",
         "delta-pulse-n1024", "delta-pulse-mu0.5", "exp-decay", "two-kicks",
         "staircase", "staircase-n256-mu0.5", "tabulated-flats-and-ramp",
         "free-dt0.05-n1024", "free-dt0.2-n2048", "one-step", "two-step-run",
-        "kick-at-t_b", "staircase-n32"])
+        "kick-at-t_b", "staircase-n32", "kick-mid-run"])
 def test_cn_is_bit_identical_to_the_step_by_step_march(profile, n, mu, dt):
     # bit for bit the Cayley march, so the run factoring changes no bit; and
     # within roundoff of the march that builds the explicit half by hand
@@ -629,10 +650,11 @@ def _count_solver_calls(monkeypatch, fail=None):
 
 def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
     # one lookup of each library and one omega^2 read per march; a matrix is
-    # factored once per run of equal steps (TwoKicks: one per segment;
-    # Staircase: the kick at 0.5 sits inside a run, its three one-step runs
-    # take gtsv, and its run at omega^2 = -0.5 interchanges no rows either)
-    # and never when omega^2 changes on every step (ExpDecay: gtsv
+    # factored once per run of equal steps, which a kick ends (TwoKicks and
+    # DeltaPulse: one per segment; Staircase: the kick at 0.5 cuts one run in
+    # two, its three one-step runs take gtsv, and its run at omega^2 = -0.5
+    # interchanges no rows either; KickMidRun: the kick leaves two one-step
+    # runs) and never when omega^2 changes on every step (ExpDecay: gtsv
     # throughout); every step of a factored run is two tbsv sweeps
     lookups, calls, pivots = _count_solver_calls(monkeypatch)
     two_kicks = CountingTwoKicks()
@@ -641,14 +663,16 @@ def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
     n_steps = sum(math.ceil((hi - lo) / 1e-3) for lo, hi in zip(cuts[:-1], cuts[1:]))
     for prof, total, gttrf, gtsv in ((two_kicks, n_steps, 3, 0),
                                      (ExpDecay(1.2, 0.9), 1000, 0, 1000),
-                                     (Staircase(), 1000, 5, 3)):
+                                     (Staircase(), 1000, 6, 3),
+                                     (DeltaPulse(0.8, 0.5), 1000, 2, 0),
+                                     (KickMidRun(), 1000, 2, 2)):
         lookups.clear()
         calls.clear()
         crank_nicolson(prof, p, 1.0, dt=1e-3)
         assert lookups == [("gtsv", "gttrf", "gttrs"), ("tbsv",)]
         assert calls == Counter(gttrf=gttrf, tbsv=2 * (total - gtsv), gtsv=gtsv)
     assert two_kicks.shapes == [(n_steps,)]
-    assert len(pivots) == 8 and all(np.array_equal(ipiv, np.arange(1, 255)) for ipiv in pivots)
+    assert len(pivots) == 13 and all(np.array_equal(ipiv, np.arange(1, 255)) for ipiv in pivots)
 
 
 def test_cn_solves_by_gttrs_after_a_row_interchange(monkeypatch):
@@ -698,6 +722,15 @@ def test_cn_refuses_a_failed_factorization_naming_t(monkeypatch, routine, profil
     with pytest.raises(StepFailure, match=r"info=1\) at t=") as exc:
         crank_nicolson(profile, p, 1.0, dt=1e-3)
     assert float(str(exc.value).rsplit("t=", 1)[1]) == pytest.approx(t_fail, abs=1e-12)
+
+
+@pytest.mark.parametrize("dt, count", [(1e-320, "inf"), (1e-300, "1e+300"), (1e-18, "1e+18")])
+def test_cn_refuses_a_dt_that_needs_more_steps_than_an_array_holds(dt, count):
+    # math.ceil(inf) raised OverflowError, and a list of 10^300 steps another
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
+    with pytest.raises(DomainError, match=rf"dt={dt!r} needs {re.escape(count)} steps on \[0.0, 1.0\], "
+                                          rf"more than the {MAX_COUNT} "):
+        crank_nicolson(Constant(1.0), p, 1.0, dt=dt)
 
 
 class NanAfter(FrequencyProfile):
