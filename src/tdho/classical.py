@@ -107,9 +107,7 @@ class FundamentalPair:
         y = self.node_y[k]
         start = self.node_t[k]
         part = ts > start
-        if part.all():
-            y = _magnus(self.profile, start, ts)[0] @ y
-        elif part.any():
+        if part.any():
             y[part] = _magnus(self.profile, start[part], ts[part])[0] @ y[part]
         # y[i] is [[u, v], [u', v']]: its transpose, in one copy, is the rows u, u', v, v'
         return y.transpose(2, 1, 0).reshape((4,) + t_arr.shape)
@@ -211,10 +209,6 @@ def _dyadic(t0: np.ndarray, t1: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, 
     return t0, t1
 
 
-def _no_mesh(tol: float, t_a: float, t_b: float) -> str:
-    return f"no mesh of at most {_MAX_STEPS} steps meets tol={tol} on [{t_a}, {t_b}]"
-
-
 def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
                       tol: float = 1e-10) -> FundamentalPair:
     """The fundamental pair on [t_a, t_b] from sixth-order Gauss Magnus steps.
@@ -257,8 +251,9 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
     edges = np.arange(per_segment + 1.0) * ((ends[1:] - ends[:-1]) / per_segment) + ends[:-1]
     edges[:, -1:] = ends[1:]
     t0, t1 = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    no_mesh = f"no mesh of at most {_MAX_STEPS} steps meets tol={tol} on [{t_a}, {t_b}]"
     if 2 * t0.size > _MAX_STEPS:
-        raise StepFailure(f"{_no_mesh(tol, t_a, t_b)}: its {t0.size} initial steps alone are too many")
+        raise StepFailure(f"{no_mesh}: its {t0.size} initial steps alone are too many")
     budget = 63.0 * tol / (t_b - t_a)
     steps = []  # (t0, t1, matrices) of the accepted steps, kicks first
     if kicks:
@@ -293,7 +288,7 @@ def solve_fundamental(profile: FrequencyProfile, t_a: float, t_b: float,
             k = k.astype(int)
             if n_accepted + (2 << k).sum() > _MAX_STEPS:
                 w = int(np.argmax(r))  # a non-finite err counts as the worst
-                raise StepFailure(f"{_no_mesh(tol, t_a, t_b)}; the worst step, from t={float(t0[w])!r} "
+                raise StepFailure(f"{no_mesh}; the worst step, from t={float(t0[w])!r} "
                                   f"to t={float(t1[w])!r}, has error {err[w] / bh[w]:.3g} times its budget "
                                   f"and omega h = {wh[w]:.3g}")
             t0, t1 = _dyadic(t0, t1, k)

@@ -29,11 +29,11 @@ file that changes is written to <name>.tmp and moved over <name> by
 os.replace, so no reader sees it half written.  The argument parser is built
 once per process, and the schema validator once per task and profile type.
 
-Exit codes: 0 success; 1 error (unusable config, caustic, solver breakdown,
-an output number that is not finite, a run out of memory, each refused
-before any file is written; or an output file that cannot be written, which
-stops the run with its <name>.tmp removed); 2 a graded check failed under
---strict.
+Exit codes: 0 success; 1 error (unusable config, a state the grid cannot
+sample, caustic, solver breakdown, an output number that is not finite, a
+run out of memory, each refused before any file is written; or an output
+file that cannot be written, which stops the run with its <name>.tmp
+removed); 2 a graded check failed under --strict.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _fields(x: np.ndarray) -> np.ndarray:
 
 def _csv(header: list[str], columns) -> bytes:
     """One row per element, in C order, of the shape the columns broadcast to:
-    ints and bools as %d, floats as %.17g.  Each column is formatted once per
+    ints as %d, floats as %.17g.  Each column is formatted once per
     value it stores: it is broadcast to that shape and cut to one entry along
     every stride-0 axis, so a scalar, a grid axis or a constant column reaches
     _fields once per block and its byte rows are broadcast into the block.  A
@@ -193,8 +193,7 @@ def _csv(header: list[str], columns) -> bytes:
                                np.cumsum([c.size for c in floats])[:-1]))
         cols = []
         for c in stored:
-            f = next(fields) if c.dtype.kind == "f" else \
-                (c.astype(np.uint8) if c.dtype.kind == "b" else c).astype("S").view(np.uint8)
+            f = next(fields) if c.dtype.kind == "f" else c.astype("S").view(np.uint8)
             cols += [f.reshape(*c.shape, -1), comma]
         block = (min(step, shape[0] - start), *shape[1:])
         out = np.concatenate([np.broadcast_to(f, (*block, f.shape[-1]))
@@ -337,9 +336,15 @@ def _given(cfg: dict, *keys: str) -> dict:
 
 
 def _packet(cfg):
+    """The config's Gaussian on its grid; DomainError if the grid cannot sample it."""
     g = cfg["grid"]
     q = uniform_grid(g["q_min"], g["q_max"], g["n"])
     state = GaussianState(**cfg.get("state", {}))
+    need = (g["q_max"] - g["q_min"]) * (abs(state.kbar) + math.sqrt(math.log(1e8)) / state.sigma) / math.pi
+    if g["n"] - 1 < need:  # sigma (pi/dq - |kbar|) < sqrt(ln 1e8): exp(-sigma^2 (k - kbar)^2) > 1e-8 at pi/dq
+        raise DomainError(f"the grid cannot sample state kbar={state.kbar}, sigma={state.sigma}: its spectrum "
+                          f"at pi/dq = {math.pi / (q[1] - q[0]):.6g} is above 1e-8 of its peak; it needs "
+                          f"n >= {np.ceil(need) + 1:.17g} on [{g['q_min']}, {g['q_max']}]")
     return state.on_grid(q, t=cfg["window"]["t_a"])
 
 
@@ -374,7 +379,7 @@ def _run_kernel(profile, cfg: dict):
     k, modulus, phase, flag = kernel_batch(pair, qa, qb, **_given(cfg, "mu"))
     out = {"kernel.csv": (
         ["q_a", "t_a", "q_b", "t_b", "re_k", "im_k", "abs_k", "phase", "caustic_flag"],
-        [qa, t_a, qb, t_b, k.real, k.imag, modulus, phase, flag])}
+        [qa, t_a, qb, t_b, k.real, k.imag, modulus, phase, int(flag)])}
     summary = {"n_rows": int(qa.size), "caustic_flag": bool(flag),
                "wronskian_drift": float(pair.wronskian_drift)}
     return out, summary, None
@@ -560,7 +565,3 @@ def main(argv=None) -> int:
         print(f"strict: {strict_fail}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,8 +6,10 @@ the integral: Heller's thawed Gaussian (J. Chem. Phys. 62, 1544 (1975)) is
 exact for a quadratic Hamiltonian.  Its centre (q_t, p_t) and its width pair
 (Q, P) follow the classical flow [[u, v/mu], [mu u', v']], and the state
 picks up the phase (p_t q_t - p_0 q_0)/2; Q^{-1/2} is the principal root
-times kernel.maslov_sign.  Nothing divides by v_b, so the Gaussian route is
-valid on focal points too.
+times kernel.maslov_sign.  P/Q is conj(Q) P / |Q|^2, whose imaginary part is
+the invariant Im(A_0) (u v' - u' v) = 1/(2 sigma^2) (Lewis and Riesenfeld,
+J. Math. Phys. 10, 1458 (1969)), exact where P/Q's own cancels.  Nothing
+divides by v_b, so the Gaussian route is valid on focal points too.
 
 Any other input takes the paper's map to free motion: with
 -2 q q_b = (q_b - q)^2 - q^2 - q_b^2 the endpoint kernel factors as
@@ -210,11 +212,12 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
         g = packet.gaussian
         a0 = 0.5j / g.sigma ** 2
         big_q, big_p = u + v * a0 / mu, mu * ud + vd * a0
+        p_over_q = complex((big_q.conjugate() * big_p).real, a0.imag) / abs(big_q) ** 2
         q_t, p_t = u * g.qbar + v * g.kbar / mu, mu * ud * g.qbar + vd * g.kbar
         amp = maslov_sign(n_focal) * (2.0 * math.pi * g.sigma ** 2) ** -0.25 \
             / cmath.sqrt(big_q)
         d = q - q_t
-        psi_out = amp * np.exp(0.5j * (big_p / big_q) * d ** 2 + 1j * p_t * d
+        psi_out = amp * np.exp(0.5j * p_over_q * d ** 2 + 1j * p_t * d
                                + 0.5j * (p_t * q_t + g.kbar * g.qbar))
         return WavePacket(q=q, psi=psi_out, t=t_b)
 

@@ -664,7 +664,8 @@ def test_solve_and_state_are_bit_identical_to_the_stacked_steps_on_bench_like_wi
     for t in (t_a, 0.5 * (t_a + t_b), t_b, float(node_t[len(node_t) // 2])):  # 0-d: shape (4,)
         got = pair.state(t)
         assert got.shape == (4,) and np.array_equal(got, state(np.array([t]))[:, 0])
-    for t in (np.concatenate([node_t, ts]), ts.reshape(5, 6)):  # 1-d and 2-d
+    assert not np.isin(ts[1:-1], node_t).any()  # so every time of ts[1:-1] takes a partial step
+    for t in (np.concatenate([node_t, ts]), ts[1:-1], ts.reshape(5, 6)):  # 1-d and 2-d
         assert np.array_equal(pair.state(t), state(t.ravel()).reshape((4,) + t.shape))
 
 

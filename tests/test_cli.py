@@ -419,12 +419,12 @@ def test_kernel_refuses_a_non_finite_value_before_writing(tmp_path, capsys):
 
 
 def test_propagate_refuses_a_nan_summary_before_writing(tmp_path, capsys):
-    # the README config with kbar = 100 on 256 points: the packet leaves the
-    # grid, its norm reads 0 and mean_q is 0/0
-    cfg = propagate_cfg(profile={"type": "sech_squared", "alpha": 1.0, "beta": 1.0, "t0": 0.5},
-                        window={"t_a": 0.0, "t_b": 1.0},
-                        state={"qbar": 0.0, "kbar": 100.0, "sigma": 0.7},
-                        grid={"q_min": -8.0, "q_max": 8.0, "n": 256})
+    # a packet the grid samples (sigma (pi/dq - |kbar|) = 110.7) but that
+    # leaves it: free motion at kbar = 25 to t = 10 carries it to q = 250, far
+    # past q = 20, so its norm reads 0 and mean_q is 0/0
+    cfg = propagate_cfg(window={"t_a": 0.0, "t_b": 10.0},
+                        state={"qbar": 0.0, "kbar": 25.0, "sigma": 2.0},
+                        grid={"q_min": -20.0, "q_max": 20.0, "n": 1024})
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning):
         assert main(["propagate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 1
@@ -432,6 +432,40 @@ def test_propagate_refuses_a_nan_summary_before_writing(tmp_path, capsys):
     assert captured.err == "error: manifest.json at $.summary.mean_q: nan is not a finite number\n"
     assert captured.out == ""
     assert list(out.iterdir()) == []
+
+
+def aliased_cfg(task: str, method: str | None = None, n: int = 256) -> dict:
+    """The README propagate config at kbar = 100 on n points over [-8, 8]."""
+    cfg = readme_compare_cfg()
+    cfg["state"]["kbar"] = 100.0
+    cfg["grid"]["n"] = n
+    if task == "propagate":
+        cfg.update(task="propagate", method=method)
+    return cfg
+
+
+@pytest.mark.parametrize("task,method", [("propagate", "crank_nicolson"), ("propagate", "kernel"),
+                                         ("compare", None)])
+def test_a_state_the_grid_cannot_sample_is_refused_before_writing(tmp_path, capsys, task, method):
+    # pi/dq = 50.07 on 256 points, half of kbar: sigma (pi/dq - |kbar|) = -35,
+    # below sqrt(ln 1e8) = 4.29, where the spectrum at pi/dq is 1e-8 of its peak
+    out = tmp_path / "out"
+    assert main([task, "--config", str(write_cfg(tmp_path, aliased_cfg(task, method))),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the grid cannot sample state kbar=100.0, sigma=0.7: its spectrum "
+                            "at pi/dq = 50.0691 is above 1e-8 of its peak; it needs n >= 542 on [-8.0, 8.0]\n")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_the_grid_the_sampling_refusal_names_is_the_smallest_that_passes(tmp_path, capsys):
+    # n - 1 >= 16 (100 + 4.29 / 0.7) / pi = 540.5; to t = 0.01 the packet moves by 1
+    for n, code in ((541, 1), (542, 0)):
+        cfg = aliased_cfg("propagate", "kernel", n)
+        cfg["window"]["t_b"] = 0.01
+        assert main(["propagate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / str(n))]) == code
+    assert "it needs n >= 542 on" in capsys.readouterr().err
 
 
 def test_classical_output(tmp_path):
@@ -652,9 +686,9 @@ def test_default_slices_stay_128_where_the_grid_resolves_them(tmp_path):
 
 
 def per_value_csv(header, rows):
-    """The CSV rule one value at a time: ints and bools as str(int), the rest %.17g."""
+    """The CSV rule one value at a time: ints as str(int), the rest %.17g."""
     def fmt(x):
-        if isinstance(x, (bool, np.bool_, int, np.integer)):
+        if isinstance(x, (int, np.integer)):
             return str(int(x))
         return format(float(x), ".17g")
     lines = [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]
@@ -676,21 +710,21 @@ def csv_cases(n):
         axis = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         axis[:len(special)] = special
         grid = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
-        header = ["a_col", "i_scalar", "a_row", "f_scalar", "grid", "b_scalar", "b_row",
+        header = ["a_col", "i_scalar", "a_row", "f_scalar", "grid", "flag_scalar", "flag_row",
                   "i_col", "np_f_scalar", "repeated", "constant"]
-        return header, [axis[:, None], 7, axis[::-1], 0.1, grid, True,
-                        np.broadcast_to(rng.random(n) < 0.5, (n, n)),
+        return header, [axis[:, None], 7, axis[::-1], 0.1, grid, 1,
+                        np.broadcast_to((rng.random(n) < 0.5).astype(int), (n, n)),
                         rng.integers(-2**62, 2**62, (n, 1)), np.float64(-0.0),
                         np.broadcast_to(np.resize(REPEATED, n), (n, n)),
                         np.broadcast_to(-0.0, (n, n))]
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     floats[:len(special)] = special[:n]
     ints = rng.integers(-2**62, 2**62, n)
-    bools = rng.random(n) < 0.5
+    flags = (rng.random(n) < 0.5).astype(int)
     repeated = REPEATED[rng.permutation(np.arange(n) % REPEATED.size)]
-    header = ["f", "i_scalar", "i", "f_scalar", "b", "b_scalar", "np_f_scalar", "g",
+    header = ["f", "i_scalar", "i", "f_scalar", "flag", "flag_scalar", "np_f_scalar", "g",
               "repeated", "constant"]
-    return header, [floats, 7, ints, 0.1, bools, True, np.float64(-0.0), floats[::-1],
+    return header, [floats, 7, ints, 0.1, flags, 1, np.float64(-0.0), floats[::-1],
                     repeated, np.broadcast_to(-0.0, n)]
 
 
@@ -718,7 +752,7 @@ def test_kernel_and_classical_csv_bytes(tmp_path):
     axis = np.linspace(-3.0, 3.0, 70)
     qa, qb = np.repeat(axis, 70), np.tile(axis, 70)
     k, modulus, phase, flag = kernel_batch(pair, qa, qb, 1.0)
-    rows = [(qa[i], 0, qb[i], 1.25, k[i].real, k[i].imag, modulus[i], phase[i], flag)
+    rows = [(qa[i], 0, qb[i], 1.25, k[i].real, k[i].imag, modulus[i], phase[i], int(flag))
             for i in range(qa.size)]
     header = ["q_a", "t_a", "q_b", "t_b", "re_k", "im_k", "abs_k", "phase", "caustic_flag"]
     assert (tmp_path / "kernel" / "kernel.csv").read_bytes() == per_value_csv(header, rows)

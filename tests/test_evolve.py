@@ -331,6 +331,28 @@ def test_gaussian_route_is_exact_at_focal_points(k):
     assert np.max(np.abs(got - (-1j) ** k * g.psi((-1) ** k * q))) <= 1e-12
 
 
+def test_thawed_gaussian_is_finite_on_an_inverted_oscillator():
+    # omega^2 = -1600 to T = 1: u and v reach 1e17, so q_t does and d^2 reaches
+    # 1e34; an imaginary part of P/Q off by a rounding of Re(P/Q) ~ 40 then
+    # puts e^(1e20) into psi, where the conserved 1/(2 sigma^2 |Q|^2) does not
+    q = uniform_grid(-8.0, 8.0, 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = propagate_kernel(Expression("-1600"), GaussianState(0.5, 0.3, 0.7).on_grid(q), 1.0)
+    assert np.isfinite(got.psi).all()
+
+
+def test_thawed_gaussian_width_is_sigma_abs_q_on_an_inverted_oscillator():
+    # T = 0.25: the packet stays on a 2^21-point grid over [-1.5e5, 1.5e5],
+    # |Q| = 1.1e4, and |psi|^2 is the Gaussian of width sigma |Q|, norm 1
+    g = GaussianState(0.5, 0.3, 0.7)
+    got = propagate_kernel(Expression("-1600"), g.on_grid(uniform_grid(-1.5e5, 1.5e5, 2 ** 21)), 0.25)
+    u, _, v, _, _ = solve_fundamental(Expression("-1600"), 0.0, 0.25).end
+    width = g.sigma * abs(u + 0.5j * v / g.sigma ** 2)
+    assert abs(got.norm() - 1.0) <= 1e-12
+    assert abs(math.sqrt(got.mean_q2() - got.mean_q() ** 2) / width - 1.0) <= 1e-10
+
+
 @pytest.mark.parametrize("profile,t_b,n_focal", [
     (Constant(1.0), 0.7, 0), (Constant(1.0), 4.0, 1), (Constant(1.0), 7.7, 2),
     (Constant(1.0), 11.0, 3), (Constant(2.0), 7.0, 4), (ExpDecay(2.0, 0.5), 2.5, 1),
