@@ -336,16 +336,10 @@ def _given(cfg: dict, *keys: str) -> dict:
 
 
 def _packet(cfg):
-    """The config's Gaussian on its grid; DomainError if the grid cannot sample it."""
+    """The config's Gaussian on its grid; the routes refuse one the grid cannot sample."""
     g = cfg["grid"]
-    q = uniform_grid(g["q_min"], g["q_max"], g["n"])
-    state = GaussianState(**cfg.get("state", {}))
-    need = (g["q_max"] - g["q_min"]) * (abs(state.kbar) + math.sqrt(math.log(1e8)) / state.sigma) / math.pi
-    if g["n"] - 1 < need:  # sigma (pi/dq - |kbar|) < sqrt(ln 1e8): exp(-sigma^2 (k - kbar)^2) > 1e-8 at pi/dq
-        raise DomainError(f"the grid cannot sample state kbar={state.kbar}, sigma={state.sigma}: its spectrum "
-                          f"at pi/dq = {math.pi / (q[1] - q[0]):.6g} is above 1e-8 of its peak; it needs "
-                          f"n >= {np.ceil(need) + 1:.17g} on [{g['q_min']}, {g['q_max']}]")
-    return state.on_grid(q, t=cfg["window"]["t_a"])
+    return GaussianState(**cfg.get("state", {})).on_grid(uniform_grid(g["q_min"], g["q_max"], g["n"]),
+                                                        t=cfg["window"]["t_a"])
 
 
 def _default_slices(packet, cfg: dict) -> int:

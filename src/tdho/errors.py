@@ -71,7 +71,8 @@ class UnknownIdentifierError(ParseError):
 
 
 class NonFiniteError(DomainError, ArithmeticError):
-    """Expression evaluation produced inf or nan: t is outside the expression's domain."""
+    """A value at time t is inf or nan: an expression outside its domain, or a
+    propagated state that floats cannot hold."""
 
     def __init__(self, t: float, detail: str):
         super().__init__(f"non-finite value at t={t!r}: {detail}")

@@ -46,7 +46,8 @@ Every solve writes into one buffer, and a kick ends its run rather than
 being looked up at each step, so a step is its arithmetic alone.
 CN shares nothing with the other two routes; the Filon route and slicing
 share the free hop, and each has its own independent test reference.
-Agreement is the evidence.  All three share one input check.
+Agreement is the evidence.  All three share one input check, which also
+refuses a tagged Gaussian whose spectrum the grid cannot sample.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.linalg import solve_banded  # noqa: F401  unused here; bench/tracing.py patches it (ROADMAP item 5)
 
 from .classical import solve_fundamental
-from .errors import (MAX_COUNT, DomainError, GridMismatch, GridTooNarrow, StabilityWarning,
-                     StepFailure, check_count, check_positive)
+from .errors import (MAX_COUNT, DomainError, GridMismatch, GridTooNarrow, NonFiniteError,
+                     StabilityWarning, StepFailure, check_count, check_positive)
 from .freq_profile import FrequencyProfile
 from .kernel import _refuse_focal_end, maslov_sign
 
@@ -153,7 +154,19 @@ def uniform_grid(q_min: float, q_max: float, n: int) -> np.ndarray:
 
 
 def _check_packet(packet: WavePacket, mu: float) -> None:
-    """The input check the three grid routes share."""
+    """The input check the three grid routes share.
+
+    A tagged Gaussian must have its spectrum below 1e-8 of its peak at the
+    grid's Nyquist wavenumber pi/dq, sigma (pi/dq - |kbar|) >= sqrt(ln 1e8):
+    past that the samples are another packet, which no check of psi sees.
+    """
+    g, q = packet.gaussian, packet.q
+    if g is not None:
+        need = (q[-1] - q[0]) * (abs(g.kbar) + math.sqrt(math.log(1e8)) / g.sigma) / math.pi
+        if q.size - 1 < need:
+            raise DomainError(f"the grid cannot sample state kbar={g.kbar}, sigma={g.sigma}: its spectrum "
+                              f"at pi/dq = {math.pi / packet.dq:.6g} is above 1e-8 of its peak; it needs "
+                              f"n >= {np.ceil(need) + 1:.17g} on [{float(q[0])}, {float(q[-1])}]")
     if not np.all(np.isfinite(packet.psi)):
         raise DomainError("psi has non-finite values")
     amp = np.abs(packet.psi)
@@ -199,35 +212,43 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
 
     A Gaussian input takes the thawed Gaussian, valid at every t_b; any
     other input takes the Filon route, which raises CausticAtEndpoint at a
-    focal point.
+    focal point.  An output that floats cannot hold (an inverted oscillator
+    over a long window grows |Q| past 1e154) raises NonFiniteError at t_b.
     """
     _check_packet(packet, mu)
     pair = solve_fundamental(profile, packet.t, t_b, tol)
     q = packet.q
     u, ud, v, vd, n_focal = pair.end
 
-    if packet.gaussian is not None:
-        # psi0 = N exp(i A0 (q - qbar)^2 / 2 + i kbar q): (q_t, p_t) and (Q, P)
-        # flow from (qbar, kbar) and (1, A0); Im Q has v's sign, so Q != 0
-        g = packet.gaussian
-        a0 = 0.5j / g.sigma ** 2
-        big_q, big_p = u + v * a0 / mu, mu * ud + vd * a0
-        p_over_q = complex((big_q.conjugate() * big_p).real, a0.imag) / abs(big_q) ** 2
-        q_t, p_t = u * g.qbar + v * g.kbar / mu, mu * ud * g.qbar + vd * g.kbar
-        amp = maslov_sign(n_focal) * (2.0 * math.pi * g.sigma ** 2) ** -0.25 \
-            / cmath.sqrt(big_q)
-        d = q - q_t
-        psi_out = amp * np.exp(0.5j * p_over_q * d ** 2 + 1j * p_t * d
-                               + 0.5j * (p_t * q_t + g.kbar * g.qbar))
-        return WavePacket(q=q, psi=psi_out, t=t_b)
-
-    _refuse_focal_end(pair.t_a, pair.t_b, v)
-    # chirp x free hop x chirp (module docstring), the hop weighted by Filon's W
-    h = packet.dq
-    hop = _free_hop(q.size, h, v, mu)
-    chirp_in = np.exp(0.5j * mu * (u - 1.0) / v * q ** 2)
-    psi_out = (maslov_sign(n_focal) * np.exp(0.5j * mu * (vd - 1.0) / v * q ** 2)
-               * _filon_weight(-mu / v * q * h) * hop(packet.psi * chirp_in))
+    # an overflow shows as a non-finite psi_out, refused below
+    with np.errstate(all="ignore"):
+        if packet.gaussian is not None:
+            # psi0 = N exp(i A0 (q - qbar)^2 / 2 + i kbar q): (q_t, p_t) and (Q, P)
+            # flow from (qbar, kbar) and (1, A0); Im Q has v's sign, so Q != 0
+            g = packet.gaussian
+            a0 = 0.5j / g.sigma ** 2
+            big_q, big_p = u + v * a0 / mu, mu * ud + vd * a0
+            try:
+                p_over_q = complex((big_q.conjugate() * big_p).real, a0.imag) / abs(big_q) ** 2
+            except OverflowError:
+                raise NonFiniteError(t_b, f"the thawed Gaussian's |Q| = {abs(big_q):.3g} "
+                                          "squares past the float range") from None
+            q_t, p_t = u * g.qbar + v * g.kbar / mu, mu * ud * g.qbar + vd * g.kbar
+            amp = maslov_sign(n_focal) * (2.0 * math.pi * g.sigma ** 2) ** -0.25 \
+                / cmath.sqrt(big_q)
+            d = q - q_t
+            psi_out = amp * np.exp(0.5j * p_over_q * d ** 2 + 1j * p_t * d
+                                   + 0.5j * (p_t * q_t + g.kbar * g.qbar))
+        else:
+            _refuse_focal_end(pair.t_a, pair.t_b, v)
+            # chirp x free hop x chirp (module docstring), the hop weighted by Filon's W
+            h = packet.dq
+            hop = _free_hop(q.size, h, v, mu)
+            chirp_in = np.exp(0.5j * mu * (u - 1.0) / v * q ** 2)
+            psi_out = (maslov_sign(n_focal) * np.exp(0.5j * mu * (vd - 1.0) / v * q ** 2)
+                       * _filon_weight(-mu / v * q * h) * hop(packet.psi * chirp_in))
+    if not np.isfinite(psi_out).all():
+        raise NonFiniteError(t_b, "the propagated state is not finite")
     return WavePacket(q=q, psi=psi_out, t=t_b)
 
 

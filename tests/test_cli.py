@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +469,31 @@ def test_the_grid_the_sampling_refusal_names_is_the_smallest_that_passes(tmp_pat
     assert "it needs n >= 542 on" in capsys.readouterr().err
 
 
+def test_a_propagation_past_the_float_range_exits_1_before_writing(tmp_path, capsys):
+    # omega^2 = -1600 to t_b = 10: the thawed Gaussian's |Q| is 2.6e173, and
+    # squaring it raised a bare OverflowError
+    cfg = propagate_cfg(profile={"type": "expression", "expr": "-1600"}, window={"t_a": 0.0, "t_b": 10.0},
+                        state={"qbar": 0.5, "kbar": 0.3, "sigma": 0.7},
+                        grid={"q_min": -8.0, "q_max": 8.0, "n": 1024})
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: non-finite value at t=10.0: the thawed Gaussian's |Q| = 2.61e+173 "
+                            "squares past the float range\n")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_classical_drift_on_an_inverted_oscillator_is_relative(tmp_path):
+    # omega^2 = -1600: u v' and u' v reach 1e31 on [0, 1], so their rounding
+    # alone is about 1e15; the manifest's drift is relative to them
+    cfg = {"task": "classical", "profile": {"type": "expression", "expr": "-1600"},
+           "window": {"t_a": 0.0, "t_b": 1.0}}
+    out = tmp_path / "out"
+    assert main(["classical", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["summary"]["wronskian_drift"] < 1e-12
+
+
 def test_classical_output(tmp_path):
     cfg = {"task": "classical",
            "profile": {"type": "delta_pulse", "omega0": 0.6, "t0": 0.5},
@@ -580,7 +606,8 @@ def test_validate_family_and_params_are_the_profile_json(tmp_path, profile):
 def test_validate_sech_squared_reads_only_the_size_of_alpha(tmp_path, capsys):
     # omega^2 = alpha^2 sech^2(beta (t - t0)) and the degree of the closed form
     # depend on alpha^2 only, so a negative alpha, which the schema accepts,
-    # gives the report of its positive twin
+    # gives the report of its positive twin.  The README profile's quoted form
+    # P_lambda(tanh(t - 1/2)), of conical degree, is graded FAIL
     reports = []
     for alpha in (1, -1):
         cfg = {"task": "validate", "profile": {"type": "sech_squared", "alpha": alpha, "beta": 1, "t0": 0.5},
@@ -589,7 +616,20 @@ def test_validate_sech_squared_reads_only_the_size_of_alpha(tmp_path, capsys):
         assert main(["validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         reports.append(json.loads((out / "validate.json").read_text())["report"])
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] and reports[0]["passed"] is False
+
+
+def test_validate_of_a_steep_sech_squared_ends_in_bounded_time(tmp_path):
+    # tanh(10 (t - 1)) on [0, 2] comes within 1e-8 of x = -1, where only the
+    # logarithmic series about x = -1 is cheap; the quoted form is graded
+    # FAIL, which exits 0 without --strict
+    cfg = {"task": "validate", "profile": {"type": "sech_squared", "alpha": 1, "beta": 10, "t0": 1},
+           "window": {"t_a": 0.0, "t_b": 2.0}}
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert json.loads((out / "validate.json").read_text())["report"]["passed"] is False
 
 
 def test_validate_without_closed_form_exits_1(tmp_path, capsys):

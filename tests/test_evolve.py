@@ -11,11 +11,11 @@ from scipy.integrate import quad
 from scipy.linalg import blas, lapack, solve_banded
 
 import oracles
-from conftest import PACKET
+from conftest import PACKET, SUITE
 from tdho import evolve
 from tdho.classical import solve_fundamental
 from tdho.errors import (MAX_COUNT, CausticAtEndpoint, DomainError, GridMismatch, GridTooNarrow,
-                         StabilityWarning, StepFailure)
+                         NonFiniteError, StabilityWarning, StepFailure)
 from tdho.evolve import (GaussianState, WavePacket, _filon_weight, compare,
                          crank_nicolson, max_slices, propagate_kernel,
                          time_sliced_oracle, uniform_grid)
@@ -353,6 +353,21 @@ def test_thawed_gaussian_width_is_sigma_abs_q_on_an_inverted_oscillator():
     assert abs(math.sqrt(got.mean_q2() - got.mean_q() ** 2) / width - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("profile, packet, t_b", [
+    # |Q| = 2.6e173 at T = 10, so |Q|^2 passes the float range
+    (Expression("-1600"), GaussianState(0.5, 0.3, 0.7).on_grid(uniform_grid(-8.0, 8.0, 1024)), 10.0),
+    # |Q| = 3e152 squares to a float, but the centre q_t = 3e155 puts (q - q_t)^2 past it
+    (Expression("-1600"), GaussianState(1000.0, 0.0, 0.7).on_grid(uniform_grid(992.0, 1008.0, 1024)), 8.8),
+    # the Filon route's chirp reads q^2 = 1e320 at the edges of this grid
+    (Constant(1.0), WavePacket(np.linspace(-1e160, 1e160, 64), np.eye(1, 64, 32)[0], 0.0), 1.0),
+], ids=["thawed-width", "thawed-centre", "filon-chirp"])
+def test_an_output_floats_cannot_hold_is_refused_naming_t_b(profile, packet, t_b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=rf"^non-finite value at t={t_b}: "):
+            propagate_kernel(profile, packet, t_b)
+
+
 @pytest.mark.parametrize("profile,t_b,n_focal", [
     (Constant(1.0), 0.7, 0), (Constant(1.0), 4.0, 1), (Constant(1.0), 7.7, 2),
     (Constant(1.0), 11.0, 3), (Constant(2.0), 7.0, 4), (ExpDecay(2.0, 0.5), 2.5, 1),
@@ -389,6 +404,28 @@ def test_three_routes_agree_across_focal_points(t_b, n_focal):
     n = max_slices(p, t_b) // 2 * 2
     fine, coarse = (time_sliced_oracle(prof, p, t_b, m).psi for m in (n, n // 2))
     assert compare(WavePacket(q=q, psi=2.0 * fine - coarse, t=t_b), rk)["l2_error"] <= 2e-2
+
+
+# The two independent solvers graded near their own error, not at c07's 1e-3:
+# c07's packet and window on 8192 points, where CN at dt 1e-3 is 3.2e-7 to
+# 4.6e-7 from the kernel route, slicing extrapolated from 40 and 80 slices,
+# 2 psi_80 - psi_40, is 2.8e-6 to 3.4e-5, and the Filon route is 1.2e-12 to
+# 2.0e-12 from the thawed Gaussian.  Each bound is about 3x the worst of these.
+# The kernel route reading the flow 1e-5 of the window early puts CN 5e-6 away,
+# and a 1e-4 rad phase error in the thawed Gaussian puts CN and Filon 1e-4 away.
+@pytest.mark.parametrize("profile", SUITE, ids=lambda p: type(p).__name__)
+def test_kernel_routes_agree_with_cn_and_extrapolated_slicing_near_their_error(profile):
+    q = uniform_grid(-8.0, 8.0, 8192)
+    tagged = PACKET.on_grid(q)
+    thawed = propagate_kernel(profile, tagged, 1.0)
+    filon = propagate_kernel(profile, WavePacket(q, tagged.psi, 0.0), 1.0)
+    cn = crank_nicolson(profile, tagged, 1.0, dt=1e-3)
+    s40, s80 = (time_sliced_oracle(profile, tagged, 1.0, m).psi for m in (40, 80))
+    sliced = WavePacket(q, 2.0 * s80 - s40, 1.0)
+    for route in (thawed, filon):
+        assert compare(route, cn)["l2_error"] <= 1.5e-6
+        assert compare(route, sliced)["l2_error"] <= 1e-4
+    assert compare(filon, thawed)["l2_error"] <= 6e-12
 
 
 @pytest.mark.parametrize("profile,t_mid,t_end,counts", [
@@ -623,8 +660,12 @@ FLATS_AND_RAMP = Tabulated([0.0, 0.3, 0.6, 1.0], [1.0, 1.0, 0.2, 0.2], interp="l
         "kick-at-t_b", "staircase-n32", "kick-mid-run"])
 def test_cn_is_bit_identical_to_the_step_by_step_march(profile, n, mu, dt):
     # bit for bit the Cayley march, so the run factoring changes no bit; and
-    # within roundoff of the march that builds the explicit half by hand
-    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, n))
+    # within roundoff of the march that builds the explicit half by hand.  The
+    # packet is untagged: CN reads only its samples, and at n = 32 the grid is
+    # too coarse for the Gaussian the samples come from (sigma (pi/dq - kbar)
+    # = 4.12 < sqrt(ln 1e8)), so a tagged packet would be refused
+    q = uniform_grid(-8.0, 8.0, n)
+    p = WavePacket(q, GaussianState(0.3, 0.2, 0.7).psi(q), 0.0)
     out = crank_nicolson(profile, p, 1.0, mu=mu, dt=dt)
     assert np.array_equal(out.psi, _cayley_reference(profile, p, 1.0, mu=mu, dt=dt))
     assert out.psi[0] == out.psi[-1] == 0.0
@@ -952,6 +993,25 @@ def test_every_grid_route_refuses_a_zero_or_non_finite_state(bad, message):
     for route in _routes(WavePacket(q=q, psi=psi, t=0.0)):
         with pytest.raises(DomainError, match=message):
             route()
+
+
+@pytest.mark.parametrize("route", [
+    lambda p: propagate_kernel(FREE, p, 0.01),
+    lambda p: crank_nicolson(FREE, p, 0.01),
+    lambda p: time_sliced_oracle(FREE, p, 0.16, 1),  # the grid resolves one slice from 0.152 on
+], ids=["kernel", "crank_nicolson", "time_sliced"])
+def test_every_grid_route_refuses_a_tag_the_grid_cannot_sample(route):
+    # kbar = 100 on [-8, 8]: sigma (pi/dq - kbar) >= sqrt(ln 1e8) needs
+    # n - 1 >= 16 (100 + 4.29 / 0.7) / pi = 540.5; at fewer points the samples
+    # are a packet of another momentum, and untagged they are refused by nothing
+    g = GaussianState(0.0, 100.0, 0.7)
+    q = uniform_grid(-8.0, 8.0, 541)
+    with pytest.raises(DomainError, match=re.escape(
+            "the grid cannot sample state kbar=100.0, sigma=0.7: its spectrum at pi/dq = 106.029 "
+            "is above 1e-8 of its peak; it needs n >= 542 on [-8.0, 8.0]")):
+        route(g.on_grid(q))
+    route(WavePacket(q, g.psi(q), 0.0))
+    route(g.on_grid(uniform_grid(-8.0, 8.0, 542)))
 
 
 def test_every_grid_route_refuses_t_b_not_after_the_packet():
