@@ -36,9 +36,12 @@ at every step's midpoint in one call.  Each step is the Cayley form of
 Goldberg, Schey and Schwartz (Am. J. Phys. 35, 177 (1967)),
 psi <- (I + iK)^{-1}(I - iK) psi = 2 (I + iK)^{-1} psi - psi with
 K = (step/2) H, on the interior points, so the walls stay exactly 0: one
-tridiagonal solve and one axpy, no right-hand side to build.  A run of one
-step (omega^2 changing on every step) takes one LAPACK gtsv call.  A longer
-run of equal step and omega^2 factors I + iK once (gttrf): I + iK is
+tridiagonal solve and one axpy, no right-hand side to build.  I + iK and
+I - iK commute, so a run of equal step and omega^2 takes its steps in
+pairs, psi <- psi - 4i (I + iK)^-2 K psi, each one pentadiagonal solve from
+the run's one LAPACK gbtrf (_pair_factors); an odd last step, and a run of
+one step (omega^2 changing on every step), take one gtsv call.  A run whose
+I + iK is too ill-conditioned to square factors it once (gttrf): it is
 symmetric, so without a row interchange it is L D L^T, and each step is a
 unit-lower BLAS tbsv sweep, a multiply by 2/D and a unit-upper sweep; a
 factorization that interchanged rows (omega^2 < 0 only) solves by gttrs.
@@ -252,6 +255,54 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     return WavePacket(q=q, psi=psi_out, t=t_b)
 
 
+def _pair_factors(a: np.ndarray, gbtrf, t: float):
+    """The factors of two Cayley steps at once, or None.
+
+    a is the band of A = I + iK, K real (the march's (step/2) H).  A and
+    I - iK commute, so the square of a step is C^2 = A^-2 (I - iK)^2 =
+    I - 4i A^-2 K with A^2 = I - K^2 + 2iK pentadiagonal.  gbtrf factors
+    S A^2 S^-1, S = diag(8^-i), which shrinks each subdiagonal multiplier by
+    8 or 64 so that partial pivoting takes no interchange; 8 is a power of
+    two, so unscaled its L, D and D^-1 U are bit for bit those of elimination
+    without interchanges.  Returns the band of K (gbmv), L and D^-1 U in BLAS
+    unit band storage (tbsv) and -4i/D.
+
+    None when gbtrf interchanged rows anyway, or when the Gershgorin bound
+    kappa = 1 + max|K_ii| + 2|K_i,i+1| on cond(A), read before anything is
+    squared, passes 20: a pair's roundoff grows like eps kappa^2 against
+    eps kappa for a step, and past 20 a long march drifts measurably further
+    from the explicit-RHS march than the single steps do.  A zero pivot
+    raises StepFailure naming t.
+    """
+    k, k_off = a[1].imag, a[0, 1].imag
+    if 1.0 + float(np.max(np.abs(k))) + 2.0 * abs(k_off) > 20.0:
+        return None
+    n = k.size
+    kk = np.full(n, 2.0 * k_off * k_off)  # sum_j K_ij^2 over i's neighbours
+    kk[[0, -1]] = k_off * k_off
+    sup = -k_off * (k[:-1] + k[1:]) + 2j * k_off
+    # gbtrf's storage: row 4 + i - j holds entry (i, j), rows 0-1 its fill-in
+    ab = np.zeros((7, n), dtype=complex, order="F")
+    ab[2, 2:] = -64.0 * k_off * k_off
+    ab[3, 1:] = 8.0 * sup
+    ab[4] = 1.0 - (k * k + kk) + 2j * k
+    ab[5, :-1] = sup / 8.0
+    ab[6, :-2] = -k_off * k_off / 64.0
+    lu, ipiv, info = gbtrf(ab, 2, 2, n, n, 7, 1)  # (ab, kl, ku, m, n, ldab, overwrite_ab)
+    if info:
+        raise StepFailure(f"pentadiagonal factorization failed (info={info}) at t={t!r}")
+    if not np.array_equal(ipiv, np.arange(n)):
+        return None
+    k_band, lower, upper = (np.zeros((3, n), dtype=complex, order="F") for _ in range(3))
+    k_band[0, 1:] = k_band[2, :-1] = k_off
+    k_band[1] = k
+    lower[1, :-1] = 8.0 * lu[5, :-1]
+    lower[2, :-2] = 64.0 * lu[6, :-2]
+    upper[1, 1:] = lu[3, 1:] / 8.0 / lu[4, :-1]
+    upper[0, 2:] = lu[2, 2:] / 64.0 / lu[4, :-2]
+    return k_band, lower, upper, -4j / lu[4]
+
+
 def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
                    mu: float = 1.0, dt: float = 1e-3) -> WavePacket:
     """Unitary O(dt^2) finite-difference evolution on the packet's grid.
@@ -260,15 +311,17 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     events, and each impulse of strength s applies the exact phase
     exp(-i mu s q^2 / 2) after its segment's last step.  A step is the
     Cayley form (Goldberg, Schey and Schwartz 1967) psi <- 2 A^{-1} psi - psi,
-    A = I + i(step/2)H, on the interior points; a run of consecutive steps
+    A = I + i(step/2)H, on the interior points.  A run of consecutive steps
     with equal step and omega^2, which a kick ends, shares one LAPACK
-    factorization A = L D L^T and solves by two unit-bidiagonal BLAS sweeps,
-    2 A^{-1} = L^{-T} (2/D) L^{-1}.  Each solve writes into one buffer the
-    march owns, so a step allocates nothing and tests nothing.  Walls are
-    Dirichlet: the input's two wall values are dropped and the output's are
-    exactly 0, so the grid must stay wide enough that nothing reaches them.
-    A dt that needs more steps on a segment than an array can hold
-    (errors.MAX_COUNT) raises DomainError.
+    factorization: of A^2, taking the steps two at a time by two
+    unit-triangular BLAS sweeps each (_pair_factors), an odd last step by
+    gtsv; or, where A is too ill-conditioned to square, of A = L D L^T,
+    each step by two unit-bidiagonal sweeps, 2 A^{-1} = L^{-T} (2/D) L^{-1}.
+    Each solve writes into one buffer the march owns, so a step allocates
+    nothing and tests nothing.  Walls are Dirichlet: the input's two wall
+    values are dropped and the output's are exactly 0, so the grid must stay
+    wide enough that nothing reaches them.  A dt that needs more steps on a
+    segment than an array can hold (errors.MAX_COUNT) raises DomainError.
     """
     _check_packet(packet, mu)
     check_positive("dt", dt)
@@ -304,7 +357,8 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
 
     # a run is a maximal stretch of steps with equal (step, omega^2), so one
     # matrix A, that a kick also ends: a run of one step takes gtsv, which is
-    # cheaper than factoring; a longer run factors A once (gttrf).  With no
+    # cheaper than factoring; a longer run takes its steps in pairs where
+    # _pair_factors allows, and otherwise factors A once (gttrf).  With no
     # row interchange (always at omega^2 >= 0, where A is strictly diagonally
     # dominant) the factors are A = L D L^T, L unit lower bidiagonal with
     # gttrf's multipliers dl, and every pivot has Re d >= 1, so |2/d| <= 2;
@@ -321,24 +375,27 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     # band) or gttrf factors in place; rows hold the super-, main and
     # sub-diagonal
     q2_in = q2[1:-1]
-    lu = np.empty((3, q2_in.size), dtype=complex)
+    n = q2_in.size
+    lu = np.empty((3, n), dtype=complex)
     band = (lu[2, :-1], lu[1], lu[0, 1:])
-    h_diag = np.empty(q2_in.size)
+    h_diag = np.empty(n)
     # BLAS band storage of both unit sweeps in one Fortran-order array (a C
     # array would be copied on every call): row 0 is L^T's superdiagonal,
     # row 1 L's subdiagonal, and neither sweep reads its diagonal row
-    unit = np.zeros((2, q2_in.size), dtype=complex, order="F")
-    rows = np.arange(1, q2_in.size + 1)  # gttrf's ipiv when nothing is interchanged
-    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (lu,))
-    tbsv, = get_blas_funcs(("tbsv",), (lu,))
+    unit = np.zeros((2, n), dtype=complex, order="F")
+    rows = np.arange(1, n + 1)  # gttrf's ipiv when nothing is interchanged
+    gtsv, gttrf, gttrs, gbtrf = get_lapack_funcs(("gtsv", "gttrf", "gttrs", "gbtrf"), (lu,))
+    tbsv, gbmv = get_blas_funcs(("tbsv", "gbmv"), (lu,))
     psi = packet.psi[1:-1].copy()
-    # every solve overwrites x, a copy of psi: psi <- 2 A^{-1} psi - psi needs
-    # both.  The f2py calls in the loops are positional, since a keyword
-    # dict is parsed on every call: gtsv(dl, d, du, b, overwrite_dl,
-    # overwrite_d, overwrite_du, overwrite_b), gttrs(dl, d, du, du2, ipiv, b,
-    # trans, overwrite_b) and tbsv(k, a, x, incx, offx, lower, trans, diag,
-    # overwrite_x)
-    x = np.empty_like(psi)
+    # every solve overwrites x, a copy of psi (or K psi in a double step):
+    # psi <- 2 A^{-1} psi - psi needs both.  The f2py calls in the loops are
+    # positional, since a keyword dict is parsed on every call: gtsv(dl, d,
+    # du, b, overwrite_dl, overwrite_d, overwrite_du, overwrite_b), gttrs(dl,
+    # d, du, du2, ipiv, b, trans, overwrite_b), tbsv(k, a, x, incx, offx,
+    # lower, trans, diag, overwrite_x) and gbmv(m, n, kl, ku, alpha, a, x,
+    # incx, offx, beta, y, incy, offy, trans, overwrite_y); x starts finite,
+    # since gbmv may scale it by beta = 0 before writing it
+    x = np.zeros_like(psi)
     for lo, hi in zip(runs[:-1], runs[1:]):
         half = 0.5j * steps[lo]
         lu[0] = lu[2] = half * off
@@ -348,27 +405,38 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
         h_diag += kin
         np.multiply(half, h_diag, out=lu[1])
         lu[1] += 1.0
-        if hi - lo == 1:
+        m = hi - lo
+        pair = _pair_factors(lu, gbtrf, float(t[lo])) if m > 1 else None
+        if pair is not None:  # A^2 = L D V: psi <- psi + V^{-1} (-4i/D) L^{-1} K psi
+            k_band, lower, upper, scale = pair
+            for _ in range(m // 2):
+                gbmv(n, n, 1, 1, 1.0, k_band, psi, 1, 0, 0.0, x, 1, 0, 0, 1)
+                tbsv(2, lower, x, 1, 0, 1, 0, 1, 1)
+                np.multiply(x, scale, out=x)
+                tbsv(2, upper, x, 1, 0, 0, 0, 1, 1)
+                np.add(psi, x, out=psi)
+            m %= 2
+        if m == 1:
             np.copyto(x, psi)
             info = gtsv(*band, x, 1, 1, 1, 1)[4]
-        else:
+        elif m:
             *factors, info = gttrf(*band, 1, 1, 1)
-        if info:  # I + i(step/2)H with real H is never singular for finite input
+        if m and info:  # I + i(step/2)H with real H is never singular for finite input
             raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[lo])!r}")
-        if hi - lo == 1:  # Cayley: A^{-1}(2I - A) psi = 2x - psi
+        if m == 1:  # Cayley: A^{-1}(2I - A) psi = 2x - psi
             np.multiply(2.0, x, out=x)
             np.subtract(x, psi, out=psi)
-        elif np.array_equal(factors[4], rows):  # psi <- L^{-T} (2/D) L^{-1} psi - psi
+        elif m and np.array_equal(factors[4], rows):  # psi <- L^{-T} (2/D) L^{-1} psi - psi
             unit[0, 1:] = unit[1, :-1] = factors[0]
             scale = 2.0 / factors[1]
-            for _ in range(hi - lo):
+            for _ in range(m):
                 np.copyto(x, psi)
                 tbsv(1, unit, x, 1, 0, 1, 0, 1, 1)
                 np.multiply(x, scale, out=x)
                 tbsv(1, unit, x, 1, 0, 0, 0, 1, 1)
                 np.subtract(x, psi, out=psi)
-        else:
-            for _ in range(hi - lo):
+        elif m:
+            for _ in range(m):
                 np.copyto(x, psi)
                 gttrs(*factors, x, "N", 1)
                 np.multiply(2.0, x, out=x)

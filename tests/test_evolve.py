@@ -534,56 +534,105 @@ def _cn_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
     return psi
 
 
-def _cayley_reference(profile, packet, t_b, mu=1.0, dt=1e-3):
-    """The Cayley march psi <- 2 A^{-1} psi - psi, A = I + i(step/2)H, on the
-    interior points, written step by step: every per-step term recomputed
-    and A solved anew at every step by the kernel the march picks for that
-    step's run of equal (step, omega^2), which a kick ends.  A step alone in
-    its run takes solve_banded (gtsv); a step of a longer run factors A with
-    gttrf, then takes the unit sweeps of A = L D L^T, or gttrs after a row
-    interchange.  The walls are 0."""
+def _cayley_reference(profile, packet, t_b, mu=1.0, dt=1e-3, pairs=True):
+    """The Cayley march psi <- 2 A^{-1} psi - psi, A = I + iK, K = (step/2)H,
+    on the interior points, written out run by run: a run is a stretch of
+    steps with equal (step, omega^2), which a kick ends, and every per-run
+    term is recomputed.
+
+    A run of m >= 2 steps whose A has the Gershgorin bound
+    1 + max|K_ii| + 2|K_i,i+1| <= 20 takes m // 2 double steps
+    psi <- psi - 4i A^-2 K psi, each of which builds the band of
+    S A^2 S^-1, S = diag(8^-i), and factors it by gbtrf anew; an odd last
+    step takes solve_banded (gtsv).  Every other run (with pairs=False,
+    every run) takes the single steps, each solving A anew: a run of one
+    step by solve_banded, a step of a longer run by gttrf and the unit
+    sweeps of A = L D L^T, or gttrs after a row interchange, which a double
+    step's gbtrf falls back to as well.  The walls are 0."""
     q = packet.q[1:-1]
+    n = q.size
     dq2 = (packet.q[1] - packet.q[0]) ** 2
     off = -1.0 / (2.0 * mu * dq2)
     kin = 1.0 / (mu * dq2)
     strength = {e.time: e.strength for e in profile.jump_events(packet.t, t_b)}
     cuts = [packet.t] + sorted(strength) + ([t_b] if t_b not in strength else [])
-    schedule = []  # (step, omega^2 at its midpoint, kick after it or None)
+    runs = []  # [step, omega^2 at the steps' midpoints, step count, kick after the run or None]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         n_steps = max(1, math.ceil((hi - lo) / dt))
         step = (hi - lo) / n_steps
         t = lo
         for i in range(n_steps):
-            kick = strength.get(hi) if i == n_steps - 1 else None
-            schedule.append((step, profile.smooth_omega_squared(t + 0.5 * step), kick))
-            t += step
-    keys = [entry[:2] for entry in schedule]
-    psi = packet.psi[1:-1].copy()
-    for k, (step, w2, kick) in enumerate(schedule):
-        sub = np.full(q.size - 1, 0.5j * step * off)
-        diag = 1.0 + 0.5j * step * (kin + 0.5 * mu * w2 * q ** 2)
-        before = keys[k - 1:k] if k and schedule[k - 1][2] is None else []
-        after = keys[k + 1:k + 2] if kick is None else []
-        alone_in_its_run = keys[k] not in before + after
-        if alone_in_its_run:
-            ab = np.zeros((3, q.size), dtype=complex)
-            ab[0, 1:] = ab[2, :-1] = sub
-            ab[1] = diag
-            twice = 2.0 * solve_banded((1, 1), ab, psi)
-        else:
-            dl, d, du, du2, ipiv, info = lapack.zgttrf(sub, diag, sub)
-            assert info == 0
-            if np.array_equal(ipiv, np.arange(1, q.size + 1)):
-                lower, upper = np.zeros((2, 2, q.size), dtype=complex)
-                lower[1, :-1] = upper[0, 1:] = dl
-                y = blas.ztbsv(1, lower, psi, lower=1, diag=1)
-                twice = blas.ztbsv(1, upper, y * (2.0 / d), diag=1)
+            w2 = profile.smooth_omega_squared(t + 0.5 * step)
+            if runs and runs[-1][:2] == [step, w2] and runs[-1][3] is None:
+                runs[-1][2] += 1
             else:
-                twice = 2.0 * lapack.zgttrs(dl, d, du, du2, ipiv, psi)[0]
-        psi = twice - psi
+                runs.append([step, w2, 1, None])
+            t += step
+        runs[-1][3] = strength.get(hi)
+    psi = packet.psi[1:-1].copy()
+    for step, w2, m, kick in runs:
+        sub = np.full(n - 1, 0.5j * step * off)
+        diag = 1.0 + 0.5j * step * (kin + 0.5 * mu * w2 * q ** 2)
+        k, k_off = diag.imag, sub[0].imag
+        if pairs and m > 1 and 1.0 + np.abs(k).max() + 2.0 * abs(k_off) <= 20.0:
+            for _ in range(m // 2):
+                twice = _double_cayley_step(psi, k, k_off)
+                if twice is None:
+                    break
+                psi = twice
+            else:
+                m %= 2
+        for _ in range(m):
+            if m == 1:
+                ab = np.zeros((3, n), dtype=complex)
+                ab[0, 1:] = ab[2, :-1] = sub
+                ab[1] = diag
+                twice = 2.0 * solve_banded((1, 1), ab, psi)
+            else:
+                dl, d, du, du2, ipiv, info = lapack.zgttrf(sub, diag, sub)
+                assert info == 0
+                if np.array_equal(ipiv, np.arange(1, n + 1)):
+                    lower, upper = np.zeros((2, 2, n), dtype=complex)
+                    lower[1, :-1] = upper[0, 1:] = dl
+                    y = blas.ztbsv(1, lower, psi, lower=1, diag=1)
+                    twice = blas.ztbsv(1, upper, y * (2.0 / d), diag=1)
+                else:
+                    twice = 2.0 * lapack.zgttrs(dl, d, du, du2, ipiv, psi)[0]
+            psi = twice - psi
         if kick is not None:
             psi = psi * np.exp(-0.5j * mu * kick * q ** 2)
     return np.concatenate(([0.0], psi, [0.0]))
+
+
+def _double_cayley_step(psi, k, k_off):
+    """psi - 4i A^-2 K psi for A = I + iK, K the real symmetric tridiagonal
+    matrix with diagonal k and off-diagonal k_off, from gbtrf's factors of
+    S A^2 S^-1, S = diag(8^-i), unscaled; None when gbtrf interchanges rows."""
+    n = k.size
+    ko2 = k_off * k_off
+    row_sums = np.r_[ko2, np.full(n - 2, 2.0 * ko2), ko2]  # sum_j K_ij^2, j != i
+    a2 = {0: 1.0 - (k * k + row_sums) + 2j * k,           # the diagonals of A^2
+          1: -k_off * (k[:-1] + k[1:]) + 2j * k_off,      # = I - K^2 + 2iK
+          2: np.full(n - 2, -ko2)}
+    ab = np.zeros((7, n), dtype=complex)  # (i, j) at row 4 + i - j
+    for d, band in a2.items():
+        ab[4 - d, d:] = band * 8.0 ** d   # above the diagonal, times 8^(j-i)
+        if d:
+            ab[4 + d, :-d] = band / 8.0 ** d
+    lu, ipiv, info = lapack.zgbtrf(ab, kl=2, ku=2)
+    assert info == 0
+    if not np.array_equal(ipiv, np.arange(n)):
+        return None
+    d = lu[4]
+    lower, upper, k_band = np.zeros((3, 3, n), dtype=complex)
+    for j in (1, 2):
+        lower[j, :-j] = lu[4 + j, :-j] * 8.0 ** j
+        upper[2 - j, j:] = lu[4 - j, j:] / 8.0 ** j / d[:-j]
+    k_band[0, 1:] = k_band[2, :-1] = k_off
+    k_band[1] = k
+    y = blas.zgbmv(n, n, 1, 1, 1.0, k_band, psi)
+    y = blas.ztbsv(2, lower, y, lower=1, diag=1)
+    return psi + blas.ztbsv(2, upper, y * (-4j / d), diag=1)
 
 
 class TwoKicks(FrequencyProfile):
@@ -684,19 +733,24 @@ class CountingTwoKicks(TwoKicks):
         return super().smooth_omega_squared(t)
 
 
-def _count_solver_calls(monkeypatch, fail=None):
+def _count_solver_calls(monkeypatch, fail=None, interchange=False):
     """Patch evolve's LAPACK and BLAS lookups; returns the list of lookups, a
     Counter of the calls of every routine they hand out and the ipiv of
-    every gttrf call.  The routine named fail reports info = 1 after doing
-    its work."""
+    every gttrf and gbtrf call, as (routine, ipiv).  The routine named fail
+    reports info = 1 after doing its work; with interchange, gbtrf reports
+    an ipiv that swaps its first two rows."""
     lookups, calls, pivots = [], Counter(), []
 
     def wrap(name, func):
         def counted(*args, **kwargs):
             calls[name] += 1
             out = func(*args, **kwargs)
-            if name == "gttrf":
-                pivots.append(out[4])
+            if name in ("gttrf", "gbtrf"):
+                pivots.append((name, out[-2]))
+            if name == "gbtrf" and interchange:
+                ipiv = out[1].copy()
+                ipiv[0] = 1
+                out = (out[0], ipiv, out[2])
             return out[:-1] + (1,) if name == fail else out
         return counted
 
@@ -712,44 +766,118 @@ def _count_solver_calls(monkeypatch, fail=None):
 
 
 def test_cn_reads_omega_squared_and_looks_up_gtsv_once_per_run(monkeypatch):
-    # one lookup of each library and one omega^2 read per march; a matrix is
-    # factored once per run of equal steps, which a kick ends (TwoKicks and
-    # DeltaPulse: one per segment; Staircase: the kick at 0.5 cuts one run in
-    # two, its three one-step runs take gtsv, and its run at omega^2 = -0.5
-    # interchanges no rows either; KickMidRun: the kick leaves two one-step
-    # runs) and never when omega^2 changes on every step (ExpDecay: gtsv
-    # throughout); every step of a factored run is two tbsv sweeps
+    # one lookup of each library and one omega^2 read per march.  A run of
+    # equal steps, which a kick ends, is factored once: under the gate by
+    # gbtrf, whose every double step is one gbmv and two tbsv sweeps, an odd
+    # last step taking gtsv (TwoKicks and DeltaPulse: one run per segment,
+    # TwoKicks' first of 301 steps; Staircase: the kick at 0.5 cuts one run
+    # into 295 and 200 steps, its three one-step runs take gtsv, and its run
+    # at omega^2 = -0.5 interchanges no rows either; KickMidRun: the kick
+    # leaves two one-step runs between two of 499).  Over the gate (FREE at
+    # dt 0.5, kappa 128) gttrf and two tbsv sweeps per step, as before the
+    # double step.  Nothing is factored when omega^2 changes on every step
+    # (ExpDecay: gtsv throughout)
     lookups, calls, pivots = _count_solver_calls(monkeypatch)
     two_kicks = CountingTwoKicks()
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
     cuts = (0.0, 0.3004, 0.55, 1.0)
-    n_steps = sum(math.ceil((hi - lo) / 1e-3) for lo, hi in zip(cuts[:-1], cuts[1:]))
-    for prof, total, gttrf, gtsv in ((two_kicks, n_steps, 3, 0),
-                                     (ExpDecay(1.2, 0.9), 1000, 0, 1000),
-                                     (Staircase(), 1000, 6, 3),
-                                     (DeltaPulse(0.8, 0.5), 1000, 2, 0),
-                                     (KickMidRun(), 1000, 2, 2)):
+    assert [math.ceil((hi - lo) / 1e-3) for lo, hi in zip(cuts[:-1], cuts[1:])] == [301, 250, 450]
+    for prof, dt, counts in ((two_kicks, 1e-3, dict(gbtrf=3, gbmv=500, tbsv=1000, gtsv=1)),
+                             (ExpDecay(1.2, 0.9), 1e-3, dict(gtsv=1000)),
+                             (Staircase(), 1e-3, dict(gbtrf=6, gbmv=498, tbsv=996, gtsv=4)),
+                             (DeltaPulse(0.8, 0.5), 1e-3, dict(gbtrf=2, gbmv=500, tbsv=1000)),
+                             (KickMidRun(), 1e-3, dict(gbtrf=2, gbmv=498, tbsv=996, gtsv=4)),
+                             (FREE, 0.5, dict(gttrf=1, tbsv=4))):
         lookups.clear()
         calls.clear()
-        crank_nicolson(prof, p, 1.0, dt=1e-3)
-        assert lookups == [("gtsv", "gttrf", "gttrs"), ("tbsv",)]
-        assert calls == Counter(gttrf=gttrf, tbsv=2 * (total - gtsv), gtsv=gtsv)
-    assert two_kicks.shapes == [(n_steps,)]
-    assert len(pivots) == 13 and all(np.array_equal(ipiv, np.arange(1, 255)) for ipiv in pivots)
+        crank_nicolson(prof, p, 1.0, dt=dt)
+        assert lookups == [("gtsv", "gttrf", "gttrs", "gbtrf"), ("tbsv", "gbmv")]
+        assert calls == Counter(counts)
+    assert two_kicks.shapes == [(sum((301, 250, 450)),)]
+    # no run interchanged rows: gttrf's ipiv counts from 1, gbtrf's from 0
+    assert len(pivots) == 14 and all(np.array_equal(ipiv, np.arange(254) + (name == "gttrf"))
+                                     for name, ipiv in pivots)
 
 
 def test_cn_solves_by_gttrs_after_a_row_interchange(monkeypatch):
-    # omega^2 = -4 with dt = 0.1 on [-8, 8]: gttrf interchanges rows, so
-    # each of the run's 10 steps takes gttrs, still bit for bit the march
+    # omega^2 = -4 with dt = 0.1 on [-8, 8]: kappa is about 103, over the
+    # gate, and gttrf interchanges rows, so each of the run's 10 steps takes
+    # gttrs, still bit for bit the march
     _, calls, pivots = _count_solver_calls(monkeypatch)
     profile = Expression("-4")
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 512))
     with pytest.warns(StabilityWarning):
         out = crank_nicolson(profile, p, 1.0, dt=0.1)
-    (ipiv,) = pivots
-    assert not np.array_equal(ipiv, np.arange(1, 511))
+    ((name, ipiv),) = pivots
+    assert name == "gttrf" and not np.array_equal(ipiv, np.arange(1, 511))
     assert calls == Counter(gttrf=1, gttrs=10)
     assert np.array_equal(out.psi, _cayley_reference(profile, p, 1.0, dt=0.1))
+
+
+def _kappa_step(q, omega2, kappa):
+    """The CN step at which A = I + i(step/2)H on grid q (mu = 1) has the
+    Gershgorin bound 1 + max|K_ii| + 2|K_i,i+1| = kappa at constant omega^2."""
+    dq2 = (q[1] - q[0]) ** 2
+    return (kappa - 1.0) / (1.0 / dq2 + 0.25 * omega2 * q[-2] ** 2)
+
+
+@pytest.mark.parametrize("kappa, paired", [(20.0 * (1 - 1e-3), True), (20.0 * (1 + 1e-3), False)],
+                         ids=["under", "over"])
+def test_cn_pairs_steps_under_the_gate_and_sweeps_over_it(monkeypatch, kappa, paired):
+    # 5000 steps at kappa just under 20 take 2500 double steps and stay
+    # within roundoff of the explicit-RHS march; just over 20 the march is
+    # bit for bit the single steps' L D L^T sweeps, with no gbtrf
+    _, calls, _ = _count_solver_calls(monkeypatch)
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 1024))
+    step = _kappa_step(p.q, 1.0, kappa)
+    t_b = 5000 * step
+    dt = step * (1 + 1e-9)  # 5000 steps of t_b / 5000
+    out = crank_nicolson(Constant(1.0), p, t_b, dt=dt)
+    assert calls == (Counter(gbtrf=1, gbmv=2500, tbsv=5000) if paired else Counter(gttrf=1, tbsv=10000))
+    assert np.array_equal(out.psi, _cayley_reference(Constant(1.0), p, t_b, dt=dt))
+    want = _cn_reference(Constant(1.0), p, t_b, dt=dt)
+    assert np.linalg.norm(out.psi - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_cn_ends_an_odd_run_with_one_gtsv_step(monkeypatch):
+    # 7 equal steps (kappa about 13.7): three double steps, then the
+    # seventh alone
+    _, calls, _ = _count_solver_calls(monkeypatch)
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
+    out = crank_nicolson(Constant(0.3), p, 0.35, dt=0.05)
+    assert calls == Counter(gbtrf=1, gbmv=3, tbsv=6, gtsv=1)
+    assert np.array_equal(out.psi, _cayley_reference(Constant(0.3), p, 0.35, dt=0.05))
+    want = _cn_reference(Constant(0.3), p, 0.35, dt=0.05)
+    assert np.linalg.norm(out.psi - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_cn_falls_back_to_the_single_steps_when_gbtrf_interchanges_rows(monkeypatch):
+    # a gbtrf ipiv off the identity sends its run to gttrf and the unit
+    # sweeps, bit for bit the march without double steps
+    _, calls, _ = _count_solver_calls(monkeypatch, interchange=True)
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
+    out = crank_nicolson(Staircase(), p, 1.0, dt=1e-3)
+    assert calls == Counter(gbtrf=6, gttrf=6, tbsv=2 * (1000 - 3), gtsv=3)
+    assert np.array_equal(out.psi, _cayley_reference(Staircase(), p, 1.0, pairs=False))
+
+
+def test_cn_gates_a_band_too_large_to_square_before_squaring_it():
+    # omega^2 = 1e300 puts |A| near 1e298, whose square overflows; the gate
+    # reads A alone, so no RuntimeWarning (an error in this suite) escapes
+    # and the march stays unitary
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256))
+    with pytest.warns(StabilityWarning):
+        out = crank_nicolson(Expression("1e300"), p, 0.01, dt=1e-3)
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cn_takes_double_steps_on_the_bench_grid(monkeypatch):
+    # the packet-evolution bench's finest CN run (n = 1024, dt 4e-3, omega
+    # near 1) has kappa about 17.4, so its 250 steps are 125 double steps
+    _, calls, _ = _count_solver_calls(monkeypatch)
+    p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 1024))
+    crank_nicolson(Constant(1.0), p, 1.0, dt=4e-3)
+    assert calls == Counter(gbtrf=1, gbmv=125, tbsv=250)
 
 
 def test_cn_long_swept_march_keeps_the_norm_and_the_reference():
@@ -772,18 +900,19 @@ def test_cn_leaves_the_input_packet_unchanged():
     assert not np.shares_memory(out.psi, p.psi)
 
 
-@pytest.mark.parametrize("routine, profile, t_a, t_fail", [
-    ("gttrf", Constant(1.0), 0.0, 0.0),       # the first step's run is factored
-    ("gtsv", ExpDecay(1.2, 0.9), 0.0, 0.0),   # every step is a one-step run
+@pytest.mark.parametrize("routine, profile, dt, t_a, t_fail", [
+    ("gbtrf", Constant(1.0), 1e-3, 0.0, 0.0),   # the first step's run is factored
+    ("gtsv", ExpDecay(1.2, 0.9), 1e-3, 0.0, 0.0),  # every step is a one-step run
     # from 0.2 Staircase gives two one-step runs, then the first factored run
-    ("gtsv", Staircase(), 0.2, 0.2),
-    ("gttrf", Staircase(), 0.2, 0.202),
+    ("gtsv", Staircase(), 1e-3, 0.2, 0.2),
+    ("gbtrf", Staircase(), 1e-3, 0.2, 0.202),
+    ("gttrf", FREE, 0.5, 0.25, 0.25),            # kappa 128: over the gate
 ])
-def test_cn_refuses_a_failed_factorization_naming_t(monkeypatch, routine, profile, t_a, t_fail):
+def test_cn_refuses_a_failed_factorization_naming_t(monkeypatch, routine, profile, dt, t_a, t_fail):
     _count_solver_calls(monkeypatch, fail=routine)
     p = GaussianState(0.3, 0.2, 0.7).on_grid(uniform_grid(-8.0, 8.0, 256), t=t_a)
     with pytest.raises(StepFailure, match=r"info=1\) at t=") as exc:
-        crank_nicolson(profile, p, 1.0, dt=1e-3)
+        crank_nicolson(profile, p, 1.0, dt=dt)
     assert float(str(exc.value).rsplit("t=", 1)[1]) == pytest.approx(t_fail, abs=1e-12)
 
 
