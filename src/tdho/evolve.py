@@ -36,17 +36,17 @@ at every step's midpoint in one call.  Each step is the Cayley form of
 Goldberg, Schey and Schwartz (Am. J. Phys. 35, 177 (1967)),
 psi <- (I + iK)^{-1}(I - iK) psi = 2 (I + iK)^{-1} psi - psi with
 K = (step/2) H, on the interior points, so the walls stay exactly 0: one
-tridiagonal solve and one axpy, no right-hand side to build.  I + iK and
-I - iK commute, so a run of equal step and omega^2 takes its steps in
-pairs, psi <- psi - 4i (I + iK)^-2 K psi, each one pentadiagonal solve from
-the run's one LAPACK gbtrf (_pair_factors); an odd last step, and a run of
-one step (omega^2 changing on every step), take one gtsv call.  A run whose
-I + iK is too ill-conditioned to square factors it once (gttrf): it is
-symmetric, so without a row interchange it is L D L^T, and each step is a
-unit-lower BLAS tbsv sweep, a multiply by 2/D and a unit-upper sweep; a
-factorization that interchanged rows (omega^2 < 0 only) solves by gttrs.
-Every solve writes into one buffer, and a kick ends its run rather than
-being looked up at each step, so a step is its arithmetic alone.
+tridiagonal solve and one axpy, no right-hand side to build.  A run of equal
+step and omega^2 takes one LAPACK gbtrf (_run_factors).  I + iK and I - iK
+commute, so where I + iK is well enough conditioned to square the run takes
+its steps in pairs, psi <- psi - 4i (I + iK)^-2 K psi, from the factors of
+the pentadiagonal (I + iK)^2, and otherwise one at a time,
+psi <- psi - 2i (I + iK)^-1 K psi, from those of I + iK; either way a solve
+is one BLAS gbmv, a unit-lower tbsv sweep, a diagonal scale and a
+unit-upper sweep.  An odd last step, a run of one step (omega^2 changing on
+every step) and a run whose gbtrf interchanged rows take one gtsv call per
+step.  Every solve writes into one buffer, and a kick ends its run rather
+than being looked up at each step, so a step is its arithmetic alone.
 CN shares nothing with the other two routes; the Filon route and slicing
 share the free hop, and each has its own independent test reference.
 Agreement is the evidence.  All three share one input check, which also
@@ -255,52 +255,55 @@ def propagate_kernel(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     return WavePacket(q=q, psi=psi_out, t=t_b)
 
 
-def _pair_factors(a: np.ndarray, gbtrf, t: float):
-    """The factors of two Cayley steps at once, or None.
+def _run_factors(a: np.ndarray, gbtrf, t: float):
+    """The factors that take a run of equal Cayley steps s at a time, or None.
 
-    a is the band of A = I + iK, K real (the march's (step/2) H).  A and
-    I - iK commute, so the square of a step is C^2 = A^-2 (I - iK)^2 =
-    I - 4i A^-2 K with A^2 = I - K^2 + 2iK pentadiagonal.  gbtrf factors
-    S A^2 S^-1, S = diag(8^-i), which shrinks each subdiagonal multiplier by
-    8 or 64 so that partial pivoting takes no interchange; 8 is a power of
-    two, so unscaled its L, D and D^-1 U are bit for bit those of elimination
-    without interchanges.  Returns the band of K (gbmv), L and D^-1 U in BLAS
-    unit band storage (tbsv) and -4i/D.
+    a is the band of A = I + iK, K real (the march's (step/2) H).  A step is
+    C = A^-1 (I - iK) = I - 2i A^-1 K, and A and I - iK commute, so two
+    steps are C^2 = I - 4i A^-2 K with A^2 = I - K^2 + 2iK pentadiagonal:
+    s steps are psi <- psi - 2is A^-s K psi, whose solve meets K psi, which
+    is small on a smooth packet, rather than psi.  s is 2 while the Gershgorin
+    bound kappa = 1 + max|K_ii| + 2|K_i,i+1| on cond(A), read before
+    anything is squared, is at most 20, and 1 over it: a pair's roundoff
+    grows like eps kappa^2 against eps kappa for a step, and past 20 a long
+    march drifts measurably further from the explicit-RHS march than the
+    single steps do.
 
-    None when gbtrf interchanged rows anyway, or when the Gershgorin bound
-    kappa = 1 + max|K_ii| + 2|K_i,i+1| on cond(A), read before anything is
-    squared, passes 20: a pair's roundoff grows like eps kappa^2 against
-    eps kappa for a step, and past 20 a long march drifts measurably further
-    from the explicit-RHS march than the single steps do.  A zero pivot
-    raises StepFailure naming t.
+    gbtrf factors S A^s S^-1, S = diag(8^-i), which shrinks each subdiagonal
+    multiplier by 8 or 64 so that partial pivoting takes no interchange: A's
+    Hermitian part is I, so each pivot of A has Re d >= 1 at any omega^2.
+    8 is a power of two, so unscaled its L, D and D^-1 U are bit for bit
+    those of elimination without interchanges.  Returns s, L and D^-1 U in
+    BLAS unit band storage (tbsv) and the scale -2is/D.  None when gbtrf
+    interchanged rows anyway; a zero pivot raises StepFailure naming t.
     """
     k, k_off = a[1].imag, a[0, 1].imag
-    if 1.0 + float(np.max(np.abs(k))) + 2.0 * abs(k_off) > 20.0:
-        return None
     n = k.size
-    kk = np.full(n, 2.0 * k_off * k_off)  # sum_j K_ij^2 over i's neighbours
-    kk[[0, -1]] = k_off * k_off
-    sup = -k_off * (k[:-1] + k[1:]) + 2j * k_off
-    # gbtrf's storage: row 4 + i - j holds entry (i, j), rows 0-1 its fill-in
-    ab = np.zeros((7, n), dtype=complex, order="F")
-    ab[2, 2:] = -64.0 * k_off * k_off
-    ab[3, 1:] = 8.0 * sup
-    ab[4] = 1.0 - (k * k + kk) + 2j * k
-    ab[5, :-1] = sup / 8.0
-    ab[6, :-2] = -k_off * k_off / 64.0
-    lu, ipiv, info = gbtrf(ab, 2, 2, n, n, 7, 1)  # (ab, kl, ku, m, n, ldab, overwrite_ab)
+    if 1.0 + float(np.max(np.abs(k))) + 2.0 * abs(k_off) <= 20.0:
+        kk = np.full(n, 2.0 * k_off * k_off)  # sum_j K_ij^2 over i's neighbours
+        kk[[0, -1]] = k_off * k_off
+        # the main, first and second diagonals of A^2, each symmetric
+        diagonals = (1.0 - (k * k + kk) + 2j * k, -k_off * (k[:-1] + k[1:]) + 2j * k_off, -k_off * k_off)
+    else:
+        diagonals = (a[1], a[0, 1])
+    s = len(diagonals) - 1
+    # gbtrf's storage: row 2s + i - j holds entry (i, j), rows below s its fill-in
+    ab = np.zeros((3 * s + 1, n), dtype=complex, order="F")
+    ab[2 * s] = diagonals[0]
+    for j in range(1, s + 1):
+        ab[2 * s - j, j:] = diagonals[j] * 8.0 ** j
+        ab[2 * s + j, :-j] = diagonals[j] / 8.0 ** j
+    lu, ipiv, info = gbtrf(ab, s, s, n, n, 3 * s + 1, 1)  # (ab, kl, ku, m, n, ldab, overwrite_ab)
     if info:
-        raise StepFailure(f"pentadiagonal factorization failed (info={info}) at t={t!r}")
+        raise StepFailure(f"banded factorization failed (info={info}) at t={t!r}")
     if not np.array_equal(ipiv, np.arange(n)):
         return None
-    k_band, lower, upper = (np.zeros((3, n), dtype=complex, order="F") for _ in range(3))
-    k_band[0, 1:] = k_band[2, :-1] = k_off
-    k_band[1] = k
-    lower[1, :-1] = 8.0 * lu[5, :-1]
-    lower[2, :-2] = 64.0 * lu[6, :-2]
-    upper[1, 1:] = lu[3, 1:] / 8.0 / lu[4, :-1]
-    upper[0, 2:] = lu[2, 2:] / 64.0 / lu[4, :-2]
-    return k_band, lower, upper, -4j / lu[4]
+    d = lu[2 * s]
+    lower, upper = (np.zeros((s + 1, n), dtype=complex, order="F") for _ in range(2))
+    for j in range(1, s + 1):
+        lower[j, :-j] = lu[2 * s + j, :-j] * 8.0 ** j
+        upper[s - j, j:] = lu[2 * s - j, j:] / 8.0 ** j / d[:-j]
+    return s, lower, upper, -2j * s / d
 
 
 def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
@@ -313,10 +316,12 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     Cayley form (Goldberg, Schey and Schwartz 1967) psi <- 2 A^{-1} psi - psi,
     A = I + i(step/2)H, on the interior points.  A run of consecutive steps
     with equal step and omega^2, which a kick ends, shares one LAPACK
-    factorization: of A^2, taking the steps two at a time by two
-    unit-triangular BLAS sweeps each (_pair_factors), an odd last step by
-    gtsv; or, where A is too ill-conditioned to square, of A = L D L^T,
-    each step by two unit-bidiagonal sweeps, 2 A^{-1} = L^{-T} (2/D) L^{-1}.
+    gbtrf (_run_factors): of A^2, taking the steps two at a time,
+    psi <- psi - 4i A^-2 K psi, or, where A is too ill-conditioned to
+    square, of A, taking them one at a time, psi <- psi - 2i A^-1 K psi;
+    each solve is a unit-lower BLAS sweep, a diagonal scale and a
+    unit-upper sweep.  An odd last step, a run of one step and a run whose
+    gbtrf interchanged rows take gtsv.
     Each solve writes into one buffer the march owns, so a step allocates
     nothing and tests nothing.  Walls are Dirichlet: the input's two wall
     values are dropped and the output's are exactly 0, so the grid must stay
@@ -349,20 +354,17 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     q = packet.q
     q2 = q ** 2
     # the scheme is unconditionally stable; warn when the potential phase
-    # per step is order one, since accuracy is gone well before stability
-    if float(np.max(step_of * np.abs(w2s))) * float(np.max(q2)) > 1.0:
+    # per step, step (mu/2) omega^2 q^2, is order one, since accuracy is gone
+    # well before stability
+    if mu * float(np.max(step_of * np.abs(w2s))) * float(np.max(q2)) > 1.0:
         warnings.warn(StabilityWarning(
             "time step does not resolve the potential phase at the grid "
             "edges; results will be inaccurate (though not unstable)"))
 
     # a run is a maximal stretch of steps with equal (step, omega^2), so one
     # matrix A, that a kick also ends: a run of one step takes gtsv, which is
-    # cheaper than factoring; a longer run takes its steps in pairs where
-    # _pair_factors allows, and otherwise factors A once (gttrf).  With no
-    # row interchange (always at omega^2 >= 0, where A is strictly diagonally
-    # dominant) the factors are A = L D L^T, L unit lower bidiagonal with
-    # gttrf's multipliers dl, and every pivot has Re d >= 1, so |2/d| <= 2;
-    # after an interchange each step takes gttrs
+    # cheaper than factoring; a longer run takes its steps as _run_factors
+    # allows
     change = np.flatnonzero((step_of[1:] != step_of[:-1]) | (w2s[1:] != w2s[:-1])) + 1
     runs = sorted({0, len(steps), *(k + 1 for k in kicks), *change.tolist()})
 
@@ -372,26 +374,21 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
     # the march runs on the interior points: the walls stay 0 and are no rows
     # of the band.  Each run builds A = I + i(step/2)H straight into the one
     # band buffer that gtsv (the routine solve_banded picks for a (1, 1)
-    # band) or gttrf factors in place; rows hold the super-, main and
-    # sub-diagonal
+    # band) solves in place and _run_factors reads; rows hold the super-,
+    # main and sub-diagonal
     q2_in = q2[1:-1]
     n = q2_in.size
     lu = np.empty((3, n), dtype=complex)
     band = (lu[2, :-1], lu[1], lu[0, 1:])
     h_diag = np.empty(n)
-    # BLAS band storage of both unit sweeps in one Fortran-order array (a C
-    # array would be copied on every call): row 0 is L^T's superdiagonal,
-    # row 1 L's subdiagonal, and neither sweep reads its diagonal row
-    unit = np.zeros((2, n), dtype=complex, order="F")
-    rows = np.arange(1, n + 1)  # gttrf's ipiv when nothing is interchanged
-    gtsv, gttrf, gttrs, gbtrf = get_lapack_funcs(("gtsv", "gttrf", "gttrs", "gbtrf"), (lu,))
+    gtsv, gbtrf = get_lapack_funcs(("gtsv", "gbtrf"), (lu,))
     tbsv, gbmv = get_blas_funcs(("tbsv", "gbmv"), (lu,))
     psi = packet.psi[1:-1].copy()
-    # every solve overwrites x, a copy of psi (or K psi in a double step):
-    # psi <- 2 A^{-1} psi - psi needs both.  The f2py calls in the loops are
-    # positional, since a keyword dict is parsed on every call: gtsv(dl, d,
-    # du, b, overwrite_dl, overwrite_d, overwrite_du, overwrite_b), gttrs(dl,
-    # d, du, du2, ipiv, b, trans, overwrite_b), tbsv(k, a, x, incx, offx,
+    # every solve overwrites x, a copy of psi for gtsv or K psi for the
+    # sweeps: psi <- 2 A^{-1} psi - psi and psi <- psi - 2is A^-s K psi both
+    # need psi kept.  The f2py calls in the loops are positional, since a
+    # keyword dict is parsed on every call: gtsv(dl, d, du, b, overwrite_dl,
+    # overwrite_d, overwrite_du, overwrite_b), tbsv(k, a, x, incx, offx,
     # lower, trans, diag, overwrite_x) and gbmv(m, n, kl, ku, alpha, a, x,
     # incx, offx, beta, y, incy, offy, trans, overwrite_y); x starts finite,
     # since gbmv may scale it by beta = 0 before writing it
@@ -406,41 +403,26 @@ def crank_nicolson(profile: FrequencyProfile, packet: WavePacket, t_b: float,
         np.multiply(half, h_diag, out=lu[1])
         lu[1] += 1.0
         m = hi - lo
-        pair = _pair_factors(lu, gbtrf, float(t[lo])) if m > 1 else None
-        if pair is not None:  # A^2 = L D V: psi <- psi + V^{-1} (-4i/D) L^{-1} K psi
-            k_band, lower, upper, scale = pair
-            for _ in range(m // 2):
+        factors = _run_factors(lu, gbtrf, float(t[lo])) if m > 1 else None
+        if factors is not None:
+            s, lower, upper, scale = factors
+            # A^s = L D V: psi <- psi + V^{-1} (-2is/D) L^{-1} K psi
+            k_band = lu.imag.astype(complex, order="F")  # gbmv skips two corners
+            for _ in range(m // s):
                 gbmv(n, n, 1, 1, 1.0, k_band, psi, 1, 0, 0.0, x, 1, 0, 0, 1)
-                tbsv(2, lower, x, 1, 0, 1, 0, 1, 1)
+                tbsv(s, lower, x, 1, 0, 1, 0, 1, 1)
                 np.multiply(x, scale, out=x)
-                tbsv(2, upper, x, 1, 0, 0, 0, 1, 1)
+                tbsv(s, upper, x, 1, 0, 0, 0, 1, 1)
                 np.add(psi, x, out=psi)
-            m %= 2
-        if m == 1:
+            m %= s
+        last = m == 1  # gtsv overwrites the band, which a later step reads
+        for _ in range(m):  # Cayley: A^{-1}(2I - A) psi = 2x - psi
             np.copyto(x, psi)
-            info = gtsv(*band, x, 1, 1, 1, 1)[4]
-        elif m:
-            *factors, info = gttrf(*band, 1, 1, 1)
-        if m and info:  # I + i(step/2)H with real H is never singular for finite input
-            raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[lo])!r}")
-        if m == 1:  # Cayley: A^{-1}(2I - A) psi = 2x - psi
+            info = gtsv(*band, x, last, last, last, 1)[4]
+            if info:  # I + i(step/2)H with real H is never singular for finite input
+                raise StepFailure(f"tridiagonal solve failed (info={info}) at t={float(t[lo])!r}")
             np.multiply(2.0, x, out=x)
             np.subtract(x, psi, out=psi)
-        elif m and np.array_equal(factors[4], rows):  # psi <- L^{-T} (2/D) L^{-1} psi - psi
-            unit[0, 1:] = unit[1, :-1] = factors[0]
-            scale = 2.0 / factors[1]
-            for _ in range(m):
-                np.copyto(x, psi)
-                tbsv(1, unit, x, 1, 0, 1, 0, 1, 1)
-                np.multiply(x, scale, out=x)
-                tbsv(1, unit, x, 1, 0, 0, 0, 1, 1)
-                np.subtract(x, psi, out=psi)
-        elif m:
-            for _ in range(m):
-                np.copyto(x, psi)
-                gttrs(*factors, x, "N", 1)
-                np.multiply(2.0, x, out=x)
-                np.subtract(x, psi, out=psi)
         if hi - 1 in kicks:
             psi *= np.exp(-0.5j * mu * kicks[hi - 1] * q2_in)
     return WavePacket(q=q, psi=np.pad(psi, 1), t=t_b)
